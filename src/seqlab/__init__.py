@@ -39,7 +39,6 @@ from .montecarlo import (
     SimulationStats,
     analytic_expected_payoff,
     default_deviation_grid,
-    estimate_expected_payoff,
     simulate,
     verify_best_response,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "capped_revenue_comparison",
     "compare_expenditure",
     "default_deviation_grid",
-    "estimate_expected_payoff",
     "ex_ante_revenue",
     "latency_closed_form",
     "optimal_c",

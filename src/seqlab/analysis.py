@@ -23,14 +23,7 @@ from scipy.integrate import quad
 from scipy.special import ndtri
 
 from .cost import CostModel
-from .equilibrium import (
-    EquilibriumResult,
-    MarketConfig,
-    Regime,
-    _assemble,
-    _zero,
-    solve_equilibrium,
-)
+from .equilibrium import EquilibriumResult, MarketConfig, solve_equilibrium
 from .errors import ConfigError, ParameterError
 from .noise import NoiseModel
 from .numerics import golden_section_max
@@ -140,26 +133,11 @@ def capped_revenue_comparison(v: float, beta: float, f0: float, cap: float) -> C
     the printed sufficient condition ``cap < (v*f0/(2*beta))**(1/(1-beta))``
     alongside the direct revenue comparison, which is authoritative.
     """
-    if not (math.isfinite(cap) and cap >= 0.0):
-        raise ParameterError(f"cap must be a non-negative finite real, got {cap!r}")
+    cost = CostModel.power(beta, cap=cap)
     if not (math.isfinite(f0) and f0 > 0.0):
         raise ParameterError(f"peak noise density must be positive, got {f0!r}")
-    cost = CostModel.power(beta, cap=cap)
-
-    def capped(market: MarketConfig, unconstrained: float) -> EquilibriumResult:
-        if cap == 0.0 or unconstrained <= 0.0:
-            return _zero(market)
-        if unconstrained > cap:
-            result = _assemble(market, cap, cap**beta, Regime.CAP_BINDING)
-        else:
-            result = _assemble(market, unconstrained, unconstrained**beta, Regime.INTERIOR)
-        return result if result.expected_profit >= 0.0 else _zero(market)
-
-    shared = capped(MarketConfig(v, 1), (f0 * v / beta) ** (1.0 / (beta - 1.0)))
-    separate = capped(MarketConfig(v, 2), (f0 * v / (2.0 * beta)) ** (1.0 / (beta - 1.0)))
-    sigma_equivalent = 1.0 / (_SQRT_2PI * f0)
-    thresholds = _displayed_thresholds(cost, NoiseModel("normal", sigma_equivalent), v, 2)
-    report = _report(shared, separate, 2, "revenue", thresholds)
+    noise = NoiseModel("normal", 1.0 / (_SQRT_2PI * f0))
+    report = compare_expenditure(v, cost, noise, interpretation="revenue")
     return replace(
         report,
         cap_condition_holds=cap < (v * f0 / (2.0 * beta)) ** (1.0 / (1.0 - beta)),
@@ -351,26 +329,6 @@ def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared"
 #: Canonical sweep axis order; rows are emitted in product order over these.
 SWEEP_AXES = ("v", "beta", "c", "g", "sigma", "alpha", "chains", "cap")
 
-SWEEP_COLUMNS = (
-    "shared_signal",
-    "shared_per_chain_cost",
-    "shared_total_cost",
-    "shared_expected_profit",
-    "shared_regime",
-    "separate_signal",
-    "separate_per_chain_cost",
-    "separate_total_cost",
-    "separate_expected_profit",
-    "separate_regime",
-    "shared_total_expenditure",
-    "separate_total_expenditure",
-    "expenditure_ratio",
-    "capture_probability_shared",
-    "capture_probability_separate",
-    "interpretation",
-)
-
-
 def sweep(
     axes: dict,
     *,
@@ -379,26 +337,20 @@ def sweep(
     noise: NoiseModel,
     alpha: float = 1.0,
     chains: int = 2,
-    columns=None,
 ) -> list[dict]:
     """Tabulate the shared-vs-separate comparison over a parameter grid.
 
     ``axes`` maps axis names (a subset of :data:`SWEEP_AXES`) to value lists;
     non-axis parameters come from the keyword baseline. The ``chains`` axis
     sets the separate-side chain count. Rows appear in product order over the
-    canonical axis order, each row carrying its axis values plus the selected
-    result columns.
+    canonical axis order, each row carrying its axis values plus the result
+    columns.
     """
     for name, values in axes.items():
         if name not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {name!r}; expected one of {SWEEP_AXES}")
         if len(values) == 0 or any(not math.isfinite(x) for x in values):
             raise ConfigError(f"sweep axis {name!r} needs a non-empty list of finite values")
-    if columns is None:
-        columns = SWEEP_COLUMNS
-    unknown = set(columns) - set(SWEEP_COLUMNS)
-    if unknown:
-        raise ConfigError(f"unknown sweep columns {sorted(unknown)}")
 
     active = [name for name in SWEEP_AXES if name in axes]
     rows = []
@@ -416,7 +368,8 @@ def sweep(
             point.get("alpha", alpha),
             separate_chains=int(chain_count),
         )
-        values = {
+        row = dict(point)
+        row.update({
             "shared_signal": report.shared_result.signal,
             "shared_per_chain_cost": report.shared_result.per_chain_cost,
             "shared_total_cost": report.shared_result.total_cost_per_trader,
@@ -433,9 +386,7 @@ def sweep(
             "capture_probability_shared": report.capture_probability_shared,
             "capture_probability_separate": report.capture_probability_separate,
             "interpretation": report.interpretation,
-        }
-        row = dict(point)
-        row.update({name: values[name] for name in columns})
+        })
         rows.append(row)
     return rows
 
@@ -445,10 +396,4 @@ def _override_cost(cost: CostModel, point: dict) -> CostModel:
     for name in ("beta", "c", "g"):
         if name in point and name not in relevant:
             raise ConfigError(f"sweep axis {name!r} does not apply to {cost.family} cost")
-    kwargs = {name: point.get(name, getattr(cost, name)) for name in relevant}
-    if "cap" in point:
-        kwargs["cap"] = point["cap"]
-    elif cost.cap is not None:
-        kwargs["cap"] = cost.cap
-    factory = CostModel.power if cost.family == "power" else CostModel.timeboost
-    return factory(**kwargs)
+    return replace(cost, **{name: point[name] for name in (*relevant, "cap") if name in point})

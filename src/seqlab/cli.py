@@ -18,10 +18,12 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
+from dataclasses import replace
 
 from . import analysis, montecarlo
-from .cost import CostModel, parse_cost
+from .cost import CostModel, parse_cost, tokenize_cost
 from .equilibrium import MarketConfig, solve_equilibrium
 from .errors import ConfigError, DomainError, ParameterError, SolverError
 from .noise import parse_noise
@@ -29,6 +31,9 @@ from .noise import parse_noise
 COMMANDS = ("equilibrium", "compare", "sweep", "simulate", "verify", "optimal-c")
 
 _REJECTED_FLAG_HELP = "rejected; pass TimeBoost parameters via --cost timeboost:c=...,g=..."
+
+# every sweep row is a full shared-vs-separate solve; larger grids are typos
+_MAX_SWEEP_ROWS = 10**6
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -112,12 +117,20 @@ def _build_parser() -> _CliParser:
 
 
 def _load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from None
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
-        params = dict(payload.get("params", {}))
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: malformed JSON: {exc}") from None
+        params = payload.get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"{path}: 'params' must be a JSON object, got {params!r}")
         if "command" in payload:
             params["command"] = payload["command"]
         return params
@@ -154,7 +167,11 @@ def _merge_config(args: argparse.Namespace, params: dict) -> None:
             if attr == "grid" and not isinstance(value, list):
                 value = [value]
             elif attr in _CASTS and isinstance(value, str):
-                value = _CASTS[attr](value)
+                try:
+                    value = _CASTS[attr](value)
+                except ValueError:
+                    kind = _CASTS[attr].__name__
+                    raise ConfigError(f"config key {key!r} needs a {kind} value, got {value!r}") from None
             setattr(args, attr, value)
 
 
@@ -166,11 +183,7 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 def _resolve_cost(args: argparse.Namespace) -> CostModel:
     model = parse_cost(args.cost)
-    if args.cap is not None:
-        factory = CostModel.power if model.family == "power" else CostModel.timeboost
-        kwargs = {"beta": model.beta} if model.family == "power" else {"c": model.c, "g": model.g}
-        model = factory(**kwargs, cap=args.cap)
-    return model
+    return model if args.cap is None else replace(model, cap=args.cap)
 
 
 def _parse_signals(text: str, n_chains: int):
@@ -188,7 +201,12 @@ def _parse_signals(text: str, n_chains: int):
 
 
 def _parse_grid(specs: list[str]) -> dict:
-    axes: dict = {}
+    """Axis value lists from ``axis=start:step:stop`` or ``axis=value`` specs.
+
+    The row count is checked against :data:`_MAX_SWEEP_ROWS` before any list
+    is built.
+    """
+    ranges: dict = {}  # axis -> (start, step or None for a single value, count)
     for spec in specs:
         axis, sep, rng = spec.partition("=")
         axis = axis.strip().replace("-", "_")
@@ -197,19 +215,23 @@ def _parse_grid(specs: list[str]) -> dict:
         parts = rng.split(":")
         try:
             if len(parts) == 1:
-                values = [float(parts[0])]
+                ranges[axis] = (float(parts[0]), None, 1)
             elif len(parts) == 3:
                 start, step, stop = (float(p) for p in parts)
                 if step <= 0 or stop < start:
                     raise ConfigError(f"grid spec {spec!r} needs step > 0 and stop >= start")
-                count = int((stop - start) / step + 1e-9) + 1
-                values = [start + i * step for i in range(count)]
+                ranges[axis] = (start, step, int((stop - start) / step + 1e-9) + 1)
             else:
                 raise ValueError(rng)
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ConfigError(f"bad grid range {rng!r} in {spec!r}") from None
-        axes[axis] = values
-    return axes
+    rows = math.prod(count for _, _, count in ranges.values())
+    if rows > _MAX_SWEEP_ROWS:
+        raise ConfigError(f"the sweep grid has {rows} rows; at most {_MAX_SWEEP_ROWS} are allowed")
+    return {
+        axis: [start] if step is None else [start + i * step for i in range(count)]
+        for axis, (start, step, count) in ranges.items()
+    }
 
 
 def _equilibrium_dict(result) -> dict:
@@ -311,35 +333,21 @@ def _run_verify(args) -> dict:
 
 def _run_optimal_c(args) -> dict:
     _require(args, "cost", "noise", "value_dist")
-    cost_model = _parse_optimal_c_cost(args.cost)
+    # c is the decision variable, so only g is read from the cost spec
+    family, fields, positional = tokenize_cost(args.cost)
+    g = fields.get("g", 0.0)
+    if family != "timeboost" or positional or not g > 0.0:
+        raise ConfigError(f"optimal-c needs a timeboost cost spec with a positive g like 'timeboost:g=1.0', "
+                          f"got {args.cost!r}")
     noise = parse_noise(args.noise)
     dist = analysis.parse_value_dist(args.value_dist)
     f0 = noise.density_at_zero()
     modes = ("shared", "separate") if args.mode == "both" else (args.mode,)
     result: dict = {}
     for mode in modes:
-        fee = analysis.optimal_c(dist, cost_model["g"], f0, mode)
+        fee = analysis.optimal_c(dist, g, f0, mode)
         result[mode] = {"c_star": fee.c_star, "ex_ante_revenue": fee.ex_ante_revenue}
     return result
-
-
-def _parse_optimal_c_cost(text: str) -> dict:
-    """optimal-c only needs g; c is the decision variable and may be omitted."""
-    name, sep, rest = text.partition(":")
-    if name.strip().lower() != "timeboost" or not sep:
-        raise ConfigError(f"optimal-c needs a timeboost cost spec like 'timeboost:g=1.0', got {text!r}")
-    fields = {}
-    for part in rest.split(","):
-        key, eq, value = part.partition("=")
-        if not eq:
-            raise ConfigError(f"bad cost parameter {part!r} in {text!r}")
-        try:
-            fields[key.strip()] = float(value)
-        except ValueError:
-            raise ConfigError(f"bad cost parameter {part!r} in {text!r}") from None
-    if "g" not in fields or fields["g"] <= 0:
-        raise ConfigError(f"optimal-c needs a positive g in the cost spec, got {text!r}")
-    return fields
 
 
 _RUNNERS = {

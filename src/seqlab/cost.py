@@ -124,11 +124,10 @@ class CostModel:
         return max(self.g - math.sqrt(self.c * self.g / m), 0.0), False
 
 
-def parse_cost(text: str) -> CostModel:
-    """Parse a cost spec like ``power:2.0``, ``timeboost:c=0.25,g=1.0``.
+def tokenize_cost(text: str) -> tuple[str, dict[str, float], list[float]]:
+    """Split a cost spec into its family name, ``key=value`` entries, and bare values.
 
-    An optional ``cap=...`` entry may be appended to either family, e.g.
-    ``power:2.0,cap=0.4``.
+    Empty entries (a trailing comma) are skipped; the family is not checked.
     """
     name, sep, rest = text.partition(":")
     name = name.strip().lower()
@@ -148,6 +147,16 @@ def parse_cost(text: str) -> CostModel:
                 positional.append(float(part))
         except ValueError:
             raise ConfigError(f"bad cost parameter {part!r} in {text!r}") from None
+    return name, fields, positional
+
+
+def parse_cost(text: str) -> CostModel:
+    """Parse a cost spec like ``power:2.0``, ``timeboost:c=0.25,g=1.0``.
+
+    An optional ``cap=...`` entry may be appended to either family, e.g.
+    ``power:2.0,cap=0.4``.
+    """
+    name, fields, positional = tokenize_cost(text)
     cap = fields.pop("cap", None)
     if name == "power":
         if len(positional) == 1 and not fields:

@@ -19,7 +19,6 @@ directly and splits it antisymmetrically).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -36,23 +35,24 @@ _CHUNK_TRIALS = 1 << 16
 _Z95 = 1.96
 
 
-def _per_chain_signals(signals, n_chains: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _per_chain_signals(signals, n_chains: int) -> tuple[tuple, tuple]:
     """Normalize to one signal per trader per chain.
 
     Accepts two scalars (same signal on every chain) or two length-n
-    sequences.
+    sequences. Entries pass through unconverted, so a per-chain entry may be
+    an array.
     """
     if len(signals) != 2:
         raise ConfigError(f"expected signals for exactly 2 traders, got {len(signals)}")
     out = []
     for trader in signals:
-        if np.ndim(trader) == 0:
-            out.append((float(trader),) * n_chains)
-        else:
-            row = tuple(float(x) for x in trader)
+        if isinstance(trader, (tuple, list)) or np.ndim(trader) > 0:
+            row = tuple(trader)
             if len(row) != n_chains:
                 raise ConfigError(f"expected {n_chains} per-chain signals, got {len(row)}")
-            out.append(row)
+        else:
+            row = (trader,) * n_chains
+        out.append(row)
     return out[0], out[1]
 
 
@@ -68,7 +68,8 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "signals", _per_chain_signals(self.signals, self.market.n_chains))
+        rows = _per_chain_signals(self.signals, self.market.n_chains)
+        object.__setattr__(self, "signals", tuple(tuple(float(s) for s in row) for row in rows))
         if not (isinstance(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
@@ -160,27 +161,28 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     )
 
 
-def estimate_expected_payoff(spec: SimulationSpec) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Monte Carlo payoff estimate per trader as ``(mean, ci_halfwidth)``."""
-    stats = simulate(spec)
-    return (
-        (stats.mean_payoff[0], stats.payoff_ci_halfwidth[0]),
-        (stats.mean_payoff[1], stats.payoff_ci_halfwidth[1]),
-    )
-
-
-def analytic_expected_payoff(signals, market: MarketConfig, cost: CostModel, noise: NoiseModel) -> float:
+def analytic_expected_payoff(signals, market: MarketConfig, cost: CostModel, noise: NoiseModel) -> float | np.ndarray:
     """Closed-form expected payoff of trader 1 for arbitrary signal profiles.
 
+    ``signals`` is ``(own, rival)``, each one signal for every chain or one
+    per chain. Per-chain entries of ``own`` may be arrays that broadcast
+    against each other; the payoff then has their broadcast shape, one value
+    per deviation profile, and is a float when every entry is a scalar.
     Capture probability is the product of per-chain win probabilities; the
     expected cost charges each chain fully when won and the ``alpha``
     fraction when lost.
     """
-    s1, s2 = _per_chain_signals(signals, market.n_chains)
-    win = np.array([noise.cdf(a - b) for a, b in zip(s1, s2)])
-    chain_cost = np.array([cost.cost(s) for s in s1])
-    expected_cost = float(np.sum(chain_cost * (win + market.alpha * (1.0 - win))))
-    return market.v * float(np.prod(win)) - expected_cost
+    own, rival = _per_chain_signals(signals, market.n_chains)
+    capture, expected_cost = 1.0, 0.0
+    for mine, theirs in zip(own, rival):
+        win = noise.cdf(mine - theirs)
+        capture = capture * win
+        expected_cost = expected_cost + cost.cost(mine) * (win + market.alpha * (1.0 - win))
+    # capture is a fresh float or full-shape array, so update it in place
+    # rather than hold a third profile-sized array
+    capture *= market.v
+    capture -= expected_cost
+    return capture
 
 
 def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301) -> np.ndarray:
@@ -216,25 +218,6 @@ class BestResponseCheck:
     mode: str
 
 
-def _analytic_profile_scan(grid, candidate, market, cost, noise):
-    """Vectorized payoff over the full per-chain deviation product grid."""
-    n = market.n_chains
-    win = np.asarray(noise.cdf(np.asarray(grid) - candidate))
-    chain_cost = cost.cost(np.asarray(grid)) * (win + market.alpha * (1.0 - win))
-    capture = np.ones((1,) * n)
-    total_cost = np.zeros((1,) * n)
-    for k in range(n):
-        shape = [1] * n
-        shape[k] = len(grid)
-        capture = capture * win.reshape(shape)
-        total_cost = total_cost + chain_cost.reshape(shape)
-    payoff = market.v * capture - total_cost
-    flat = int(np.argmax(payoff))
-    indices = np.unravel_index(flat, payoff.shape)
-    profile = tuple(float(grid[i]) for i in indices)
-    return float(payoff[indices]), profile
-
-
 def verify_best_response(
     candidate,
     market: MarketConfig,
@@ -245,16 +228,18 @@ def verify_best_response(
     mode: str = "analytic",
     trials: int = 200_000,
     seed: int = 0,
-    per_chain: bool = True,
 ) -> BestResponseCheck:
     """Scan trader 1's deviations while trader 2 sits at the candidate.
 
     The scan covers the equal-on-every-chain family over the deviation grid
     and, with more than one chain, a per-chain product grid (coarser per
-    axis). Analytic mode evaluates the closed-form payoff; Monte Carlo mode
-    estimates it from common random numbers so the gain comparison is paired.
-    A positive best gain means the candidate is not a best response; it is
-    reported, never suppressed.
+    axis). Analytic mode evaluates the closed-form payoff over each family
+    at once; Monte Carlo mode estimates it from common random numbers, one
+    simulation per profile in C order, so the gain comparison is paired.
+    Within a family the first maximum wins, and the product grid replaces
+    the equal family's best only when strictly better. A positive best gain
+    means the candidate is not a best response; it is reported, never
+    suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
@@ -267,19 +252,22 @@ def verify_best_response(
         if grid.size == 0:
             raise ConfigError("deviation grid must not be empty")
 
-    def payoff_of(profile) -> float:
+    def score(own) -> np.ndarray:
+        """Trader 1's payoff at every profile the per-chain entries broadcast to."""
         if mode == "analytic":
-            return analytic_expected_payoff((profile, cand), market, cost, noise)
-        spec = SimulationSpec((profile, cand), market, cost, noise, trials=trials, seed=seed)
-        return simulate(spec).mean_payoff[0]
+            return np.asarray(analytic_expected_payoff((own, cand), market, cost, noise))
+        profiles = np.broadcast(*own)
+        specs = (SimulationSpec((p, cand), market, cost, noise, trials=trials, seed=seed) for p in profiles)
+        return np.reshape([simulate(spec).mean_payoff[0] for spec in specs], profiles.shape)
 
-    baseline = payoff_of(cand)
-    best_payoff, best_profile = -math.inf, (cand,) * n
-    for d in grid:
-        value = payoff_of(float(d))
-        if value > best_payoff:
-            best_payoff, best_profile = value, (float(d),) * n
-    if n >= 2 and per_chain:
+    def best(own) -> tuple[float, tuple[float, ...]]:
+        scores = score(own)
+        flat = int(np.argmax(scores))
+        return float(scores.flat[flat]), tuple(float(x.flat[flat]) for x in np.broadcast_arrays(*own))
+
+    baseline = float(score((cand,) * n))
+    best_payoff, best_profile = best((grid,) * n)
+    if n >= 2:
         # the product grid is dense when payoffs are closed-form and a coarse
         # probe when every point costs a full simulation
         if mode == "analytic":
@@ -287,15 +275,10 @@ def verify_best_response(
         else:
             axis_points = {2: 9}.get(n, 5)
         axis = default_deviation_grid(cand, cost, points=axis_points) if deviation_grid is None else grid
-        if mode == "analytic":
-            value, profile = _analytic_profile_scan(axis, cand, market, cost, noise)
-            if value > best_payoff:
-                best_payoff, best_profile = value, profile
-        else:
-            for profile in itertools.product(axis, repeat=n):
-                value = payoff_of(tuple(float(x) for x in profile))
-                if value > best_payoff:
-                    best_payoff, best_profile = value, tuple(float(x) for x in profile)
+        mesh = tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n))
+        value, profile = best(mesh)
+        if value > best_payoff:
+            best_payoff, best_profile = value, profile
 
     max_gain = best_payoff - baseline
     if mode == "analytic":

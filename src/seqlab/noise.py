@@ -4,9 +4,9 @@ On each chain the race compares boosted arrival scores ``s_1 + e_1`` and
 ``s_2 + e_2``, so every analytic quantity depends on the noise only through
 the difference of the two per-trader terms. This module parameterizes that
 difference directly: four symmetric uni-modal families with density, CDF,
-quantile, and reproducible sampling. Symmetry pins the fair-race baseline:
-the CDF at zero is exactly one half for every family, so equal signals win
-with probability 1/2 per chain.
+and quantile. Symmetry pins the fair-race baseline: the CDF at zero is
+exactly one half for every family, so equal signals win with probability
+1/2 per chain.
 
 The Monte Carlo engine draws per-trader terms instead, because the
 separate-sequencer game needs an independent race on every chain.
@@ -22,7 +22,8 @@ reproduces the configured difference law exactly:
   draws the difference directly and splits it antisymmetrically, which is
   distributionally equivalent in a two-trader race
 
-Sampling is counter-based (see :mod:`seqlab.rng`): draw ``i`` is a pure
+Sampling applies ``quantile`` (or ``trader_noise``) to the counter-based
+uniforms of :func:`seqlab.rng.uniform_stream`, so draw ``i`` is a pure
 function of ``(seed, i)``.
 """
 
@@ -35,7 +36,6 @@ import numpy as np
 from scipy.special import expit, logit, ndtr, ndtri
 
 from .errors import ConfigError, ParameterError
-from .rng import uniform_stream
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -123,10 +123,6 @@ class NoiseModel:
             else:
                 out = b * (2.0 * p - 1.0)
         return _scalar_or_array(p, out)
-
-    def sample_delta(self, seed: int, count: int, start: int = 0) -> np.ndarray:
-        """Draws of the difference law at stream indices ``[start, start+count)``."""
-        return np.asarray(self.quantile(uniform_stream(seed, start, count)))
 
     @property
     def has_trader_law(self) -> bool:

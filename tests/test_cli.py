@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from seqlab.cli import COMMANDS, main
+from seqlab.cli import COMMANDS, _parse_grid, main
+from seqlab.errors import ConfigError
 
 EQ_ARGS = ["equilibrium", "--v", "1", "--chains", "1", "--cost", "power:2",
            "--noise", "normal:0.3989422804"]
@@ -209,3 +210,46 @@ def test_solver_failure_maps_to_exit_one(capsys, monkeypatch):
     code, _, err = _run(capsys, EQ_ARGS)
     assert code == 1
     assert "solver error" in err
+
+
+@pytest.mark.parametrize(
+    ("command", "content"),
+    [
+        ([], None),
+        (["equilibrium"], None),
+        ([], '{"command": "equilibrium", "params": {"v": 1'),
+        ([], '{"command": "equilibrium", "params": 5}'),
+        (["simulate"], "v = 1\nsignals = 0.5,0.5\ntrials = abc\n"),
+        (["simulate"], "v = 1\nsignals = 0.5,0.5\nchains = 2.5\n"),
+    ],
+    ids=["missing-peek", "missing", "malformed-json", "params-not-object", "trials-not-int", "chains-not-int"],
+)
+def test_bad_config_file_is_config_error(command, content, capsys, tmp_path):
+    path = tmp_path / "run.cfg"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = _run(capsys, command + ["--config", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("seqlab: config error")
+
+
+def test_sweep_grid_size_limit():
+    assert [len(values) for values in _parse_grid(["v=1:1:1000", "beta=1:1:1000"]).values()] == [1000, 1000]
+    # over the limit by a product of small axes, so a missing check stays cheap
+    with pytest.raises(ConfigError, match="1002001 rows"):
+        _parse_grid(["v=1:1:1001", "beta=2:1:1002"])
+
+
+def test_oversized_sweep_exits_before_solving(capsys, monkeypatch):
+    import seqlab.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep ran on an oversized grid")
+
+    monkeypatch.setattr(cli.analysis, "sweep", refuse)
+    code, out, err = _run(capsys, ["sweep", "--cost", "power:2", "--noise", "normal:1",
+                                   "--grid", "v=1:1:1001", "--grid", "beta=2:1:1002"])
+    assert code == 2
+    assert out == ""
+    assert "at most 1000000" in err

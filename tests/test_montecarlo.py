@@ -11,7 +11,6 @@ from seqlab.montecarlo import (
     SimulationSpec,
     analytic_expected_payoff,
     default_deviation_grid,
-    estimate_expected_payoff,
     simulate,
     verify_best_response,
 )
@@ -75,9 +74,9 @@ def test_payoff_with_full_refund():
     assert expected == pytest.approx(0.309017, abs=1e-6)
 
 
-def test_estimate_expected_payoff_matches_analytic():
-    spec = _spec((0.4, 0.2), n=2, alpha=0.5, trials=4 * 10**5, seed=21)
-    (mean1, hw1), (mean2, hw2) = estimate_expected_payoff(spec)
+def test_simulated_payoff_matches_analytic():
+    stats = simulate(_spec((0.4, 0.2), n=2, alpha=0.5, trials=4 * 10**5, seed=21))
+    (mean1, mean2), (hw1, hw2) = stats.mean_payoff, stats.payoff_ci_halfwidth
     market = MarketConfig(1.0, 2, 0.5)
     assert abs(mean1 - analytic_expected_payoff((0.4, 0.2), market, POWER_TWO, UNIT_NOISE)) <= hw1
     assert abs(mean2 - analytic_expected_payoff((0.2, 0.4), market, POWER_TWO, UNIT_NOISE)) <= hw2
@@ -138,6 +137,27 @@ def test_analytic_payoff_at_symmetric_points():
     assert analytic_expected_payoff((0.25, 0.25), refund, POWER_TWO, UNIT_NOISE) == pytest.approx(expected, abs=1e-12)
 
 
+BROADCAST_NOISES = [NoiseModel("normal", 0.5), NoiseModel("logistic", 0.7), NoiseModel("laplace", 1.0),
+                    NoiseModel("uniform", 2.0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("cost", [POWER_TWO, CostModel.timeboost(0.25, 1.0)], ids=lambda c: c.spec)
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_broadcast_payoff_equals_scalar_calls(n, alpha, cost, noise):
+    # an open mesh of per-chain axes of different lengths, never a (profiles, n) array
+    market = MarketConfig(2.0, n, alpha)
+    axes = [np.linspace(0.0, 0.9, 3 + k) for k in range(n)]
+    mesh = tuple(axis.reshape([-1 if j == k else 1 for j in range(n)]) for k, axis in enumerate(axes))
+    rival = tuple(0.2 + 0.1 * k for k in range(n))
+    payoff = analytic_expected_payoff((mesh, rival), market, cost, noise)
+    assert payoff.shape == tuple(len(axis) for axis in axes)
+    for index in np.ndindex(payoff.shape):
+        own = tuple(float(axes[k][i]) for k, i in enumerate(index))
+        assert payoff[index] == analytic_expected_payoff((own, rival), market, cost, noise)
+
+
 def test_default_deviation_grid_shape():
     grid = default_deviation_grid(0.5, POWER_TWO)
     assert len(grid) == 301
@@ -185,6 +205,20 @@ def test_best_response_grid_of_only_the_candidate():
     check = verify_best_response(0.5, market, POWER_TWO, UNIT_NOISE, deviation_grid=[0.5])
     assert check.max_gain == 0.0
     assert check.argmax_deviation == (0.5,)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_best_response_first_maximum_wins(n, mode):
+    # with no refund, a deviation that surely loses every race costs nothing,
+    # so 0.5, 0.0 and 0.8 all tie at payoff exactly 0; the first one listed wins
+    market = MarketConfig(0.5, n, 0.0)
+    check = verify_best_response(
+        1.0, market, POWER_TWO, NoiseModel("uniform", 0.1),
+        deviation_grid=[1.2, 0.5, 0.0, 0.5, 0.8], mode=mode, trials=200,
+    )
+    assert check.argmax_deviation == (0.5,) * n
+    assert check.max_gain == -check.baseline_payoff > 0.0
 
 
 def test_best_response_empty_grid_rejected():

@@ -10,6 +10,12 @@ from seqlab.errors import ConfigError, ParameterError
 from seqlab.noise import FAMILIES, NoiseModel, parse_noise
 from seqlab.rng import uniform_stream
 
+
+def _draws(model, seed, count, start=0):
+    """Difference-law draws at stream indices ``[start, start + count)``."""
+    return model.quantile(uniform_stream(seed, start, count))
+
+
 # one representative parameter per family, used by the invariant tests
 MODELS = [
     NoiseModel("normal", 1.0),
@@ -74,7 +80,7 @@ def test_density_at_zero_matches_cdf_slope(model):
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.spec)
 def test_sampling_matches_cdf(model):
-    draws = np.sort(model.sample_delta(seed=11, count=10**5))
+    draws = np.sort(_draws(model, 11, 10**5))
     n = len(draws)
     analytic = model.cdf(draws)
     ks = max(
@@ -85,18 +91,18 @@ def test_sampling_matches_cdf(model):
 
 
 def test_sampling_mean_and_median():
-    draws = NoiseModel("normal", 1.0).sample_delta(seed=5, count=10**6)
+    draws = _draws(NoiseModel("normal", 1.0), 5, 10**6)
     assert -0.004 <= draws.mean() <= 0.004
     assert 0.4985 <= np.mean(draws < 0) <= 0.5015
 
 
 def test_sampling_is_deterministic():
     model = NoiseModel("logistic", 0.7)
-    a = model.sample_delta(seed=123, count=1000)
-    b = model.sample_delta(seed=123, count=1000)
+    a = _draws(model, 123, 1000)
+    b = _draws(model, 123, 1000)
     assert np.array_equal(a, b)
     # counter addressing: any sub-range is reproducible in isolation
-    tail = model.sample_delta(seed=123, count=400, start=600)
+    tail = _draws(model, 123, 400, start=600)
     assert np.array_equal(tail, a[600:])
 
 
