@@ -18,13 +18,9 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-from scipy.integrate import quad
-from scipy.special import ndtri
-
 from .cost import CostModel
 from .equilibrium import EquilibriumResult, MarketConfig, solve_equilibrium
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, SolverError
 from .noise import NoiseModel
 from .numerics import golden_section_max
 
@@ -204,11 +200,15 @@ class ValueDistribution:
                 raise ParameterError(f"lognormal value law needs a finite mu, got {self.mu!r}")
             if self.sigma_log is None or not (math.isfinite(self.sigma_log) and self.sigma_log > 0):
                 raise ParameterError(f"lognormal value law needs a positive log-sigma, got {self.sigma_log!r}")
+            try:
+                math.exp(0.5 * self.mu + self.sigma_log**2 / 8.0)  # E[sqrt(V)]
+            except OverflowError:
+                raise ParameterError("lognormal value law has E[sqrt(V)] beyond float range") from None
         elif self.family == "points":
             if not self.points:
                 raise ParameterError("point-mass value law needs at least one (value, weight) pair")
-            if any(v < 0 or w < 0 for v, w in self.points):
-                raise ParameterError("point-mass values and weights must be non-negative")
+            if any(not (math.isfinite(v) and v >= 0) or w < 0 for v, w in self.points):
+                raise ParameterError("point-mass values must be finite, values and weights non-negative")
             total = math.fsum(w for _, w in self.points)
             if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
                 raise ParameterError(f"point-mass weights must sum to 1, got {total}")
@@ -222,23 +222,6 @@ class ValueDistribution:
         if self.family == "lognormal":
             return f"lognormal:{self.mu:.12g},{self.sigma_log:.12g}"
         return "points:" + ",".join(f"{v:.12g}@{w:.12g}" for v, w in self.points)
-
-    def pdf(self, v: float) -> float:
-        if self.family == "exp":
-            return self.rate * math.exp(-self.rate * v) if v >= 0.0 else 0.0
-        if self.family == "lognormal":
-            if v <= 0.0:
-                return 0.0
-            z = (math.log(v) - self.mu) / self.sigma_log
-            return math.exp(-0.5 * z * z) / (v * self.sigma_log * _SQRT_2PI)
-        raise ParameterError("point-mass laws have no density; sum over the points instead")
-
-    def quantile(self, p: float) -> float:
-        if self.family == "exp":
-            return -math.log1p(-p) / self.rate
-        if self.family == "lognormal":
-            return math.exp(self.mu + self.sigma_log * float(ndtri(p)))
-        raise ParameterError("point-mass laws are handled by exact summation, not quantiles")
 
 
 def parse_value_dist(text: str) -> ValueDistribution:
@@ -276,38 +259,38 @@ class OptimalBoostFee:
 def ex_ante_revenue(dist: ValueDistribution, g: float, f0: float, mode: str, c: float) -> float:
     """Expected equilibrium revenue per bidder for fee parameter ``c``.
 
-    Integrates ``sqrt(k*c*g*f0*v) - k*c`` over trade values above the
-    positive-signal threshold ``k*c/(g*f0)``, where ``k`` is 1 for a shared
-    and 2 for separate sequencers; exact summation for point masses, adaptive
-    quadrature (truncated at the 1 - 1e-8 quantile) otherwise.
+    The expectation of ``sqrt(k*c*g*f0*v) - k*c`` over trade values above the
+    positive-signal threshold ``L = k*c/(g*f0)``, where ``k`` is 1 for a
+    shared and 2 for separate sequencers. Exact closed forms for the exp and
+    lognormal laws, an exact sum for point masses.
     """
     k = {"shared": 1.0, "separate": 2.0}[mode]
     if c <= 0.0:
         return 0.0
     lower = k * c / (g * f0)
     if dist.family == "points":
-        return math.fsum(
-            w * (math.sqrt(k * c * g * f0 * v) - k * c) for v, w in dist.points if v >= lower
-        )
-    upper = dist.quantile(1.0 - 1e-8)
-    if upper <= lower:
-        return 0.0
-    value, _ = quad(
-        lambda v: (math.sqrt(k * c * g * f0 * v) - k * c) * dist.pdf(v),
-        lower,
-        upper,
-        epsabs=1e-12,
-        epsrel=1e-12,
-        limit=200,
-    )
-    return value
+        return math.fsum(w * (math.sqrt(k * c * g * f0 * v) - k * c) for v, w in dist.points if v >= lower)
+    root = math.sqrt(k * c * g * f0)
+    if dist.family == "exp":
+        # root*E[sqrt(V); V > L] = root*Gamma(3/2, x)/sqrt(rate) with x = rate*L, and
+        # Gamma(3/2, x) = sqrt(x)*exp(-x) + sqrt(pi)/2*erfc(sqrt(x)); since root*sqrt(L)
+        # equals k*c, the first term cancels k*c*P(V > L) exactly.
+        x = dist.rate * lower
+        return root * 0.5 * math.sqrt(math.pi) * math.erfc(math.sqrt(x)) / math.sqrt(dist.rate)
+    # root*E[sqrt(V); V > L] - k*c*P(V > L), each normal tail as erfc for full relative precision
+    mu, sig = dist.mu, dist.sigma_log
+    z = (math.log(lower) - mu) / (sig * math.sqrt(2.0))
+    scale = math.exp(0.5 * mu + sig * sig / 8.0)
+    return 0.5 * (root * scale * math.erfc(z - sig / math.sqrt(8.0)) - k * c * math.erfc(z))
 
 
 def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared") -> OptimalBoostFee:
     """Revenue-maximizing fee parameter by golden-section search over log c.
 
     Requires ``g * f0 <= 4`` so that an equilibrium exists for every ``c``.
-    A fully degenerate value law yields the zero-revenue result.
+    A fully degenerate value law yields the zero-revenue result. Raises
+    :class:`SolverError` when the revenue is not finite or the optimum lies at
+    an end of the searched range ``[1e-8, 1e4] * g * f0``.
     """
     if mode not in ("shared", "separate"):
         raise ParameterError(f"mode must be 'shared' or 'separate', got {mode!r}")
@@ -321,8 +304,13 @@ def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared"
     log_c, revenue = golden_section_max(
         lambda u: ex_ante_revenue(dist, g, f0, mode, math.exp(u)), log_lo, log_hi
     )
+    if not math.isfinite(revenue):
+        raise SolverError(f"ex-ante revenue is not finite ({revenue}) at c = {math.exp(log_c)}")
     if revenue <= 0.0:
         return OptimalBoostFee(mode, 0.0, 0.0)
+    if min(log_c - log_lo, log_hi - log_c) <= 1e-9 * (log_hi - log_lo):
+        raise SolverError(f"the revenue-maximizing c lies outside the searched range "
+                          f"[{math.exp(log_lo):.6g}, {math.exp(log_hi):.6g}]")
     return OptimalBoostFee(mode, math.exp(log_c), revenue)
 
 

@@ -14,6 +14,9 @@ from typing import Callable
 from .errors import SolverError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: Halving a finite float interval runs out of midpoints within about 2,100
+#: steps (the float exponent range), so bisection never needs more than this.
+_MAX_HALVINGS = 2200
 
 
 def bisect_root(
@@ -23,13 +26,12 @@ def bisect_root(
     *,
     residual_tol: float = 1e-12,
     width_tol: float = 1e-14,
-    max_iter: int = 200,
 ) -> float:
     """Root of ``f`` on a bracketing interval ``[lo, hi]``.
 
     ``f(lo)`` and ``f(hi)`` must have opposite signs. Stops once the residual
-    at the midpoint drops below ``residual_tol`` or the interval is narrower
-    than ``width_tol``.
+    at the midpoint drops below ``residual_tol``, the interval is narrower
+    than ``width_tol``, or no float lies strictly between its ends.
     """
     flo, fhi = f(lo), f(hi)
     if not (math.isfinite(flo) and math.isfinite(fhi)):
@@ -40,9 +42,10 @@ def bisect_root(
         return hi
     if (flo > 0.0) == (fhi > 0.0):
         raise SolverError(f"no sign change on [{lo}, {hi}]")
-    mid = 0.5 * (lo + hi)
-    for _ in range(max_iter):
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         fmid = f(mid)
         if abs(fmid) < residual_tol or (hi - lo) < width_tol:
             return mid
@@ -50,7 +53,7 @@ def bisect_root(
             lo, flo = mid, fmid
         else:
             hi = mid
-    return mid
+    raise SolverError(f"bisection did not converge on [{lo}, {hi}] in {_MAX_HALVINGS} halvings")
 
 
 def golden_section_max(

@@ -1,7 +1,10 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from seqlab.analysis import (
     REVENUE_THRESHOLD_CONSTANT,
@@ -16,7 +19,7 @@ from seqlab.analysis import (
 )
 from seqlab.cost import CostModel
 from seqlab.equilibrium import Regime
-from seqlab.errors import ConfigError, ParameterError
+from seqlab.errors import ConfigError, ParameterError, SolverError
 from seqlab.noise import NoiseModel
 
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -180,6 +183,61 @@ def test_doubling_substitution_pointwise(dist):
         assert abs(shared - separate) <= 1e-9
 
 
+def _quad_revenue(dist, mode, c):
+    """Untruncated adaptive quadrature of the revenue integrand, g = f0 = 1."""
+    k = {"shared": 1.0, "separate": 2.0}[mode]
+    if dist.family == "exp":
+        def pdf(v):
+            return dist.rate * math.exp(-dist.rate * v)
+    else:
+        def pdf(v):
+            z = (math.log(v) - dist.mu) / dist.sigma_log
+            return math.exp(-0.5 * z * z) / (v * dist.sigma_log * math.sqrt(2.0 * math.pi))
+    value, _ = quad(lambda v: (math.sqrt(k * c * v) - k * c) * pdf(v), k * c, math.inf,
+                    epsabs=0.0, epsrel=1e-13, limit=500)
+    return value
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [ValueDistribution.exponential(rate) for rate in (0.3, 1.0, 3.0)]
+    + [ValueDistribution.lognormal(mu, s) for mu in (-1.0, 0.0, 1.0) for s in (0.3, 0.5, 1.2)],
+    ids=lambda d: d.spec,
+)
+@pytest.mark.parametrize("mode", ["shared", "separate"])
+def test_ex_ante_revenue_closed_form_matches_quadrature(dist, mode):
+    checked = 0
+    for c in (1e-6, 1e-4, 1e-2, 0.05, 0.1, 0.3, 0.5, 1.0, 2.0):
+        expected = _quad_revenue(dist, mode, c)
+        value = ex_ante_revenue(dist, 1.0, 1.0, mode, c)
+        if expected > 1e-12:
+            assert abs(value - expected) <= 1e-10 * expected, (c, value, expected)
+            checked += 1
+    assert checked >= 5
+
+
+def test_ex_ante_revenue_keeps_the_far_tail():
+    # the value lies beyond any fixed-quantile truncation of the law
+    value = ex_ante_revenue(ValueDistribution.lognormal(-1.0, 0.3), 1.0, 1.0, "separate", 1.0)
+    assert value == pytest.approx(4.28e-10, rel=1e-2)
+
+
+def test_import_leaves_out_scipy_integrate():
+    code = "import sys, seqlab; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize(
+    "dist", [ValueDistribution.lognormal(800.0, 1.0), ValueDistribution.point_masses([(1e20, 1.0)])],
+    ids=lambda d: d.spec,
+)
+def test_optimal_c_rejects_optimum_outside_search_range(dist):
+    for mode in ("shared", "separate"):
+        with pytest.raises(SolverError, match="outside the searched range"):
+            optimal_c(dist, 1.0, 1.0, mode)
+
+
 def test_optimal_c_degenerate_distribution():
     dist = ValueDistribution.point_masses([(0.0, 1.0)])
     fee = optimal_c(dist, 1.0, 1.0, "shared")
@@ -199,6 +257,11 @@ def test_value_distribution_validation_and_parse():
         ValueDistribution.lognormal(0.0, -1.0)
     with pytest.raises(ParameterError):
         ValueDistribution.point_masses([(1.0, 0.4), (2.0, 0.4)])  # weights sum to 0.8
+    for value in (math.inf, math.nan):
+        with pytest.raises(ParameterError):
+            ValueDistribution.point_masses([(value, 1.0)])
+    with pytest.raises(ParameterError, match="beyond float range"):
+        ValueDistribution.lognormal(1500.0, 1.0)
     assert parse_value_dist("exp:1.0") == ValueDistribution.exponential(1.0)
     assert parse_value_dist("lognormal:0,0.5") == ValueDistribution.lognormal(0.0, 0.5)
     parsed = parse_value_dist("points:1@0.25,2@0.75")

@@ -234,6 +234,18 @@ def test_bad_config_file_is_config_error(command, content, capsys, tmp_path):
     assert err.startswith("seqlab: config error")
 
 
+@pytest.mark.parametrize(
+    ("value_dist", "expected"),
+    [("points:inf@1", 2), ("lognormal:1500,1", 2), ("lognormal:800,1", 1), ("points:1e20@1", 1)],
+)
+def test_optimal_c_unusable_value_law_exit_code(value_dist, expected, capsys):
+    code, out, err = _run(capsys, ["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1",
+                                   "--value-dist", value_dist, "--format", "json"])
+    assert code == expected
+    assert out == ""
+    assert err.startswith("seqlab: config error" if expected == 2 else "seqlab: solver error")
+
+
 def test_sweep_grid_size_limit():
     assert [len(values) for values in _parse_grid(["v=1:1:1000", "beta=1:1:1000"]).values()] == [1000, 1000]
     # over the limit by a product of small axes, so a missing check stays cheap

@@ -28,6 +28,12 @@ def test_bisect_width_stop():
     assert root == pytest.approx(math.pi, abs=1e-11)
 
 
+def test_bisect_runs_to_float_resolution():
+    # a bracket this wide needs far more than 200 halvings to reach the root
+    root = bisect_root(lambda x: x - 1e10, 0.0, 1.6e63, residual_tol=0.0, width_tol=0.0)
+    assert abs(root - 1e10) <= math.ulp(1e10)
+
+
 def test_golden_section_maximizes_parabola():
     x, fx = golden_section_max(lambda x: -(x - 1.3) ** 2 + 0.7, -5.0, 5.0)
     assert x == pytest.approx(1.3, abs=1e-8)
