@@ -241,11 +241,11 @@ def parse_value_dist(text: str) -> ValueDistribution:
             for part in rest.split(","):
                 value, at, weight = part.partition("@")
                 if not at:
-                    raise ValueError(part)
+                    raise ValueError(f"{part!r} is not VALUE@WEIGHT")
                 pairs.append((float(value), float(weight)))
             return ValueDistribution.point_masses(pairs)
-    except (ValueError, TypeError):
-        raise ConfigError(f"bad value distribution spec {text!r}") from None
+    except (ValueError, TypeError) as exc:  # parse errors and ParameterError alike
+        raise ConfigError(f"bad value distribution spec {text!r}: {exc}") from None
     raise ConfigError(f"unknown value distribution family {name!r} in {text!r}")
 
 
@@ -288,9 +288,11 @@ def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared"
     """Revenue-maximizing fee parameter by golden-section search over log c.
 
     Requires ``g * f0 <= 4`` so that an equilibrium exists for every ``c``.
-    A fully degenerate value law yields the zero-revenue result. Raises
-    :class:`SolverError` when the revenue is not finite or the optimum lies at
-    an end of the searched range ``[1e-8, 1e4] * g * f0``.
+    A value law with no mass above zero yields the zero-revenue result.
+    Raises :class:`SolverError` when the revenue is not finite or the optimum
+    lies at or beyond an end of the searched range ``[1e-8, 1e4] * g * f0``
+    (zero revenue over the whole range from a law with mass above zero means
+    the optimum lies below it).
     """
     if mode not in ("shared", "separate"):
         raise ParameterError(f"mode must be 'shared' or 'separate', got {mode!r}")
@@ -306,9 +308,9 @@ def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared"
     )
     if not math.isfinite(revenue):
         raise SolverError(f"ex-ante revenue is not finite ({revenue}) at c = {math.exp(log_c)}")
-    if revenue <= 0.0:
+    if revenue <= 0.0 and dist.family == "points" and not any(v > 0.0 and w > 0.0 for v, w in dist.points):
         return OptimalBoostFee(mode, 0.0, 0.0)
-    if min(log_c - log_lo, log_hi - log_c) <= 1e-9 * (log_hi - log_lo):
+    if revenue <= 0.0 or min(log_c - log_lo, log_hi - log_c) <= 1e-9 * (log_hi - log_lo):
         raise SolverError(f"the revenue-maximizing c lies outside the searched range "
                           f"[{math.exp(log_lo):.6g}, {math.exp(log_hi):.6g}]")
     return OptimalBoostFee(mode, math.exp(log_c), revenue)

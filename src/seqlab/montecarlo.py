@@ -1,20 +1,23 @@
 """Stochastic oracle for the arbitrage race.
 
-Simulates the per-chain timestamp races trial by trial, estimates win
-probabilities and expected payoffs, and certifies (or refutes) best-response
-properties of computed equilibria by scanning unilateral deviations. Nothing
-here reuses the solvers' algebra beyond the cost function itself, so the
-estimates are an independent check on the closed forms.
+Simulates the per-chain timestamp races trial by trial, keeps exact integer
+counts of captures and chain wins, derives win probabilities, expected
+payoffs and their confidence half-widths from those counts, and certifies
+(or refutes) best-response properties of computed equilibria by scanning
+unilateral deviations against common random numbers. Nothing here reuses
+the solvers' algebra beyond the cost function itself, so the estimates are
+an independent check on the closed forms.
 
 Determinism contract: the uniform driving trial ``t``, chain ``k``, slot
 ``j`` is word ``(t*n + k)*3 + j`` of the counter-based stream keyed by the
 seed (slots 0 and 1 feed the two traders' noise, slot 2 breaks ties), so an
 identical spec yields bit-identical statistics no matter how trials are
-chunked or scheduled. Noise is drawn per trader so that the per-chain races
-of the separate game are genuinely independent; the per-trader laws are
-chosen so the within-chain difference has exactly the configured law (the
-uniform family, which has no such decomposition, draws the difference
-directly and splits it antisymmetrically).
+chunked or scheduled: the counts are integers, and the statistics are
+computed from the final counts only. Noise is drawn per trader so that the
+per-chain races of the separate game are genuinely independent; the
+per-trader laws are chosen so the within-chain difference has exactly the
+configured law (the uniform family, which has no such decomposition, draws
+the difference directly and splits it antisymmetrically).
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .rng import uniform_stream
 
 _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
+# (profile, trial) cells raced per block: bounds the temporaries however many
+# trials or deviation profiles there are
+_BLOCK_CELLS = 1 << 18
 _Z95 = 1.96
 
 
@@ -96,68 +102,127 @@ def _probability_halfwidth(p: float, trials: int) -> float:
     return _Z95 * math.sqrt(p * (1.0 - p) / trials)
 
 
+def _tally(own: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
+    """Exact race counts of trader 1's profiles against one rival profile.
+
+    Column ``p`` of the ``(n, P)`` array ``own`` is one per-chain profile of
+    trader 1; ``rival`` holds trader 2's ``n`` signals. Each chunk of trials
+    draws its uniforms and noise once, and every profile races against those
+    same draws, so a profile's counts are exactly those of a one-profile run
+    with the same seed. Returns ``captures`` of shape ``(2, P)`` (trials in
+    which trader 1, resp. trader 2, won every chain) and ``joint`` of shape
+    ``(n, n, P)``, the trials in which trader 1 won both chain ``k`` and
+    chain ``l``, so its per-chain wins are the diagonal.
+    """
+    n, profiles = own.shape
+    gap = own - rival[:, None]
+    captures = np.zeros((2, profiles), dtype=np.int64)
+    joint = np.zeros((n, n, profiles), dtype=np.int64)
+    for start in range(0, trials, _CHUNK_TRIALS):
+        _race_chunk(gap, noise, seed, start, min(_CHUNK_TRIALS, trials - start), captures, joint)
+    for k in range(n):
+        for l in range(k + 1, n):
+            joint[l, k] = joint[k, l]
+    return captures, joint
+
+
+def _race_chunk(gap: np.ndarray, noise: NoiseModel, seed: int, start: int, m: int,
+                captures: np.ndarray, joint: np.ndarray) -> None:
+    """Add the counts of trials ``[start, start + m)`` to ``captures`` and
+    the upper triangle of ``joint``. A function of its own so the chunk's
+    draws are freed before the next chunk draws its own."""
+    n, profiles = gap.shape
+    words_per_trial = _SLOTS * n
+    u = uniform_stream(seed, start * words_per_trial, m * words_per_trial).reshape(m, n, _SLOTS)
+    # per chain, contiguous over trials: trader 1's noise, trader 2's (none
+    # for the uniform law, whose difference is drawn directly), the coin
+    if noise.has_trader_law:
+        mine = np.ascontiguousarray(noise.trader_noise(u[:, :, 0]).T)
+        theirs = np.ascontiguousarray(noise.trader_noise(u[:, :, 1]).T)
+    else:
+        mine, theirs = np.ascontiguousarray(noise.quantile(u[:, :, 0]).T), None
+    heads = np.ascontiguousarray(u[:, :, 2].T < 0.5)
+    block = max(1, _BLOCK_CELLS // m)
+    for lo in range(0, profiles, block):
+        hi = min(lo + block, profiles)
+        cols = slice(lo, hi)
+        win = np.empty((n, hi - lo, m), dtype=bool)
+        for k in range(n):
+            diff = gap[k, cols, None] + mine[k]
+            if theirs is not None:
+                diff -= theirs[k]
+            np.greater(diff, 0.0, out=win[k])
+            tie = diff == 0.0
+            if tie.any():
+                np.copyto(win[k], heads[k], where=tie)
+        captures[0, cols] += np.count_nonzero(np.logical_and.reduce(win), axis=1)
+        captures[1, cols] += m - np.count_nonzero(np.logical_or.reduce(win), axis=1)
+        for k in range(n):
+            joint[k, k, cols] += np.count_nonzero(win[k], axis=1)
+            for l in range(k + 1, n):
+                joint[k, l, cols] += np.count_nonzero(win[k] & win[l], axis=1)
+
+
+def _payoff_statistics(trials: int, market: MarketConfig, costs, captures: np.ndarray, joint: np.ndarray):
+    """One trader's mean payoff and its 95% half-width, from exact counts.
+
+    ``costs[k]`` is the trader's cost on chain ``k``, ``captures`` its
+    capture counts and ``joint[k, l]`` the trials in which it won both chains
+    ``k`` and ``l``; trailing axes index profiles. A trial pays
+    ``v*capture - sum_k costs[k]*(alpha + (1 - alpha)*win_k)``, so the sample
+    mean and variance are functions of these counts. The variance is a
+    quadratic form in the integer co-moments ``T*N_xy - N_x*N_y`` of the
+    indicators rather than ``sum(x**2) - T*mean**2``, which cancels to
+    nothing when payoffs are large next to their spread.
+    """
+    v, alpha = market.v, market.alpha
+    wins = [joint[k, k] for k in range(len(costs))]
+    spent = 0.0
+    for cost, won in zip(costs, wins):
+        spent = spent + cost * (won + alpha * (trials - won))
+    mean = (v * captures - spent) / trials
+    if trials == 1:
+        return mean, np.full(mean.shape, math.inf)
+    # as Python integers: T*N reaches T**2, which passes int64 beyond 3e9 trials
+    caps, counts = captures.astype(object), joint.astype(object)
+    slopes = [(1.0 - alpha) * cost for cost in costs]  # payoff lost per chain won, beyond alpha*cost
+    moment = v * v * (caps * (trials - caps)).astype(float)
+    for k, slope in enumerate(slopes):
+        moment = moment - 2.0 * v * slope * (caps * (trials - counts[k, k])).astype(float)
+        for l, other in enumerate(slopes):
+            moment = moment + slope * other * (trials * counts[k, l] - counts[k, k] * counts[l, l]).astype(float)
+    variance = np.maximum(moment, 0.0) / (trials * (trials - 1.0))
+    return mean, _Z95 * np.sqrt(variance / trials)
+
+
 def simulate(spec: SimulationSpec) -> SimulationStats:
     """Run the races and tally captures, per-chain wins, and payoffs.
 
     Trader ``i`` wins chain ``k`` when signal plus noise strictly exceeds the
     rival's; exact ties fall to a fair coin. A trader captures the arbitrage
     only by winning every chain, pays full cost on chains won and an
-    ``alpha`` fraction on chains lost.
+    ``alpha`` fraction on chains lost. Only integer counts are kept, so
+    memory does not grow with the number of trials.
     """
-    market, noise, trials = spec.market, spec.noise, spec.trials
-    n = market.n_chains
-    s1 = np.array(spec.signals[0])
-    s2 = np.array(spec.signals[1])
-    cost1 = np.array([spec.cost.cost(s) for s in spec.signals[0]])
-    cost2 = np.array([spec.cost.cost(s) for s in spec.signals[1]])
-    gap = s1 - s2
+    market, trials = spec.market, spec.trials
+    own, rival = (np.array(row) for row in spec.signals)
+    captures, joint = _tally(own[:, None], rival, spec.noise, trials, spec.seed)
+    wins = np.array([joint[k, k] for k in range(market.n_chains)])
+    # trader 2 wins a chain exactly when trader 1 loses it
+    rival_joint = trials - wins[:, None] - wins[None, :] + joint
+    mean1, hw1 = _payoff_statistics(trials, market, spec.cost.cost(own[:, None]), captures[0], joint)
+    mean2, hw2 = _payoff_statistics(trials, market, spec.cost.cost(rival[:, None]), captures[1], rival_joint)
 
-    payoff = np.empty((2, trials))
-    captured = np.empty((2, trials), dtype=bool)
-    win_counts = np.zeros((2, n), dtype=np.int64)
-
-    words_per_trial = _SLOTS * n
-    for start in range(0, trials, _CHUNK_TRIALS):
-        m = min(_CHUNK_TRIALS, trials - start)
-        u = uniform_stream(spec.seed, start * words_per_trial, m * words_per_trial)
-        u = u.reshape(m, n, _SLOTS)
-        if noise.has_trader_law:
-            diff = gap + noise.trader_noise(u[:, :, 0]) - noise.trader_noise(u[:, :, 1])
-        else:
-            diff = gap + noise.quantile(u[:, :, 0])
-        win1 = diff > 0.0
-        tie = diff == 0.0
-        if tie.any():
-            win1 = np.where(tie, u[:, :, 2] < 0.5, win1)
-        win_counts[0] += win1.sum(axis=0)
-        win_counts[1] += m - win1.sum(axis=0)
-        block = slice(start, start + m)
-        captured[0, block] = win1.all(axis=1)
-        captured[1, block] = (~win1).all(axis=1)
-        lose_share = market.alpha
-        payoff[0, block] = market.v * captured[0, block] - (
-            win1 @ cost1 + (~win1) @ (lose_share * cost1)
-        )
-        payoff[1, block] = market.v * captured[1, block] - (
-            (~win1) @ cost2 + win1 @ (lose_share * cost2)
-        )
-
-    capture_counts = tuple(int(c) for c in captured.sum(axis=1))
+    capture_counts = tuple(int(c) for c in captures[:, 0])
     p_hat = tuple(c / trials for c in capture_counts)
-    means = payoff.sum(axis=1) / trials
-    if trials > 1:
-        variance = (np.sum(payoff**2, axis=1) - trials * means**2) / (trials - 1)
-        payoff_hw = tuple(_Z95 * math.sqrt(max(var, 0.0) / trials) for var in variance)
-    else:
-        payoff_hw = (math.inf, math.inf)
     return SimulationStats(
         trials=trials,
         capture_counts=capture_counts,
-        per_chain_win_counts=tuple(tuple(int(w) for w in row) for row in win_counts),
+        per_chain_win_counts=(tuple(int(w) for w in wins[:, 0]), tuple(trials - int(w) for w in wins[:, 0])),
         capture_probability=p_hat,
         capture_ci_halfwidth=tuple(_probability_halfwidth(p, trials) for p in p_hat),
-        mean_payoff=tuple(float(x) for x in means),
-        payoff_ci_halfwidth=payoff_hw,
+        mean_payoff=(float(mean1[0]), float(mean2[0])),
+        payoff_ci_halfwidth=(float(hw1[0]), float(hw2[0])),
     )
 
 
@@ -234,12 +299,13 @@ def verify_best_response(
     The scan covers the equal-on-every-chain family over the deviation grid
     and, with more than one chain, a per-chain product grid (coarser per
     axis). Analytic mode evaluates the closed-form payoff over each family
-    at once; Monte Carlo mode estimates it from common random numbers, one
-    simulation per profile in C order, so the gain comparison is paired.
-    Within a family the first maximum wins, and the product grid replaces
-    the equal family's best only when strictly better. A positive best gain
-    means the candidate is not a best response; it is reported, never
-    suppressed.
+    at once. Monte Carlo mode races the baseline and every profile of both
+    families against the same draws of each chunk (common random numbers),
+    so each score equals ``simulate`` at that profile and the gain
+    comparison is paired. Within a family the first maximum wins, and the
+    product grid replaces the equal family's best only when strictly better.
+    A positive best gain means the candidate is not a best response; it is
+    reported, never suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
@@ -252,40 +318,43 @@ def verify_best_response(
         if grid.size == 0:
             raise ConfigError("deviation grid must not be empty")
 
-    def score(own) -> np.ndarray:
-        """Trader 1's payoff at every profile the per-chain entries broadcast to."""
-        if mode == "analytic":
-            return np.asarray(analytic_expected_payoff((own, cand), market, cost, noise))
-        profiles = np.broadcast(*own)
-        specs = (SimulationSpec((p, cand), market, cost, noise, trials=trials, seed=seed) for p in profiles)
-        return np.reshape([simulate(spec).mean_payoff[0] for spec in specs], profiles.shape)
-
-    def best(own) -> tuple[float, tuple[float, ...]]:
-        scores = score(own)
-        flat = int(np.argmax(scores))
-        return float(scores.flat[flat]), tuple(float(x.flat[flat]) for x in np.broadcast_arrays(*own))
-
-    baseline = float(score((cand,) * n))
-    best_payoff, best_profile = best((grid,) * n)
+    families = [(cand,) * n, (grid,) * n]
     if n >= 2:
         # the product grid is dense when payoffs are closed-form and a coarse
-        # probe when every point costs a full simulation
+        # probe when every point costs a race per trial
         if mode == "analytic":
             axis_points = {2: 61, 3: 31}.get(n, 11)
         else:
             axis_points = {2: 9}.get(n, 5)
         axis = default_deviation_grid(cand, cost, points=axis_points) if deviation_grid is None else grid
-        mesh = tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n))
-        value, profile = best(mesh)
-        if value > best_payoff:
-            best_payoff, best_profile = value, profile
+        families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
+    profiles = [np.broadcast_arrays(*own) for own in families]
+    if mode == "analytic":
+        scores = [np.asarray(analytic_expected_payoff((own, cand), market, cost, noise)) for own in families]
+    else:
+        # checks trials, seed and the candidate as a one-profile run would;
+        # cost.cost rejects any deviation outside the cost's domain
+        SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
+        flat = np.concatenate([np.reshape(family, (n, -1)) for family in profiles], axis=1)
+        costs = cost.cost(flat)
+        captures, joint = _tally(flat, np.full(n, cand), noise, trials, seed)
+        means, halfwidths = _payoff_statistics(trials, market, costs, captures[0], joint)
+        offsets = np.cumsum([family[0].size for family in profiles])
+        scores = np.split(means, offsets[:-1])
+
+    baseline = float(scores[0].flat[0])
+    for f in range(1, len(families)):
+        index = int(np.argmax(scores[f]))
+        value = float(scores[f].flat[index])
+        if f == 1 or value > best_payoff:
+            best_payoff, best_family, best_index = value, f, index
+    best_profile = tuple(float(x.flat[best_index]) for x in profiles[best_family])
 
     max_gain = best_payoff - baseline
     if mode == "analytic":
         epsilon = 1e-3 * market.v
     else:
-        spec = SimulationSpec((best_profile, cand), market, cost, noise, trials=trials, seed=seed)
-        epsilon = simulate(spec).payoff_ci_halfwidth[0]
+        epsilon = float(halfwidths[offsets[best_family - 1] + best_index])
     return BestResponseCheck(
         max_gain=float(max_gain),
         argmax_deviation=best_profile,

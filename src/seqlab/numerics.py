@@ -43,7 +43,7 @@ def bisect_root(
     if (flo > 0.0) == (fhi > 0.0):
         raise SolverError(f"no sign change on [{lo}, {hi}]")
     for _ in range(_MAX_HALVINGS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the top of the float range
         if not lo < mid < hi:
             return mid
         fmid = f(mid)

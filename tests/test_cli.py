@@ -235,15 +235,33 @@ def test_bad_config_file_is_config_error(command, content, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("value_dist", "expected"),
-    [("points:inf@1", 2), ("lognormal:1500,1", 2), ("lognormal:800,1", 1), ("points:1e20@1", 1)],
+    ("value_dist", "expected", "reason"),
+    [
+        ("points:inf@1", 2, "point-mass values must be finite"),
+        ("lognormal:1500,1", 2, "beyond float range"),
+        ("points:1", 2, "'1' is not VALUE@WEIGHT"),
+        ("lognormal:800,1", 1, "outside the searched range"),
+        ("points:1e20@1", 1, "outside the searched range"),
+        # zero revenue over the whole range, yet the law has mass above zero
+        ("points:1e-12@1", 1, "outside the searched range"),
+    ],
 )
-def test_optimal_c_unusable_value_law_exit_code(value_dist, expected, capsys):
+def test_optimal_c_unusable_value_law_exit_code(value_dist, expected, reason, capsys):
     code, out, err = _run(capsys, ["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1",
                                    "--value-dist", value_dist, "--format", "json"])
     assert code == expected
     assert out == ""
     assert err.startswith("seqlab: config error" if expected == 2 else "seqlab: solver error")
+    assert reason in err
+
+
+def test_optimal_c_zero_value_law_earns_nothing(capsys):
+    code, out, err = _run(capsys, ["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1",
+                                   "--value-dist", "points:0@1", "--format", "json"])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    for mode in ("shared", "separate"):
+        assert (result[mode]["c_star"], result[mode]["ex_ante_revenue"]) == (0.0, 0.0)
 
 
 def test_sweep_grid_size_limit():

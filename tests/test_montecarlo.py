@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,31 @@ def test_chunk_layout_does_not_change_results(monkeypatch):
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
     rechunked = simulate(spec)
     assert baseline == rechunked
+
+
+def test_simulate_memory_does_not_grow_with_trials():
+    peaks = []
+    for trials in (10**5, 10**6):
+        spec = _spec((0.4, 0.3), n=2, trials=trials, seed=3)
+        tracemalloc.start()
+        try:
+            simulate(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("signal", [1e4, 3e4])
+def test_payoff_halfwidth_does_not_cancel(signal):
+    # each payoff is -signal**2 plus a 0/1 capture, so the spread is binomial
+    # however large the cost; sum(x**2) - T*mean**2 lost it (0.0 at 1e4)
+    trials = 200_000
+    stats = simulate(_spec((signal, signal), trials=trials, noise=NoiseModel("normal", 1.0)))
+    for trader in (0, 1):
+        p = stats.capture_probability[trader]
+        sample_variance = p * (1.0 - p) * trials / (trials - 1)
+        assert stats.payoff_ci_halfwidth[trader] == pytest.approx(1.96 * math.sqrt(sample_variance / trials), rel=1e-9)
 
 
 def test_per_chain_wins_are_independent():
@@ -235,3 +261,50 @@ def test_best_response_montecarlo_mode():
     assert check.epsilon > 0.0
     assert check.max_gain <= check.epsilon
     assert check.is_epsilon_equilibrium
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [1.0, 0.5])
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
+    # the scan races all its profiles against shared draws; each one raced
+    # alone by simulate must give the very same mean payoff and half-width
+    market = MarketConfig(1.0, n, alpha)
+    seen = {}
+    tally, reduce = mc._tally, mc._payoff_statistics
+
+    def spy_tally(own, *args):
+        seen["profiles"] = own.copy()
+        return tally(own, *args)
+
+    def spy_reduce(*args):
+        seen["means"], seen["halfwidths"] = out = reduce(*args)
+        return out
+
+    monkeypatch.setattr(mc, "_tally", spy_tally)
+    monkeypatch.setattr(mc, "_payoff_statistics", spy_reduce)
+    check = verify_best_response(0.4, market, POWER_TWO, noise, deviation_grid=[0.0, 0.3, 0.4, 0.3, 0.9],
+                                 mode="montecarlo", trials=1_000, seed=5)
+    monkeypatch.undo()
+    profiles, means = seen["profiles"], seen["means"]
+    assert profiles.shape == (n, 1 + 5 + (5**n if n >= 2 else 0))
+    for p in range(profiles.shape[1]):
+        spec = SimulationSpec((tuple(profiles[:, p]), 0.4), market, POWER_TWO, noise, trials=1_000, seed=5)
+        stats = simulate(spec)
+        assert stats.mean_payoff[0] == means[p]
+        assert stats.payoff_ci_halfwidth[0] == seen["halfwidths"][p]
+    assert check.baseline_payoff == means[0]
+    assert check.max_gain == max(means[1:]) - means[0]
+    best = list(means[1:]).index(max(means[1:])) + 1
+    assert check.argmax_deviation == tuple(profiles[:, best])
+    assert check.epsilon == seen["halfwidths"][best]
+
+
+def test_montecarlo_verify_does_not_depend_on_chunking(monkeypatch):
+    market = MarketConfig(1.0, 2, 0.5)
+    candidate = solve_foc_equilibrium(MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE).signal
+    run = lambda: verify_best_response(candidate, market, POWER_TWO, NoiseModel("logistic", 0.7),
+                                       mode="montecarlo", trials=20_017, seed=4)
+    baseline = run()
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
+    assert run() == baseline

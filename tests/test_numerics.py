@@ -34,6 +34,12 @@ def test_bisect_runs_to_float_resolution():
     assert abs(root - 1e10) <= math.ulp(1e10)
 
 
+def test_bisect_midpoint_does_not_overflow():
+    # lo + hi overflows to inf here; the midpoint must not
+    root = bisect_root(lambda x: x - 1.5e308, 1e308, 1.7e308, residual_tol=0.0, width_tol=0.0)
+    assert abs(root - 1.5e308) <= math.ulp(1.5e308)
+
+
 def test_golden_section_maximizes_parabola():
     x, fx = golden_section_max(lambda x: -(x - 1.3) ** 2 + 0.7, -5.0, 5.0)
     assert x == pytest.approx(1.3, abs=1e-8)
