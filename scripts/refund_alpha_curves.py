@@ -15,13 +15,7 @@ import csv
 import math
 import sys
 
-from seqlab import (
-    CostModel,
-    MarketConfig,
-    NoiseModel,
-    solve_refund_equilibrium_separate,
-    solve_refund_equilibrium_shared,
-)
+from seqlab import CostModel, MarketConfig, NoiseModel, solve_equilibrium
 
 
 def main() -> int:
@@ -39,8 +33,8 @@ def main() -> int:
         cost = CostModel.power(beta)
         for k in range(args.steps):
             alpha = k / (args.steps - 1)
-            shared = solve_refund_equilibrium_shared(MarketConfig(args.v, 1, alpha), cost, noise)
-            separate = solve_refund_equilibrium_separate(MarketConfig(args.v, 2, alpha), cost, noise)
+            shared = solve_equilibrium(MarketConfig(args.v, 1, alpha), cost, noise)
+            separate = solve_equilibrium(MarketConfig(args.v, 2, alpha), cost, noise)
             rows.append({
                 "beta": beta,
                 "alpha": round(alpha, 6),

@@ -27,9 +27,6 @@ from .equilibrium import (
     Regime,
     latency_closed_form,
     solve_equilibrium,
-    solve_foc_equilibrium,
-    solve_refund_equilibrium_separate,
-    solve_refund_equilibrium_shared,
     timeboost_closed_form,
 )
 from .errors import ConfigError, DomainError, ParameterError, SolverError
@@ -76,9 +73,6 @@ __all__ = [
     "parse_value_dist",
     "simulate",
     "solve_equilibrium",
-    "solve_foc_equilibrium",
-    "solve_refund_equilibrium_separate",
-    "solve_refund_equilibrium_shared",
     "sweep",
     "timeboost_closed_form",
     "timeboost_revenue_threshold",

@@ -8,9 +8,19 @@ signals is 1/2 and a capture happens with probability ``2**-n`` per trader.
 One chain models a shared sequencer (a single race decides everything), two
 chains model separate sequencers, and larger ``n`` generalizes.
 
-Interior equilibrium candidates come from the stationarity condition
-``C'(s) = f(0) * v / 2**(n-1)`` where ``f(0)`` is the peak density of the
-per-chain noise difference. Three regimes are distinguished:
+A trader's payoff is ``v * prod F_i - sum C(s_i) * (F_i + alpha*(1 - F_i))``,
+where ``F_i`` is the chance of winning chain ``i`` and losers pay only an
+``alpha`` fraction of their cost (``alpha = 1`` is the full-cost baseline,
+smaller ``alpha`` the refund extension). Interior equilibrium candidates come
+from its one symmetric stationarity condition, for every ``n`` and ``alpha``:
+
+    M - (1+alpha)/2 * C'(s) - (1-alpha) * f(0) * C(s) = 0,  M = f(0) * v / 2**(n-1)
+
+where ``f(0)`` is the peak density of the per-chain noise difference. Since
+``C >= 0`` the root lies at or below ``upper``, the signal where
+``C'(upper) = 2M/(1+alpha)``, found by one marginal-cost inversion. At
+``alpha = 1`` ``upper`` is the root; otherwise bisection on ``[0, upper]``
+runs to float resolution. Three regimes are distinguished:
 
 * ``interior``        the candidate satisfies the stationarity condition and
                       earns a non-negative expected profit;
@@ -24,11 +34,6 @@ The participation test is evaluated directly as "expected equilibrium payoff
 is non-negative" rather than through any pre-derived threshold on ``v``; the
 analysis module also reports the closed-form thresholds so the two views can
 be compared side by side.
-
-The refund extension lets a trader recover part of the bid when losing a
-race: losers pay only an ``alpha`` fraction of the cost. The stationarity
-conditions then pick up cost-level terms and are solved by bracketed
-bisection; at ``alpha = 1`` they collapse to the baseline conditions above.
 """
 
 from __future__ import annotations
@@ -115,20 +120,36 @@ def _finalize(market: MarketConfig, cost: CostModel, candidate: float) -> Equili
     return result if result.expected_profit >= 0.0 else _zero(market)
 
 
-def solve_foc_equilibrium(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
-    """Baseline (full-cost) equilibrium from the stationarity condition.
+def solve_equilibrium(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
+    """Symmetric equilibrium from the stationarity condition.
 
-    Inverts the marginal cost at ``f(0) * v / 2**(n-1)``, clamps to the cap
-    when one is set, and zeroes out when the candidate's expected profit is
-    negative.
+    Solves ``M - (1+alpha)/2 * C'(s) - (1-alpha) * f0 * C(s) = 0`` with
+    ``M = f0 * v / 2**(n-1)``, clamps the root to the cap when one is set,
+    and zeroes out when its expected profit is negative. The root lies below
+    ``upper``, where ``C'(upper) = 2M/(1+alpha)``; at ``alpha = 1`` it is
+    ``upper`` itself, otherwise bisection on ``[0, upper]`` finds it.
     """
-    if market.alpha != 1.0:
-        raise ParameterError("the baseline solver requires alpha=1; use the refund solvers otherwise")
-    marginal = noise.density_at_zero() * market.v / 2.0 ** (market.n_chains - 1)
-    candidate, corner = cost.inverse_marginal_cost(marginal)
+    if market.alpha != 1.0 and market.n_chains > 2:
+        raise ParameterError("refund equilibria are available for 1 or 2 chains only")
+    f0, a = noise.density_at_zero(), market.alpha
+    marginal = f0 * market.v / 2.0 ** (market.n_chains - 1)
+    upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + a))
     if corner:
         return _zero(market)
-    return _finalize(market, cost, candidate)
+    root = upper
+    if a != 1.0:
+        bare = cost.without_cap()
+
+        def residual(s: float) -> float:
+            return marginal - 0.5 * (1.0 + a) * bare.marginal_cost(s) - (1.0 - a) * f0 * bare.cost(s)
+
+        # exactly, residual(upper) = -(1-alpha) f0 C(upper) <= 0, so a
+        # non-negative value means the cost term is below rounding. When
+        # 2M/(1+alpha) is within rounding of a boost fee's slope C'(0), the
+        # residual can round negative at 0 as well: nobody invests.
+        if residual(upper) < 0.0:
+            root = bisect_root(residual, 0.0, upper) if residual(0.0) > 0.0 else 0.0
+    return _finalize(market, cost, root)
 
 
 def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> EquilibriumResult:
@@ -136,7 +157,7 @@ def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> Equilib
 
     Signal ``(f0*v / (2**(n-1)*beta)) ** (1/(beta-1))`` with per-chain cost
     given by the matching ``beta/(beta-1)`` power; independent of the generic
-    marginal-cost inversion used by :func:`solve_foc_equilibrium`.
+    marginal-cost inversion used by :func:`solve_equilibrium`.
     """
     if market.alpha != 1.0:
         raise ParameterError("closed forms cover the full-cost baseline only (alpha=1)")
@@ -174,81 +195,3 @@ def timeboost_closed_form(market: MarketConfig, c: float, g: float, f0: float) -
     total_cost = max(math.sqrt(k * c * g * f0 * v) - k * c, 0.0)
     result = _assemble(market, signal, total_cost / n, Regime.INTERIOR)
     return result if result.expected_profit >= 0.0 else _zero(market)
-
-
-def _refund_root(residual, cost: CostModel, baseline_marginal: float) -> tuple[float, bool]:
-    """Bracketed root of a refund stationarity condition on [0, upper].
-
-    The bracket starts at four times the full-cost interior solution (power)
-    or just below the fee pole (timeboost) and doubles at most three times;
-    failure to bracket means no interior equilibrium.
-    """
-    if residual(0.0) <= 0.0:
-        return 0.0, False
-    if cost.family == "timeboost":
-        upper = cost.g * (1.0 - 1e-9)
-        if residual(upper) > 0.0:
-            return 0.0, False
-    else:
-        upper = 4.0 * cost.inverse_marginal_cost(baseline_marginal)[0]
-        expansions = 0
-        while residual(upper) > 0.0:
-            if expansions == 3:
-                return 0.0, False
-            upper *= 2.0
-            expansions += 1
-    return bisect_root(residual, 0.0, upper), True
-
-
-def solve_refund_equilibrium_shared(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
-    """Shared-sequencer equilibrium when losers pay an alpha fraction.
-
-    Solves ``f0*v - (1-alpha)*(f0*C(s) + C'(s)/2) - alpha*C'(s) = 0`` by
-    bisection; coincides with :func:`solve_foc_equilibrium` at ``alpha=1``.
-    """
-    if market.n_chains != 1:
-        raise ParameterError("the shared-sequencer refund solver requires n_chains=1")
-    f0 = noise.density_at_zero()
-    v, a = market.v, market.alpha
-    bare = cost.without_cap()
-
-    def residual(s: float) -> float:
-        return f0 * v - (1.0 - a) * (f0 * bare.cost(s) + 0.5 * bare.marginal_cost(s)) - a * bare.marginal_cost(s)
-
-    root, found = _refund_root(residual, bare, f0 * v)
-    if not found:
-        return _zero(market)
-    return _finalize(market, cost, root)
-
-
-def solve_refund_equilibrium_separate(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
-    """Separate-sequencer equilibrium when losers pay an alpha fraction.
-
-    Solves ``f0*(v - 2*C(s)) - (1+alpha)*C'(s) + 2*alpha*f0*C(s) = 0`` by
-    bisection; coincides with the baseline condition ``C'(s) = f0*v/2`` at
-    ``alpha=1``.
-    """
-    if market.n_chains != 2:
-        raise ParameterError("the separate-sequencer refund solver requires n_chains=2")
-    f0 = noise.density_at_zero()
-    v, a = market.v, market.alpha
-    bare = cost.without_cap()
-
-    def residual(s: float) -> float:
-        return f0 * (v - 2.0 * bare.cost(s)) - (1.0 + a) * bare.marginal_cost(s) + 2.0 * a * f0 * bare.cost(s)
-
-    root, found = _refund_root(residual, bare, f0 * v / 2.0)
-    if not found:
-        return _zero(market)
-    return _finalize(market, cost, root)
-
-
-def solve_equilibrium(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
-    """Dispatch on the refund fraction and chain count."""
-    if market.alpha == 1.0:
-        return solve_foc_equilibrium(market, cost, noise)
-    if market.n_chains == 1:
-        return solve_refund_equilibrium_shared(market, cost, noise)
-    if market.n_chains == 2:
-        return solve_refund_equilibrium_separate(market, cost, noise)
-    raise ParameterError("refund equilibria are available for 1 or 2 chains only")

@@ -19,19 +19,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_HALVINGS = 2200
 
 
-def bisect_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    residual_tol: float = 1e-12,
-    width_tol: float = 1e-14,
-) -> float:
+def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
     """Root of ``f`` on a bracketing interval ``[lo, hi]``.
 
-    ``f(lo)`` and ``f(hi)`` must have opposite signs. Stops once the residual
-    at the midpoint drops below ``residual_tol``, the interval is narrower
-    than ``width_tol``, or no float lies strictly between its ends.
+    ``f(lo)`` and ``f(hi)`` must have opposite signs. Stops on an exact zero
+    at the midpoint or once no float lies strictly between the bracket's
+    ends, so the root is found to float resolution whatever its scale.
     """
     flo, fhi = f(lo), f(hi)
     if not (math.isfinite(flo) and math.isfinite(fhi)):
@@ -47,7 +40,7 @@ def bisect_root(
         if not lo < mid < hi:
             return mid
         fmid = f(mid)
-        if abs(fmid) < residual_tol or (hi - lo) < width_tol:
+        if fmid == 0.0:
             return mid
         if (fmid > 0.0) == (flo > 0.0):
             lo, flo = mid, fmid

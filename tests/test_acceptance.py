@@ -24,9 +24,7 @@ from seqlab.equilibrium import (
     MarketConfig,
     Regime,
     latency_closed_form,
-    solve_foc_equilibrium,
-    solve_refund_equilibrium_separate,
-    solve_refund_equilibrium_shared,
+    solve_equilibrium,
 )
 from seqlab.montecarlo import (
     SimulationSpec,
@@ -58,7 +56,7 @@ def solved_grid():
     for beta, v, sigma, n in _grid():
         noise = NoiseModel("normal", sigma)
         market = MarketConfig(v, n)
-        via_solver = solve_foc_equilibrium(market, CostModel.power(beta), noise)
+        via_solver = solve_equilibrium(market, CostModel.power(beta), noise)
         via_formula = latency_closed_form(market, beta, noise.density_at_zero())
         rows.append((beta, v, sigma, n, via_solver, via_formula))
     elapsed = time.perf_counter() - start
@@ -110,7 +108,7 @@ def test_criterion_3_revenue_threshold_constant():
         threshold = timeboost_revenue_threshold(sigma, c_over_g * g, g)
         return threshold.separate_revenue(v) - threshold.shared_revenue(v)
 
-    flip = bisect_root(revenue_gap, 1e-6, 1.0, residual_tol=0.0, width_tol=1e-12)
+    flip = bisect_root(revenue_gap, 1e-6, 1.0)
     predicted = REVENUE_THRESHOLD_CONSTANT * v / sigma
     assert abs(flip - predicted) <= 1e-9
     print(f"\n[criterion 3] PASS: constant {REVENUE_THRESHOLD_CONSTANT:.7f} matches "
@@ -141,18 +139,19 @@ def test_criterion_4_optimal_c_equivalence():
 
 def test_criterion_5_refund_extension():
     cost = CostModel.power(2.0)
-    # alpha = 1 reproduces the baseline
-    base_shared = solve_foc_equilibrium(MarketConfig(1.0, 1), cost, UNIT_NOISE)
-    refund_shared = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 1.0), cost, UNIT_NOISE)
-    assert abs(refund_shared.signal - base_shared.signal) <= 1e-9
-    base_separate = solve_foc_equilibrium(MarketConfig(1.0, 2), cost, UNIT_NOISE)
-    refund_separate = solve_refund_equilibrium_separate(MarketConfig(1.0, 2, 1.0), cost, UNIT_NOISE)
-    assert abs(refund_separate.signal - base_separate.signal) <= 1e-9
+    # alpha = 1 reproduces the baseline; alpha just below 1 takes the bisection path
+    base_shared = solve_equilibrium(MarketConfig(1.0, 1), cost, UNIT_NOISE)
+    base_separate = solve_equilibrium(MarketConfig(1.0, 2), cost, UNIT_NOISE)
+    for alpha in (1.0, 1.0 - 1e-9):
+        refund_shared = solve_equilibrium(MarketConfig(1.0, 1, alpha), cost, UNIT_NOISE)
+        assert abs(refund_shared.signal - base_shared.signal) <= 1e-9, alpha
+        refund_separate = solve_equilibrium(MarketConfig(1.0, 2, alpha), cost, UNIT_NOISE)
+        assert abs(refund_separate.signal - base_separate.signal) <= 1e-9, alpha
 
     # alpha = 0 closed-form roots
-    full_refund_shared = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 0.0), cost, UNIT_NOISE)
+    full_refund_shared = solve_equilibrium(MarketConfig(1.0, 1, 0.0), cost, UNIT_NOISE)
     assert abs(full_refund_shared.signal - (math.sqrt(5.0) - 1.0) / 2.0) <= 1e-9
-    full_refund_separate = solve_refund_equilibrium_separate(MarketConfig(1.0, 2, 0.0), cost, UNIT_NOISE)
+    full_refund_separate = solve_equilibrium(MarketConfig(1.0, 2, 0.0), cost, UNIT_NOISE)
     assert abs(full_refund_separate.signal - (math.sqrt(3.0) - 1.0) / 2.0) <= 1e-9
 
     # monotone in alpha for each elasticity
@@ -160,16 +159,16 @@ def test_criterion_5_refund_extension():
     for beta in (2.0, 3.0, 5.0):
         model = CostModel.power(beta)
         shared_signals = [
-            solve_refund_equilibrium_shared(MarketConfig(1.0, 1, a), model, UNIT_NOISE).signal
+            solve_equilibrium(MarketConfig(1.0, 1, a), model, UNIT_NOISE).signal
             for a in alphas
         ]
         separate_signals = [
-            solve_refund_equilibrium_separate(MarketConfig(1.0, 2, a), model, UNIT_NOISE).signal
+            solve_equilibrium(MarketConfig(1.0, 2, a), model, UNIT_NOISE).signal
             for a in alphas
         ]
         assert all(hi >= lo - 1e-12 for hi, lo in zip(shared_signals, shared_signals[1:])), beta
         assert all(hi >= lo - 1e-12 for hi, lo in zip(separate_signals, separate_signals[1:])), beta
-    print("\n[criterion 5] PASS: refund solvers match the baseline at alpha=1, hit the "
+    print("\n[criterion 5] PASS: refund equilibria match the baseline at alpha=1 and 1-1e-9, hit the "
           "alpha=0 roots to 1e-9, and are non-increasing in alpha for beta in {2, 3, 5}")
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -224,7 +225,9 @@ def test_ex_ante_revenue_keeps_the_far_tail():
 
 def test_import_leaves_out_scipy_integrate():
     code = "import sys, seqlab; print('scipy.integrate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child must import the seqlab this process sees, wherever that is
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from seqlab.cost import CostModel
 from seqlab.equilibrium import (
@@ -11,9 +12,6 @@ from seqlab.equilibrium import (
     Regime,
     latency_closed_form,
     solve_equilibrium,
-    solve_foc_equilibrium,
-    solve_refund_equilibrium_separate,
-    solve_refund_equilibrium_shared,
     timeboost_closed_form,
 )
 from seqlab.errors import ParameterError
@@ -28,7 +26,7 @@ GOLDEN_SEPARATE_ROOT = (math.sqrt(3.0) - 1.0) / 2.0  # solves 1 - 2s^2 - 2s = 0
 
 
 def test_shared_baseline_example():
-    result = solve_foc_equilibrium(MarketConfig(1.0, 1), CostModel.power(2.0), UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 1), CostModel.power(2.0), UNIT_NOISE)
     assert result.signal == pytest.approx(0.5, abs=1e-12)
     assert result.per_chain_cost == pytest.approx(0.25, abs=1e-12)
     assert result.expected_profit == pytest.approx(0.25, abs=1e-12)
@@ -38,7 +36,7 @@ def test_shared_baseline_example():
 
 
 def test_separate_baseline_example():
-    result = solve_foc_equilibrium(MarketConfig(1.0, 2), CostModel.power(2.0), UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 2), CostModel.power(2.0), UNIT_NOISE)
     assert result.signal == pytest.approx(0.25, abs=1e-12)
     assert result.total_cost_per_trader == pytest.approx(0.125, abs=1e-12)
     assert result.expected_profit == pytest.approx(0.125, abs=1e-12)
@@ -47,7 +45,7 @@ def test_separate_baseline_example():
 
 
 def test_timeboost_corner_is_zero_investment():
-    result = solve_foc_equilibrium(MarketConfig(1.0, 1), CostModel.timeboost(2.0, 1.0), UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 1), CostModel.timeboost(2.0, 1.0), UNIT_NOISE)
     assert result.signal == 0.0
     assert result.regime is Regime.ZERO_INVESTMENT
     assert result.expected_profit == pytest.approx(0.5)
@@ -55,14 +53,14 @@ def test_timeboost_corner_is_zero_investment():
 
 def test_failed_participation_is_zero_investment():
     # candidate signal 2 costs 4, more than the v/2 = 2 on offer
-    result = solve_foc_equilibrium(MarketConfig(4.0, 1), CostModel.power(2.0), UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(4.0, 1), CostModel.power(2.0), UNIT_NOISE)
     assert result.signal == 0.0
     assert result.regime is Regime.ZERO_INVESTMENT
     assert result.participation_satisfied  # not investing is costless
 
 
 def test_cap_binds():
-    result = solve_foc_equilibrium(MarketConfig(1.0, 1), CostModel.power(2.0, cap=0.3), UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 1), CostModel.power(2.0, cap=0.3), UNIT_NOISE)
     assert result.signal == 0.3
     assert result.regime is Regime.CAP_BINDING
     assert result.per_chain_cost == pytest.approx(0.09)
@@ -83,7 +81,7 @@ def test_latency_closed_form_examples():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_agrees_with_foc_solver(beta, v, n):
     market = MarketConfig(v, n)
-    via_solver = solve_foc_equilibrium(market, CostModel.power(beta), UNIT_NOISE)
+    via_solver = solve_equilibrium(market, CostModel.power(beta), UNIT_NOISE)
     via_formula = latency_closed_form(market, beta, 1.0)
     assert via_formula.signal == pytest.approx(via_solver.signal, abs=1e-9)
     assert via_formula.total_cost_per_trader == pytest.approx(via_solver.total_cost_per_trader, abs=1e-9)
@@ -106,7 +104,7 @@ def test_timeboost_closed_form_examples():
 @pytest.mark.parametrize("c,g,v", [(0.25, 1.0, 1.0), (0.1, 2.0, 0.7), (0.5, 1.0, 3.0), (2.0, 1.0, 1.0)])
 def test_timeboost_closed_form_agrees_with_foc_solver(n, c, g, v):
     market = MarketConfig(v, n)
-    via_solver = solve_foc_equilibrium(market, CostModel.timeboost(c, g), UNIT_NOISE)
+    via_solver = solve_equilibrium(market, CostModel.timeboost(c, g), UNIT_NOISE)
     via_formula = timeboost_closed_form(market, c, g, 1.0)
     assert via_formula.signal == pytest.approx(via_solver.signal, abs=1e-9)
     assert via_formula.total_cost_per_trader == pytest.approx(via_solver.total_cost_per_trader, abs=1e-9)
@@ -118,39 +116,41 @@ def test_timeboost_closed_form_agrees_with_foc_solver(n, c, g, v):
     [CostModel.power(2.0), CostModel.power(3.0), CostModel.timeboost(0.25, 1.0)],
     ids=lambda c: c.spec,
 )
-def test_refund_at_full_cost_reduces_to_baseline(cost):
-    shared_refund = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 1.0), cost, UNIT_NOISE)
-    shared_base = solve_foc_equilibrium(MarketConfig(1.0, 1), cost, UNIT_NOISE)
+@pytest.mark.parametrize("alpha", [1.0, 1.0 - 1e-9])
+def test_refund_at_full_cost_reduces_to_baseline(cost, alpha):
+    # alpha just below 1 takes the bisection path
+    shared_refund = solve_equilibrium(MarketConfig(1.0, 1, alpha), cost, UNIT_NOISE)
+    shared_base = solve_equilibrium(MarketConfig(1.0, 1), cost, UNIT_NOISE)
     assert shared_refund.signal == pytest.approx(shared_base.signal, abs=1e-9)
-    separate_refund = solve_refund_equilibrium_separate(MarketConfig(1.0, 2, 1.0), cost, UNIT_NOISE)
-    separate_base = solve_foc_equilibrium(MarketConfig(1.0, 2), cost, UNIT_NOISE)
+    separate_refund = solve_equilibrium(MarketConfig(1.0, 2, alpha), cost, UNIT_NOISE)
+    separate_base = solve_equilibrium(MarketConfig(1.0, 2), cost, UNIT_NOISE)
     assert separate_refund.signal == pytest.approx(separate_base.signal, abs=1e-9)
 
 
 def test_refund_full_refund_roots():
-    shared = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 0.0), CostModel.power(2.0), UNIT_NOISE)
+    shared = solve_equilibrium(MarketConfig(1.0, 1, 0.0), CostModel.power(2.0), UNIT_NOISE)
     assert shared.signal == pytest.approx(GOLDEN_SHARED_ROOT, abs=1e-9)
     # substitute back into the stationarity condition
     s = shared.signal
     assert abs(1.0 - s * s - s) < 1e-10
-    separate = solve_refund_equilibrium_separate(MarketConfig(1.0, 2, 0.0), CostModel.power(2.0), UNIT_NOISE)
+    separate = solve_equilibrium(MarketConfig(1.0, 2, 0.0), CostModel.power(2.0), UNIT_NOISE)
     assert separate.signal == pytest.approx(GOLDEN_SEPARATE_ROOT, abs=1e-9)
     s = separate.signal
     assert abs(1.0 - 2.0 * s * s - 2.0 * s) < 1e-10
 
 
 def test_refund_half_refund_roots():
-    shared = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 0.5), CostModel.power(2.0), UNIT_NOISE)
+    shared = solve_equilibrium(MarketConfig(1.0, 1, 0.5), CostModel.power(2.0), UNIT_NOISE)
     assert GOLDEN_SHARED_ROOT > shared.signal > 0.5
     assert shared.signal == pytest.approx((math.sqrt(17.0) - 3.0) / 2.0, abs=1e-9)
-    separate = solve_refund_equilibrium_separate(MarketConfig(1.0, 2, 0.5), CostModel.power(2.0), UNIT_NOISE)
+    separate = solve_equilibrium(MarketConfig(1.0, 2, 0.5), CostModel.power(2.0), UNIT_NOISE)
     assert GOLDEN_SEPARATE_ROOT > separate.signal > 0.25
     assert separate.signal == pytest.approx((math.sqrt(13.0) - 3.0) / 2.0, abs=1e-9)
 
 
 def test_refund_root_agrees_with_dense_residual_scan():
     alpha = 0.5
-    result = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, alpha), CostModel.power(2.0), UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 1, alpha), CostModel.power(2.0), UNIT_NOISE)
 
     def residual(s):
         return 1.0 - (1.0 - alpha) * (s**2 + 0.5 * 2.0 * s) - alpha * 2.0 * s
@@ -166,9 +166,9 @@ def test_refund_root_agrees_with_dense_residual_scan():
 def test_refund_signal_decreasing_in_alpha(beta):
     cost = CostModel.power(beta)
     alphas = [round(0.1 * k, 1) for k in range(11)]
-    shared = [solve_refund_equilibrium_shared(MarketConfig(1.0, 1, a), cost, UNIT_NOISE).signal for a in alphas]
+    shared = [solve_equilibrium(MarketConfig(1.0, 1, a), cost, UNIT_NOISE).signal for a in alphas]
     separate = [
-        solve_refund_equilibrium_separate(MarketConfig(1.0, 2, a), cost, UNIT_NOISE).signal for a in alphas
+        solve_equilibrium(MarketConfig(1.0, 2, a), cost, UNIT_NOISE).signal for a in alphas
     ]
     assert all(hi >= lo - 1e-12 for hi, lo in zip(shared, shared[1:]))
     assert all(hi >= lo - 1e-12 for hi, lo in zip(separate, separate[1:]))
@@ -176,7 +176,7 @@ def test_refund_signal_decreasing_in_alpha(beta):
 
 def test_refund_respects_cap():
     capped = CostModel.power(2.0, cap=0.55)
-    result = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 0.0), capped, UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 1, 0.0), capped, UNIT_NOISE)
     assert result.signal == 0.55
     assert result.regime is Regime.CAP_BINDING
 
@@ -184,18 +184,81 @@ def test_refund_respects_cap():
 def test_refund_timeboost_corner():
     # losing still costs the full fee slope at zero, which exceeds marginal value
     expensive = CostModel.timeboost(2.0, 1.0)
-    result = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 0.9), expensive, UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 1, 0.9), expensive, UNIT_NOISE)
+    assert result.signal == 0.0
+    assert result.regime is Regime.ZERO_INVESTMENT
+
+
+@pytest.mark.parametrize(
+    "c,g,sigma,alpha,v",
+    [
+        (1.9383908940852579, 2.259802023905591, 1.1497329458523167, 0.9, 2.348450893850243),
+        (0.6598381887696831, 2.5184498161402153, 1.3224732107411465, 0.25, 0.5428264244357859),
+    ],
+)
+def test_refund_timeboost_at_the_fee_slope(c, g, sigma, alpha, v):
+    # 2M/(1+alpha) is within rounding of the fee slope c/g at zero, and the
+    # residual rounds negative on the whole bracket: nobody invests
+    result = solve_equilibrium(MarketConfig(v, 1, alpha), CostModel.timeboost(c, g), NoiseModel("normal", sigma))
     assert result.signal == 0.0
     assert result.regime is Regime.ZERO_INVESTMENT
 
 
 def test_refund_timeboost_interior_residual():
     cost = CostModel.timeboost(0.25, 1.0)
-    result = solve_refund_equilibrium_shared(MarketConfig(1.0, 1, 0.5), cost, UNIT_NOISE)
+    result = solve_equilibrium(MarketConfig(1.0, 1, 0.5), cost, UNIT_NOISE)
     assert result.regime is Regime.INTERIOR
     s = result.signal
     residual = 1.0 - 0.5 * (cost.cost(s) + 0.5 * cost.marginal_cost(s)) - 0.5 * cost.marginal_cost(s)
     assert abs(residual) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "beta,alpha,n",
+    [(1.05, 0.0, 1), (1.05, 0.0, 2), (1.1, 0.0, 1), (1.1, 0.0, 2), (1.05, 0.5, 1), (1.05, 0.5, 2)],
+)
+def test_refund_root_far_below_the_baseline_signal(beta, alpha, n):
+    # nearly linear costs put the refund root orders of magnitude below the
+    # full-cost signal; a bracket grown from that signal must still find it
+    noise = NoiseModel("normal", 1.0)
+    f0 = noise.density_at_zero()
+    result = solve_equilibrium(MarketConfig(1.0, n, alpha), CostModel.power(beta), noise)
+
+    def residual(log_s):
+        s = math.exp(log_s)
+        return f0 / 2.0 ** (n - 1) - 0.5 * (1.0 + alpha) * beta * s ** (beta - 1.0) - (1.0 - alpha) * f0 * s**beta
+
+    expected = math.exp(brentq(residual, -100.0, 0.0, xtol=1e-15, rtol=4.0 * np.finfo(float).eps))
+    assert result.regime is Regime.INTERIOR
+    assert result.signal == pytest.approx(expected, rel=1e-12)
+
+
+def test_refund_root_at_the_bracket_end():
+    # the cost term (1-alpha)*f0*C(s) is far below the rounding of M here, so
+    # the bracket end C'(s) = 2M/(1+alpha) is the root
+    noise, alpha, v = NoiseModel("normal", 1.0), 0.5, 1e-12
+    result = solve_equilibrium(MarketConfig(v, 1, alpha), CostModel.power(1.5), noise)
+    upper = (2.0 * noise.density_at_zero() * v / ((1.0 + alpha) * 1.5)) ** 2
+    assert result.regime is Regime.INTERIOR
+    assert result.signal == pytest.approx(upper, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel("normal", 1.0), NoiseModel("logistic", 0.7)], ids=lambda z: z.spec)
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 0.9])
+@pytest.mark.parametrize("v", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_refund_root_is_scale_free(v, alpha, n, noise):
+    # for C(s) = s^2 the stationarity condition is a quadratic in s
+    f0 = noise.density_at_zero()
+    m = f0 * v / 2.0 ** (n - 1)
+    root = 2.0 * m / ((1.0 + alpha) + math.sqrt((1.0 + alpha) ** 2 + 4.0 * (1.0 - alpha) * f0 * m))
+    profit = v * 0.5**n - n * 0.5 * (1.0 + alpha) * root**2
+    result = solve_equilibrium(MarketConfig(v, n, alpha), CostModel.power(2.0), noise)
+    if profit < 0.0:
+        assert result.regime is Regime.ZERO_INVESTMENT
+    else:
+        assert result.regime is Regime.INTERIOR
+        assert result.signal == pytest.approx(root, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, 5.0])
@@ -213,7 +276,7 @@ def test_interior_foc_residual_is_tiny():
     for beta in (1.5, 2.0, 5.0):
         for v in (0.1, 1.0):
             cost = CostModel.power(beta)
-            result = solve_foc_equilibrium(MarketConfig(v, 2), cost, UNIT_NOISE)
+            result = solve_equilibrium(MarketConfig(v, 2), cost, UNIT_NOISE)
             if result.regime is Regime.INTERIOR:
                 assert abs(cost.marginal_cost(result.signal) - v / 2.0) < 1e-10
 
@@ -232,13 +295,6 @@ def test_dispatcher_routes_by_alpha_and_chains():
 
 
 def test_solver_preconditions():
-    cost = CostModel.power(2.0)
-    with pytest.raises(ParameterError):
-        solve_foc_equilibrium(MarketConfig(1.0, 1, 0.5), cost, UNIT_NOISE)
-    with pytest.raises(ParameterError):
-        solve_refund_equilibrium_shared(MarketConfig(1.0, 2, 0.5), cost, UNIT_NOISE)
-    with pytest.raises(ParameterError):
-        solve_refund_equilibrium_separate(MarketConfig(1.0, 1, 0.5), cost, UNIT_NOISE)
     with pytest.raises(ParameterError):
         timeboost_closed_form(MarketConfig(1.0, 3), 0.25, 1.0, 1.0)
     with pytest.raises(ParameterError):
@@ -262,7 +318,7 @@ def test_market_config_validation():
 @settings(max_examples=150, deadline=None)
 def test_signal_monotone_in_value(v, beta, n):
     cost = CostModel.power(beta)
-    lower = solve_foc_equilibrium(MarketConfig(v, n), cost, UNIT_NOISE)
-    higher = solve_foc_equilibrium(MarketConfig(v * 1.1, n), cost, UNIT_NOISE)
+    lower = solve_equilibrium(MarketConfig(v, n), cost, UNIT_NOISE)
+    higher = solve_equilibrium(MarketConfig(v * 1.1, n), cost, UNIT_NOISE)
     if lower.regime is Regime.INTERIOR and higher.regime is Regime.INTERIOR:
         assert higher.signal >= lower.signal - 1e-12

@@ -6,7 +6,7 @@ import pytest
 
 import seqlab.montecarlo as mc
 from seqlab.cost import CostModel
-from seqlab.equilibrium import MarketConfig, Regime, solve_foc_equilibrium
+from seqlab.equilibrium import MarketConfig, Regime, solve_equilibrium
 from seqlab.errors import ConfigError, DomainError
 from seqlab.montecarlo import (
     SimulationSpec,
@@ -197,7 +197,7 @@ def test_default_deviation_grid_shape():
 
 def test_best_response_holds_at_equilibrium():
     market = MarketConfig(1.0, 1)
-    candidate = solve_foc_equilibrium(market, POWER_TWO, UNIT_NOISE)
+    candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE)
     check = verify_best_response(
         candidate, market, POWER_TWO, UNIT_NOISE, deviation_grid=np.arange(0.0, 1.5001, 0.01)
     )
@@ -207,7 +207,7 @@ def test_best_response_holds_at_equilibrium():
 
 def test_best_response_two_chain_product_scan():
     market = MarketConfig(1.0, 2)
-    candidate = solve_foc_equilibrium(market, POWER_TWO, UNIT_NOISE)
+    candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE)
     check = verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE)
     assert check.max_gain <= 1e-3
     assert len(check.argmax_deviation) == 2
@@ -219,7 +219,7 @@ def test_best_response_reports_profitable_deviation():
     market = MarketConfig(4.0, 3)
     cost = CostModel.power(1.5)
     noise = NoiseModel("normal", 0.5)
-    candidate = solve_foc_equilibrium(market, cost, noise)
+    candidate = solve_equilibrium(market, cost, noise)
     assert candidate.regime is Regime.INTERIOR
     check = verify_best_response(candidate, market, cost, noise)
     assert check.max_gain > 1e-3 * market.v
@@ -302,7 +302,7 @@ def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
 
 def test_montecarlo_verify_does_not_depend_on_chunking(monkeypatch):
     market = MarketConfig(1.0, 2, 0.5)
-    candidate = solve_foc_equilibrium(MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE).signal
+    candidate = solve_equilibrium(MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE).signal
     run = lambda: verify_best_response(candidate, market, POWER_TWO, NoiseModel("logistic", 0.7),
                                        mode="montecarlo", trials=20_017, seed=4)
     baseline = run()

@@ -22,21 +22,16 @@ def test_bisect_requires_sign_change():
         bisect_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
-def test_bisect_width_stop():
-    # residual tolerance zero forces the width stop
-    root = bisect_root(lambda x: x - math.pi, 0.0, 4.0, residual_tol=0.0, width_tol=1e-12)
-    assert root == pytest.approx(math.pi, abs=1e-11)
-
-
-def test_bisect_runs_to_float_resolution():
-    # a bracket this wide needs far more than 200 halvings to reach the root
-    root = bisect_root(lambda x: x - 1e10, 0.0, 1.6e63, residual_tol=0.0, width_tol=0.0)
-    assert abs(root - 1e10) <= math.ulp(1e10)
+@pytest.mark.parametrize("root,hi", [(math.pi, 4.0), (1e10, 1.6e63)], ids=["pi", "1e10"])
+def test_bisect_runs_to_float_resolution(root, hi):
+    # the wide bracket needs far more than 200 halvings to reach its root
+    found = bisect_root(lambda x: x - root, 0.0, hi)
+    assert abs(found - root) <= math.ulp(root)
 
 
 def test_bisect_midpoint_does_not_overflow():
     # lo + hi overflows to inf here; the midpoint must not
-    root = bisect_root(lambda x: x - 1.5e308, 1e308, 1.7e308, residual_tol=0.0, width_tol=0.0)
+    root = bisect_root(lambda x: x - 1.5e308, 1e308, 1.7e308)
     assert abs(root - 1.5e308) <= math.ulp(1.5e308)
 
 
