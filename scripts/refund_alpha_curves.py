@@ -2,8 +2,8 @@
 """Equilibrium signal as a function of the loser's cost share.
 
 Sweeps the refund fraction alpha from 0 (losers pay nothing) to 1 (sunk
-cost) for a few cost elasticities and writes both sequencing modes' signals
-and expected profits. The signal should fall as alpha rises: the cheaper it
+cost) for a few cost elasticities, as one sweep over the beta x alpha grid,
+and writes both sequencing modes' signals and expected profits. The signal should fall as alpha rises: the cheaper it
 is to lose, the harder both traders bid.
 
 Usage:
@@ -15,7 +15,7 @@ import csv
 import math
 import sys
 
-from seqlab import CostModel, MarketConfig, NoiseModel, solve_equilibrium
+from seqlab import CostModel, NoiseModel, sweep
 
 
 def main() -> int:
@@ -28,21 +28,19 @@ def main() -> int:
 
     noise = NoiseModel("normal", 1.0 / math.sqrt(2.0 * math.pi))  # peak density 1
     betas = [float(b) for b in args.betas.split(",")]
-    rows = []
-    for beta in betas:
-        cost = CostModel.power(beta)
-        for k in range(args.steps):
-            alpha = k / (args.steps - 1)
-            shared = solve_equilibrium(MarketConfig(args.v, 1, alpha), cost, noise)
-            separate = solve_equilibrium(MarketConfig(args.v, 2, alpha), cost, noise)
-            rows.append({
-                "beta": beta,
-                "alpha": round(alpha, 6),
-                "shared_signal": shared.signal,
-                "shared_profit": shared.expected_profit,
-                "separate_signal": separate.signal,
-                "separate_profit": separate.expected_profit,
-            })
+    alphas = [k / (args.steps - 1) for k in range(args.steps)]
+    grid = sweep({"beta": betas, "alpha": alphas}, v=args.v, cost=CostModel.power(betas[0]), noise=noise)
+    rows = [
+        {
+            "beta": row["beta"],
+            "alpha": round(row["alpha"], 6),
+            "shared_signal": row["shared_signal"],
+            "shared_profit": row["shared_expected_profit"],
+            "separate_signal": row["separate_signal"],
+            "separate_profit": row["separate_expected_profit"],
+        }
+        for row in grid
+    ]
 
     with open(args.out, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

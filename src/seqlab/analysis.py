@@ -18,8 +18,10 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .cost import CostModel
-from .equilibrium import EquilibriumResult, MarketConfig, solve_equilibrium
+from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
 from .errors import ConfigError, ParameterError, SolverError
 from .noise import NoiseModel
 from .numerics import golden_section_max
@@ -72,38 +74,8 @@ def _displayed_thresholds(cost: CostModel, noise: NoiseModel, v: float, n_sep: i
     }
 
 
-def _report(
-    shared: EquilibriumResult,
-    separate: EquilibriumResult,
-    n_sep: int,
-    interpretation: str,
-    thresholds: dict,
-) -> ComparisonReport:
-    shared_total = 2.0 * shared.total_cost_per_trader
-    separate_total = 2.0 * separate.total_cost_per_trader
-    ratio = shared_total / separate_total if separate_total > 0.0 else None
-    return ComparisonReport(
-        shared_result=shared,
-        separate_result=separate,
-        shared_total_expenditure=shared_total,
-        separate_total_expenditure=separate_total,
-        expenditure_ratio=ratio,
-        interpretation=interpretation,
-        capture_probability_shared=1.0,
-        capture_probability_separate=2.0 * 0.5**n_sep,
-        displayed_thresholds=thresholds,
-    )
-
-
-def compare_expenditure(
-    v: float,
-    cost: CostModel,
-    noise: NoiseModel,
-    alpha: float = 1.0,
-    *,
-    separate_chains: int = 2,
-    interpretation: str | None = None,
-) -> ComparisonReport:
+def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: float = 1.0, *,
+                        separate_chains: int = 2, interpretation: str | None = None) -> ComparisonReport:
     """Solve both sequencing modes and assemble the comparison.
 
     ``separate_chains`` generalizes the separate side to ``n`` independent
@@ -116,8 +88,18 @@ def compare_expenditure(
         raise ParameterError(f"interpretation must be 'waste' or 'revenue', got {interpretation!r}")
     shared = solve_equilibrium(MarketConfig(v, 1, alpha), cost, noise)
     separate = solve_equilibrium(MarketConfig(v, separate_chains, alpha), cost, noise)
-    thresholds = _displayed_thresholds(cost, noise, v, separate_chains)
-    return _report(shared, separate, separate_chains, interpretation, thresholds)
+    shared_total, separate_total = 2.0 * shared.total_cost_per_trader, 2.0 * separate.total_cost_per_trader
+    return ComparisonReport(
+        shared_result=shared,
+        separate_result=separate,
+        shared_total_expenditure=shared_total,
+        separate_total_expenditure=separate_total,
+        expenditure_ratio=shared_total / separate_total if separate_total > 0.0 else None,
+        interpretation=interpretation,
+        capture_probability_shared=1.0,
+        capture_probability_separate=2.0 * 0.5**separate_chains,
+        displayed_thresholds=_displayed_thresholds(cost, noise, v, separate_chains),
+    )
 
 
 def capped_revenue_comparison(v: float, beta: float, f0: float, cap: float) -> ComparisonReport:
@@ -319,71 +301,77 @@ def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared"
 #: Canonical sweep axis order; rows are emitted in product order over these.
 SWEEP_AXES = ("v", "beta", "c", "g", "sigma", "alpha", "chains", "cap")
 
-def sweep(
-    axes: dict,
-    *,
-    v: float = 1.0,
-    cost: CostModel,
-    noise: NoiseModel,
-    alpha: float = 1.0,
-    chains: int = 2,
-) -> list[dict]:
+def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alpha: float = 1.0,
+          chains: int = 2) -> list[dict]:
     """Tabulate the shared-vs-separate comparison over a parameter grid.
 
     ``axes`` maps axis names (a subset of :data:`SWEEP_AXES`) to value lists;
     non-axis parameters come from the keyword baseline. The ``chains`` axis
     sets the separate-side chain count. Rows appear in product order over the
     canonical axis order, each row carrying its axis values plus the result
-    columns.
+    columns of :func:`compare_expenditure`, equal to the last bit. The points
+    of each cost model are solved, both sides at once, in one lockstep call.
     """
     for name, values in axes.items():
         if name not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {name!r}; expected one of {SWEEP_AXES}")
         if len(values) == 0 or any(not math.isfinite(x) for x in values):
             raise ConfigError(f"sweep axis {name!r} needs a non-empty list of finite values")
-
-    active = [name for name in SWEEP_AXES if name in axes]
-    rows = []
-    for combo in itertools.product(*(axes[name] for name in active)):
-        point = dict(zip(active, combo))
-        row_cost = _override_cost(cost, point)
-        row_noise = replace(noise, param=point["sigma"]) if "sigma" in point else noise
-        chain_count = point.get("chains", chains)
-        if chain_count != int(chain_count):
-            raise ConfigError(f"chains axis values must be integers, got {chain_count}")
-        report = compare_expenditure(
-            point.get("v", v),
-            row_cost,
-            row_noise,
-            point.get("alpha", alpha),
-            separate_chains=int(chain_count),
-        )
-        row = dict(point)
-        row.update({
-            "shared_signal": report.shared_result.signal,
-            "shared_per_chain_cost": report.shared_result.per_chain_cost,
-            "shared_total_cost": report.shared_result.total_cost_per_trader,
-            "shared_expected_profit": report.shared_result.expected_profit,
-            "shared_regime": report.shared_result.regime.value,
-            "separate_signal": report.separate_result.signal,
-            "separate_per_chain_cost": report.separate_result.per_chain_cost,
-            "separate_total_cost": report.separate_result.total_cost_per_trader,
-            "separate_expected_profit": report.separate_result.expected_profit,
-            "separate_regime": report.separate_result.regime.value,
-            "shared_total_expenditure": report.shared_total_expenditure,
-            "separate_total_expenditure": report.separate_total_expenditure,
-            "expenditure_ratio": report.expenditure_ratio,
-            "capture_probability_shared": report.capture_probability_shared,
-            "capture_probability_separate": report.capture_probability_separate,
-            "interpretation": report.interpretation,
-        })
-        rows.append(row)
-    return rows
-
-
-def _override_cost(cost: CostModel, point: dict) -> CostModel:
-    relevant = {"power": ("beta",), "timeboost": ("c", "g")}[cost.family]
-    for name in ("beta", "c", "g"):
-        if name in point and name not in relevant:
+        if name in {"power": ("c", "g"), "timeboost": ("beta",)}[cost.family]:
             raise ConfigError(f"sweep axis {name!r} does not apply to {cost.family} cost")
-    return replace(cost, **{name: point[name] for name in (*relevant, "cap") if name in point})
+    baseline = (v, cost.beta, cost.c, cost.g, noise.param, alpha, chains, cost.cap)
+    grid = {name: axes.get(name, [base]) for name, base in zip(SWEEP_AXES, baseline)}
+    size = math.prod(len(values) for values in grid.values())
+    # each point's index along each axis, in product order
+    position = dict(zip(grid, np.unravel_index(np.arange(size), [len(values) for values in grid.values()])))
+
+    cost_axes = ("beta", "c", "g", "cap")
+    models: dict = {}  # distinct cost model -> group number, in order of first use
+    group = np.array([
+        models.setdefault(replace(cost, **{k: x for k, x in zip(cost_axes, combo) if k in axes}), len(models))
+        for combo in itertools.product(*(grid[k] for k in cost_axes))
+    ])[np.ravel_multi_index([position[k] for k in cost_axes], [len(grid[k]) for k in cost_axes])]
+    f0 = np.array([replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]])[position["sigma"]]
+    for count in grid["chains"]:  # the market checks, once per axis value
+        if count != int(count):
+            raise ConfigError(f"chains axis values must be integers, got {count}")
+        MarketConfig(1.0, int(count))
+    for value in grid["v"]:
+        MarketConfig(value)
+    for fraction in grid["alpha"]:
+        MarketConfig(1.0, 1, fraction)
+    v_at, alpha_at = (np.asarray(grid[k], dtype=float)[position[k]] for k in ("v", "alpha"))
+    n_at = np.asarray(grid["chains"], dtype=float).astype(np.int64)[position["chains"]]
+
+    # column p of each field holds the shared side in row 0 and the separate side in row 1
+    signal, per_chain, total, capture, profit, regime = fields = [
+        np.empty((2, size), np.int64 if name == "regime" else float) for name in Equilibria._fields]
+    order = np.argsort(group, kind="stable")
+    for model, points in zip(models, np.split(order, np.flatnonzero(np.diff(group[order])) + 1)):
+        both = np.concatenate([points, points])
+        solved = solve_equilibria(model, f0[both], v_at[both], np.concatenate([np.ones_like(points), n_at[points]]),
+                                 alpha_at[both])
+        for field, values in zip(fields, solved):
+            field[:, points] = values.reshape(2, -1)
+
+    sides = {"signal": signal, "per_chain_cost": per_chain, "total_cost": total, "expected_profit": profit,
+             "regime": np.array([regime.value for regime in REGIMES])[regime]}
+    columns = {f"{prefix}_{name}": values[side] for side, prefix in enumerate(("shared", "separate"))
+               for name, values in sides.items()}
+    expenditure = 2.0 * total
+    paid = expenditure[1] > 0.0
+    ratio = (expenditure[0] / np.where(paid, expenditure[1], 1.0)).astype(object)
+    columns.update({
+        "shared_total_expenditure": expenditure[0],
+        "separate_total_expenditure": expenditure[1],
+        "expenditure_ratio": np.where(paid, ratio, None),
+        "capture_probability_shared": np.ones(size),
+        "capture_probability_separate": 2.0 * capture[1],
+        "interpretation": np.repeat("revenue" if cost.family == "timeboost" else "waste", size),
+    })
+    keys = (*(name for name in SWEEP_AXES if name in axes), *columns)
+    return [
+        dict(zip(keys, combo + values))
+        for combo, values in zip(itertools.product(*(axes[name] for name in SWEEP_AXES if name in axes)),
+                                 zip(*(values.tolist() for values in columns.values())))
+    ]

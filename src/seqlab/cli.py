@@ -43,37 +43,31 @@ class _CliParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+#: add_argument options of the flags commands pick from, in help order
+_FLAGS = {
+    "v": dict(type=float, help="arbitrage value of the trade (required)"),
+    "chains": dict(type=int, help="number of chains that must be won"),
+    "alpha": dict(type=float, help="fraction of cost paid on losing (default 1)"),
+    "cost": dict(metavar="SPEC", help="cost spec: power:BETA or timeboost:c=C,g=G, optional ,cap=CAP "
+                                      "(required; simulate defaults to power:2.0)"),
+    "noise": dict(metavar="SPEC", help="noise spec: normal:SIGMA, logistic:S, laplace:S, uniform:HALFWIDTH "
+                                       "(required; simulate defaults to normal:1.0)"),
+    "cap": dict(type=float, help="hard cap on the signal (overrides the cost spec)"),
+    "signals": dict(help="comma-separated signals: one per trader, or trader-major one per trader per chain"),
+    "trials": dict(type=int, help="Monte Carlo trials (default 100000)"),
+    "seed": dict(type=int, help="64-bit seed for counter-based randomness (default 0)"),
+    "grid": dict(action="append", metavar="AXIS=START:STEP:STOP",
+                 help="sweep axis (repeatable); AXIS=VALUE gives a single point"),
+    "value_dist": dict(metavar="SPEC", help="trade-value law: exp:RATE, lognormal:MU,SIGMA, points:V1@W1,V2@W2 "
+                                            "(required)"),
+}
+
+
 def _add_common(parser: _CliParser, *flags: str) -> None:
     arg = parser.add_argument
-    if "v" in flags:
-        arg("--v", type=float, default=None, help="arbitrage value of the trade (required)")
-    if "chains" in flags:
-        arg("--chains", type=int, default=None, help="number of chains that must be won")
-    if "alpha" in flags:
-        arg("--alpha", type=float, default=None, help="fraction of cost paid on losing (default 1)")
-    if "cost" in flags:
-        arg("--cost", default=None, metavar="SPEC",
-            help="cost spec: power:BETA or timeboost:c=C,g=G, optional ,cap=CAP "
-                 "(required; simulate defaults to power:2.0)")
-    if "noise" in flags:
-        arg("--noise", default=None, metavar="SPEC",
-            help="noise spec: normal:SIGMA, logistic:S, laplace:S, uniform:HALFWIDTH "
-                 "(required; simulate defaults to normal:1.0)")
-    if "cap" in flags:
-        arg("--cap", type=float, default=None, help="hard cap on the signal (overrides the cost spec)")
-    if "signals" in flags:
-        arg("--signals", default=None,
-            help="comma-separated signals: one per trader, or trader-major one per trader per chain")
-    if "trials" in flags:
-        arg("--trials", type=int, default=None, help="Monte Carlo trials (default 100000)")
-    if "seed" in flags:
-        arg("--seed", type=int, default=None, help="64-bit seed for counter-based randomness (default 0)")
-    if "grid" in flags:
-        arg("--grid", action="append", default=None, metavar="AXIS=START:STEP:STOP",
-            help="sweep axis (repeatable); AXIS=VALUE gives a single point")
-    if "value_dist" in flags:
-        arg("--value-dist", dest="value_dist", default=None, metavar="SPEC",
-            help="trade-value law: exp:RATE, lognormal:MU,SIGMA, points:V1@W1,V2@W2 (required)")
+    for name, options in _FLAGS.items():
+        if name in flags:
+            arg("--" + name.replace("_", "-"), default=None, **options)
     arg("--format", choices=("table", "json", "csv"), default=None, help="output format (default table)")
     arg("--out", default=None, help="output path (default standard output)")
     arg("--config", default=None, help="config file: flat key=value lines or a previously emitted JSON run")

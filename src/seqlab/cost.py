@@ -13,11 +13,11 @@ the equilibrium module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, ParameterError
+from .errors import ConfigError, DomainError, ParameterError, SolverError
 
 FAMILIES = ("power", "timeboost")
 
@@ -74,54 +74,59 @@ class CostModel:
             text += f",cap={self.cap:.12g}"
         return text
 
-    def without_cap(self) -> "CostModel":
-        return replace(self, cap=None) if self.cap is not None else self
-
     def admissible_max(self) -> float:
         """Largest usable signal: the cap if set, else just below g, else inf."""
         hi = math.inf if self.family == "power" else self.g * (1.0 - 1e-9)
         return hi if self.cap is None else min(hi, self.cap)
 
-    def _check(self, s: np.ndarray) -> None:
-        if np.any(s < 0) or not np.all(np.isfinite(s)):
+    def _checked(self, formula, s):
+        s_arr = np.asarray(s, dtype=float)
+        if np.any(s_arr < 0) or not np.all(np.isfinite(s_arr)):
             raise DomainError("signal must be a finite non-negative real")
-        if self.family == "timeboost" and np.any(s >= self.g):
+        if self.family == "timeboost" and np.any(s_arr >= self.g):
             raise DomainError(f"timeboost signal must lie strictly below g={self.g}")
-        if self.cap is not None and np.any(s > self.cap):
+        if self.cap is not None and np.any(s_arr > self.cap):
             raise DomainError(f"signal exceeds the cap {self.cap}")
+        out = formula(s_arr)
+        return float(out) if np.ndim(s) == 0 else out
 
     def cost(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        self._check(s_arr)
-        if self.family == "power":
-            out = s_arr**self.beta
-        else:
-            out = self.c * s_arr / (self.g - s_arr)
-        return float(out) if np.ndim(s) == 0 else out
+        return self._checked(self._cost, s)
 
     def marginal_cost(self, s):
-        s_arr = np.asarray(s, dtype=float)
-        self._check(s_arr)
-        if self.family == "power":
-            out = self.beta * s_arr ** (self.beta - 1.0)
-        else:
-            out = self.c * self.g / (self.g - s_arr) ** 2
-        return float(out) if np.ndim(s) == 0 else out
+        return self._checked(self._marginal, s)
 
-    def inverse_marginal_cost(self, m: float) -> tuple[float, bool]:
+    # unchecked, for arrays in the domain; Python-float parameters keep numpy's fast ``** 2``
+
+    def _cost(self, s: np.ndarray) -> np.ndarray:
+        return s**self.beta if self.family == "power" else self.c * s / (self.g - s)
+
+    def _marginal(self, s: np.ndarray) -> np.ndarray:
+        return self.beta * s ** (self.beta - 1.0) if self.family == "power" else self.c * self.g / (self.g - s) ** 2
+
+    def inverse_marginal_cost(self, m):
         """The signal with marginal cost ``m``, ignoring any cap.
 
-        Returns ``(signal, corner)``. ``corner`` is True when ``m`` is below
-        the smallest attainable marginal cost (timeboost with ``m < c/g``),
-        in which case the signal is 0.
+        Returns ``(signal, corner)``, floats for a float ``m`` and arrays for
+        an array. ``corner`` is True when ``m`` is below the smallest
+        attainable marginal cost (timeboost with ``m < c/g``), in which case
+        the signal is 0. Raises :class:`SolverError` beyond float range.
         """
-        if not (math.isfinite(m) and m > 0):
-            raise ParameterError(f"marginal cost must be positive and finite, got {m!r}")
-        if self.family == "power":
-            return (m / self.beta) ** (1.0 / (self.beta - 1.0)), False
-        if m < self.c / self.g:
-            return 0.0, True
-        return max(self.g - math.sqrt(self.c * self.g / m), 0.0), False
+        m_arr = np.asarray(m, dtype=float)
+        bad = ~(np.isfinite(m_arr) & (m_arr > 0))
+        if bad.any():
+            raise ParameterError(f"marginal cost must be positive and finite, got {float(m_arr[bad][0])!r}")
+        if self.family == "timeboost":
+            corner = m_arr < self.c / self.g
+            signal = np.where(corner, 0.0, np.maximum(self.g - np.sqrt(self.c * self.g / m_arr), 0.0))
+        else:
+            corner, exponent = np.zeros(m_arr.shape, dtype=bool), 1.0 / (self.beta - 1.0)
+            try:  # Python's float power, point by point: numpy's can differ from it in the last bit
+                signal = np.reshape([x**exponent for x in np.ravel(m_arr / self.beta).tolist()], m_arr.shape)
+            except OverflowError:
+                raise SolverError(f"the {self.spec} signal with marginal cost {float(m_arr.max()):.6g} "
+                                  "lies beyond float range") from None
+        return (float(signal), bool(corner)) if np.ndim(m) == 0 else (signal, corner)
 
 
 def tokenize_cost(text: str) -> tuple[str, dict[str, float], list[float]]:

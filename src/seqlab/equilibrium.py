@@ -20,7 +20,8 @@ where ``f(0)`` is the peak density of the per-chain noise difference. Since
 ``C >= 0`` the root lies at or below ``upper``, the signal where
 ``C'(upper) = 2M/(1+alpha)``, found by one marginal-cost inversion. At
 ``alpha = 1`` ``upper`` is the root; otherwise bisection on ``[0, upper]``
-runs to float resolution. Three regimes are distinguished:
+runs to float resolution, for a whole grid of markets in lockstep. Three
+regimes are distinguished:
 
 * ``interior``        the candidate satisfies the stationarity condition and
                       earns a non-negative expected profit;
@@ -41,9 +42,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
 
 from .cost import CostModel
-from .errors import ParameterError
+from .errors import ParameterError, SolverError
 from .noise import NoiseModel
 from .numerics import bisect_root
 
@@ -86,70 +90,86 @@ class EquilibriumResult:
     participation_satisfied: bool
 
 
-def _assemble(market: MarketConfig, signal: float, per_chain_cost: float, regime: Regime) -> EquilibriumResult:
-    n = market.n_chains
-    capture = 0.5**n
+#: Regimes by the integer code :class:`Equilibria` carries.
+REGIMES = tuple(Regime)
+_INTERIOR, _CAP_BINDING, _ZERO = range(3)
+
+
+class Equilibria(NamedTuple):
+    """Symmetric equilibria of many markets, one array per result field."""
+
+    signal: np.ndarray
+    per_chain_cost: np.ndarray
+    total_cost_per_trader: np.ndarray
+    capture_probability: np.ndarray
+    expected_profit: np.ndarray
+    regime: np.ndarray  # indices into REGIMES
+
+    def result(self, i: int) -> EquilibriumResult:
+        values = [float(field[i]) for field in self[:5]]
+        return EquilibriumResult(*values, REGIMES[self.regime[i]], values[4] >= 0.0)
+
+
+def _settle(v, n, alpha, signal, per_chain, regime, invest) -> Equilibria:
+    """Candidates that invest and earn a non-negative profit stand; the rest invest nothing."""
+    v, n, alpha, signal, per_chain, regime, invest = np.broadcast_arrays(
+        *map(np.atleast_1d, (v, n, alpha, signal, per_chain, regime, invest)))
     # at the symmetric point every race is a coin flip; a lost race still
     # costs an alpha fraction of that chain's bid
-    profit = market.v * capture - n * 0.5 * (1.0 + market.alpha) * per_chain_cost
-    return EquilibriumResult(
-        signal=float(signal),
-        per_chain_cost=float(per_chain_cost),
-        total_cost_per_trader=float(n * per_chain_cost),
-        capture_probability=capture,
-        expected_profit=float(profit),
-        regime=regime,
-        participation_satisfied=profit >= 0.0,
-    )
+    capture, weight = np.ldexp(1.0, -n), n * 0.5 * (1.0 + alpha)
+    invest = invest & (v * capture - weight * per_chain >= 0.0)
+    per_chain = np.where(invest, per_chain, 0.0)
+    return Equilibria(np.where(invest, signal, 0.0), per_chain, n * per_chain, capture,
+                      v * capture - weight * per_chain, np.where(invest, regime, _ZERO))
 
 
-def _zero(market: MarketConfig) -> EquilibriumResult:
-    return _assemble(market, 0.0, 0.0, Regime.ZERO_INVESTMENT)
+def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
+    """Stationarity roots on ``[0, upper]``, bisected in lockstep."""
+
+    def residual_of(i):  # [0, upper] lies in the cost's domain, so C and C' go unchecked
+        m, half, weight = marginal[i], 0.5 * (1.0 + alpha[i]), (1.0 - alpha[i]) * f0[i]
+        return lambda s: m - half * cost._marginal(s) - weight * cost._cost(s)
+
+    # exactly, residual(upper) = -(1-alpha) f0 C(upper) <= 0, so a non-negative value means
+    # the cost term is below rounding. When 2M/(1+alpha) is within rounding of a boost
+    # fee's slope C'(0), the residual can round negative at 0 as well: nobody invests.
+    below = residual_of(slice(None))(upper) < 0.0
+    inside = below & (residual_of(slice(None))(np.zeros_like(upper)) > 0.0)
+    root = np.where(below, 0.0, upper)
+    if inside.any():
+        root[inside] = bisect_root(residual_of(inside), 0.0, upper[inside])
+    return root
 
 
-def _finalize(market: MarketConfig, cost: CostModel, candidate: float) -> EquilibriumResult:
-    """Clamp a stationarity candidate to the cap and apply the payoff test."""
-    if candidate <= 0.0:
-        return _zero(market)
-    signal, regime = candidate, Regime.INTERIOR
-    if cost.cap is not None and candidate > cost.cap:
-        signal, regime = cost.cap, Regime.CAP_BINDING
-        if signal == 0.0:
-            return _zero(market)
-    result = _assemble(market, signal, cost.cost(signal), regime)
-    return result if result.expected_profit >= 0.0 else _zero(market)
+def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
+    """Symmetric equilibria of many markets under one cost model, in lockstep.
+
+    ``f0`` (the noise's peak density), ``v``, ``n`` (chains) and ``alpha``
+    are floats or arrays that broadcast, each market valid as
+    :class:`MarketConfig` checks it. Each refund point stops bisecting on
+    its own, so every point comes out as it would alone.
+    """
+    f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
+    if ((alpha != 1.0) & (n > 2)).any():
+        raise ParameterError("refund equilibria are available for 1 or 2 chains only")
+    marginal = f0 * v / np.ldexp(1.0, n - 1)
+    upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + alpha))
+    refund = (alpha != 1.0) & ~corner
+    # the refund residual is evaluated at upper, and so is an uncapped signal's cost
+    rounded = ~corner & (upper >= (cost.g or np.inf)) & (refund | (cost.cap is None))
+    if rounded.any():
+        raise SolverError(f"the signal rounds to the boost bound g={cost.g} at v={float(v[rounded].max()):.6g}")
+    root = np.where(corner, 0.0, upper)
+    if refund.any():
+        root[refund] = _refund_roots(cost, f0[refund], marginal[refund], alpha[refund], upper[refund])
+    cap = np.inf if cost.cap is None else cost.cap
+    signal, regime = np.minimum(root, cap), np.where(root > cap, _CAP_BINDING, _INTERIOR)
+    return _settle(v, n, alpha, signal, cost.cost(signal), regime, signal > 0.0)
 
 
 def solve_equilibrium(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
-    """Symmetric equilibrium from the stationarity condition.
-
-    Solves ``M - (1+alpha)/2 * C'(s) - (1-alpha) * f0 * C(s) = 0`` with
-    ``M = f0 * v / 2**(n-1)``, clamps the root to the cap when one is set,
-    and zeroes out when its expected profit is negative. The root lies below
-    ``upper``, where ``C'(upper) = 2M/(1+alpha)``; at ``alpha = 1`` it is
-    ``upper`` itself, otherwise bisection on ``[0, upper]`` finds it.
-    """
-    if market.alpha != 1.0 and market.n_chains > 2:
-        raise ParameterError("refund equilibria are available for 1 or 2 chains only")
-    f0, a = noise.density_at_zero(), market.alpha
-    marginal = f0 * market.v / 2.0 ** (market.n_chains - 1)
-    upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + a))
-    if corner:
-        return _zero(market)
-    root = upper
-    if a != 1.0:
-        bare = cost.without_cap()
-
-        def residual(s: float) -> float:
-            return marginal - 0.5 * (1.0 + a) * bare.marginal_cost(s) - (1.0 - a) * f0 * bare.cost(s)
-
-        # exactly, residual(upper) = -(1-alpha) f0 C(upper) <= 0, so a
-        # non-negative value means the cost term is below rounding. When
-        # 2M/(1+alpha) is within rounding of a boost fee's slope C'(0), the
-        # residual can round negative at 0 as well: nobody invests.
-        if residual(upper) < 0.0:
-            root = bisect_root(residual, 0.0, upper) if residual(0.0) > 0.0 else 0.0
-    return _finalize(market, cost, root)
+    """Symmetric equilibrium of one market: the one-point case of :func:`solve_equilibria`."""
+    return solve_equilibria(cost, noise.density_at_zero(), market.v, market.n_chains, market.alpha).result(0)
 
 
 def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> EquilibriumResult:
@@ -168,8 +188,7 @@ def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> Equilib
     base = f0 * market.v / (2.0 ** (market.n_chains - 1) * beta)
     signal = base ** (1.0 / (beta - 1.0))
     per_chain_cost = base ** (beta / (beta - 1.0))
-    result = _assemble(market, signal, per_chain_cost, Regime.INTERIOR)
-    return result if result.expected_profit >= 0.0 else _zero(market)
+    return _settle(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True).result(0)
 
 
 def timeboost_closed_form(market: MarketConfig, c: float, g: float, f0: float) -> EquilibriumResult:
@@ -189,9 +208,6 @@ def timeboost_closed_form(market: MarketConfig, c: float, g: float, f0: float) -
             raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     n, v = market.n_chains, market.v
     k = float(n)
-    if v <= k * c / (g * f0):
-        return _zero(market)
     signal = g - math.sqrt(k * c * g / (f0 * v))
     total_cost = max(math.sqrt(k * c * g * f0 * v) - k * c, 0.0)
-    result = _assemble(market, signal, total_cost / n, Regime.INTERIOR)
-    return result if result.expected_profit >= 0.0 else _zero(market)
+    return _settle(v, n, 1.0, signal, total_cost / n, _INTERIOR, v > k * c / (g * f0)).result(0)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
+import numpy as np
+
 from .errors import SolverError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -19,43 +21,38 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_HALVINGS = 2200
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` on a bracketing interval ``[lo, hi]``.
+def bisect_root(f: Callable, lo, hi):
+    """Roots of ``f`` on bracketing intervals ``[lo, hi]``, halved in lockstep.
 
-    ``f(lo)`` and ``f(hi)`` must have opposite signs. Stops on an exact zero
-    at the midpoint or once no float lies strictly between the bracket's
-    ends, so the root is found to float resolution whatever its scale.
+    ``lo`` and ``hi`` are floats or arrays that broadcast, and ``f`` acts
+    elementwise; ``f(lo)`` and ``f(hi)`` must have opposite signs at every
+    point. Each point stops on its own: on an exact zero at the midpoint or
+    once no float lies strictly between its bracket's ends, so every root is
+    found to float resolution whatever its scale. A float for float ends.
     """
-    flo, fhi = f(lo), f(hi)
-    if not (math.isfinite(flo) and math.isfinite(fhi)):
-        raise SolverError(f"non-finite bracket values f({lo})={flo}, f({hi})={fhi}")
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise SolverError(f"no sign change on [{lo}, {hi}]")
+    lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
+    flo, fhi = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
+    root, active, positive = np.where(flo == 0.0, lo, hi), (flo != 0.0) & (fhi != 0.0), flo > 0.0
+    for bad, what in ((~(np.isfinite(flo) & np.isfinite(fhi)), "non-finite bracket values"),
+                      (active & (positive == (fhi > 0.0)), "no sign change")):
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            raise SolverError(f"{what} on [{lo.flat[i]}, {hi.flat[i]}]: f = {flo.flat[i]}, {fhi.flat[i]}")
     for _ in range(_MAX_HALVINGS):
         mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the top of the float range
-        if not lo < mid < hi:
-            return mid
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if (fmid > 0.0) == (flo > 0.0):
-            lo, flo = mid, fmid
-        else:
-            hi = mid
-    raise SolverError(f"bisection did not converge on [{lo}, {hi}] in {_MAX_HALVINGS} halvings")
+        np.copyto(root, mid, where=active)
+        active = active & (lo < mid) & (mid < hi)  # else no float lies strictly inside
+        if not active.any():
+            return float(root) if root.ndim == 0 else root
+        fmid = np.asarray(f(mid), dtype=float)
+        active &= fmid != 0.0
+        rise = active & ((fmid > 0.0) == positive)
+        np.copyto(lo, mid, where=rise)
+        np.copyto(hi, mid, where=active ^ rise)
+    raise SolverError(f"bisection did not converge in {_MAX_HALVINGS} halvings")
 
 
-def golden_section_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    *,
-    iterations: int = 200,
-) -> tuple[float, float]:
+def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """Maximize a unimodal ``f`` on ``[lo, hi]``; returns ``(x, f(x))``."""
     if not hi > lo:
         raise SolverError(f"empty search bracket [{lo}, {hi}]")
@@ -63,7 +60,7 @@ def golden_section_max(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(iterations):
+    for _ in range(200):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from seqlab.analysis import (
@@ -19,8 +21,8 @@ from seqlab.analysis import (
     timeboost_revenue_threshold,
 )
 from seqlab.cost import CostModel
-from seqlab.equilibrium import Regime
-from seqlab.errors import ConfigError, ParameterError, SolverError
+from seqlab.equilibrium import MarketConfig, Regime, solve_equilibrium
+from seqlab.errors import ConfigError, DomainError, ParameterError, SolverError
 from seqlab.noise import NoiseModel
 
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -322,3 +324,105 @@ def test_sweep_rejects_bad_axes():
         sweep({"beta": [2.0]}, cost=CostModel.timeboost(0.25, 1.0), noise=UNIT_NOISE)
     with pytest.raises(ConfigError):
         sweep({"v": []}, cost=CostModel.power(2.0), noise=UNIT_NOISE)
+
+
+SIDE_FIELDS = {"signal": "signal", "per_chain_cost": "per_chain_cost",
+               "total_cost": "total_cost_per_trader", "expected_profit": "expected_profit"}
+
+
+def _assert_row_equals_report(row, report):
+    for prefix, result in (("shared", report.shared_result), ("separate", report.separate_result)):
+        for column, field in SIDE_FIELDS.items():
+            assert row[f"{prefix}_{column}"].hex() == getattr(result, field).hex(), (prefix, column, row)
+        assert row[f"{prefix}_regime"] == result.regime.value
+    for name in ("shared_total_expenditure", "separate_total_expenditure",
+                 "capture_probability_shared", "capture_probability_separate"):
+        assert row[name].hex() == getattr(report, name).hex(), (name, row)
+    ratio = report.expenditure_ratio
+    assert (row["expenditure_ratio"] is None) if ratio is None else row["expenditure_ratio"].hex() == ratio.hex()
+    assert row["interpretation"] == report.interpretation
+
+
+@pytest.mark.parametrize(
+    ("axes", "cost", "alpha"),
+    [
+        ({"v": [1e-12, 0.02, 0.3, 1.0, 7.0, 1e12], "beta": [1.05, 2.0, 3.5], "cap": [0.0, 0.05, 1.0, 1e3],
+          "alpha": [0.0, 0.35, 1.0], "chains": [1, 2]}, CostModel.power(2.0), 1.0),
+        ({"v": [0.01, 0.2, 0.39894, 1.0, 5.0, 1e9], "c": [0.05, 0.25], "g": [0.5, 1.0, 2.0],
+          "sigma": [0.3, 1.0, 4.0], "alpha": [0.0, 0.6, 1.0]}, CostModel.timeboost(0.25, 1.0, cap=0.45), 1.0),
+        ({"v": [0.1, 1.0, 10.0], "chains": [1, 2, 3, 4, 5]}, CostModel.timeboost(0.25, 1.0), 1.0),
+        ({"v": [0.1, 1.0, 10.0], "chains": [1, 2, 3, 4, 5], "beta": [1.5, 2.0]}, CostModel.power(2.0), 1.0),
+    ],
+    ids=["power-cap-refund", "timeboost-refund", "timeboost-chains", "power-chains"],
+)
+def test_sweep_rows_equal_compare_bit_for_bit(axes, cost, alpha):
+    # the lockstep solve groups rows by cost model; every row must still be
+    # its own compare_expenditure to the last bit
+    rows = sweep(axes, cost=cost, noise=UNIT_NOISE, alpha=alpha)
+    assert len(rows) == math.prod(len(values) for values in axes.values())
+    for row in rows:
+        model = cost if "cap" not in row else CostModel(**{**vars(cost), "cap": row["cap"]})
+        for name in ("beta", "c", "g"):
+            if name in row:
+                model = CostModel(**{**vars(model), name: row[name]})
+        noise = NoiseModel("normal", row.get("sigma", UNIT_NOISE.param))
+        report = compare_expenditure(row["v"], model, noise, row.get("alpha", alpha),
+                                     separate_chains=int(row.get("chains", 2)))
+        _assert_row_equals_report(row, report)
+
+
+def test_refund_sweep_bisects_in_lockstep(monkeypatch):
+    # 1,000 rows are 2,000 refund solves; in lockstep they share one residual
+    # evaluation per halving instead of one per solve per halving
+    evaluations = []
+    unchecked = CostModel._cost
+    monkeypatch.setattr(CostModel, "_cost", lambda self, s: evaluations.append(np.size(s)) or unchecked(self, s))
+    rows = sweep({"v": np.linspace(0.1, 50.0, 500).tolist(), "chains": [1, 2]},
+                 cost=CostModel.power(2.0), noise=NoiseModel("normal", 1.0), alpha=0.5)
+    assert len(rows) == 1000
+    assert 50 <= len(evaluations) <= 100
+    assert max(evaluations) == 2000
+
+
+POWER_COSTS = st.builds(
+    CostModel.power,
+    st.one_of(st.sampled_from([2.0, 1.05]), st.floats(1.05, 6.0)),
+    cap=st.one_of(st.none(), st.floats(0.0, 10.0)),
+)
+TIMEBOOST_COSTS = st.builds(
+    lambda c, g, share: CostModel.timeboost(c, g, cap=None if share is None else share * g),
+    st.floats(1e-3, 10.0), st.floats(0.1, 10.0), st.one_of(st.none(), st.floats(0.0, 0.99)),
+)
+NOISES = st.builds(NoiseModel, st.sampled_from(["normal", "logistic", "laplace", "uniform"]), st.floats(0.1, 10.0))
+PACKAGE_ERRORS = (ParameterError, DomainError, ConfigError, SolverError)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except PACKAGE_ERRORS as exc:  # any other exception escapes and fails the test
+        return type(exc)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cost overflow to inf at the largest values
+@settings(max_examples=400, deadline=None)
+@given(
+    log_v=st.floats(-300.0, 300.0),
+    cost=st.one_of(POWER_COSTS, TIMEBOOST_COSTS),
+    noise=NOISES,
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+    chains=st.sampled_from([1, 2]),
+)
+def test_one_row_sweep_equals_solve_equilibrium(log_v, cost, noise, alpha, chains):
+    v = 10.0**log_v
+    expected = _outcome(lambda: [solve_equilibrium(MarketConfig(v, n, alpha), cost, noise) for n in (1, chains)])
+    rows = _outcome(lambda: sweep({"v": [v]}, cost=cost, noise=noise, alpha=alpha, chains=chains))
+    if isinstance(expected, type) or isinstance(rows, type):
+        assert rows is expected
+        return
+    (row,) = rows
+    for prefix, result in zip(("shared", "separate"), expected):
+        for column, field in SIDE_FIELDS.items():
+            assert row[f"{prefix}_{column}"].hex() == getattr(result, field).hex(), (prefix, column)
+        assert row[f"{prefix}_regime"] == result.regime.value
+        assert math.isfinite(result.signal) and math.isfinite(result.expected_profit)

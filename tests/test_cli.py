@@ -283,3 +283,40 @@ def test_oversized_sweep_exits_before_solving(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert "at most 1000000" in err
+
+
+@pytest.mark.parametrize(
+    ("cost", "grid", "extra", "message"),
+    [
+        ("power:2", "v=-1", [], "trade value must be positive and finite, got -1.0"),
+        ("power:2", "alpha=1.5", [], "refund fraction alpha must lie in [0, 1], got 1.5"),
+        ("power:2", "chains=2.5", [], "chains axis values must be integers, got 2.5"),
+        ("power:2", "beta=0.5", [], "power cost needs elasticity beta >= 1.000001, got 0.5"),
+        ("power:2", "sigma=-1", [], "normal noise needs a positive finite parameter, got -1.0"),
+        ("power:2", "chains=3", ["--alpha", "0.5"], "refund equilibria are available for 1 or 2 chains only"),
+        ("timeboost:c=0.25,g=1", "c=0", [], "timeboost cost needs positive finite c, got 0.0"),
+        ("timeboost:c=0.25,g=1", "cap=1.5", [], "cap 1.5 must lie below the boost bound g=1.0"),
+    ],
+    ids=["v", "alpha", "chains-fraction", "beta", "sigma", "refund-chains", "timeboost-c", "timeboost-cap"],
+)
+def test_malformed_sweep_grid_keeps_its_message(cost, grid, extra, message, capsys):
+    code, out, err = _run(capsys, ["sweep", "--cost", cost, "--noise", "normal:1", "--grid", grid, *extra])
+    assert (code, out, err) == (2, "", f"seqlab: config error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["equilibrium", "sweep"])
+@pytest.mark.parametrize(
+    ("value", "cost", "reason"),
+    [
+        # (m/beta)**(1/(beta-1)) overflows a float
+        ("1e16", "power:1.05", "the power:1.05 signal with marginal cost 3.98942e+15 lies beyond float range"),
+        # g - sqrt(c*g/m) rounds up to g although every input is valid
+        ("1e33", "timeboost:c=0.25,g=1", "the signal rounds to the boost bound g=1.0 at v=1e+33"),
+    ],
+    ids=["power-overflow", "boost-bound"],
+)
+def test_signal_beyond_float_resolution_is_solver_error(command, value, cost, reason, capsys):
+    point = ["--v", value] if command == "equilibrium" else ["--grid", f"v={value}"]
+    code, out, err = _run(capsys, [command, "--cost", cost, "--noise", "normal:1", *point])
+    assert (code, out) == (1, "")
+    assert err == f"seqlab: solver error: {reason}\n"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlab.cost import MIN_BETA, CostModel, parse_cost
-from seqlab.errors import ConfigError, DomainError, ParameterError
+from seqlab.errors import ConfigError, DomainError, ParameterError, SolverError
 
 MODELS = [
     CostModel.power(2.0),
@@ -40,6 +40,26 @@ def test_inverse_marginal_cost_examples():
     assert signal == pytest.approx(0.5, abs=1e-12) and not corner
     assert CostModel.timeboost(0.25, 1.0).marginal_cost(signal) == pytest.approx(1.0, rel=1e-12)
     assert CostModel.timeboost(2.0, 1.0).inverse_marginal_cost(1.0) == (0.0, True)
+
+
+@pytest.mark.parametrize("model", MODELS + [CostModel.power(1.05)], ids=lambda m: m.spec)
+def test_inverse_marginal_cost_of_an_array_equals_float_calls(model):
+    marginals = np.geomspace(1e-6, 1e6, 61)
+    signals, corners = model.inverse_marginal_cost(marginals)
+    alone = [model.inverse_marginal_cost(m) for m in marginals.tolist()]
+    assert [s.hex() for s in signals.tolist()] == [s.hex() for s, _ in alone]
+    assert corners.tolist() == [corner for _, corner in alone]
+    # the unchecked formulas behind the lockstep residual are the checked ones
+    inside = signals[signals < model.admissible_max()]
+    assert model._cost(inside).tolist() == model.cost(inside).tolist()
+    assert model._marginal(inside).tolist() == model.marginal_cost(inside).tolist()
+
+
+def test_inverse_marginal_cost_beyond_float_range():
+    with pytest.raises(SolverError, match="beyond float range"):
+        CostModel.power(1.05).inverse_marginal_cost(np.array([1.0, 1e16]))
+    with pytest.raises(ParameterError, match="got inf"):
+        CostModel.power(2.0).inverse_marginal_cost(np.array([1.0, math.inf]))
 
 
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.spec)
@@ -85,7 +105,7 @@ def test_cap_domain_is_hard():
     assert model.cost(0.4) == pytest.approx(0.16)
     with pytest.raises(DomainError):
         model.cost(0.41)
-    assert model.without_cap().cost(0.41) == pytest.approx(0.41**2)
+    assert CostModel.power(2.0).cost(0.41) == pytest.approx(0.41**2)
 
 
 def test_parameter_validation():

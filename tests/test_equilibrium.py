@@ -14,7 +14,7 @@ from seqlab.equilibrium import (
     solve_equilibrium,
     timeboost_closed_form,
 )
-from seqlab.errors import ParameterError
+from seqlab.errors import ParameterError, SolverError
 from seqlab.noise import NoiseModel
 
 # sigma for which the peak density of the normal difference law is exactly 1
@@ -322,3 +322,16 @@ def test_signal_monotone_in_value(v, beta, n):
     higher = solve_equilibrium(MarketConfig(v * 1.1, n), cost, UNIT_NOISE)
     if lower.regime is Regime.INTERIOR and higher.regime is Regime.INTERIOR:
         assert higher.signal >= lower.signal - 1e-12
+
+
+def test_signal_at_the_boost_bound_is_a_solver_error_unless_capped():
+    # at v = 1e33 the signal g - sqrt(c*g/m) rounds up to g = 1
+    noise, market = NoiseModel("normal", 1.0), MarketConfig(1e33)
+    with pytest.raises(SolverError, match="rounds to the boost bound g=1.0 at v=1e\\+33"):
+        solve_equilibrium(market, CostModel.timeboost(0.25, 1.0), noise)
+    # a cap below g binds before the bound is reached, so the result stands
+    capped = solve_equilibrium(market, CostModel.timeboost(0.25, 1.0, cap=0.5), noise)
+    assert (capped.signal, capped.regime) == (0.5, Regime.CAP_BINDING)
+    # the refund residual is evaluated at the rounded signal, cap or not
+    with pytest.raises(SolverError, match="boost bound"):
+        solve_equilibrium(MarketConfig(1e33, 1, 0.5), CostModel.timeboost(0.25, 1.0, cap=0.5), noise)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from seqlab.errors import SolverError
@@ -33,6 +34,29 @@ def test_bisect_midpoint_does_not_overflow():
     # lo + hi overflows to inf here; the midpoint must not
     root = bisect_root(lambda x: x - 1.5e308, 1e308, 1.7e308)
     assert abs(root - 1.5e308) <= math.ulp(1.5e308)
+
+
+def test_bisect_lockstep_equals_one_point_calls():
+    # roots of very different scale, an endpoint root and an exact zero at the
+    # first midpoint: each point stops on its own, as a one-point call would
+    roots = np.array([1e-300, 1e-12, 0.5, math.pi, 1e10, 1.5e308, 0.0])
+    lo = np.array([0.0, 0.0, 0.0, 0.0, 0.0, 1e308, 0.0])
+    hi = np.array([1e-290, 1.0, 1.0, 4.0, 1.6e63, 1.7e308, 2.0])
+
+    def bent(x, r):
+        return (x - r) / (1.0 + x)
+
+    found = bisect_root(lambda x: bent(x, roots), lo, hi)
+    assert isinstance(found, np.ndarray) and found.shape == roots.shape
+    alone = [bisect_root(lambda x, r=r: bent(x, r), a, b) for r, a, b in zip(roots, lo, hi)]
+    assert all(isinstance(x, float) for x in alone)
+    assert [x.hex() for x in found.tolist()] == [x.hex() for x in alone]
+    assert all(abs(x - r) <= math.ulp(r) for x, r in zip(alone, roots))
+
+
+def test_bisect_lockstep_reports_the_failing_point():
+    with pytest.raises(SolverError, match=r"no sign change on \[2.0, 3.0\]: f = 1.0, 2.0"):
+        bisect_root(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
 
 
 def test_golden_section_maximizes_parabola():
