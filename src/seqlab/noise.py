@@ -25,6 +25,9 @@ reproduces the configured difference law exactly:
 Sampling applies ``quantile`` (or ``trader_noise``) to the counter-based
 uniforms of :func:`seqlab.rng.uniform_stream`, so draw ``i`` is a pure
 function of ``(seed, i)``.
+
+``scipy.special`` is imported on first use, by the normal and logistic
+methods that need it, so solving, comparing and sweeping never load SciPy.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, logit, ndtr, ndtri
 
 from .errors import ConfigError, ParameterError
 
@@ -85,6 +87,7 @@ class NoiseModel:
         if self.family == "normal":
             out = np.exp(-0.5 * (x / b) ** 2) / (_SQRT_2PI * b)
         elif self.family == "logistic":
+            from scipy.special import expit
             p = expit(x / b)
             out = p * (1.0 - p) / b
         elif self.family == "laplace":
@@ -97,8 +100,10 @@ class NoiseModel:
         x = np.asarray(x, dtype=float)
         b = self.param
         if self.family == "normal":
+            from scipy.special import ndtr
             out = ndtr(x / b)
         elif self.family == "logistic":
+            from scipy.special import expit
             out = expit(x / b)
         elif self.family == "laplace":
             out = np.where(
@@ -115,8 +120,10 @@ class NoiseModel:
         b = self.param
         with np.errstate(divide="ignore"):
             if self.family == "normal":
+                from scipy.special import ndtri
                 out = b * ndtri(p)
             elif self.family == "logistic":
+                from scipy.special import logit
                 out = b * logit(p)
             elif self.family == "laplace":
                 out = np.where(p < 0.5, b * np.log(2.0 * p), -b * np.log(2.0 * (1.0 - p)))
@@ -131,6 +138,7 @@ class NoiseModel:
     def trader_noise(self, u):
         """Per-trader noise terms from uniforms; differences have this law."""
         if self.family == "normal":
+            from scipy.special import ndtri
             return ndtri(u) * (self.param / math.sqrt(2.0))
         if self.family == "logistic":
             return -self.param * np.log(-np.log(u))

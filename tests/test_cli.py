@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+import warnings
 
 import pytest
 
@@ -320,3 +325,49 @@ def test_signal_beyond_float_resolution_is_solver_error(command, value, cost, re
     code, out, err = _run(capsys, [command, "--cost", cost, "--noise", "normal:1", *point])
     assert (code, out) == (1, "")
     assert err == f"seqlab: solver error: {reason}\n"
+
+
+def test_chain_counts_past_1024_solve_or_name_the_chain_count(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, ["equilibrium", "--v", "1e10", "--chains", "1030", "--cost", "power:2",
+                                       "--noise", "normal:1", "--format", "json"])
+        assert (code, err) == (0, "")
+        result = json.loads(out)["result"]
+        # power:2 signal M/2 with M = f0*v/2**1029
+        assert result["signal"] == pytest.approx(math.ldexp(1e10 / math.sqrt(2.0 * math.pi), -1030), rel=1e-11)
+        assert result["regime"] == "interior"
+        # M = f0/2**1099 lies below the smallest float
+        for argv in (["equilibrium", "--v", "1", "--chains", "1100"], ["sweep", "--v", "1", "--grid", "chains=1:1:1100"]):
+            code, out, err = _run(capsys, [*argv, "--cost", "power:2", "--noise", "normal:1"])
+            assert (code, out) == (2, "")
+            assert err.startswith("seqlab: config error: the stake f0*v/2**(n-1) underflows to 0 at chains=")
+        assert err.endswith(" at chains=1075, v=1\n")
+
+
+def _probe_scipy(argv):
+    """Exit code and the scipy modules loaded by ``main(argv)`` in a fresh interpreter."""
+    code = ("import sys; from seqlab.cli import main; code = main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+    code, _, modules = out.stderr.splitlines()[-1].partition(" ")
+    return int(code), modules
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["equilibrium", "--v", "2", "--cost", "power:2", "--noise", "normal:1"], 0),
+    (["compare", "--v", "2", "--cost", "timeboost:c=0.25,g=1", "--noise", "logistic:1"], 0),
+    (["sweep", "--grid", "v=0.5:0.5:2", "--alpha", "0.5", "--cost", "power:2", "--noise", "normal:1"], 0),
+    (["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1", "--value-dist", "exp:1"], 0),
+    (["equilibrium", "--v", "2", "--cost", "power:x", "--noise", "normal:1"], 2),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_commands_that_never_sample_leave_out_scipy(argv, expected):
+    assert _probe_scipy(argv) == (expected, "[]")
+
+
+def test_sampling_loads_scipy_special():
+    # the probe above sees a lazy import when one happens
+    code, modules = _probe_scipy(["simulate", "--v", "2", "--cost", "power:2", "--noise", "normal:1",
+                                  "--signals", "0.5,0.5", "--trials", "1000"])
+    assert code == 0 and "'scipy.special'" in modules

@@ -272,6 +272,19 @@ def test_chain_count_decay_rate(beta):
             assert upper / lower == pytest.approx(expected_ratio, abs=1e-9)
 
 
+def test_chain_counts_past_1024_solve_until_the_stake_underflows():
+    # 2**(n-1) overflows past n = 1024; the stake f0*v/2**(n-1) lasts until about n = 1075 + log2(f0*v)
+    cost, f0 = CostModel.power(2.0), UNIT_NOISE.density_at_zero()
+    for n in (1024, 1030, 1070):
+        market = MarketConfig(1e10, n)
+        result = solve_equilibrium(market, cost, UNIT_NOISE)
+        assert result == latency_closed_form(market, 2.0, f0)
+        assert result.regime is Regime.INTERIOR and result.signal > 0.0
+    for solve in (lambda m: solve_equilibrium(m, cost, UNIT_NOISE), lambda m: latency_closed_form(m, 2.0, f0)):
+        with pytest.raises(ParameterError, match=r"at chains=1100, v=1$"):
+            solve(MarketConfig(1.0, 1100))
+
+
 def test_interior_foc_residual_is_tiny():
     for beta in (1.5, 2.0, 5.0):
         for v in (0.1, 1.0):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import expit, logit, ndtr, ndtri
 
 from seqlab.errors import ConfigError, ParameterError
 from seqlab.noise import FAMILIES, NoiseModel, parse_noise
@@ -30,6 +31,28 @@ INV_SQRT_2PI = 0.3989422804014327
 
 # frozen from a 50-digit erf evaluation of the standard normal CDF at 1
 PHI_AT_1 = 0.8413447460685429
+
+
+@pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
+def test_normal_and_logistic_evaluate_scipy_special_bit_for_bit(b):
+    normal, logistic = NoiseModel("normal", b), NoiseModel("logistic", b)
+    x = np.concatenate([np.linspace(-50.0, 50.0, 4001) * b, [-1e300, -1e-300, 0.0, 1e-300, 1e300]])
+    u = np.concatenate([uniform_stream(7, 0, 4096), [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
+    with np.errstate(all="ignore"):  # the edges reach the infinite tails
+        p = expit(x / b)
+        cases = [
+            (normal.cdf, x, ndtr(x / b)),
+            (normal.quantile, u, b * ndtri(u)),
+            (normal.trader_noise, u, ndtri(u) * (b / math.sqrt(2.0))),
+            (normal.pdf, x, np.exp(-0.5 * (x / b) ** 2) / (math.sqrt(2.0 * math.pi) * b)),
+            (logistic.pdf, x, p * (1.0 - p) / b),
+            (logistic.cdf, x, p),
+            (logistic.quantile, u, b * logit(u)),
+            (logistic.trader_noise, u, -b * np.log(-np.log(u))),
+        ]
+        for method, arg, expected in cases:
+            assert np.array_equal(method(arg), expected), method
+            assert all(method(a) == e for a, e in zip(arg[::97].tolist(), expected[::97].tolist())), method
 
 
 def test_density_at_zero_examples():
