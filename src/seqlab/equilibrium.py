@@ -117,20 +117,12 @@ def _settle(v, n, alpha, signal, per_chain, regime, invest) -> Equilibria:
     # at the symmetric point every race is a coin flip; a lost race still
     # costs an alpha fraction of that chain's bid
     capture, weight = np.ldexp(1.0, -n), n * 0.5 * (1.0 + alpha)
+    if (capture == 0.0).any():  # past 1074 chains 2**-n is below the smallest float
+        raise ParameterError(f"the capture probability 2**-n underflows to 0 at chains={n[capture == 0.0][0]}")
     invest = invest & (v * capture - weight * per_chain >= 0.0)
     per_chain = np.where(invest, per_chain, 0.0)
     return Equilibria(np.where(invest, signal, 0.0), per_chain, n * per_chain, capture,
                       v * capture - weight * per_chain, np.where(invest, regime, _ZERO))
-
-
-def _stake(f0, v, n):
-    """``M = f0*v / 2**(n-1)``, scaled by an exact power of two so no ``2**(n-1)`` overflows."""
-    stake = np.ldexp(f0 * v, 1 - n)
-    lost = np.flatnonzero(stake == 0.0)
-    if lost.size:
-        n, v = np.ravel(n)[lost[0]], np.ravel(v)[lost[0]]
-        raise ParameterError(f"the stake f0*v/2**(n-1) underflows to 0 at chains={n}, v={v:.6g}")
-    return stake
 
 
 def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
@@ -162,7 +154,10 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
     f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
     if ((alpha != 1.0) & (n > 2)).any():
         raise ParameterError("refund equilibria are available for 1 or 2 chains only")
-    marginal = _stake(f0, v, n)
+    marginal = np.ldexp(f0 * v, 1 - n)  # M = f0*v/2**(n-1), with no 2**(n-1) to overflow
+    lost = marginal == 0.0
+    if lost.any():
+        raise ParameterError(f"the stake f0*v/2**(n-1) underflows to 0 at chains={n[lost][0]}, v={v[lost][0]:.6g}")
     upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + alpha))
     refund = (alpha != 1.0) & ~corner
     # the refund residual is evaluated at upper, and so is an uncapped signal's cost
@@ -195,7 +190,10 @@ def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> Equilib
         raise ParameterError(f"power cost needs beta > 1, got {beta!r}")
     if not (math.isfinite(f0) and f0 > 0.0):
         raise ParameterError(f"peak noise density must be positive, got {f0!r}")
-    base = float(_stake(f0, market.v, market.n_chains)) / beta
+    stake = math.ldexp(f0 * market.v, 1 - market.n_chains)
+    if stake == 0.0:
+        raise ParameterError(f"the stake f0*v/2**(n-1) underflows to 0 at chains={market.n_chains}, v={market.v:.6g}")
+    base = stake / beta
     signal = base ** (1.0 / (beta - 1.0))
     per_chain_cost = base ** (beta / (beta - 1.0))
     return _settle(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True).result(0)

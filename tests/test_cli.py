@@ -337,12 +337,16 @@ def test_chain_counts_past_1024_solve_or_name_the_chain_count(capsys):
         # power:2 signal M/2 with M = f0*v/2**1029
         assert result["signal"] == pytest.approx(math.ldexp(1e10 / math.sqrt(2.0 * math.pi), -1030), rel=1e-11)
         assert result["regime"] == "interior"
-        # M = f0/2**1099 lies below the smallest float
-        for argv in (["equilibrium", "--v", "1", "--chains", "1100"], ["sweep", "--v", "1", "--grid", "chains=1:1:1100"]):
+        # M = f0/2**1099 lies below the smallest float, and so does the capture probability 2**-1100
+        stake, capture = "the stake f0*v/2**(n-1)", "the capture probability 2**-n"
+        for argv, reason in [
+            (["equilibrium", "--v", "1", "--chains", "1100"], f"{stake} underflows to 0 at chains=1100, v=1"),
+            (["sweep", "--v", "1", "--grid", "chains=1:1:1100"], f"{stake} underflows to 0 at chains=1075, v=1"),
+            (["equilibrium", "--v", "1e10", "--chains", "1100"], f"{capture} underflows to 0 at chains=1100"),
+            (["sweep", "--v", "1e10", "--grid", "chains=1070:1:1100"], f"{capture} underflows to 0 at chains=1075"),
+        ]:
             code, out, err = _run(capsys, [*argv, "--cost", "power:2", "--noise", "normal:1"])
-            assert (code, out) == (2, "")
-            assert err.startswith("seqlab: config error: the stake f0*v/2**(n-1) underflows to 0 at chains=")
-        assert err.endswith(" at chains=1075, v=1\n")
+            assert (code, out, err) == (2, "", f"seqlab: config error: {reason}\n")
 
 
 def _probe_scipy(argv):
@@ -364,10 +368,3 @@ def _probe_scipy(argv):
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     assert _probe_scipy(argv) == (expected, "[]")
-
-
-def test_sampling_loads_scipy_special():
-    # the probe above sees a lazy import when one happens
-    code, modules = _probe_scipy(["simulate", "--v", "2", "--cost", "power:2", "--noise", "normal:1",
-                                  "--signals", "0.5,0.5", "--trials", "1000"])
-    assert code == 0 and "'scipy.special'" in modules

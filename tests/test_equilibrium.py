@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -272,17 +273,25 @@ def test_chain_count_decay_rate(beta):
             assert upper / lower == pytest.approx(expected_ratio, abs=1e-9)
 
 
-def test_chain_counts_past_1024_solve_until_the_stake_underflows():
-    # 2**(n-1) overflows past n = 1024; the stake f0*v/2**(n-1) lasts until about n = 1075 + log2(f0*v)
+def test_chain_counts_past_1024_solve_until_the_stake_or_capture_underflows():
+    # 2**(n-1) overflows past n = 1024; the stake f0*v/2**(n-1) lasts until about n = 1075 + log2(f0*v),
+    # the capture probability 2**-n until n = 1074
     cost, f0 = CostModel.power(2.0), UNIT_NOISE.density_at_zero()
-    for n in (1024, 1030, 1070):
+    for n in (1024, 1030, 1070, 1074):
         market = MarketConfig(1e10, n)
         result = solve_equilibrium(market, cost, UNIT_NOISE)
         assert result == latency_closed_form(market, 2.0, f0)
-        assert result.regime is Regime.INTERIOR and result.signal > 0.0
+        assert result.regime is Regime.INTERIOR and result.signal > 0.0 and result.capture_probability > 0.0
     for solve in (lambda m: solve_equilibrium(m, cost, UNIT_NOISE), lambda m: latency_closed_form(m, 2.0, f0)):
-        with pytest.raises(ParameterError, match=r"at chains=1100, v=1$"):
+        stake = re.escape("the stake f0*v/2**(n-1) underflows to 0")
+        with pytest.raises(ParameterError, match=rf"^{stake} at chains=1100, v=1$"):
             solve(MarketConfig(1.0, 1100))
+        with pytest.raises(ParameterError, match=rf"^{stake} at chains=100, v=1e-300$"):
+            solve(MarketConfig(1e-300, 100))
+        capture = re.escape("the capture probability 2**-n underflows to 0")
+        for n in (1075, 1100):
+            with pytest.raises(ParameterError, match=rf"^{capture} at chains={n}$"):
+                solve(MarketConfig(1e10, n))
 
 
 def test_interior_foc_residual_is_tiny():

@@ -44,11 +44,9 @@ def test_normal_and_logistic_evaluate_scipy_special_bit_for_bit(b):
             (normal.cdf, x, ndtr(x / b)),
             (normal.quantile, u, b * ndtri(u)),
             (normal.trader_noise, u, ndtri(u) * (b / math.sqrt(2.0))),
-            (normal.pdf, x, np.exp(-0.5 * (x / b) ** 2) / (math.sqrt(2.0 * math.pi) * b)),
             (logistic.pdf, x, p * (1.0 - p) / b),
             (logistic.cdf, x, p),
             (logistic.quantile, u, b * logit(u)),
-            (logistic.trader_noise, u, -b * np.log(-np.log(u))),
         ]
         for method, arg, expected in cases:
             assert np.array_equal(method(arg), expected), method
