@@ -160,12 +160,14 @@ def _merge_config(args: argparse.Namespace, params: dict) -> None:
         if getattr(args, attr) is None:
             if attr == "grid" and not isinstance(value, list):
                 value = [value]
-            elif attr in _CASTS and isinstance(value, str):
+            elif attr in _CASTS and isinstance(value, (str, bool)):
+                kind = "an integer" if _CASTS[attr] is int else "a number"
+                if isinstance(value, bool):  # JSON true and false are ints to Python
+                    raise ConfigError(f"config key {key!r} needs {kind}, got {json.dumps(value)}")
                 try:
                     value = _CASTS[attr](value)
                 except ValueError:
-                    kind = _CASTS[attr].__name__
-                    raise ConfigError(f"config key {key!r} needs a {kind} value, got {value!r}") from None
+                    raise ConfigError(f"config key {key!r} needs {kind}, got {value!r}") from None
             setattr(args, attr, value)
 
 

@@ -58,6 +58,11 @@ class Regime(enum.Enum):
     ZERO_INVESTMENT = "zero_investment"
 
 
+def _real(x, kinds=(int, float)) -> bool:
+    """Whether ``x`` is one of ``kinds``, bools excluded (``True`` is an int to Python)."""
+    return isinstance(x, kinds) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """Game parameters: arbitrage value, chain count, refund fraction."""
@@ -67,11 +72,11 @@ class MarketConfig:
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.v, (int, float)) and math.isfinite(self.v) and self.v > 0):
+        if not (_real(self.v) and math.isfinite(self.v) and self.v > 0):
             raise ParameterError(f"trade value must be positive and finite, got {self.v!r}")
-        if not (isinstance(self.n_chains, int) and self.n_chains >= 1):
+        if not (_real(self.n_chains, int) and self.n_chains >= 1):
             raise ParameterError(f"chain count must be an integer >= 1, got {self.n_chains!r}")
-        if not (isinstance(self.alpha, (int, float)) and 0.0 <= self.alpha <= 1.0):
+        if not (_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"refund fraction alpha must lie in [0, 1], got {self.alpha!r}")
         object.__setattr__(self, "v", float(self.v))
         object.__setattr__(self, "alpha", float(self.alpha))
@@ -125,6 +130,34 @@ def _settle(v, n, alpha, signal, per_chain, regime, invest) -> Equilibria:
                       v * capture - weight * per_chain, np.where(invest, regime, _ZERO))
 
 
+def _stake(f0, v, n):
+    """Each market's stake ``M = f0*v/2**(n-1)``, where it is a positive float.
+
+    Neither ``2**(n-1)`` nor an ``f0*v`` past the float range is formed: such
+    a product is scaled from the frexp mantissas of its factors, and every
+    finite product keeps its bits. A stake that still overflows, or that
+    underflows to 0, is a ParameterError naming the chain count and ``v``.
+    """
+    with np.errstate(over="ignore"):
+        product = f0 * v
+    stake = np.ldexp(product, 1 - n)
+    if product.max() == math.inf:
+        beyond = np.isinf(product)
+        (m0, e0), (m1, e1) = np.frexp(f0[beyond]), np.frexp(v[beyond])
+        with np.errstate(over="ignore"):
+            stake[beyond] = np.ldexp(m0 * m1, e0 + e1 + 1 - n[beyond])
+        _name_first(np.isinf(stake), "the stake f0*v/2**(n-1) overflows", n, v)
+    if stake.min() == 0.0:
+        _name_first(stake == 0.0, "the stake f0*v/2**(n-1) underflows to 0", n, v)
+    return stake
+
+
+def _name_first(bad, what: str, n, v) -> None:
+    """Raise a ParameterError naming the first market where ``bad`` holds, if any."""
+    if bad.any():
+        raise ParameterError(f"{what} at chains={n[bad][0]}, v={v[bad][0]:.6g}")
+
+
 def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
     """Stationarity roots on ``[0, upper]``, bisected in lockstep."""
 
@@ -154,10 +187,7 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
     f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
     if ((alpha != 1.0) & (n > 2)).any():
         raise ParameterError("refund equilibria are available for 1 or 2 chains only")
-    marginal = np.ldexp(f0 * v, 1 - n)  # M = f0*v/2**(n-1), with no 2**(n-1) to overflow
-    lost = marginal == 0.0
-    if lost.any():
-        raise ParameterError(f"the stake f0*v/2**(n-1) underflows to 0 at chains={n[lost][0]}, v={v[lost][0]:.6g}")
+    marginal = _stake(f0, v, n)
     upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + alpha))
     refund = (alpha != 1.0) & ~corner
     # the refund residual is evaluated at upper, and so is an uncapped signal's cost
@@ -169,7 +199,13 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
         root[refund] = _refund_roots(cost, f0[refund], marginal[refund], alpha[refund], upper[refund])
     cap = np.inf if cost.cap is None else cost.cap
     signal, regime = np.minimum(root, cap), np.where(root > cap, _CAP_BINDING, _INTERIOR)
-    return _settle(v, n, alpha, signal, cost.cost(signal), regime, signal > 0.0)
+    with np.errstate(over="ignore"):
+        per_chain = cost.cost(signal)
+    if per_chain.max() == math.inf:
+        beyond = np.isinf(per_chain)
+        raise SolverError(f"the {cost.spec} cost of the signal {signal[beyond][0]:.6g} lies beyond float range "
+                          f"at chains={n[beyond][0]}, v={v[beyond][0]:.6g}")
+    return _settle(v, n, alpha, signal, per_chain, regime, signal > 0.0)
 
 
 def solve_equilibrium(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
@@ -190,10 +226,7 @@ def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> Equilib
         raise ParameterError(f"power cost needs beta > 1, got {beta!r}")
     if not (math.isfinite(f0) and f0 > 0.0):
         raise ParameterError(f"peak noise density must be positive, got {f0!r}")
-    stake = math.ldexp(f0 * market.v, 1 - market.n_chains)
-    if stake == 0.0:
-        raise ParameterError(f"the stake f0*v/2**(n-1) underflows to 0 at chains={market.n_chains}, v={market.v:.6g}")
-    base = stake / beta
+    base = float(_stake(*np.atleast_1d(f0, market.v, market.n_chains))[0]) / beta
     signal = base ** (1.0 / (beta - 1.0))
     per_chain_cost = base ** (beta / (beta - 1.0))
     return _settle(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True).result(0)

@@ -8,6 +8,14 @@ unilateral deviations against common random numbers. Nothing here reuses
 the solvers' algebra beyond the cost function itself, so the estimates are
 an independent check on the closed forms.
 
+A race is monotone in trader 1's signal, so the scan does not race each
+deviation profile: per (trial, chain) a binary search over the sorted
+deviation values finds the first that wins, and every profile's counts
+come from histograms of those thresholds. A scan costs
+O(trials * chains * log grid) races plus the histograms of the per-chain
+mesh, not O(profiles * trials), and its counts are exactly those of the
+per-profile race.
+
 Determinism contract: the uniform driving trial ``t``, chain ``k``, slot
 ``j`` is word ``(t*n + k)*3 + j`` of the counter-based stream keyed by the
 seed (slots 0 and 1 feed the two traders' noise, slot 2 breaks ties), so an
@@ -28,16 +36,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import CostModel
-from .equilibrium import EquilibriumResult, MarketConfig
+from .equilibrium import EquilibriumResult, MarketConfig, _real
 from .errors import ConfigError
 from .noise import NoiseModel
-from .rng import uniform_stream
+from .rng import raw_words, to_uniform
 
 _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
-# (profile, trial) cells raced per block: bounds the temporaries however many
-# trials or deviation profiles there are
-_BLOCK_CELLS = 1 << 18
+_HEADS_BELOW = np.uint64(1 << 63)  # a tie-break word below this is heads: its u < 1/2
 _Z95 = 1.96
 
 
@@ -76,9 +82,9 @@ class SimulationSpec:
     def __post_init__(self) -> None:
         rows = _per_chain_signals(self.signals, self.market.n_chains)
         object.__setattr__(self, "signals", tuple(tuple(float(s) for s in row) for row in rows))
-        if not (isinstance(self.trials, int) and self.trials >= 1):
+        if not (_real(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (_real(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         for trader in self.signals:
             for s in trader:
@@ -102,65 +108,196 @@ def _probability_halfwidth(p: float, trials: int) -> float:
     return _Z95 * math.sqrt(p * (1.0 - p) / trials)
 
 
-def _tally(own: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
-    """Exact race counts of trader 1's profiles against one rival profile.
+def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
+    """Exact race counts of trader 1's deviation profiles against one rival profile.
 
-    Column ``p`` of the ``(n, P)`` array ``own`` is one per-chain profile of
-    trader 1; ``rival`` holds trader 2's ``n`` signals. Each chunk of trials
-    draws its uniforms and noise once, and every profile races against those
-    same draws, so a profile's counts are exactly those of a one-profile run
-    with the same seed. Returns ``captures`` of shape ``(2, P)`` (trials in
-    which trader 1, resp. trader 2, won every chain) and ``joint`` of shape
-    ``(n, n, P)``, the trials in which trader 1 won both chain ``k`` and
-    chain ``l``, so its per-chain wins are the diagonal.
+    Each family is a tuple of trader 1's ``n`` per-chain entries, which
+    broadcast against each other: scalars, or arrays that vary along one
+    axis each (entries along the same axis hold the same values). Its
+    profiles are the points of the broadcast shape. ``rival`` holds trader
+    2's ``n`` signals. Each chunk of trials draws its uniforms and noise once.
+    The race is monotone in trader 1's signal, so per family and (trial,
+    chain) a lockstep binary search over the axis's sorted values finds the
+    first one that wins, and every profile's counts follow from histograms
+    of those thresholds. They are exactly the counts of a one-profile run
+    with the same seed.
+
+    Returns ``captures`` of shape ``(2, P)`` (trials in which trader 1,
+    resp. trader 2, won every chain) and ``joint`` of shape ``(n, n, P)``,
+    the trials in which trader 1 won both chain ``k`` and chain ``l``, so its
+    per-chain wins are the diagonal; ``P`` runs over the profiles of every
+    family, each family flattened in C order.
     """
-    n, profiles = own.shape
-    gap = own - rival[:, None]
-    captures = np.zeros((2, profiles), dtype=np.int64)
-    joint = np.zeros((n, n, profiles), dtype=np.int64)
+    n = len(rival)
+    scans = [_Scan(family, rival) for family in families]
     for start in range(0, trials, _CHUNK_TRIALS):
-        _race_chunk(gap, noise, seed, start, min(_CHUNK_TRIALS, trials - start), captures, joint)
+        _race_chunk(scans, noise, seed, start, min(_CHUNK_TRIALS, trials - start))
+    counts = [scan.counts() for scan in scans]
+    captures = np.concatenate([c[:2] for c in counts], axis=1)
+    joint = np.empty((n, n, captures.shape[1]), dtype=np.int64)
+    pairs = iter(np.concatenate([c[2:] for c in counts], axis=1))
     for k in range(n):
-        for l in range(k + 1, n):
-            joint[l, k] = joint[k, l]
+        for l in range(k, n):
+            joint[k, l] = joint[l, k] = next(pairs)
     return captures, joint
 
 
-def _race_chunk(gap: np.ndarray, noise: NoiseModel, seed: int, start: int, m: int,
-                captures: np.ndarray, joint: np.ndarray) -> None:
-    """Add the counts of trials ``[start, start + m)`` to ``captures`` and
-    the upper triangle of ``joint``. A function of its own so the chunk's
-    draws are freed before the next chunk draws its own."""
-    n, profiles = gap.shape
-    words_per_trial = _SLOTS * n
-    u = uniform_stream(seed, start * words_per_trial, m * words_per_trial).reshape(m, n, _SLOTS)
-    # per chain, contiguous over trials: trader 1's noise, trader 2's (none
-    # for the uniform law, whose difference is drawn directly), the coin
+def _race_chunk(scans, noise: NoiseModel, seed: int, start: int, m: int) -> None:
+    """Add the counts of trials ``[start, start + m)`` to every scan. A
+    function of its own so the chunk's draws are freed before the next
+    chunk draws its own."""
+    n = scans[0].n
+    words = raw_words(seed, start * _SLOTS * n, m * _SLOTS * n).reshape(m, n, _SLOTS).T
+    # per chain, contiguous over trials: trader 1's uniforms, trader 2's (none
+    # for the uniform law, whose difference is drawn directly) and the coin,
+    # heads when the word's top bit is clear. The words go before the noise
+    # is drawn: a chunk that holds them to the end peaks past the point where
+    # the allocator hands its pages back, and every chunk faults them in anew.
+    u = to_uniform(words[:2] if noise.has_trader_law else words[:1])
+    heads = words[2] < _HEADS_BELOW
+    del words
     if noise.has_trader_law:
-        mine = np.ascontiguousarray(noise.trader_noise(u[:, :, 0]).T)
-        theirs = np.ascontiguousarray(noise.trader_noise(u[:, :, 1]).T)
+        mine, theirs = (noise.trader_noise(x) for x in u)
     else:
-        mine, theirs = np.ascontiguousarray(noise.quantile(u[:, :, 0]).T), None
-    heads = np.ascontiguousarray(u[:, :, 2].T < 0.5)
-    block = max(1, _BLOCK_CELLS // m)
-    for lo in range(0, profiles, block):
-        hi = min(lo + block, profiles)
-        cols = slice(lo, hi)
-        win = np.empty((n, hi - lo, m), dtype=bool)
-        for k in range(n):
-            diff = gap[k, cols, None] + mine[k]
-            if theirs is not None:
-                diff -= theirs[k]
-            np.greater(diff, 0.0, out=win[k])
-            tie = diff == 0.0
-            if tie.any():
-                np.copyto(win[k], heads[k], where=tie)
-        captures[0, cols] += np.count_nonzero(np.logical_and.reduce(win), axis=1)
-        captures[1, cols] += m - np.count_nonzero(np.logical_or.reduce(win), axis=1)
-        for k in range(n):
-            joint[k, k, cols] += np.count_nonzero(win[k], axis=1)
-            for l in range(k + 1, n):
-                joint[k, l, cols] += np.count_nonzero(win[k] & win[l], axis=1)
+        mine, theirs = noise.quantile(u[0]), None
+    del u
+    race = _Race(mine, theirs, heads)
+    for scan in scans:
+        scan.add(race)
+
+
+class _Race:
+    """One chunk's draws per chain: the unchanged win test at any gap."""
+
+    def __init__(self, mine, theirs, heads):
+        self.mine, self.theirs, self.heads = mine, theirs, heads
+
+    def wins(self, k: int, gap) -> np.ndarray:
+        """Whether trader 1 wins chain ``k`` of each trial at ``gap`` (own
+        minus rival signal, a scalar or one per trial): ``(gap + a) - b >
+        0``, and on an exact tie the coin."""
+        diff = gap + self.mine[k]
+        if self.theirs is not None:
+            diff -= self.theirs[k]
+        won = diff > 0.0
+        tie = diff == 0.0
+        if tie.any():
+            won[tie] = self.heads[k][tie]
+        return won
+
+    def thresholds(self, k: int, gaps: np.ndarray) -> np.ndarray:
+        """Per trial, the index of the first of the non-decreasing ``gaps``
+        that wins chain ``k``.
+
+        ``gap + a`` and then ``- b`` round monotonically, so the test is
+        monotone in the gap and trader 1 wins at every index from there on.
+        A lockstep binary search races each trial ``log2(len(gaps) + 1)``
+        times; ``gaps`` holds ``2**j - 1`` entries, padded with ``+inf``,
+        which always wins, so a trial that no real gap wins gets the index of
+        the first pad.
+        """
+        lost = np.zeros(len(self.mine[k]), dtype=np.intp)
+        step = (len(gaps) + 1) // 2
+        while step:
+            won = self.wins(k, gaps[lost + (step - 1)])
+            lost += step * ~won
+            step //= 2
+        return lost
+
+
+_WIN, _LOSE = 0, 1
+
+
+class _Scan:
+    """One family of profiles: its thresholds' histograms over the chunks.
+
+    Chains whose entries vary along the same axis form a group; a profile
+    at rank ``r`` of the group's sorted distinct values wins chain ``k``
+    exactly when ``r`` reaches the chain's threshold, so it wins every chain
+    of the group when ``r`` reaches their max and loses every one when ``r``
+    stays below their min. Scalar entries give per-trial booleans instead.
+    Each count (trader 1 wins every chain, loses every chain, wins chain
+    ``k`` and chain ``l``) is a histogram over the groups' thresholds among
+    the trials the scalar chains allow; cumulative sums along each axis turn
+    it into the count at every profile.
+    """
+
+    def __init__(self, family, rival: np.ndarray):
+        entries = [np.asarray(e, dtype=float) for e in family]
+        self.n = n = len(entries)
+        self.shape = shape = np.broadcast_shapes(*(e.shape for e in entries))
+        self.gaps, self.group = [], []  # per chain: gap(s) to the rival, group (None: scalar)
+        axes, self.ranks, self.sizes = {}, [], []  # per group: its axis; rank of each position, bins
+        for k, e in enumerate(entries):
+            if e.size == 1:
+                self.group.append(None)
+                self.gaps.append(e.reshape(-1)[0] - rival[k])
+                continue
+            varies = np.flatnonzero(np.array((1,) * (len(shape) - e.ndim) + e.shape) > 1)
+            if len(varies) != 1:
+                raise ValueError(f"the entry of chain {k} must vary along one axis, got shape {e.shape}")
+            axis, flat = int(varies[0]), e.reshape(-1)
+            if axis not in axes:
+                distinct, rank = np.unique(flat, return_inverse=True)
+                # +inf pads to 2**j - 1 values for the search, and always wins
+                padded = np.full((1 << len(distinct).bit_length()) - 1, np.inf)
+                padded[:len(distinct)] = distinct
+                axes[axis] = flat, padded, len(self.ranks)
+                self.ranks.append(rank.reshape([-1 if a == axis else 1 for a in range(len(shape))]))
+                self.sizes.append(len(distinct) + 1)
+            first, padded, g = axes[axis]
+            if not np.array_equal(flat, first):
+                raise ValueError(f"entries along axis {axis} must hold the same values")
+            self.group.append(g)
+            self.gaps.append(padded - rival[k])
+        self.keys = [(_WIN, tuple(range(n))), (_LOSE, tuple(range(n)))]
+        self.keys += [(_WIN, (k,) if k == l else (k, l)) for k in range(n) for l in range(k, n)]
+        self.hists = [0] * len(self.keys)
+
+    def add(self, race: _Race) -> None:
+        won, first = {}, {}
+        for k, gap in enumerate(self.gaps):
+            if self.group[k] is None:
+                won[k] = race.wins(k, gap)
+            else:
+                first[k] = race.thresholds(k, gap)
+        for i, (side, chains) in enumerate(self.keys):
+            mask, dims = None, {}
+            for k in chains:
+                if k in won:
+                    w = won[k] if side == _WIN else ~won[k]
+                    mask = w if mask is None else mask & w
+                else:
+                    g, t = self.group[k], first[k]
+                    dims[g] = t if g not in dims else (np.maximum if side == _WIN else np.minimum)(dims[g], t)
+            self.hists[i] += self._histogram(dims, mask)
+
+    def _histogram(self, dims: dict, mask):
+        """Trials the mask allows, binned by the groups' thresholds."""
+        if not dims:  # every chain is scalar
+            return np.count_nonzero(mask)
+        sizes = [self.sizes[g] for g in sorted(dims)]
+        index = None
+        for g in sorted(dims):
+            index = dims[g] if index is None else index * self.sizes[g] + dims[g]
+        if mask is not None:
+            index = index[mask]
+        return np.bincount(index, minlength=math.prod(sizes)).reshape(sizes)
+
+    def counts(self) -> np.ndarray:
+        """Every key's count at every profile, shape ``(len(keys), P)``."""
+        out = np.empty((len(self.keys), math.prod(self.shape)), dtype=np.int64)
+        for row, (side, chains), hist in zip(out, self.keys, self.hists):
+            groups = sorted({self.group[k] for k in chains} - {None})
+            hist = np.asarray(hist, dtype=np.int64)
+            for axis in range(hist.ndim):
+                if side == _WIN:  # trials whose thresholds are at or below the ranks
+                    hist = np.cumsum(hist, axis=axis)
+                else:  # trials whose thresholds are above them
+                    hist = np.flip(np.cumsum(np.flip(hist, axis), axis=axis), axis)
+            at = tuple(self.ranks[g] + side for g in groups)
+            row[:] = np.broadcast_to(hist[at], self.shape).reshape(-1)
+        return out
 
 
 def _payoff_statistics(trials: int, market: MarketConfig, costs, captures: np.ndarray, joint: np.ndarray):
@@ -206,7 +343,7 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     """
     market, trials = spec.market, spec.trials
     own, rival = (np.array(row) for row in spec.signals)
-    captures, joint = _tally(own[:, None], rival, spec.noise, trials, spec.seed)
+    captures, joint = _tally([tuple(own)], rival, spec.noise, trials, spec.seed)
     wins = np.array([joint[k, k] for k in range(market.n_chains)])
     # trader 2 wins a chain exactly when trader 1 loses it
     rival_joint = trials - wins[:, None] - wins[None, :] + joint
@@ -299,7 +436,7 @@ def verify_best_response(
     The scan covers the equal-on-every-chain family over the deviation grid
     and, with more than one chain, a per-chain product grid (coarser per
     axis). Analytic mode evaluates the closed-form payoff over each family
-    at once. Monte Carlo mode races the baseline and every profile of both
+    at once. Monte Carlo mode counts the baseline and every profile of both
     families against the same draws of each chunk (common random numbers),
     so each score equals ``simulate`` at that profile and the gain
     comparison is paired. Within a family the first maximum wins, and the
@@ -321,7 +458,7 @@ def verify_best_response(
     families = [(cand,) * n, (grid,) * n]
     if n >= 2:
         # the product grid is dense when payoffs are closed-form and a coarse
-        # probe when every point costs a race per trial
+        # probe in Monte Carlo mode, whose scores carry sampling error
         if mode == "analytic":
             axis_points = {2: 61, 3: 31}.get(n, 11)
         else:
@@ -336,9 +473,8 @@ def verify_best_response(
         # cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
         flat = np.concatenate([np.reshape(family, (n, -1)) for family in profiles], axis=1)
-        costs = cost.cost(flat)
-        captures, joint = _tally(flat, np.full(n, cand), noise, trials, seed)
-        means, halfwidths = _payoff_statistics(trials, market, costs, captures[0], joint)
+        captures, joint = _tally(families, np.full(n, cand), noise, trials, seed)
+        means, halfwidths = _payoff_statistics(trials, market, cost.cost(flat), captures[0], joint)
         offsets = np.cumsum([family[0].size for family in profiles])
         scores = np.split(means, offsets[:-1])
 

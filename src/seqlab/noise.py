@@ -137,13 +137,19 @@ class NoiseModel:
 
     def trader_noise(self, u):
         """Per-trader noise terms from uniforms; differences have this law."""
+        # each law's last steps run in place on its one new array
         if self.family == "normal":
             from scipy.special import ndtri
-            return ndtri(u) * (self.param / math.sqrt(2.0))
-        if self.family == "logistic":
-            return -self.param * np.log(-np.log(u))
-        if self.family == "laplace":
-            return -self.param * np.log(u)
+            out = ndtri(u)
+            out *= self.param / math.sqrt(2.0)
+            return out
+        if self.family in ("logistic", "laplace"):
+            out = np.log(u)
+            if self.family == "logistic":
+                np.negative(out, out=out)
+                np.log(out, out=out)
+            out *= -self.param
+            return out
         raise ParameterError("uniform noise has no per-trader decomposition; sample the difference directly")
 
 

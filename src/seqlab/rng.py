@@ -31,10 +31,21 @@ def raw_words(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1), one per word index.
+    """Uniform draws on the open interval (0, 1), one per word index."""
+    return to_uniform(raw_words(seed, start, count))
 
-    The offset by half an ulp keeps every draw strictly inside (0, 1) so
-    inverse-CDF transforms never hit an endpoint singularity.
+
+def to_uniform(words: np.ndarray) -> np.ndarray:
+    """The uniform on (0, 1) of each 64-bit word, as a new C-contiguous array.
+
+    A word's top 53 bits, offset by half an ulp, which keeps every draw
+    strictly inside (0, 1) so inverse-CDF transforms never hit an endpoint
+    singularity. ``words`` may be any strided view; its words are shifted in
+    place, so a caller that keeps other words of the same buffer (such as
+    tie-break words, read for their top bit: the draw is below 1/2 exactly
+    when the word is below ``2**63``) passes a view that excludes them.
     """
-    words = raw_words(seed, start, count)
-    return ((words >> _SHIFT).astype(np.float64) + 0.5) * _INV_2_53
+    np.right_shift(words, _SHIFT, out=words)
+    out = np.add(words, 0.5, out=np.empty(words.shape))
+    out *= _INV_2_53
+    return out

@@ -240,6 +240,31 @@ def test_bad_config_file_is_config_error(command, content, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    ("params", "reason"),
+    [
+        ({"command": "simulate", "params": {"v": 1, "signals": "0.5,0.5", "trials": True, "seed": False}},
+         "config key 'trials' needs an integer, got true"),
+        ({"command": "simulate", "params": {"v": 1, "signals": "0.5,0.5", "seed": False}},
+         "config key 'seed' needs an integer, got false"),
+        ({"command": "equilibrium", "params": {"v": True, "chains": True, "cost": "power:2", "noise": "normal:1"}},
+         "config key 'v' needs a number, got true"),
+        ({"command": "equilibrium", "params": {"v": 1, "chains": True, "cost": "power:2", "noise": "normal:1"}},
+         "config key 'chains' needs an integer, got true"),
+        ({"command": "compare", "params": {"v": 1, "alpha": False, "cost": "power:2", "noise": "normal:1"}},
+         "config key 'alpha' needs a number, got false"),
+        ({"command": "equilibrium", "params": {"v": 1, "cap": True, "cost": "power:2", "noise": "normal:1"}},
+         "config key 'cap' needs a number, got true"),
+    ],
+    ids=["trials-seed", "seed", "v-chains", "chains", "alpha", "cap"],
+)
+def test_boolean_config_value_is_config_error(params, reason, capsys, tmp_path):
+    # JSON true and false are ints to Python; none of them is a count or a real
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(params))
+    assert _run(capsys, ["--config", str(path)]) == (2, "", f"seqlab: config error: {reason}\n")
+
+
+@pytest.mark.parametrize(
     ("value_dist", "expected", "reason"),
     [
         ("points:inf@1", 2, "point-mass values must be finite"),
@@ -347,6 +372,25 @@ def test_chain_counts_past_1024_solve_or_name_the_chain_count(capsys):
         ]:
             code, out, err = _run(capsys, [*argv, "--cost", "power:2", "--noise", "normal:1"])
             assert (code, out, err) == (2, "", f"seqlab: config error: {reason}\n")
+
+
+@pytest.mark.parametrize("argv, code, reason", [
+    (["equilibrium", "--v", "1e300", "--chains", "40"], 1,
+     "solver error: the power:2 cost of the signal 3.62836e+297 lies beyond float range at chains=40, v=1e+300"),
+    (["equilibrium", "--v", "1e300", "--chains", "1"], 2,
+     "config error: the stake f0*v/2**(n-1) overflows at chains=1, v=1e+300"),
+    # a sweep solves the one-chain side as well, whose stake overflows first
+    (["sweep", "--grid", "v=1e300", "--chains", "40"], 2,
+     "config error: the stake f0*v/2**(n-1) overflows at chains=1, v=1e+300"),
+    (["sweep", "--grid", "v=1e300", "--chains", "1"], 2,
+     "config error: the stake f0*v/2**(n-1) overflows at chains=1, v=1e+300"),
+], ids=["equilibrium-40", "equilibrium-1", "sweep-40", "sweep-1"])
+def test_stake_past_float_range_ends_with_a_message(argv, code, reason, capsys):
+    # f0*v is about 4e309: no overflow warning leaks, and no traceback
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = _run(capsys, [*argv, "--cost", "power:2", "--noise", "normal:1e-10"])
+    assert result == (code, "", f"seqlab: {reason}\n")
 
 
 def _probe_scipy(argv):

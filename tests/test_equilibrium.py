@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from seqlab.cost import CostModel
 from seqlab.equilibrium import (
     MarketConfig,
     Regime,
+    _stake,
     latency_closed_form,
     solve_equilibrium,
     timeboost_closed_form,
@@ -292,6 +294,44 @@ def test_chain_counts_past_1024_solve_until_the_stake_or_capture_underflows():
         for n in (1075, 1100):
             with pytest.raises(ParameterError, match=rf"^{capture} at chains={n}$"):
                 solve(MarketConfig(1e10, n))
+
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("trade value", {"v": True}),
+    ("chain count", {"v": 1.0, "n_chains": True}),
+    ("refund fraction", {"v": 1.0, "alpha": False}),
+])
+def test_market_rejects_booleans(field, kwargs):
+    with pytest.raises(ParameterError, match=f"^{field}"):
+        MarketConfig(**kwargs)
+
+
+def test_stake_keeps_every_finite_product_and_scales_the_rest():
+    # 10**6 markets over the whole float range, with stakes that are normal floats
+    rng = np.random.default_rng(8)
+    f0, v = 10.0 ** rng.uniform(-300.0, 300.0, (2, 10**6))
+    n = rng.integers(1, 1101, 10**6)
+    keep = np.abs(np.log2(f0) + np.log2(v) + 1 - n) < 1020
+    f0, v, n = f0[keep], v[keep], n[keep]
+    stake = _stake(f0, v, n)
+    with np.errstate(over="ignore"):
+        product = f0 * v
+    finite = np.isfinite(product)
+    assert finite.sum() > 500_000 and (~finite).sum() > 50_000
+    assert np.array_equal(stake[finite].view(np.uint64), np.ldexp(product[finite], 1 - n[finite]).view(np.uint64))
+    # past float range, the stake is the exact product scaled and rounded once
+    for i in np.flatnonzero(~finite)[:20_000]:
+        assert stake[i] == float(Fraction(f0[i]) * Fraction(v[i]) / 2 ** int(n[i] - 1))
+
+
+def test_stake_past_float_range_names_the_inputs():
+    f0 = NoiseModel("normal", 1e-10).density_at_zero()
+    with pytest.raises(ParameterError, match=re.escape("the stake f0*v/2**(n-1) overflows at chains=1, v=1e+300")):
+        solve_equilibrium(MarketConfig(1e300, 1), CostModel.power(2.0), NoiseModel("normal", 1e-10))
+    # at 40 chains the stake is a float, but the cost of the signal it buys is not
+    with pytest.raises(SolverError, match=r"^the power:2 cost of the signal 3\.62836e\+297 lies beyond float range"):
+        solve_equilibrium(MarketConfig(1e300, 40), CostModel.power(2.0), NoiseModel("normal", 1e-10))
+    assert _stake(np.array([f0]), np.array([1e300]), np.array([40]))[0] == float(Fraction(f0) * 10**300 / 2**39)
 
 
 def test_interior_foc_residual_is_tiny():

@@ -16,6 +16,7 @@ from seqlab.montecarlo import (
     verify_best_response,
 )
 from seqlab.noise import NoiseModel
+from seqlab.rng import uniform_stream
 
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
 UNIT_NOISE = NoiseModel("normal", SIGMA_UNIT_F0)
@@ -146,6 +147,10 @@ def test_win_rate_monotone_in_own_signal():
 def test_spec_validation():
     with pytest.raises(ConfigError):
         _spec((0.5, 0.5), trials=0)
+    with pytest.raises(ConfigError, match="^trials"):
+        _spec((0.5, 0.5), trials=True)
+    with pytest.raises(ConfigError, match="^seed"):
+        _spec((0.5, 0.5), seed=False)
     with pytest.raises(ConfigError):
         SimulationSpec(((0.1, 0.2, 0.3), 0.5), MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE, trials=10)
     with pytest.raises(ConfigError):
@@ -273,9 +278,9 @@ def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
     seen = {}
     tally, reduce = mc._tally, mc._payoff_statistics
 
-    def spy_tally(own, *args):
-        seen["profiles"] = own.copy()
-        return tally(own, *args)
+    def spy_tally(families, *args):
+        seen["profiles"] = np.concatenate([np.reshape(np.broadcast_arrays(*f), (n, -1)) for f in families], axis=1)
+        return tally(families, *args)
 
     def spy_reduce(*args):
         seen["means"], seen["halfwidths"] = out = reduce(*args)
@@ -300,6 +305,25 @@ def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
     assert check.epsilon == seen["halfwidths"][best]
 
 
+@pytest.mark.parametrize("n, trials", [(2, 2 * 10**5), (3, 10**5)])
+def test_montecarlo_verify_memory_does_not_grow_with_trials(n, trials, monkeypatch):
+    # the scan keeps histograms of win thresholds, whatever the trial count;
+    # both runs use whole chunks, since a run shorter than a chunk draws less
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 20_000)
+    market = MarketConfig(1.0, n)
+    candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE).signal
+    verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE, mode="montecarlo", trials=100)
+    peaks = []
+    for count in (2 * 10**4, trials):
+        tracemalloc.start()
+        try:
+            verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE, mode="montecarlo", trials=count, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_montecarlo_verify_does_not_depend_on_chunking(monkeypatch):
     market = MarketConfig(1.0, 2, 0.5)
     candidate = solve_equilibrium(MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE).signal
@@ -308,3 +332,119 @@ def test_montecarlo_verify_does_not_depend_on_chunking(monkeypatch):
     baseline = run()
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
     assert run() == baseline
+
+
+# -- the deviation scan's counts against the per-(profile, trial) race it replaced --
+
+def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 18):
+    """Race every column of the ``(n, P)`` array ``own`` against every trial
+    with ``(gap + a) - b > 0`` and the slot-2 coin ``u < 0.5`` on exact ties,
+    as the tally did before it counted from win thresholds."""
+    n, profiles = own.shape
+    gap = own - rival[:, None]
+    captures = np.zeros((2, profiles), dtype=np.int64)
+    joint = np.zeros((n, n, profiles), dtype=np.int64)
+    for start in range(0, trials, chunk):
+        m = min(chunk, trials - start)
+        u = uniform_stream(seed, start * 3 * n, m * 3 * n).reshape(m, n, 3)
+        if noise.has_trader_law:
+            mine = np.ascontiguousarray(noise.trader_noise(u[:, :, 0]).T)
+            theirs = np.ascontiguousarray(noise.trader_noise(u[:, :, 1]).T)
+        else:
+            mine, theirs = np.ascontiguousarray(noise.quantile(u[:, :, 0]).T), None
+        heads = np.ascontiguousarray(u[:, :, 2].T < 0.5)
+        cells = max(1, block // m)
+        for lo in range(0, profiles, cells):
+            hi = min(lo + cells, profiles)
+            cols = slice(lo, hi)
+            win = np.empty((n, hi - lo, m), dtype=bool)
+            for k in range(n):
+                diff = gap[k, cols, None] + mine[k]
+                if theirs is not None:
+                    diff -= theirs[k]
+                np.greater(diff, 0.0, out=win[k])
+                tie = diff == 0.0
+                if tie.any():
+                    np.copyto(win[k], heads[k], where=tie)
+            captures[0, cols] += np.count_nonzero(np.logical_and.reduce(win), axis=1)
+            captures[1, cols] += m - np.count_nonzero(np.logical_or.reduce(win), axis=1)
+            for k in range(n):
+                joint[k, k, cols] += np.count_nonzero(win[k], axis=1)
+                for l in range(k + 1, n):
+                    joint[k, l, cols] += np.count_nonzero(win[k] & win[l], axis=1)
+    for k in range(n):
+        for l in range(k + 1, n):
+            joint[l, k] = joint[k, l]
+    return captures, joint
+
+
+def _scan_families(cand, n, grid, axis):
+    """The families verify_best_response scans: the candidate, the equal
+    family over ``grid`` and, with two or more chains, the product mesh."""
+    families = [(cand,) * n, (grid,) * n]
+    if n >= 2:
+        families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
+    return families
+
+
+def _assert_tally_equals_reference(families, rival, noise, trials, seed):
+    n = len(rival)
+    flat = np.concatenate([np.reshape(np.broadcast_arrays(*f), (n, -1)) for f in families], axis=1)
+    captures, joint = mc._tally(families, rival, noise, trials, seed)
+    expected_captures, expected_joint = _reference_tally(flat, rival, noise, trials, seed)
+    assert np.array_equal(captures, expected_captures)
+    assert np.array_equal(joint, expected_joint)
+
+
+GRIDS = {
+    "default": None,
+    "unsorted": [0.9, 0.0, 0.55, 0.3, 1.4],
+    "repeated": [0.4, 0.0, 0.4, 1.1, 0.0],
+}
+
+
+@pytest.mark.parametrize("spread", [0.0, 0.05], ids=["rival-equal", "rival-per-chain"])
+@pytest.mark.parametrize("grid", GRIDS, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_tally_equals_per_profile_race(noise, n, grid, spread, monkeypatch):
+    # 2,500 trials in chunks of 1,000: the last chunk is partial
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
+    cand = 0.4
+    if GRIDS[grid] is None:
+        full = default_deviation_grid(cand, POWER_TWO)
+        axis = default_deviation_grid(cand, POWER_TWO, points={2: 9}.get(n, 5))
+    else:
+        full = axis = np.array(GRIDS[grid])
+    rival = cand + spread * np.arange(n)
+    _assert_tally_equals_reference(_scan_families(cand, n, full, axis), rival, noise, 2_500, 7)
+
+
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_tally_equals_per_profile_race_at_rounding_boundaries(noise):
+    # gaps at fl(b - a) of chosen trials and chains and at their float
+    # neighbours: the threshold search meets rounding boundaries and exact ties
+    n, trials, seed = 2, 3_000, 11
+    u = uniform_stream(seed, 0, trials * 3 * n).reshape(trials, n, 3)
+    if noise.has_trader_law:
+        mine, theirs = noise.trader_noise(u[:, :, 0]), noise.trader_noise(u[:, :, 1])
+    else:
+        mine, theirs = noise.quantile(u[:, :, 0]), np.zeros((trials, n))
+    edges = theirs[::97] - mine[::97]
+    gaps = np.concatenate([np.nextafter(edges, np.inf), edges, np.nextafter(edges, -np.inf),
+                           np.nextafter(np.nextafter(edges, np.inf), np.inf)], axis=None)
+    diff = (gaps[:, None, None] + mine) - theirs
+    assert (diff == 0.0).any()  # the coin decides some races
+    rival = np.zeros(n)  # so each gap is exactly the profile's signal
+    families = [(gaps,) * n, (gaps[::7, None], gaps[None, 3::11]), (float(gaps[0]), gaps[5::13])]
+    families += [(float(g), float(h)) for g, h in zip(gaps[:8], gaps[8:16])]
+    _assert_tally_equals_reference(families, rival, noise, trials, seed)
+
+
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_tally_groups_chains_that_share_an_axis(noise):
+    # chains 0 and 2 vary along one axis, chain 1 along another, chain 3 not at all
+    rival = np.array([0.4, 0.1, 0.6, 0.3])
+    first, second = np.array([0.5, 0.0, 0.7, 0.5]), np.array([0.2, 0.9, 0.05])
+    families = [(first[:, None], second[None, :], first[:, None], 0.3), (0.1, first, 0.2, first)]
+    _assert_tally_equals_reference(families, rival, noise, 1_500, 19)
