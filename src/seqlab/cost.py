@@ -23,6 +23,8 @@ FAMILIES = ("power", "timeboost")
 
 # the beta -> 1 limit makes the inverse marginal cost degenerate
 MIN_BETA = 1.0 + 1e-6
+#: Newton steps for a stationary-signal estimate; it converges in far fewer.
+_NEWTON_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,32 @@ class CostModel:
 
     def _marginal(self, s: np.ndarray) -> np.ndarray:
         return self.beta * s ** (self.beta - 1.0) if self.family == "power" else self.c * self.g / (self.g - s) ** 2
+
+    def stationary_signal(self, m, h, w, upper):
+        """An estimate of the root of ``m - h*C'(s) - w*C(s)`` below ``upper``, where ``C'(upper) = m/h``.
+
+        For arrays with ``m, h > 0`` and ``w >= 0``. Timeboost: the condition
+        times ``(g - s)**2`` is a quadratic, whose smaller root is taken in
+        its stable form. Power: ``t = s/upper`` solves ``t**(beta-1) * (1 +
+        kappa*t) = 1`` with ``kappa = w*upper/(h*beta)``; in ``u = ln t``,
+        ``(beta-1)*u + log1p(kappa*e**u)`` is convex and increasing, so
+        Newton's method from a point above its root falls straight to it.
+        """
+        if self.family == "timeboost":
+            a = m / self.c
+            return 2.0 * (a * self.g - h) / ((2.0 * a + w) + np.sqrt(w * w + 4.0 * h * (a + w) / self.g))
+        slope = self.beta - 1.0
+        with np.errstate(divide="ignore"):  # w = 0 puts the root at upper
+            log_kappa = np.log(w) + np.log(upper) - np.log(h * self.beta)
+        u = -np.maximum(log_kappa, 0.0) / self.beta  # the root where log1p is replaced by its max(0, .) floor
+        for _ in range(_NEWTON_STEPS):
+            x = log_kappa + u
+            soft = np.logaddexp(0.0, x)
+            step = (slope * u + soft) / (slope + np.exp(x - soft))
+            u = u - step
+            if (np.abs(step) <= 1e-9 * (1.0 + np.abs(u))).all():  # the next step would be below rounding
+                break
+        return upper * np.exp(u)
 
     def inverse_marginal_cost(self, m):
         """The signal with marginal cost ``m``, ignoring any cap.

@@ -19,9 +19,10 @@ from its one symmetric stationarity condition, for every ``n`` and ``alpha``:
 where ``f(0)`` is the peak density of the per-chain noise difference. Since
 ``C >= 0`` the root lies at or below ``upper``, the signal where
 ``C'(upper) = 2M/(1+alpha)``, found by one marginal-cost inversion. At
-``alpha = 1`` ``upper`` is the root; otherwise bisection on ``[0, upper]``
-runs to float resolution, for a whole grid of markets in lockstep. Three
-regimes are distinguished:
+``alpha = 1`` ``upper`` is the root. Otherwise the root is the float that
+bisection on ``[0, upper]`` ends on: a closed-form or Newton estimate, then
+a short search over neighbouring floats, for a whole grid of markets in
+lockstep. Three regimes are distinguished:
 
 * ``interior``        the candidate satisfies the stationarity condition and
                       earns a non-negative expected profit;
@@ -39,6 +40,7 @@ be compared side by side.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -49,7 +51,7 @@ import numpy as np
 from .cost import CostModel
 from .errors import ParameterError, SolverError
 from .noise import NoiseModel
-from .numerics import bisect_root
+from .numerics import settle_root
 
 
 class Regime(enum.Enum):
@@ -159,20 +161,27 @@ def _name_first(bad, what: str, n, v) -> None:
 
 
 def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
-    """Stationarity roots on ``[0, upper]``, bisected in lockstep."""
+    """Stationarity roots on ``[0, upper]``: the floats bisection ends on, settled from an estimate."""
+    half, weight = 0.5 * (1.0 + alpha), (1.0 - alpha) * f0
 
-    def residual_of(i):  # [0, upper] lies in the cost's domain, so C and C' go unchecked
-        m, half, weight = marginal[i], 0.5 * (1.0 + alpha[i]), (1.0 - alpha[i]) * f0[i]
-        return lambda s: m - half * cost._marginal(s) - weight * cost._cost(s)
+    def residual(s):  # [0, upper] lies in the cost's domain, so C and C' go unchecked
+        return marginal - half * cost._marginal(s) - weight * cost._cost(s)
 
     # exactly, residual(upper) = -(1-alpha) f0 C(upper) <= 0, so a non-negative value means
-    # the cost term is below rounding. When 2M/(1+alpha) is within rounding of a boost
-    # fee's slope C'(0), the residual can round negative at 0 as well: nobody invests.
-    below = residual_of(slice(None))(upper) < 0.0
-    inside = below & (residual_of(slice(None))(np.zeros_like(upper)) > 0.0)
+    # the cost term is below rounding; -inf means C(upper) overflows, where the root may not.
+    # When 2M/(1+alpha) is within rounding of a boost fee's slope C'(0), the residual can
+    # round negative at 0 as well: nobody invests.
+    zero = np.zeros_like(upper)
+    with np.errstate(over="ignore"):
+        below = residual(upper) < 0.0
+    inside = below & (residual(zero) > 0.0)
     root = np.where(below, 0.0, upper)
     if inside.any():
-        root[inside] = bisect_root(residual_of(inside), 0.0, upper[inside])
+        # the residual reads these names, so from here on it evaluates the inside points only
+        half, weight, marginal, upper = half[inside], weight[inside], marginal[inside], upper[inside]
+        guess = cost.stationary_signal(marginal, half, weight, upper)
+        with np.errstate(over="ignore"):
+            root[inside] = settle_root(residual, guess, zero[inside], upper)
     return root
 
 
@@ -181,8 +190,9 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
 
     ``f0`` (the noise's peak density), ``v``, ``n`` (chains) and ``alpha``
     are floats or arrays that broadcast, each market valid as
-    :class:`MarketConfig` checks it. Each refund point stops bisecting on
-    its own, so every point comes out as it would alone.
+    :class:`MarketConfig` checks it. Each refund point stops searching on
+    its own at the float bisection of ``[0, upper]`` ends on, so every point
+    comes out as it would alone.
     """
     f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
     if ((alpha != 1.0) & (n > 2)).any():
@@ -227,8 +237,14 @@ def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> Equilib
     if not (math.isfinite(f0) and f0 > 0.0):
         raise ParameterError(f"peak noise density must be positive, got {f0!r}")
     base = float(_stake(*np.atleast_1d(f0, market.v, market.n_chains))[0]) / beta
-    signal = base ** (1.0 / (beta - 1.0))
-    per_chain_cost = base ** (beta / (beta - 1.0))
+    signal = per_chain_cost = math.inf
+    with contextlib.suppress(OverflowError):  # Python's float power raises where numpy's gives inf
+        signal = base ** (1.0 / (beta - 1.0))
+        per_chain_cost = base ** (beta / (beta - 1.0))
+    if per_chain_cost == math.inf:
+        what = "signal" if signal == math.inf else f"cost of the signal {signal:.6g}"
+        raise SolverError(f"the power:{beta:.12g} {what} lies beyond float range "
+                          f"at chains={market.n_chains}, v={market.v:.6g}")
     return _settle(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True).result(0)
 
 

@@ -372,15 +372,17 @@ def test_sweep_rows_equal_compare_bit_for_bit(axes, cost, alpha):
 
 
 def test_refund_sweep_bisects_in_lockstep(monkeypatch):
-    # 1,000 rows are 2,000 refund solves; in lockstep they share one residual
-    # evaluation per halving instead of one per solve per halving
+    # 1,000 rows are 2,000 refund solves; in lockstep they share each residual
+    # evaluation instead of making one per solve. From their estimates the
+    # search needs 5 steps here, the bracket ends 2 and the costs of the
+    # signals 1: 8 evaluations, where halving [0, upper] needed about 60
     evaluations = []
     unchecked = CostModel._cost
     monkeypatch.setattr(CostModel, "_cost", lambda self, s: evaluations.append(np.size(s)) or unchecked(self, s))
     rows = sweep({"v": np.linspace(0.1, 50.0, 500).tolist(), "chains": [1, 2]},
                  cost=CostModel.power(2.0), noise=NoiseModel("normal", 1.0), alpha=0.5)
     assert len(rows) == 1000
-    assert 50 <= len(evaluations) <= 100
+    assert len(evaluations) <= 10
     assert max(evaluations) == 2000
 
 

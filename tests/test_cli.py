@@ -7,8 +7,11 @@ import warnings
 
 import pytest
 
+from seqlab.analysis import sweep
 from seqlab.cli import COMMANDS, _parse_grid, main
+from seqlab.cost import CostModel
 from seqlab.errors import ConfigError
+from seqlab.noise import NoiseModel
 
 EQ_ARGS = ["equilibrium", "--v", "1", "--chains", "1", "--cost", "power:2",
            "--noise", "normal:0.3989422804"]
@@ -391,6 +394,35 @@ def test_stake_past_float_range_ends_with_a_message(argv, code, reason, capsys):
         warnings.simplefilter("error", RuntimeWarning)
         result = _run(capsys, [*argv, "--cost", "power:2", "--noise", "normal:1e-10"])
     assert result == (code, "", f"seqlab: {reason}\n")
+
+
+def test_refund_root_whose_bracket_end_cost_overflows(capsys):
+    # at v = 1e200 the cost of the bracket end C'(s) = 2M/(1+alpha) overflows, the root
+    # near 1e100 and its cost do not: the residual's -inf there is a valid negative sign
+    cost, noise = ["--cost", "power:2"], ["--noise", "normal:1"]
+    f0 = 1.0 / math.sqrt(4.0 * math.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = _run(capsys, ["equilibrium", "--v", "1e200", "--chains", "1", "--alpha", "0",
+                                       *cost, *noise, "--format", "json"])
+        assert (code, err) == (0, "")
+        shared = json.loads(out)["result"]
+        # at alpha = 0.5 participation fails at every scale of v, as it does here
+        code, out, err = _run(capsys, ["equilibrium", "--v", "1e200", "--chains", "2", "--alpha", "0.5",
+                                       *cost, *noise, "--format", "json"])
+        assert (code, err, json.loads(out)["result"]["regime"]) == (0, "", "zero_investment")
+        code, out, err = _run(capsys, ["sweep", "--grid", "v=1e200:1e200:3e200", "--chains", "2", "--alpha", "0",
+                                       *cost, *noise, "--format", "json"])
+        assert (code, err) == (0, "")
+        rows = sweep({"v": [1e200, 2e200, 3e200]}, cost=CostModel.power(2.0), noise=NoiseModel("normal", 1.0),
+                     alpha=0.0, chains=2)  # the rows the command printed to 12 digits
+    assert [row["v"] for row in json.loads(out)["result"]["rows"]] == [1e200, 2e200, 3e200]
+    for v, result in [(1e200, shared), *((row["v"], {"signal": row["shared_signal"],
+                                                    "regime": row["shared_regime"]}) for row in rows)]:
+        m = f0 * v  # M - s - f0*s**2 = 0 at alpha = 0, one chain
+        assert result["regime"] == "interior"
+        assert result["signal"] == pytest.approx(2.0 * m / (1.0 + math.sqrt(1.0 + 4.0 * f0 * m)), rel=1e-14, abs=0.0)
+    assert len(rows) == 3
 
 
 def _probe_scipy(argv):

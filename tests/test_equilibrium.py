@@ -8,17 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from seqlab import equilibrium
 from seqlab.cost import CostModel
 from seqlab.equilibrium import (
     MarketConfig,
     Regime,
     _stake,
     latency_closed_form,
+    solve_equilibria,
     solve_equilibrium,
     timeboost_closed_form,
 )
 from seqlab.errors import ParameterError, SolverError
 from seqlab.noise import NoiseModel
+from seqlab.numerics import bisect_root
 
 # sigma for which the peak density of the normal difference law is exactly 1
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -264,6 +267,62 @@ def test_refund_root_is_scale_free(v, alpha, n, noise):
         assert result.signal == pytest.approx(root, rel=1e-14, abs=0.0)
 
 
+def _halved_refund_roots(cost, f0, marginal, alpha, upper):
+    """Refund roots by halving ``[0, upper]`` to float resolution, the reference for the settled roots."""
+    half, weight = 0.5 * (1.0 + alpha), (1.0 - alpha) * f0
+
+    def residual_of(i):
+        m, h, w = marginal[i], half[i], weight[i]
+        return lambda s: m - h * cost._marginal(s) - w * cost._cost(s)
+
+    below = residual_of(slice(None))(upper) < 0.0
+    inside = below & (residual_of(slice(None))(np.zeros_like(upper)) > 0.0)
+    root = np.where(below, 0.0, upper)
+    if inside.any():
+        root[inside] = bisect_root(residual_of(inside), 0.0, upper[inside])
+    return root
+
+
+def test_refund_roots_are_the_halving_float(monkeypatch):
+    # 20,000 refund markets over both families, v from 1e-12 to 1e12, alpha in [0, 1) and
+    # n in {1, 2}: every Equilibria field equals, bit for bit, what halving [0, upper] gives
+    rng = np.random.default_rng(9)
+    costs = [CostModel.power(beta) for beta in (2.0, 1.05, *rng.uniform(1.05, 6.0, 14))]
+    costs += [CostModel.timeboost(c, g) for c, g in zip(10.0 ** rng.uniform(-3.0, 1.0, 16),
+                                                        10.0 ** rng.uniform(-1.0, 1.0, 16))]
+    f0s = [NoiseModel(*law).density_at_zero() for law in (("normal", 1.0), ("normal", 0.05), ("logistic", 3.0),
+                                                          ("laplace", 0.5), ("uniform", 20.0))]
+    zeros = {"single": 0, "run": 0}
+
+    def halved(cost, f0, marginal, alpha, upper):
+        root = _halved_refund_roots(cost, f0, marginal, alpha, upper)
+
+        def zero_at(s):
+            return marginal - 0.5 * (1.0 + alpha) * cost._marginal(s) - (1.0 - alpha) * f0 * cost._cost(s) == 0.0
+
+        zero = (root > 0.0) & (root < upper) & zero_at(root)
+        run = zero & (zero_at(np.nextafter(root, 0.0)) | zero_at(np.nextafter(root, upper)))
+        zeros["single"] += int((zero & ~run).sum())
+        zeros["run"] += int(run.sum())
+        return root
+
+    markets = 625
+    for cost in costs:
+        f0 = rng.choice(f0s, markets)
+        v = 10.0 ** rng.uniform(-12.0, 12.0, markets)
+        n = rng.integers(1, 3, markets)
+        alpha = rng.uniform(0.0, 1.0, markets)
+        settled = solve_equilibria(cost, f0, v, n, alpha)
+        with monkeypatch.context() as patch:
+            patch.setattr(equilibrium, "_refund_roots", halved)
+            reference = solve_equilibria(cost, f0, v, n, alpha)
+        for field, mine, theirs in zip(settled._fields, settled, reference):
+            assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), (cost, field)
+    assert len(costs) * markets == 20_000
+    # exact zeros of the float residual: single ones, and runs of two or more
+    assert zeros["single"] > 1000 and zeros["run"] > 0, zeros
+
+
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, 5.0])
 def test_chain_count_decay_rate(beta):
     signals = [
@@ -332,6 +391,19 @@ def test_stake_past_float_range_names_the_inputs():
     with pytest.raises(SolverError, match=r"^the power:2 cost of the signal 3\.62836e\+297 lies beyond float range"):
         solve_equilibrium(MarketConfig(1e300, 40), CostModel.power(2.0), NoiseModel("normal", 1e-10))
     assert _stake(np.array([f0]), np.array([1e300]), np.array([40]))[0] == float(Fraction(f0) * 10**300 / 2**39)
+
+
+def test_closed_form_past_float_range_is_a_solver_error():
+    # the closed form meets the same market as the solver with the same message,
+    # not with the OverflowError of Python's float power
+    noise = NoiseModel("normal", 1e-10)
+    market, f0 = MarketConfig(1e300, 40), noise.density_at_zero()
+    with pytest.raises(SolverError) as solved:
+        solve_equilibrium(market, CostModel.power(2.0), noise)
+    with pytest.raises(SolverError, match=f"^{re.escape(str(solved.value))}$"):
+        latency_closed_form(market, 2.0, f0)
+    with pytest.raises(SolverError, match=r"^the power:1\.001 signal lies beyond float range at chains=40, v=1e\+300$"):
+        latency_closed_form(market, 1.001, f0)
 
 
 def test_interior_foc_residual_is_tiny():

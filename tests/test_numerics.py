@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqlab.errors import SolverError
-from seqlab.numerics import bisect_root, golden_section_max
+from seqlab.numerics import bisect_root, golden_section_max, settle_root
 
 
 def test_bisect_finds_cubic_root():
@@ -57,6 +57,47 @@ def test_bisect_lockstep_equals_one_point_calls():
 def test_bisect_lockstep_reports_the_failing_point():
     with pytest.raises(SolverError, match=r"no sign change on \[2.0, 3.0\]: f = 1.0, 2.0"):
         bisect_root(lambda x: x - 1.0, np.array([0.0, 2.0]), np.array([2.0, 3.0]))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("guessed", ["root", "near", "inside", "lo", "hi", "zero", "nan", "inf", "negative"])
+def test_settle_root_lands_on_the_halving_float(guessed):
+    # sign changes with no float zero, single exact zeros and runs of 2-5 zeros, some
+    # with -inf or NaN (negative to bisect_root) past the sign change, brackets from
+    # 1e-300 to 1e300: every point lands on bisect_root's float, whatever its guess
+    rng = np.random.default_rng(7)
+    k = 600
+    hi = 10.0 ** rng.uniform(-300.0, 300.0, k)
+    lo = np.where(rng.random(k) < 0.5, 0.0, hi * rng.uniform(0.0, 0.5, k))
+    first = lo + (hi - lo) * rng.uniform(0.01, 0.99, k)  # the first float where f <= 0
+    last = (_bits(first) + rng.integers(-1, 5, k)).view(float)  # the last where f >= 0
+    beyond = rng.choice([-1.0, -np.inf, np.nan], k)
+
+    def f(x):
+        return np.where(x < first, 1.0, np.where(x > last, np.where(x < hi, beyond, -1.0), 0.0))
+
+    guess = {"root": first, "near": (_bits(first) + rng.integers(-40, 40, k)).view(float),
+             "inside": lo + (hi - lo) * rng.random(k), "lo": lo, "hi": hi, "zero": np.zeros(k),
+             "nan": np.full(k, np.nan), "inf": np.full(k, np.inf), "negative": np.full(k, -1.0)}[guessed]
+    found = settle_root(f, guess, lo, hi)
+    assert np.array_equal(_bits(found), _bits(bisect_root(f, lo, hi)))
+    assert (last > first).sum() > 200 and (last == first).sum() > 50 and (last < first).sum() > 50
+
+
+def test_settle_root_equals_bisection_on_a_smooth_residual():
+    # c - x*x rounds to exact zeros for some c and changes sign between floats for
+    # others; guesses up to a few thousand floats off, and a 0-d call, still land
+    # on bisect_root's float
+    c = np.random.default_rng(11).uniform(0.01, 9.0, 2000)
+    lo, hi = np.zeros_like(c), np.full_like(c, 4.0)
+    found = settle_root(lambda x: c - x * x, np.sqrt(c) * (1.0 + np.linspace(-1e-12, 1e-12, c.size)), lo, hi)
+    assert np.array_equal(_bits(found), _bits(bisect_root(lambda x: c - x * x, lo, hi)))
+    assert 0 < (found * found == c).sum() < c.size
+    alone = settle_root(lambda x: 2.0 - x * x, np.array(1.0), np.array(0.0), np.array(2.0))
+    assert isinstance(alone, float) and alone == bisect_root(lambda x: 2.0 - x * x, np.zeros(1), [2.0])[0]
 
 
 def test_golden_section_maximizes_parabola():
