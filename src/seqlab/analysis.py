@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,13 +25,16 @@ from .cost import CostModel
 from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
 from .errors import ConfigError, ParameterError, SolverError
 from .noise import NoiseModel
-from .numerics import golden_section_max
+from .numerics import bisect_root
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Normal-noise constant in the boost-fee revenue comparison: separate
 #: sequencing collects more than shared iff  constant * v / sigma >= c / g.
 REVENUE_THRESHOLD_CONSTANT = (3.0 - 2.0 * math.sqrt(2.0)) / _SQRT_2PI
+
+#: Root of ``erfc(y) = 2*y*exp(-y*y)/sqrt(pi)``: an exp(rate) value law has its optimal ``L`` at ``y*y/rate``.
+_EXP_ROOT = 0.5315968851493932
 
 
 @dataclass(frozen=True)
@@ -267,14 +271,13 @@ def ex_ante_revenue(dist: ValueDistribution, g: float, f0: float, mode: str, c: 
 
 
 def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared") -> OptimalBoostFee:
-    """Revenue-maximizing fee parameter by golden-section search over log c.
+    """Revenue-maximizing fee parameter, exact from one stationarity condition.
 
-    Requires ``g * f0 <= 4`` so that an equilibrium exists for every ``c``.
-    A value law with no mass above zero yields the zero-revenue result.
-    Raises :class:`SolverError` when the revenue is not finite or the optimum
-    lies at or beyond an end of the searched range ``[1e-8, 1e4] * g * f0``
-    (zero revenue over the whole range from a law with mass above zero means
-    the optimum lies below it).
+    The revenue per bidder is ``g*f0*h(L)`` with ``L = k*c/(g*f0)`` (``k`` is 1
+    shared, 2 separate) and ``h`` free of ``k``, so ``c* = L*g*f0/k`` for the
+    ``L`` of :func:`_optimal_level`: the separate optimum is exactly half the
+    shared one and earns the same. Needs ``g*f0 <= 4``; a ``c*`` or revenue
+    beyond float range is a :class:`SolverError`.
     """
     if mode not in ("shared", "separate"):
         raise ParameterError(f"mode must be 'shared' or 'separate', got {mode!r}")
@@ -283,19 +286,43 @@ def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared"
             raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     if g * f0 > 4.0:
         raise ParameterError(f"equilibrium existence for every c needs g*f0 <= 4, got {g * f0}")
-    log_lo = math.log(1e-8 * g * f0)
-    log_hi = math.log(1e4 * g * f0)
-    log_c, revenue = golden_section_max(
-        lambda u: ex_ante_revenue(dist, g, f0, mode, math.exp(u)), log_lo, log_hi
-    )
-    if not math.isfinite(revenue):
-        raise SolverError(f"ex-ante revenue is not finite ({revenue}) at c = {math.exp(log_c)}")
-    if revenue <= 0.0 and dist.family == "points" and not any(v > 0.0 and w > 0.0 for v, w in dist.points):
-        return OptimalBoostFee(mode, 0.0, 0.0)
-    if revenue <= 0.0 or min(log_c - log_lo, log_hi - log_c) <= 1e-9 * (log_hi - log_lo):
-        raise SolverError(f"the revenue-maximizing c lies outside the searched range "
-                          f"[{math.exp(log_lo):.6g}, {math.exp(log_hi):.6g}]")
-    return OptimalBoostFee(mode, math.exp(log_c), revenue)
+    c_star = _optimal_level(dist) * g * f0 / {"shared": 1.0, "separate": 2.0}[mode]
+    revenue = ex_ante_revenue(dist, g, f0, mode, c_star)
+    # a law with mass above zero earns a positive revenue at its optimum: 0, inf or NaN there is rounding
+    if not 0.0 < revenue < math.inf and (dist.family != "points" or any(v > 0.0 < w for v, w in dist.points)):
+        raise SolverError(f"the optimum lies beyond float range: c* rounds to {c_star}, its revenue to {revenue}")
+    return OptimalBoostFee(mode, c_star, revenue)
+
+
+def _optimal_level(dist: ValueDistribution) -> float:
+    """The ``L >= 0`` maximizing ``h(L) = E[(sqrt(L*V) - L); V >= L]``.
+
+    The boundary term of ``h'`` vanishes, so ``h'(L) = 0`` reads ``E[sqrt(V); V > L] = 2*sqrt(L)*P(V > L)``.
+    """
+    if dist.family == "exp":
+        return _EXP_ROOT * _EXP_ROOT / dist.rate
+    if dist.family == "lognormal":
+        # with w = ln(L) - mu, h' has the sign of r(w), whatever mu; r(-ln 4) >= 0 as
+        # E[sqrt(V) | V > L] >= E[sqrt(V)] > exp(mu/2), and r(sig**2) < 0 while its tails are normal floats
+        sig = dist.sigma_log
+
+        def r(w):
+            return (math.exp(sig * sig / 8.0 - w / 2.0) * math.erfc((w / sig - sig / 2.0) / math.sqrt(2.0))
+                    - 2.0 * math.erfc(w / (sig * math.sqrt(2.0))))
+
+        if not r(sig * sig) <= -sys.float_info.min:
+            raise SolverError(f"the lognormal tails underflow in the optimum's condition at log-sigma {sig}")
+        log_level = dist.mu + bisect_root(r, -math.log(4.0), sig * sig)
+        return math.exp(log_level) if log_level <= math.log(sys.float_info.max) else math.inf
+    # between adjacent support values h is a*sqrt(L) - b*L, highest at sqrt(L) = a/(2b) within the piece
+    level, best = 0.0, 0.0
+    for start, end in itertools.pairwise([0.0, *sorted({v for v, w in dist.points if w > 0.0})]):
+        above = [(v, w) for v, w in dist.points if v >= end]
+        a, b = math.fsum(w * math.sqrt(v) for v, w in above), math.fsum(w for _, w in above)
+        at = min(max((a / (2.0 * b)) ** 2, start), end)
+        if (value := a * math.sqrt(at) - b * at) > best:
+            level, best = at, value
+    return level
 
 
 #: Canonical sweep axis order; rows are emitted in product order over these.

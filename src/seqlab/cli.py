@@ -335,15 +335,11 @@ def _run_optimal_c(args) -> dict:
     if family != "timeboost" or positional or not g > 0.0:
         raise ConfigError(f"optimal-c needs a timeboost cost spec with a positive g like 'timeboost:g=1.0', "
                           f"got {args.cost!r}")
-    noise = parse_noise(args.noise)
+    f0 = parse_noise(args.noise).density_at_zero()
     dist = analysis.parse_value_dist(args.value_dist)
-    f0 = noise.density_at_zero()
     modes = ("shared", "separate") if args.mode == "both" else (args.mode,)
-    result: dict = {}
-    for mode in modes:
-        fee = analysis.optimal_c(dist, g, f0, mode)
-        result[mode] = {"c_star": fee.c_star, "ex_ante_revenue": fee.ex_ante_revenue}
-    return result
+    fees = (analysis.optimal_c(dist, g, f0, mode) for mode in modes)
+    return {fee.mode: {"c_star": fee.c_star, "ex_ante_revenue": fee.ex_ante_revenue} for fee in fees}
 
 
 _RUNNERS = {

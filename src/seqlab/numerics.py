@@ -1,23 +1,20 @@
 """Small deterministic one-dimensional numerical routines.
 
-Bisection and golden-section search are deliberately plain: every residual
-and objective in this package is either monotone-crossing or unimodal on the
-bracket it is given, and an unconditionally safe method beats a fast one for
-reproducibility. Where a good estimate of a monotone residual's root exists,
-:func:`settle_root` returns bisection's own float from it in a few steps, so
-speed there costs no reproducibility.
+Bisection is deliberately plain: every residual in this package changes sign
+once on the bracket it is given, and an unconditionally safe method beats a
+fast one for reproducibility. Where a good estimate of a monotone residual's
+root exists, :func:`settle_root` returns bisection's own float from it in a
+few steps, so speed there costs no reproducibility.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
 
 from .errors import SolverError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 #: Halving a finite float interval runs out of midpoints within about 2,100
 #: steps (the float exponent range), so bisection never needs more than this.
 _MAX_HALVINGS = 2200
@@ -112,24 +109,3 @@ def _first_bits(f: Callable, keep: Callable, guess, a, b, fb):
         up = np.minimum(step, half)  # a + step could pass the largest bit pattern
         x, step = np.where(kept, a + up, np.maximum(x - step, a + half)), up << 1
     raise SolverError(f"the root search did not settle in {_MAX_STEPS} steps")
-
-
-def golden_section_max(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """Maximize a unimodal ``f`` on ``[lo, hi]``; returns ``(x, f(x))``."""
-    if not hi > lo:
-        raise SolverError(f"empty search bracket [{lo}, {hi}]")
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)

@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from seqlab.analysis import (
+    _EXP_ROOT,
     REVENUE_THRESHOLD_CONSTANT,
     ValueDistribution,
     capped_revenue_comparison,
@@ -234,13 +237,119 @@ def test_import_leaves_out_scipy_integrate():
 
 
 @pytest.mark.parametrize(
-    "dist", [ValueDistribution.lognormal(800.0, 1.0), ValueDistribution.point_masses([(1e20, 1.0)])],
-    ids=lambda d: d.spec,
+    ("dist", "reason"),
+    [
+        (ValueDistribution.lognormal(800.0, 1.0), "c* rounds to inf"),
+        (ValueDistribution.lognormal(-800.0, 1.0), "c* rounds to 0.0"),
+        (ValueDistribution.point_masses([(5e-324, 1.0)]), "c* rounds to 0.0"),
+        (ValueDistribution.point_masses([(1e308, 1.0)]), "its revenue to inf"),
+        # from log-sigma about 37.39 the tails at the bracket end sigma**2 are no normal floats
+        (ValueDistribution.lognormal(0.0, 38.5), "tails underflow"),
+        (ValueDistribution.lognormal(0.0, 40.0), "tails underflow"),
+        (ValueDistribution.lognormal(-2000.0, 80.0), "tails underflow"),
+    ],
+    ids=lambda x: getattr(x, "spec", None),
 )
-def test_optimal_c_rejects_optimum_outside_search_range(dist):
+def test_optimal_c_beyond_float_range_is_a_solver_error(dist, reason):
     for mode in ("shared", "separate"):
-        with pytest.raises(SolverError, match="outside the searched range"):
+        with pytest.raises(SolverError, match=re.escape(reason)):
             optimal_c(dist, 1.0, 1.0, mode)
+
+
+def test_optimal_c_past_the_old_search_range():
+    # optima below 1e-8*g*f0 or above 1e4*g*f0 once exited 1
+    for points, c_star in (([(1e20, 1.0)], 2.5e19), ([(1e-12, 1.0)], 2.5e-13)):
+        fee = optimal_c(ValueDistribution.point_masses(points), 1.0, 1.0, "shared")
+        assert (fee.c_star, fee.ex_ante_revenue) == (c_star, c_star)
+    for rate in (1e-300, 1e300):
+        fee = optimal_c(ValueDistribution.exponential(rate), 1.0, 1.0, "shared")
+        assert fee.c_star == pytest.approx(0.5315968851493932**2 / rate, rel=1e-15)
+        assert fee.ex_ante_revenue == pytest.approx(0.2130273172711493 / rate, rel=1e-14)
+
+
+_LAWS = [
+    ValueDistribution.exponential(0.3),
+    ValueDistribution.exponential(1.0),
+    ValueDistribution.exponential(7.0),
+    ValueDistribution.lognormal(0.0, 1e-3),
+    ValueDistribution.lognormal(-1.0, 0.5),
+    ValueDistribution.lognormal(1.5, 2.0),
+    ValueDistribution.lognormal(-20.0, 10.0),
+    ValueDistribution.point_masses([(1.0, 1.0)]),
+    ValueDistribution.point_masses([(1.0, 0.5), (2.0, 0.5)]),
+    ValueDistribution.point_masses([(0.0, 0.1), (0.2, 0.3), (1.0, 0.4), (7.0, 0.2)]),
+    ValueDistribution.point_masses([(3.0, 0.25), (0.5, 0.0), (3.0, 0.5), (1e-3, 0.25)]),
+]
+
+
+@pytest.mark.parametrize("dist", _LAWS, ids=lambda d: d.spec)
+def test_optimal_c_modes_are_bit_identical(dist):
+    # h(L) with L = k*c/(g*f0) does not depend on k: the optima differ by exactly 2
+    for g, f0 in ((1.0, 1.0), (0.5, 0.1), (2.5, 1.3), (1e-3, 7.0), (4.0, 1.0)):
+        shared, separate = optimal_c(dist, g, f0, "shared"), optimal_c(dist, g, f0, "separate")
+        assert separate.c_star == shared.c_star / 2
+        assert separate.ex_ante_revenue == shared.ex_ante_revenue
+
+
+def _mp_revenue_per_gf0(dist):
+    """``h(L) = E[(sqrt(L*V) - L); V >= L]`` in mpmath, straight from each law."""
+    if dist.family == "exp":
+        rate = mpmath.mpf(dist.rate)
+        return lambda L: (mpmath.sqrt(L) * mpmath.gammainc(1.5, rate * L) / mpmath.sqrt(rate)
+                          - L * mpmath.exp(-rate * L))
+    if dist.family == "lognormal":
+        mu, sig = mpmath.mpf(dist.mu), mpmath.mpf(dist.sigma_log)
+        scale = mpmath.exp(mu / 2 + sig**2 / 8)  # E[sqrt(V)]
+        return lambda L: (mpmath.sqrt(L) * scale * mpmath.ncdf(sig / 2 - (mpmath.log(L) - mu) / sig)
+                          - L * mpmath.ncdf((mu - mpmath.log(L)) / sig))
+    return lambda L: mpmath.fsum(mpmath.mpf(w) * (mpmath.sqrt(L * v) - L) for v, w in dist.points if v >= L)
+
+
+def _mp_optimal_level(dist, guess):
+    """The maximizer of ``h``: the root of its numerical derivative, or the best piecewise stationary point."""
+    h = _mp_revenue_per_gf0(dist)
+    if dist.family != "points":
+        level = mpmath.findroot(lambda L: mpmath.diff(h, L), mpmath.mpf(guess), tol=mpmath.mpf(10) ** -60)
+        assert h(level) > max(h(level * 0.999), h(level * 1.001))
+        return level
+    values = sorted({mpmath.mpf(v) for v, w in dist.points if w > 0.0})
+    candidates = []
+    for start, end in zip([mpmath.mpf(0)] + values, values):  # on each piece h = a*sqrt(L) - b*L
+        above = [(mpmath.mpf(v), mpmath.mpf(w)) for v, w in dist.points if v >= end]
+        a, b = mpmath.fsum(w * mpmath.sqrt(v) for v, w in above), mpmath.fsum(w for _, w in above)
+        candidates.append(min(max((a / (2 * b)) ** 2, start), end))
+    level = max(candidates, key=h)
+    assert all(h(level) >= h(x) for x in mpmath.linspace(0, values[-1], 2001))
+    return level
+
+
+@pytest.mark.parametrize(
+    ("dist", "tol"),
+    [(law, 1e-14) for law in (ValueDistribution.exponential(rate) for rate in (0.3, 1.0, 3.0))]
+    + [(ValueDistribution.point_masses(points), 1e-14) for points in (
+        [(1.0, 1.0)], [(1.0, 0.5), (2.0, 0.5)], [(0.2, 0.3), (1.0, 0.5), (7.0, 0.2)], [(0.0, 0.5), (3.0, 0.5)])]
+    + [(ValueDistribution.lognormal(mu, sig), 1e-14) for mu in (-1.0, 0.0, 1.5) for sig in (1e-3, 0.3, 0.5, 1.2, 2.0)]
+    # the factor exp(sig**2/8 - w/2) amplifies rounding in the stationarity condition
+    + [(ValueDistribution.lognormal(mu, sig), 1e-12) for mu in (-1.0, 0.0, 1.5) for sig in (5.0, 10.0)],
+    ids=lambda x: getattr(x, "spec", None),
+)
+def test_optimal_c_matches_mpmath(dist, tol):
+    g, f0 = 0.7, 1.9
+    with mpmath.workdps(40):
+        for mode, k in (("shared", 1), ("separate", 2)):
+            fee = optimal_c(dist, g, f0, mode)
+            level = _mp_optimal_level(dist, fee.c_star * k / (g * f0))
+            c_star = level * mpmath.mpf(g) * mpmath.mpf(f0) / k
+            revenue = mpmath.mpf(g) * mpmath.mpf(f0) * _mp_revenue_per_gf0(dist)(level)
+            assert abs(fee.c_star / c_star - 1) <= tol, (mode, fee.c_star, c_star)
+            assert abs(fee.ex_ante_revenue / revenue - 1) <= tol, (mode, fee.ex_ante_revenue, revenue)
+
+
+def test_exp_optimum_root_is_the_nearest_float():
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda y: mpmath.erfc(y) - 2 * y * mpmath.exp(-y * y) / mpmath.sqrt(mpmath.pi), 0.5)
+        assert _EXP_ROOT == float(root)
+        assert mpmath.nstr(root, 20) == "0.53159688514939322273"
 
 
 def test_optimal_c_degenerate_distribution():

@@ -273,10 +273,10 @@ def test_boolean_config_value_is_config_error(params, reason, capsys, tmp_path):
         ("points:inf@1", 2, "point-mass values must be finite"),
         ("lognormal:1500,1", 2, "beyond float range"),
         ("points:1", 2, "'1' is not VALUE@WEIGHT"),
-        ("lognormal:800,1", 1, "outside the searched range"),
-        ("points:1e20@1", 1, "outside the searched range"),
-        # zero revenue over the whole range, yet the law has mass above zero
-        ("points:1e-12@1", 1, "outside the searched range"),
+        ("lognormal:800,1", 1, "c* rounds to inf"),
+        ("lognormal:-800,1", 1, "c* rounds to 0.0"),
+        ("lognormal:0,40", 1, "tails underflow"),
+        ("lognormal:-2000,80", 1, "tails underflow"),
     ],
 )
 def test_optimal_c_unusable_value_law_exit_code(value_dist, expected, reason, capsys):
@@ -286,6 +286,21 @@ def test_optimal_c_unusable_value_law_exit_code(value_dist, expected, reason, ca
     assert out == ""
     assert err.startswith("seqlab: config error" if expected == 2 else "seqlab: solver error")
     assert reason in err
+
+
+@pytest.mark.parametrize(
+    ("value_dist", "c_star"), [("points:1e20@1", 2.5e19), ("points:1e-12@1", 2.5e-13), ("exp:1e-300", None),
+                               ("exp:1e300", None)],
+)
+def test_optimal_c_past_the_old_search_range(value_dist, c_star, capsys):
+    # once outside [1e-8, 1e4]*g*f0 and exit 1; with normal:1, g*f0 = 1/sqrt(2*pi)
+    code, out, err = _run(capsys, ["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1",
+                                   "--value-dist", value_dist, "--format", "json"])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert result["separate"]["c_star"] == pytest.approx(result["shared"]["c_star"] / 2, rel=1e-11)
+    if c_star is not None:
+        assert result["shared"]["c_star"] == pytest.approx(c_star / math.sqrt(2.0 * math.pi), rel=1e-11)
 
 
 def test_optimal_c_zero_value_law_earns_nothing(capsys):

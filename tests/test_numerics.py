@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from seqlab.errors import SolverError
-from seqlab.numerics import bisect_root, golden_section_max, settle_root
+from seqlab.numerics import bisect_root, settle_root
 
 
 def test_bisect_finds_cubic_root():
@@ -98,14 +98,3 @@ def test_settle_root_equals_bisection_on_a_smooth_residual():
     assert 0 < (found * found == c).sum() < c.size
     alone = settle_root(lambda x: 2.0 - x * x, np.array(1.0), np.array(0.0), np.array(2.0))
     assert isinstance(alone, float) and alone == bisect_root(lambda x: 2.0 - x * x, np.zeros(1), [2.0])[0]
-
-
-def test_golden_section_maximizes_parabola():
-    x, fx = golden_section_max(lambda x: -(x - 1.3) ** 2 + 0.7, -5.0, 5.0)
-    assert x == pytest.approx(1.3, abs=1e-8)
-    assert fx == pytest.approx(0.7, abs=1e-12)
-
-
-def test_golden_section_rejects_empty_bracket():
-    with pytest.raises(SolverError):
-        golden_section_max(lambda x: x, 1.0, 1.0)
