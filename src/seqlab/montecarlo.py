@@ -16,6 +16,13 @@ O(trials * chains * log grid) races plus the histograms of the per-chain
 mesh, not O(profiles * trials), and its counts are exactly those of the
 per-profile race.
 
+A simulation races each chain at one signal gap, and the sign of
+``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
+byte of each noise word bounds its noise, a table per gap says which pairs
+of bytes win or lose whatever the exact draws, and only the races it leaves
+open (about 1% of them) are transformed and raced exactly. Rounded addition
+is monotone, so the tables decide exactly as the exact test would.
+
 Determinism contract: the uniform driving trial ``t``, chain ``k``, slot
 ``j`` is word ``(t*n + k)*3 + j`` of the counter-based stream keyed by the
 seed (slots 0 and 1 feed the two traders' noise, slot 2 breaks ties), so an
@@ -43,7 +50,7 @@ from .rng import raw_words, to_uniform
 
 _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
-_HEADS_BELOW = np.uint64(1 << 63)  # a tie-break word below this is heads: its u < 1/2
+_K = 8  # a word's top _K bits are its bin in the decision tables: one byte
 _Z95 = 1.96
 
 
@@ -115,12 +122,17 @@ def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: in
     broadcast against each other: scalars, or arrays that vary along one
     axis each (entries along the same axis hold the same values). Its
     profiles are the points of the broadcast shape. ``rival`` holds trader
-    2's ``n`` signals. Each chunk of trials draws its uniforms and noise once.
-    The race is monotone in trader 1's signal, so per family and (trial,
-    chain) a lockstep binary search over the axis's sorted values finds the
-    first one that wins, and every profile's counts follow from histograms
-    of those thresholds. They are exactly the counts of a one-profile run
-    with the same seed.
+    2's ``n`` signals. Each chunk of trials draws its words once for every
+    family.
+
+    When no entry varies, every chain races at one gap, and a decision table
+    per distinct gap settles almost every race from the top byte of its two
+    noise words; only the races it leaves open transform their words.
+    Otherwise every word is transformed, and the race being monotone in
+    trader 1's signal, per family and (trial, chain) a lockstep binary
+    search over the axis's sorted values finds the first one that wins;
+    every profile's counts follow from histograms of those thresholds. Both
+    ways give exactly the counts of a one-profile run with the same seed.
 
     Returns ``captures`` of shape ``(2, P)`` (trials in which trader 1,
     resp. trader 2, won every chain) and ``joint`` of shape ``(n, n, P)``,
@@ -130,8 +142,12 @@ def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: in
     """
     n = len(rival)
     scans = [_Scan(family, rival) for family in families]
+    tables = None
+    if all(g is None for scan in scans for g in scan.group):
+        bounds = _bin_bounds(noise)
+        tables = {gap: _decision_table(gap, bounds) for gap in {float(g) for scan in scans for g in scan.gaps}}
     for start in range(0, trials, _CHUNK_TRIALS):
-        _race_chunk(scans, noise, seed, start, min(_CHUNK_TRIALS, trials - start))
+        _race_chunk(scans, noise, seed, start, min(_CHUNK_TRIALS, trials - start), tables)
     counts = [scan.counts() for scan in scans]
     captures = np.concatenate([c[:2] for c in counts], axis=1)
     joint = np.empty((n, n, captures.shape[1]), dtype=np.int64)
@@ -142,48 +158,72 @@ def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: in
     return captures, joint
 
 
-def _race_chunk(scans, noise: NoiseModel, seed: int, start: int, m: int) -> None:
+def _race_chunk(scans, noise: NoiseModel, seed: int, start: int, m: int, tables) -> None:
     """Add the counts of trials ``[start, start + m)`` to every scan. A
     function of its own so the chunk's draws are freed before the next
     chunk draws its own."""
     n = scans[0].n
-    words = raw_words(seed, start * _SLOTS * n, m * _SLOTS * n).reshape(m, n, _SLOTS).T
-    # per chain, contiguous over trials: trader 1's uniforms, trader 2's (none
-    # for the uniform law, whose difference is drawn directly) and the coin,
-    # heads when the word's top bit is clear. The words go before the noise
-    # is drawn: a chunk that holds them to the end peaks past the point where
-    # the allocator hands its pages back, and every chunk faults them in anew.
-    u = to_uniform(words[:2] if noise.has_trader_law else words[:1])
-    heads = words[2] < _HEADS_BELOW
-    del words
-    if noise.has_trader_law:
-        mine, theirs = (noise.trader_noise(x) for x in u)
+    words = raw_words(seed, start * _SLOTS * n, m * _SLOTS * n).reshape(m, n, _SLOTS)
+    if tables is not None:
+        race = _TableRace(words, noise, tables)
     else:
-        mine, theirs = noise.quantile(u[0]), None
-    del u
-    race = _Race(mine, theirs, heads)
+        # the words go before the noise is drawn and the draws once it is: a
+        # chunk that holds them to the end peaks past the point where the
+        # allocator hands its pages back, and every chunk faults them in anew
+        draws, heads = _draws(words, noise)
+        del words
+        mine, theirs = _noise(draws, noise)
+        del draws
+        race = _Race(mine, theirs, heads)
     for scan in scans:
         scan.add(race)
 
 
+def _draws(words: np.ndarray, noise: NoiseModel):
+    """The uniforms that drive the noise and the coins (heads when the
+    tie-break draw is below 1/2) of ``words`` shaped ``(..., _SLOTS)``.
+
+    The words are converted in place, in memory order; one gather then lays
+    trader 1's and trader 2's draws (trader 1's alone for the uniform law,
+    which draws the difference) out in rows. The leading axes come reversed,
+    so a chunk's rows are per chain and contiguous over trials.
+    """
+    u = to_uniform(words).T
+    slots = u[:2] if noise.has_trader_law else u[:1]
+    return np.ascontiguousarray(slots), np.less(u[-1], 0.5, order="C")
+
+
+def _noise(draws: np.ndarray, noise: NoiseModel):
+    """Trader 1's and trader 2's noise (``None`` for the uniform law) from ``_draws``'s rows."""
+    if noise.has_trader_law:
+        mine, theirs = noise.trader_noise(draws)
+        return mine, theirs
+    return noise.quantile(draws[0]), None
+
+
+def _wins(gap, mine: np.ndarray, theirs, heads: np.ndarray) -> np.ndarray:
+    """Whether trader 1 wins each race at ``gap`` (own minus rival signal, a
+    scalar or one per race): ``(gap + a) - b > 0``, and on an exact tie the
+    coin. ``theirs`` is ``None`` when the law draws the difference."""
+    diff = gap + mine
+    if theirs is not None:
+        diff -= theirs
+    won = diff > 0.0
+    tie = diff == 0.0
+    if tie.any():
+        won[tie] = heads[tie]
+    return won
+
+
 class _Race:
-    """One chunk's draws per chain: the unchanged win test at any gap."""
+    """One chunk's exact draws per chain: the win test at any gap."""
 
     def __init__(self, mine, theirs, heads):
         self.mine, self.theirs, self.heads = mine, theirs, heads
 
     def wins(self, k: int, gap) -> np.ndarray:
-        """Whether trader 1 wins chain ``k`` of each trial at ``gap`` (own
-        minus rival signal, a scalar or one per trial): ``(gap + a) - b >
-        0``, and on an exact tie the coin."""
-        diff = gap + self.mine[k]
-        if self.theirs is not None:
-            diff -= self.theirs[k]
-        won = diff > 0.0
-        tie = diff == 0.0
-        if tie.any():
-            won[tie] = self.heads[k][tie]
-        return won
+        """Whether trader 1 wins chain ``k`` of each trial at ``gap``."""
+        return _wins(gap, self.mine[k], None if self.theirs is None else self.theirs[k], self.heads[k])
 
     def thresholds(self, k: int, gaps: np.ndarray) -> np.ndarray:
         """Per trial, the index of the first of the non-decreasing ``gaps``
@@ -203,6 +243,71 @@ class _Race:
             lost += step * ~won
             step //= 2
         return lost
+
+
+_OPEN = 2  # a table entry the bounds leave undecided; 0 and 1 are the race's outcome
+
+
+def _bin_bounds(noise: NoiseModel):
+    """Bounds ``(lo_a, hi_a, lo_b, hi_b)`` on trader 1's and trader 2's noise
+    in each bin, the bin of a word being its top ``_K`` bits.
+
+    The transform from word to noise is monotone, so a bin's noise lies
+    between its values at the bin's first and last word. The computed
+    transform need not be monotone in its last bits, so the bounds are
+    widened by a slack far beyond its rounding, and then by one more ulp
+    for subnormal results. Trader 2's noise is 0 under the uniform law.
+    """
+    first = np.arange(1 << _K, dtype=np.uint64) << np.uint64(64 - _K)
+    ends = to_uniform(np.stack([first, first | np.uint64((1 << (64 - _K)) - 1)]))
+    ends = noise.trader_noise(ends) if noise.has_trader_law else noise.quantile(ends)
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    with np.errstate(invalid="ignore"):  # an infinite end leaves the bin open
+        lo = np.nextafter(lo - (1e-9 * np.abs(lo) + 1e-12 * noise.param), -np.inf)
+        hi = np.nextafter(hi + (1e-9 * np.abs(hi) + 1e-12 * noise.param), np.inf)
+    if noise.has_trader_law:
+        return lo, hi, lo, hi
+    zero = np.zeros(1 << _K)
+    return lo, hi, zero, zero
+
+
+def _decision_table(gap: float, bounds) -> np.ndarray:
+    """The race's outcome at ``gap`` for each pair of bins, at index
+    ``a | b << _K`` for trader 1's bin ``a`` and trader 2's bin ``b``: 1 when
+    every draw in the pair wins, 0 when every one loses, ``_OPEN`` otherwise.
+
+    Trader 1 wins when ``fl(gap + a) > b``, or on a tie and heads, since
+    ``fl(x - b) > 0`` exactly when ``x > b``. Rounded addition is monotone,
+    so ``fl(gap + lo_a) > hi_b`` wins whatever the draws in the bins and the
+    coin, and ``fl(gap + hi_a) < lo_b`` loses likewise.
+    """
+    lo_a, hi_a, lo_b, hi_b = bounds
+    with np.errstate(invalid="ignore"):  # a NaN bound decides nothing
+        win = np.less.outer(hi_b, gap + lo_a)
+        lose = np.greater.outer(lo_b, gap + hi_a)
+    return np.where(win, 1, np.where(lose, 0, _OPEN)).astype(np.uint8).reshape(-1)
+
+
+class _TableRace:
+    """One chunk's words, raced from decision tables: a chain's words are
+    transformed only in the races its table leaves open."""
+
+    def __init__(self, words: np.ndarray, noise: NoiseModel, tables: dict):
+        self.words, self.noise, self.tables = words, noise, tables
+        # each word's top byte, so slot 0's and slot 1's of one race are
+        # adjacent and read as one little-endian 16-bit index
+        self.top = words.astype("<u8", copy=False).reshape(-1).view(np.uint8)[7::8].copy()
+
+    def wins(self, k: int, gap) -> np.ndarray:
+        """Whether trader 1 wins chain ``k`` of each trial at the scalar ``gap``."""
+        m, n, _ = self.words.shape
+        pairs = np.ndarray((m,), dtype="<u2", buffer=self.top, offset=_SLOTS * k, strides=(_SLOTS * n,))
+        won = np.take(self.tables[gap], pairs)
+        open_ = np.flatnonzero(won == _OPEN)
+        if open_.size:
+            draws, heads = _draws(self.words[open_, k], self.noise)
+            won[open_] = _wins(gap, *_noise(draws, self.noise), heads)
+        return won.view(bool)
 
 
 _WIN, _LOSE = 0, 1

@@ -22,9 +22,14 @@ reproduces the configured difference law exactly:
   draws the difference directly and splits it antisymmetrically, which is
   distributionally equivalent in a two-trader race
 
-Sampling applies ``quantile`` (or ``trader_noise``) to the counter-based
-uniforms of :func:`seqlab.rng.uniform_stream`, so draw ``i`` is a pure
-function of ``(seed, i)``.
+Sampling applies ``quantile`` (or ``trader_noise``) to the uniforms that
+:func:`seqlab.rng.to_uniform` makes of counter-based words, so draw ``i`` is
+a pure function of ``(seed, i)``. Each transform is monotone in its uniform
+(the laplace ``trader_noise`` falls, the others rise), and the uniform does
+not fall as the word rises. The Monte Carlo engine relies on that: the
+noise of all words that share a top byte lies between the transform of the
+first and the last of them, and only the races those bounds leave open are
+transformed.
 
 ``scipy.special`` is imported on first use, by the normal and logistic
 methods that need it, so solving, comparing and sweeping never load SciPy.

@@ -15,6 +15,7 @@ import numpy as np
 _WORDS_PER_BLOCK = 4
 _SHIFT = np.uint64(11)
 _INV_2_53 = 2.0**-53
+_BELOW_ONE = 1.0 - 2.0**-53
 
 MAX_SEED = 2**64 - 1
 
@@ -36,16 +37,26 @@ def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def to_uniform(words: np.ndarray) -> np.ndarray:
-    """The uniform on (0, 1) of each 64-bit word, as a new C-contiguous array.
+    """The uniform on (0, 1) of each 64-bit word, written over the words.
 
-    A word's top 53 bits, offset by half an ulp, which keeps every draw
-    strictly inside (0, 1) so inverse-CDF transforms never hit an endpoint
-    singularity. ``words`` may be any strided view; its words are shifted in
-    place, so a caller that keeps other words of the same buffer (such as
-    tie-break words, read for their top bit: the draw is below 1/2 exactly
-    when the word is below ``2**63``) passes a view that excludes them.
+    A word's top 53 bits ``x``, offset by half an ulp: ``(x + 1/2) * 2**-53``.
+    Below 1/2 that sum is exact. Above 1/2 it ties and rounds half to even,
+    so odd ``x`` share the draw of the even value above them; recorded
+    counts rest on that rounding, so it stays. At the top it would round up
+    to exactly 1.0, so the largest draw is clamped to ``1 - 2**-53``: every
+    draw lies strictly inside (0, 1) and inverse-CDF transforms never hit an
+    endpoint singularity. A draw is below 1/2 exactly when its word is below
+    ``2**63``.
+
+    C-contiguous words are consumed: the draws come back as a float64 view
+    of their buffer, so converting allocates nothing. Other words are copied
+    first and left as they are.
     """
-    np.right_shift(words, _SHIFT, out=words)
-    out = np.add(words, 0.5, out=np.empty(words.shape))
+    flat = words.reshape(-1)
+    np.right_shift(flat, _SHIFT, out=flat)
+    out = flat.view(np.float64)
+    out[...] = flat  # exact below 2**53; in one dimension the cast needs no copy
+    out += 0.5
     out *= _INV_2_53
-    return out
+    np.minimum(out, _BELOW_ONE, out=out)
+    return out.reshape(words.shape)

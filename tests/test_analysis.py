@@ -242,7 +242,6 @@ def test_import_leaves_out_scipy_integrate():
         (ValueDistribution.lognormal(800.0, 1.0), "c* rounds to inf"),
         (ValueDistribution.lognormal(-800.0, 1.0), "c* rounds to 0.0"),
         (ValueDistribution.point_masses([(5e-324, 1.0)]), "c* rounds to 0.0"),
-        (ValueDistribution.point_masses([(1e308, 1.0)]), "its revenue to inf"),
         # from log-sigma about 37.39 the tails at the bracket end sigma**2 are no normal floats
         (ValueDistribution.lognormal(0.0, 38.5), "tails underflow"),
         (ValueDistribution.lognormal(0.0, 40.0), "tails underflow"),
@@ -257,8 +256,9 @@ def test_optimal_c_beyond_float_range_is_a_solver_error(dist, reason):
 
 
 def test_optimal_c_past_the_old_search_range():
-    # optima below 1e-8*g*f0 or above 1e4*g*f0 once exited 1
-    for points, c_star in (([(1e20, 1.0)], 2.5e19), ([(1e-12, 1.0)], 2.5e-13)):
+    # optima below 1e-8*g*f0 or above 1e4*g*f0 once exited 1; at 1e308 the
+    # product k*c*g*f0*v overflowed to an infinite revenue
+    for points, c_star in (([(1e20, 1.0)], 2.5e19), ([(1e-12, 1.0)], 2.5e-13), ([(1e308, 1.0)], 2.5e307)):
         fee = optimal_c(ValueDistribution.point_masses(points), 1.0, 1.0, "shared")
         assert (fee.c_star, fee.ex_ante_revenue) == (c_star, c_star)
     for rate in (1e-300, 1e300):
@@ -343,6 +343,27 @@ def test_optimal_c_matches_mpmath(dist, tol):
             revenue = mpmath.mpf(g) * mpmath.mpf(f0) * _mp_revenue_per_gf0(dist)(level)
             assert abs(fee.c_star / c_star - 1) <= tol, (mode, fee.c_star, c_star)
             assert abs(fee.ex_ante_revenue / revenue - 1) <= tol, (mode, fee.ex_ante_revenue, revenue)
+
+
+@pytest.mark.parametrize("dist", [
+    ValueDistribution.exponential(1.0),
+    ValueDistribution.lognormal(0.0, 1.0),
+    ValueDistribution.point_masses([(1.0, 1.0)]),
+    ValueDistribution.point_masses([(0.2, 0.3), (1.0, 0.5), (7.0, 0.2)]),
+], ids=lambda d: d.spec)
+@pytest.mark.parametrize("f0", [1.0, 1e-10, 1e-100, 1e-160, 1e-200, 1e-250, 1e-300])
+def test_ex_ante_revenue_at_tiny_f0_matches_mpmath(dist, f0):
+    # k*c*g*f0 is about (g*f0)**2*L: as one product it underflowed from
+    # f0 near 1e-154, lost digits and then turned the revenue negative
+    g = 0.7
+    with mpmath.workdps(40):
+        for mode, k in (("shared", 1), ("separate", 2)):
+            for c in (optimal_c(dist, g, f0, mode).c_star, 0.3 * g * f0 / k):
+                revenue = ex_ante_revenue(dist, g, f0, mode, c)
+                level = k * mpmath.mpf(c) / (mpmath.mpf(g) * mpmath.mpf(f0))
+                exact = mpmath.mpf(g) * mpmath.mpf(f0) * _mp_revenue_per_gf0(dist)(level)
+                assert revenue > 0.0
+                assert abs(revenue / exact - 1) <= 1e-14, (mode, c, revenue, exact)
 
 
 def test_exp_optimum_root_is_the_nearest_float():

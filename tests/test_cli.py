@@ -303,6 +303,18 @@ def test_optimal_c_past_the_old_search_range(value_dist, c_star, capsys):
         assert result["shared"]["c_star"] == pytest.approx(c_star / math.sqrt(2.0 * math.pi), rel=1e-11)
 
 
+def test_optimal_c_at_a_tiny_peak_density(capsys):
+    # f0 = 1/(sqrt(2*pi)*1e200): the one product k*c*g*f0 underflowed to 0,
+    # which ended in "c* rounds to 1.127e-201, its revenue to 0.0"
+    code, out, err = _run(capsys, ["optimal-c", "--cost", "timeboost:c=0.1,g=1", "--noise", "normal:1e200",
+                                   "--value-dist", "exp:1", "--format", "json"])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    f0 = 1.0 / (math.sqrt(2.0 * math.pi) * 1e200)
+    for mode in ("shared", "separate"):
+        assert result[mode]["ex_ante_revenue"] == pytest.approx(0.2130273172711493 * f0, rel=1e-11)
+
+
 def test_optimal_c_zero_value_law_earns_nothing(capsys):
     code, out, err = _run(capsys, ["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1",
                                    "--value-dist", "points:0@1", "--format", "json"])

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import seqlab.montecarlo as mc
 from seqlab.cost import CostModel
@@ -16,7 +18,7 @@ from seqlab.montecarlo import (
     verify_best_response,
 )
 from seqlab.noise import NoiseModel
-from seqlab.rng import uniform_stream
+from seqlab.rng import to_uniform, uniform_stream
 
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
 UNIT_NOISE = NoiseModel("normal", SIGMA_UNIT_F0)
@@ -448,3 +450,100 @@ def test_tally_groups_chains_that_share_an_axis(noise):
     first, second = np.array([0.5, 0.0, 0.7, 0.5]), np.array([0.2, 0.9, 0.05])
     families = [(first[:, None], second[None, :], first[:, None], 0.3), (0.1, first, 0.2, first)]
     _assert_tally_equals_reference(families, rival, noise, 1_500, 19)
+
+
+# -- the decision tables of scalar chains ---------------------------------------
+
+EXTREME_NOISES = [NoiseModel(family, param) for family in ("normal", "logistic", "laplace", "uniform")
+                  for param in (1e-300, 1e-3, 1.0, 1e3, 1e300)]
+_BIN_SHIFT = np.uint64(64 - mc._K)
+
+
+def _exact_noise(noise, words):
+    """Each word's noise as the race computes it: the law's transform of its uniform."""
+    u = to_uniform(np.array(words, dtype=np.uint64))
+    return noise.trader_noise(u) if noise.has_trader_law else noise.quantile(u)
+
+
+def _assert_bounds_hold(noise, words):
+    lo_a, hi_a, lo_b, hi_b = mc._bin_bounds(noise)
+    x, bins = _exact_noise(noise, words), np.array(words, dtype=np.uint64) >> _BIN_SHIFT
+    assert np.all(lo_a[bins] <= x) and np.all(x <= hi_a[bins]), noise.spec
+    if noise.has_trader_law:
+        assert np.array_equal(lo_b, lo_a) and np.array_equal(hi_b, hi_a)
+    else:  # the difference is drawn directly: trader 2's noise is 0
+        assert not np.any(lo_b) and not np.any(hi_b)
+
+
+@pytest.mark.parametrize("noise", EXTREME_NOISES, ids=lambda m: m.spec)
+def test_bin_bounds_hold_at_the_ends_of_every_bin(noise):
+    first = np.arange(1 << mc._K, dtype=np.uint64) << _BIN_SHIFT
+    last = first | ((np.uint64(1) << _BIN_SHIFT) - np.uint64(1))
+    one = np.uint64(1)
+    # the ends, their inner neighbours and the outer ones, which lie in the adjacent bins
+    words = np.concatenate([first, last, first + one, last - one, first[1:] - one, last[:-1] + one])
+    _assert_bounds_hold(noise, words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+def test_bin_bounds_hold_for_any_word(words):
+    for noise in EXTREME_NOISES:
+        _assert_bounds_hold(noise, words)
+
+
+def test_noise_of_the_top_and_bottom_words_is_finite_without_warnings():
+    # the top 2**11 words once drew exactly 1.0: an infinite normal or
+    # logistic noise, and a division by zero in the logistic law's log
+    words = [0, 1, 2**11 - 1, 2**11, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1]
+    with np.errstate(all="raise", under="ignore"):  # a tiny scale may round draws to 0
+        for noise in EXTREME_NOISES:
+            assert np.all(np.isfinite(_exact_noise(noise, words))), noise.spec
+
+
+def _scalar_gaps(noise, n, trials, seed):
+    """Gaps 0, gaps beyond every table's range, and fl(b - a) of chosen races
+    with their float neighbours, where races tie and the tables leave them open."""
+    u = uniform_stream(seed, 0, trials * 3 * n).reshape(trials, n, 3)
+    if noise.has_trader_law:
+        mine, theirs = noise.trader_noise(u[:, :, 0]), noise.trader_noise(u[:, :, 1])
+    else:
+        mine, theirs = noise.quantile(u[:, :, 0]), np.zeros((trials, n))
+    edges = (theirs[::173] - mine[::173]).reshape(-1)
+    huge = 1e3 * noise.param
+    gaps = [0.0, huge, -huge, 2.0 * huge]
+    for edge in edges[:12]:
+        gaps += [float(edge), float(np.nextafter(edge, np.inf)), float(np.nextafter(edge, -np.inf))]
+    return np.array(gaps), (mine, theirs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("noise", EXTREME_NOISES, ids=lambda m: m.spec)
+def test_scalar_tally_from_tables_equals_per_profile_race(noise, n, monkeypatch):
+    trials, seed = 1_500, 23
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
+    gaps, (mine, theirs) = _scalar_gaps(noise, n, trials, seed)
+    assert ((gaps[:, None, None] + mine) - theirs == 0.0).any()  # the coin decides some races
+    rival = np.zeros(n)  # so each gap is exactly the entry
+    families = [(float(g),) * n for g in gaps]
+    families += [tuple(float(x) for x in np.roll(gaps, k)[:n]) for k in range(0, len(gaps), 5)]
+    built = []
+    table = mc._decision_table
+    monkeypatch.setattr(mc, "_decision_table", lambda gap, bounds: built.append(gap) or table(gap, bounds))
+    _assert_tally_equals_reference(families, rival, noise, trials, seed)
+    assert len(built) == len(set(gaps.tolist()))  # one table per distinct gap: the table path ran
+    wide = table(2.0 * 1e3 * noise.param, mc._bin_bounds(noise))
+    assert np.all(wide == 1)  # a gap beyond the noise range decides every pair of bins
+
+
+@pytest.mark.parametrize("noise", EXTREME_NOISES[2::5] + EXTREME_NOISES[3::5], ids=lambda m: m.spec)
+def test_simulate_from_tables_equals_per_profile_race(noise):
+    # simulate's counts, through the public entry point, at equal and unequal signals
+    for n in (1, 2, 3):
+        for own, rival in ((0.3, 0.3), (0.3, 0.3 + 0.01 * noise.param), ((0.2, 0.5, 0.3)[:n], (0.4, 0.1, 0.3)[:n])):
+            spec = _spec((own, rival), n=n, trials=3_000, seed=31, noise=noise)
+            stats = simulate(spec)
+            rows = np.array(spec.signals)
+            captures, joint = _reference_tally(rows[0][:, None], rows[1], noise, 3_000, 31)
+            assert stats.capture_counts == (captures[0, 0], captures[1, 0])
+            assert stats.per_chain_win_counts[0] == tuple(joint[k, k, 0] for k in range(n))
