@@ -251,15 +251,18 @@ def ex_ante_revenue(dist: ValueDistribution, g: float, f0: float, mode: str, c: 
     lognormal laws, an exact sum for point masses. The root is taken factor
     by factor, ``sqrt(k*c)*sqrt(g*f0)*sqrt(v)``: ``k*c`` is about
     ``g*f0*L``, so one product under the root underflows (or overflows)
-    long before the revenue does.
+    long before the revenue does. Each point's term is
+    ``sqrt(k*c)*(sqrt(g*f0)*sqrt(v) - sqrt(k*c))``, because the whole root
+    overflows near float max where the revenue does not.
     """
     k = {"shared": 1.0, "separate": 2.0}[mode]
     if c <= 0.0:
         return 0.0
     lower = k * c / (g * f0)
-    root = math.sqrt(k * c) * math.sqrt(g * f0)
+    root_kc, root_gf0 = math.sqrt(k * c), math.sqrt(g * f0)
+    root = root_kc * root_gf0
     if dist.family == "points":
-        return math.fsum(w * (root * math.sqrt(v) - k * c) for v, w in dist.points if v >= lower)
+        return math.fsum(w * (root_kc * (root_gf0 * math.sqrt(v) - root_kc)) for v, w in dist.points if v >= lower)
     if dist.family == "exp":
         # root*E[sqrt(V); V > L] = root*Gamma(3/2, x)/sqrt(rate) with x = rate*L, and
         # Gamma(3/2, x) = sqrt(x)*exp(-x) + sqrt(pi)/2*erfc(sqrt(x)); since root*sqrt(L)

@@ -6,6 +6,8 @@ Subcommands: ``equilibrium``, ``compare``, ``sweep``, ``simulate``,
 JSON output is a single object with stable keys ``command``, ``params``, and
 ``result``; reals carry 12 significant digits, and feeding an emitted JSON
 file back through ``--config`` reproduces the identical run byte for byte.
+Table and CSV cells print each real once with ``.12g``, booleans as
+``true``/``false`` and a missing value as an empty cell.
 Config files may also be flat ``key = value`` lines (flag names without the
 leading dashes, ``#`` comments, repeated ``grid`` lines allowed).
 
@@ -20,15 +22,13 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import analysis, montecarlo
 from .cost import CostModel, parse_cost, tokenize_cost
 from .equilibrium import MarketConfig, solve_equilibrium
 from .errors import ConfigError, DomainError, ParameterError, SolverError
 from .noise import parse_noise
-
-COMMANDS = ("equilibrium", "compare", "sweep", "simulate", "verify", "optimal-c")
 
 _REJECTED_FLAG_HELP = "rejected; pass TimeBoost parameters via --cost timeboost:c=...,g=..."
 
@@ -63,50 +63,50 @@ _FLAGS = {
 }
 
 
-def _add_common(parser: _CliParser, *flags: str) -> None:
-    arg = parser.add_argument
-    for name, options in _FLAGS.items():
-        if name in flags:
-            arg("--" + name.replace("_", "-"), default=None, **options)
-    arg("--format", choices=("table", "json", "csv"), default=None, help="output format (default table)")
-    arg("--out", default=None, help="output path (default standard output)")
-    arg("--config", default=None, help="config file: flat key=value lines or a previously emitted JSON run")
-    arg("--g", type=float, default=None, help=_REJECTED_FLAG_HELP)
-    arg("--c", type=float, default=None, help=_REJECTED_FLAG_HELP)
+#: marks a flag that has no default, so every run must set it
+_REQUIRED = object()
 
+#: each command's flags in help order, with their defaults; --mode follows the common flags
+_COMMANDS = {
+    "equilibrium": {"v": _REQUIRED, "chains": 1, "alpha": 1.0, "cost": _REQUIRED, "noise": _REQUIRED, "cap": None},
+    "compare": {"v": _REQUIRED, "chains": 2, "alpha": 1.0, "cost": _REQUIRED, "noise": _REQUIRED, "cap": None},
+    "sweep": {"v": 1.0, "chains": 2, "alpha": 1.0, "cost": _REQUIRED, "noise": _REQUIRED, "cap": None,
+              "grid": _REQUIRED},
+    "simulate": {"v": _REQUIRED, "chains": 1, "alpha": 1.0, "cost": "power:2.0", "noise": "normal:1.0", "cap": None,
+                 "signals": _REQUIRED, "trials": 100_000, "seed": 0},
+    "verify": {"v": _REQUIRED, "chains": 1, "alpha": 1.0, "cost": _REQUIRED, "noise": _REQUIRED, "cap": None,
+               "trials": 100_000, "seed": 0, "mode": "analytic"},
+    "optimal-c": {"cost": _REQUIRED, "noise": _REQUIRED, "value_dist": _REQUIRED, "mode": "both"},
+}
+COMMANDS = tuple(_COMMANDS)
 
-_COMMAND_FLAGS = {
-    "equilibrium": ("v", "chains", "alpha", "cost", "noise", "cap"),
-    "compare": ("v", "chains", "alpha", "cost", "noise", "cap"),
-    "sweep": ("v", "chains", "alpha", "cost", "noise", "cap", "grid"),
-    "simulate": ("v", "chains", "alpha", "cost", "noise", "cap", "signals", "trials", "seed"),
-    "verify": ("v", "chains", "alpha", "cost", "noise", "cap", "trials", "seed"),
-    "optimal-c": ("cost", "noise", "value_dist"),
+#: --mode choices and help, per command that takes it
+_MODES = {
+    "verify": (("analytic", "montecarlo"), "payoff evaluation mode for the deviation scan"),
+    "optimal-c": (("shared", "separate", "both"), "which sequencing mode(s) to optimize"),
 }
 
-_DEFAULTS = {
-    "equilibrium": {"chains": 1, "alpha": 1.0},
-    "compare": {"chains": 2, "alpha": 1.0},
-    "sweep": {"v": 1.0, "chains": 2, "alpha": 1.0},
-    "simulate": {"chains": 1, "alpha": 1.0, "trials": 100_000, "seed": 0,
-                 "cost": "power:2.0", "noise": "normal:1.0"},
-    "verify": {"chains": 1, "alpha": 1.0, "trials": 100_000, "seed": 0, "mode": "analytic"},
-    "optimal-c": {"mode": "both"},
-}
+_FORMATS = ("table", "json", "csv")
+_CASTS = {name: options["type"] for name, options in _FLAGS.items() if "type" in options}
+_PARAM_KEYS = (*_FLAGS, "mode", "format")
 
 
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="seqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    for command in COMMANDS:
-        p = sub.add_parser(command, help=f"run the {command} computation")
-        _add_common(p, *_COMMAND_FLAGS[command])
-        if command == "verify":
-            p.add_argument("--mode", choices=("analytic", "montecarlo"), default=None,
-                           help="payoff evaluation mode for the deviation scan")
-        if command == "optimal-c":
-            p.add_argument("--mode", choices=("shared", "separate", "both"), default=None,
-                           help="which sequencing mode(s) to optimize")
+    for command, flags in _COMMANDS.items():
+        arg = sub.add_parser(command, help=f"run the {command} computation").add_argument
+        for name in flags:
+            if name in _FLAGS:
+                arg("--" + name.replace("_", "-"), default=None, **_FLAGS[name])
+        arg("--format", choices=_FORMATS, default=None, help="output format (default table)")
+        arg("--out", default=None, help="output path (default standard output)")
+        arg("--config", default=None, help="config file: flat key=value lines or a previously emitted JSON run")
+        arg("--g", type=float, default=None, help=_REJECTED_FLAG_HELP)
+        arg("--c", type=float, default=None, help=_REJECTED_FLAG_HELP)
+        if command in _MODES:
+            choices, text = _MODES[command]
+            arg("--mode", choices=choices, default=None, help=text)
     return parser
 
 
@@ -127,27 +127,23 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"{path}: 'params' must be a JSON object, got {params!r}")
         if "command" in payload:
             params["command"] = payload["command"]
-        return params
-    params: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
-        key, value = key.strip().replace("-", "_"), value.strip()
-        if key == "grid":
-            params.setdefault("grid", []).append(value)
-        else:
-            params[key] = value
+    else:
+        params = {}
+        for line_no, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, sep, value = line.partition("=")
+            if not sep:
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value', got {raw!r}")
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key == "grid":
+                params.setdefault("grid", []).append(value)
+            else:
+                params[key] = value
+    if "command" in params and params["command"] not in COMMANDS:
+        raise ConfigError(f"config key 'command' needs one of {', '.join(COMMANDS)}, got {params['command']!r}")
     return params
-
-
-_CASTS = {
-    "v": float, "alpha": float, "cap": float, "chains": int,
-    "trials": int, "seed": int,
-}
 
 
 def _merge_config(args: argparse.Namespace, params: dict) -> None:
@@ -155,26 +151,27 @@ def _merge_config(args: argparse.Namespace, params: dict) -> None:
         if key == "command":
             continue
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("g", "c") or not hasattr(args, attr):
             raise ConfigError(f"config key {key!r} is not a flag of the {args.command} command")
-        if getattr(args, attr) is None:
-            if attr == "grid" and not isinstance(value, list):
-                value = [value]
-            elif attr in _CASTS and isinstance(value, (str, bool)):
-                kind = "an integer" if _CASTS[attr] is int else "a number"
-                if isinstance(value, bool):  # JSON true and false are ints to Python
-                    raise ConfigError(f"config key {key!r} needs {kind}, got {json.dumps(value)}")
+        if getattr(args, attr) is not None or value is None:
+            continue
+        if attr in _CASTS:
+            kind = "an integer" if _CASTS[attr] is int else "a number"
+            if isinstance(value, str):
                 try:
                     value = _CASTS[attr](value)
                 except ValueError:
                     raise ConfigError(f"config key {key!r} needs {kind}, got {value!r}") from None
-            setattr(args, attr, value)
-
-
-def _require(args: argparse.Namespace, *names: str) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise ConfigError(f"--{name.replace('_', '-')} is required for {args.command!r}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON true is an int to Python
+                raise ConfigError(f"config key {key!r} needs {kind}, got {json.dumps(value)}")
+        else:
+            if attr == "grid" and not isinstance(value, list):
+                value = [value]
+            if not all(isinstance(part, str) for part in (value if attr == "grid" else [value])):
+                raise ConfigError(f"config key {key!r} needs a string, got {json.dumps(value)}")
+            if attr == "format" and value not in _FORMATS:
+                raise ConfigError(f"config key 'format' needs one of {', '.join(_FORMATS)}, got {value!r}")
+        setattr(args, attr, value)
 
 
 def _resolve_cost(args: argparse.Namespace) -> CostModel:
@@ -261,14 +258,12 @@ def _comparison_dict(report) -> dict:
 
 
 def _run_equilibrium(args) -> dict:
-    _require(args, "v", "cost", "noise")
     market = MarketConfig(args.v, args.chains, args.alpha)
     result = solve_equilibrium(market, _resolve_cost(args), parse_noise(args.noise))
     return _equilibrium_dict(result)
 
 
 def _run_compare(args) -> dict:
-    _require(args, "v", "cost", "noise")
     report = analysis.compare_expenditure(
         args.v, _resolve_cost(args), parse_noise(args.noise), args.alpha,
         separate_chains=args.chains,
@@ -277,7 +272,6 @@ def _run_compare(args) -> dict:
 
 
 def _run_sweep(args) -> dict:
-    _require(args, "cost", "noise", "grid")
     axes = _parse_grid(args.grid)
     rows = analysis.sweep(
         axes, v=args.v, cost=_resolve_cost(args), noise=parse_noise(args.noise),
@@ -287,27 +281,16 @@ def _run_sweep(args) -> dict:
 
 
 def _run_simulate(args) -> dict:
-    _require(args, "v", "cost", "noise", "signals")
     market = MarketConfig(args.v, args.chains, args.alpha)
     signals = _parse_signals(args.signals, market.n_chains)
     spec = montecarlo.SimulationSpec(
         signals, market, _resolve_cost(args), parse_noise(args.noise),
         trials=args.trials, seed=args.seed,
     )
-    stats = montecarlo.simulate(spec)
-    return {
-        "trials": stats.trials,
-        "capture_counts": list(stats.capture_counts),
-        "per_chain_win_counts": [list(row) for row in stats.per_chain_win_counts],
-        "capture_probability": list(stats.capture_probability),
-        "capture_ci_halfwidth": list(stats.capture_ci_halfwidth),
-        "mean_payoff": list(stats.mean_payoff),
-        "payoff_ci_halfwidth": list(stats.payoff_ci_halfwidth),
-    }
+    return asdict(montecarlo.simulate(spec))
 
 
 def _run_verify(args) -> dict:
-    _require(args, "v", "cost", "noise")
     market = MarketConfig(args.v, args.chains, args.alpha)
     cost = _resolve_cost(args)
     noise = parse_noise(args.noise)
@@ -315,20 +298,10 @@ def _run_verify(args) -> dict:
     check = montecarlo.verify_best_response(
         candidate, market, cost, noise, mode=args.mode, trials=args.trials, seed=args.seed,
     )
-    return {
-        "candidate_signal": candidate.signal,
-        "regime": candidate.regime.value,
-        "baseline_payoff": check.baseline_payoff,
-        "max_gain": check.max_gain,
-        "argmax_deviation": list(check.argmax_deviation),
-        "epsilon": check.epsilon,
-        "is_epsilon_equilibrium": check.is_epsilon_equilibrium,
-        "mode": check.mode,
-    }
+    return {"candidate_signal": candidate.signal, "regime": candidate.regime.value, **asdict(check)}
 
 
 def _run_optimal_c(args) -> dict:
-    _require(args, "cost", "noise", "value_dist")
     # c is the decision variable, so only g is read from the cost spec
     family, fields, positional = tokenize_cost(args.cost)
     g = fields.get("g", 0.0)
@@ -351,9 +324,6 @@ _RUNNERS = {
     "optimal-c": _run_optimal_c,
 }
 
-_PARAM_KEYS = ("v", "chains", "alpha", "cost", "noise", "cap", "signals",
-               "trials", "seed", "grid", "value_dist", "mode", "format")
-
 
 def _round12(value):
     if isinstance(value, bool) or value is None:
@@ -367,77 +337,46 @@ def _round12(value):
     return value
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    return str(value)
-
-
-def _flatten(prefix: str, value, out: dict) -> None:
+def _cells(value, prefix: str = "", out: dict | None = None) -> dict:
+    """Each leaf of a result under its ``key_subkey_index`` name, formatted once as a cell."""
+    out = {} if out is None else out
     if isinstance(value, dict):
         for key, sub in value.items():
-            _flatten(f"{prefix}_{key}" if prefix else key, sub, out)
+            _cells(sub, f"{prefix}_{key}" if prefix else key, out)
     elif isinstance(value, (list, tuple)):
         for i, sub in enumerate(value):
-            _flatten(f"{prefix}_{i}", sub, out)
+            _cells(sub, f"{prefix}_{i}", out)
+    elif value is None:
+        out[prefix] = ""
+    elif isinstance(value, bool):
+        out[prefix] = "true" if value else "false"
     else:
-        out[prefix] = value
+        out[prefix] = f"{value:.12g}" if isinstance(value, float) else str(value)
+    return out
 
 
-def _emit_csv(result: dict) -> str:
+def _emit_text(result: dict, table: bool) -> str:
+    """A result as CSV, one row per sweep row; a table lists a single result's cells one per line."""
+    rows = [_cells(row) for row in result.get("rows", [result])]
+    if table and "rows" not in result:
+        width = max(map(len, rows[0]), default=0)
+        return "".join(f"{key.ljust(width)}  {cell}\n" for key, cell in rows[0].items())
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    rows = result.get("rows")
-    if rows is not None:
-        header: list[str] = []
-        flat_rows = []
-        for row in rows:
-            flat: dict = {}
-            _flatten("", row, flat)
-            for key in flat:
-                if key not in header:
-                    header.append(key)
-            flat_rows.append(flat)
-        writer.writerow(header)
-        for flat in flat_rows:
-            writer.writerow([_fmt_cell(flat.get(key)) for key in header])
-    else:
-        flat = {}
-        _flatten("", result, flat)
-        writer.writerow(list(flat))
-        writer.writerow([_fmt_cell(v) for v in flat.values()])
+    writer.writerow(rows[0])  # every row of a sweep has the same columns
+    writer.writerows(row.values() for row in rows)
     return buffer.getvalue()
 
 
-def _emit_table(result: dict) -> str:
-    rows = result.get("rows")
-    if rows is not None:
-        return _emit_csv(result)
-    flat: dict = {}
-    _flatten("", result, flat)
-    width = max((len(k) for k in flat), default=0)
-    lines = [f"{key.ljust(width)}  {_fmt_cell(value)}" for key, value in flat.items()]
-    return "\n".join(lines) + "\n"
-
-
-def _emit(args, command: str, result: dict) -> None:
+def _emit(args, result: dict) -> None:
     fmt = args.format or "table"
     if fmt == "json":
-        params = {}
-        for key in _PARAM_KEYS:
-            value = getattr(args, key, None)
-            if value is not None:
-                params[key.replace("_", "-") if key == "value_dist" else key] = value
-        payload = {"command": command, "params": _round12(params), "result": _round12(result)}
+        params = {key.replace("_", "-"): getattr(args, key) for key in _PARAM_KEYS
+                  if getattr(args, key, None) is not None}
+        payload = {"command": args.command, "params": _round12(params), "result": _round12(result)}
         text = json.dumps(payload, indent=2) + "\n"
-    elif fmt == "csv":
-        text = _emit_csv(_round12(result))
     else:
-        text = _emit_table(_round12(result))
+        text = _emit_text(result, table=fmt == "table")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -451,20 +390,22 @@ def main(argv=None) -> int:
     try:
         if not argv or argv[0].startswith("-"):
             command = _peek_config_command(argv)
-            if command is None:
+            if command is not None:
+                argv.insert(0, command)
+            elif not {"-h", "--help"} & set(argv):
                 parser.error("a command is required (one of: " + ", ".join(COMMANDS) + ")")
-            argv.insert(0, command)
         args = parser.parse_args(argv)
         if args.g is not None or args.c is not None:
             flag = "--g" if args.g is not None else "--c"
             raise ConfigError(f"{flag} is ambiguous here; pass TimeBoost parameters via --cost timeboost:c=...,g=...")
         if args.config:
             _merge_config(args, _load_config(args.config))
-        for key, value in _DEFAULTS[args.command].items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-        result = _RUNNERS[args.command](args)
-        _emit(args, args.command, result)
+        for name, default in _COMMANDS[args.command].items():
+            if getattr(args, name) is None:
+                if default is _REQUIRED:
+                    raise ConfigError(f"--{name.replace('_', '-')} is required for {args.command!r}")
+                setattr(args, name, default)
+        _emit(args, _RUNNERS[args.command](args))
         return 0
     except (ConfigError, ParameterError, DomainError) as exc:
         print(f"seqlab: config error: {exc}", file=sys.stderr)

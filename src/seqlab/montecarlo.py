@@ -517,11 +517,11 @@ def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301)
 class BestResponseCheck:
     """Outcome of a unilateral-deviation scan against a fixed rival."""
 
+    baseline_payoff: float
     max_gain: float
     argmax_deviation: tuple[float, ...]
-    is_epsilon_equilibrium: bool
     epsilon: float
-    baseline_payoff: float
+    is_epsilon_equilibrium: bool
     mode: str
 
 

@@ -366,6 +366,22 @@ def test_ex_ante_revenue_at_tiny_f0_matches_mpmath(dist, f0):
                 assert abs(revenue / exact - 1) <= 1e-14, (mode, c, revenue, exact)
 
 
+@pytest.mark.parametrize("points", [
+    [(1e308, 1.0)], [(1.7e308, 1.0)], [(1e308, 0.5), (1e307, 0.5)], [(1e300, 0.25), (1e308, 0.75)], [(1e-300, 1.0)],
+], ids=str)
+@pytest.mark.parametrize(("g", "f0"), [(4.0, 1.0), (3.99, 1.0), (1.0, 1.0), (0.7, 1.9)])
+def test_point_law_revenue_near_float_max_matches_mpmath(points, g, f0):
+    # sqrt(k*c)*sqrt(g*f0)*sqrt(v) is g*f0*v/2 at a lone point's optimum: it
+    # overflowed to an infinite revenue although the revenue g*f0*v/4 is finite
+    dist = ValueDistribution.point_masses(points)
+    with mpmath.workdps(40):
+        for mode, k in (("shared", 1), ("separate", 2)):
+            fee = optimal_c(dist, g, f0, mode)
+            level = k * mpmath.mpf(fee.c_star) / (mpmath.mpf(g) * mpmath.mpf(f0))
+            exact = mpmath.mpf(g) * mpmath.mpf(f0) * _mp_revenue_per_gf0(dist)(level)
+            assert abs(fee.ex_ante_revenue / exact - 1) <= 1e-14, (mode, fee.ex_ante_revenue, exact)
+
+
 def test_exp_optimum_root_is_the_nearest_float():
     with mpmath.workdps(40):
         root = mpmath.findroot(lambda y: mpmath.erfc(y) - 2 * y * mpmath.exp(-y * y) / mpmath.sqrt(mpmath.pi), 0.5)

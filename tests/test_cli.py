@@ -6,6 +6,8 @@ import sys
 import warnings
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from seqlab.analysis import sweep
 from seqlab.cli import COMMANDS, _parse_grid, main
@@ -187,16 +189,15 @@ def test_help_lists_every_accepted_flag(command, capsys):
         main([command, "--help"])
     assert excinfo.value.code == 0
     text = capsys.readouterr().out
-    from seqlab.cli import _COMMAND_FLAGS
+    from seqlab.cli import _COMMANDS
     flag_names = {
         "v": "--v", "chains": "--chains", "alpha": "--alpha", "cost": "--cost",
         "noise": "--noise", "cap": "--cap", "signals": "--signals", "trials": "--trials",
-        "seed": "--seed", "grid": "--grid", "value_dist": "--value-dist",
+        "seed": "--seed", "grid": "--grid", "value_dist": "--value-dist", "mode": "--mode",
     }
-    expected = {flag_names[name] for name in _COMMAND_FLAGS[command]}
+    expected = {flag_names[name] for name in _COMMANDS[command]}
     expected |= {"--format", "--out", "--config", "--g", "--c"}
-    if command in ("verify", "optimal-c"):
-        expected.add("--mode")
+    assert ("--mode" in expected) == (command in ("verify", "optimal-c"))
     for flag in expected:
         assert flag in text
 
@@ -265,6 +266,57 @@ def test_boolean_config_value_is_config_error(params, reason, capsys, tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(params))
     assert _run(capsys, ["--config", str(path)]) == (2, "", f"seqlab: config error: {reason}\n")
+
+
+@pytest.mark.parametrize("config", [
+    {"command": "equilibrium", "params": {"v": 1, "cost": 2, "noise": "normal:1"}},
+    {"command": "equilibrium", "params": {"v": 1, "cost": "power:2", "noise": ["normal:1"]}},
+    {"command": "sweep", "params": {"cost": "power:2", "noise": "normal:1", "grid": [1]}},
+    {"command": "sweep", "params": {"cost": "power:2", "noise": "normal:1", "grid": ["v=1", 2]}},
+    {"command": "simulate", "params": {"v": 1, "signals": 0.5}},
+    {"command": "optimal-c", "params": {"cost": "timeboost:g=1", "noise": "normal:1", "value-dist": 3}},
+    {"command": "verify", "params": {"v": 1, "cost": "power:2", "noise": "normal:1", "mode": 1}},
+    {"command": "equilibrium", "params": {"v": 1, "cost": "power:2", "noise": "normal:1", "out": 5}},
+    {"command": "equilibrium", "params": {"v": 1, "cost": "power:2", "noise": "normal:1", "cap": [1]}},
+    {"command": "equilibrium", "params": {"v": 1, "cost": "power:2", "noise": "normal:1", "g": 1}},
+    {"command": 3, "params": {}},
+    {"command": "frobnicate", "params": {}},
+    {"command": "equilibrium", "params": {"v": 1, "cost": "power:2", "noise": "normal:1", "format": "xml"}},
+], ids=["cost-number", "noise-list", "grid-number", "grid-mixed", "signals-number", "value-dist-number",
+        "mode-number", "out-number", "cap-list", "rejected-g", "command-number", "command-unknown", "format-xml"])
+def test_config_value_of_the_wrong_type_is_config_error(config, capsys, tmp_path):
+    # once an AttributeError, a TypeError, a write to file descriptor 5 or a silent table
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    code, out, err = _run(capsys, ["--config", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("seqlab: config error")
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_top_level_help_lists_every_command(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([flag])
+    assert excinfo.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith("usage: seqlab")
+    for command in COMMANDS:
+        assert f"run the {command} computation" in text
+
+
+@given(st.floats())
+@example(0.0)
+@example(-0.0)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
+@example(5e-324)
+@example(-2.225073858507201e-308)
+@example(1e-310)
+@example(1.7976931348623157e308)
+def test_twelve_digit_cells_need_one_format_pass(x):
+    # CSV and table cells format each real once; JSON rounds first, and both agree
+    assert f"{float(f'{x:.12g}'):.12g}" == f"{x:.12g}"
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,48 @@
+"""Replay the recorded command-line corpus and compare its bytes.
+
+Each entry of ``tests/replay/recorded.json`` holds an argv, the text of its
+config file (if any) and the exit code, stdout, stderr and warnings it gave
+when it was recorded by ``tests/replay/record.py``.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from seqlab.cli import main
+
+RECORDED = Path(__file__).parent / "replay" / "recorded.json"
+
+
+def run_case(case: dict, scratch: Path) -> dict:
+    """Exit code, stdout, stderr and warnings of one case run through ``main`` in process.
+
+    The case's config text goes to a file that its argv names as
+    ``{config}``; the file's path in stderr reads ``{config}`` again.
+    """
+    path = scratch / "config"
+    path.unlink(missing_ok=True)
+    if case["config"] is not None:
+        path.write_text(case["config"], encoding="utf-8")
+    argv = [token.replace("{config}", str(path)) for token in case["argv"]]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue().replace(str(path), "{config}"),
+            "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
+
+
+def test_every_case_replays_byte_identical(tmp_path):
+    # one test for the whole corpus: a test item per case would double its time
+    moved = {}
+    for entry in json.loads(RECORDED.read_text(encoding="utf-8")):
+        now = run_case(entry, tmp_path)
+        fields = [key for key, value in now.items() if value != entry[key]]
+        if fields:
+            moved[entry["id"]] = fields
+    assert not moved, f"{len(moved)} cases moved (case: fields): {moved}"
