@@ -365,16 +365,17 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
         for combo in itertools.product(*(grid[k] for k in cost_axes))
     ])[np.ravel_multi_index([position[k] for k in cost_axes], [len(grid[k]) for k in cost_axes])]
     f0 = np.array([replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]])[position["sigma"]]
-    for count in grid["chains"]:  # the market checks, once per axis value
-        if count != int(count):
-            raise ConfigError(f"chains axis values must be integers, got {count}")
-        MarketConfig(1.0, int(count))
-    for value in grid["v"]:
-        MarketConfig(value)
-    for fraction in grid["alpha"]:
-        MarketConfig(1.0, 1, fraction)
-    v_at, alpha_at = (np.asarray(grid[k], dtype=float)[position[k]] for k in ("v", "alpha"))
-    n_at = np.asarray(grid["chains"], dtype=float).astype(np.int64)[position["chains"]]
+    # the market checks, once per axis as an array; the first value that fails
+    # is checked again alone, to raise MarketConfig's error for it
+    v_axis, n_axis, alpha_axis = (np.asarray(grid[k], dtype=float) for k in ("v", "chains", "alpha"))
+    for values, ok, check in ((grid["chains"], (n_axis == np.trunc(n_axis)) & (n_axis >= 1), _check_chains),
+                              (grid["v"], v_axis > 0.0, MarketConfig),
+                              (grid["alpha"], (alpha_axis >= 0.0) & (alpha_axis <= 1.0),
+                               lambda x: MarketConfig(1.0, 1, x))):
+        if not ok.all():
+            check(values[int(np.argmin(ok))])
+    v_at, alpha_at = v_axis[position["v"]], alpha_axis[position["alpha"]]
+    n_at = n_axis.astype(np.int64)[position["chains"]]
 
     # column p of each field holds the shared side in row 0 and the separate side in row 1
     signal, per_chain, total, capture, profit, regime = fields = [
@@ -387,24 +388,29 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
         for field, values in zip(fields, solved):
             field[:, points] = values.reshape(2, -1)
 
-    sides = {"signal": signal, "per_chain_cost": per_chain, "total_cost": total, "expected_profit": profit,
-             "regime": np.array([regime.value for regime in REGIMES])[regime]}
-    columns = {f"{prefix}_{name}": values[side] for side, prefix in enumerate(("shared", "separate"))
-               for name, values in sides.items()}
-    expenditure = 2.0 * total
-    paid = expenditure[1] > 0.0
-    ratio = (expenditure[0] / np.where(paid, expenditure[1], 1.0)).astype(object)
+    regimes, interpretation = [r.value for r in REGIMES], "revenue" if cost.family == "timeboost" else "waste"
+    columns = {}
+    for side, prefix in enumerate(("shared", "separate")):
+        columns.update({f"{prefix}_{name}": values[side].tolist() for name, values in (
+            ("signal", signal), ("per_chain_cost", per_chain), ("total_cost", total), ("expected_profit", profit))})
+        columns[f"{prefix}_regime"] = [regimes[r] for r in regime[side].tolist()]
+    shared, separate = (2.0 * total).tolist()
     columns.update({
-        "shared_total_expenditure": expenditure[0],
-        "separate_total_expenditure": expenditure[1],
-        "expenditure_ratio": np.where(paid, ratio, None),
-        "capture_probability_shared": np.ones(size),
-        "capture_probability_separate": 2.0 * capture[1],
-        "interpretation": np.repeat("revenue" if cost.family == "timeboost" else "waste", size),
+        "shared_total_expenditure": shared,
+        "separate_total_expenditure": separate,
+        "expenditure_ratio": [a / b if b > 0.0 else None for a, b in zip(shared, separate)],
+        "capture_probability_shared": [1.0] * size,
+        "capture_probability_separate": (2.0 * capture[1]).tolist(),
+        "interpretation": [interpretation] * size,
     })
     keys = (*(name for name in SWEEP_AXES if name in axes), *columns)
-    return [
-        dict(zip(keys, combo + values))
-        for combo, values in zip(itertools.product(*(axes[name] for name in SWEEP_AXES if name in axes)),
-                                 zip(*(values.tolist() for values in columns.values())))
-    ]
+    return [dict(zip(keys, combo + values))
+            for combo, values in zip(itertools.product(*(axes[name] for name in SWEEP_AXES if name in axes)),
+                                     zip(*columns.values()))]
+
+
+def _check_chains(count) -> None:
+    """Raise the error of a chains axis value that is not a valid chain count."""
+    if count != int(count):
+        raise ConfigError(f"chains axis values must be integers, got {count}")
+    MarketConfig(1.0, int(count))

@@ -124,12 +124,14 @@ def _settle(v, n, alpha, signal, per_chain, regime, invest) -> Equilibria:
     # at the symmetric point every race is a coin flip; a lost race still
     # costs an alpha fraction of that chain's bid
     capture, weight = np.ldexp(1.0, -n), n * 0.5 * (1.0 + alpha)
-    if (capture == 0.0).any():  # past 1074 chains 2**-n is below the smallest float
+    if not capture.all():  # past 1074 chains 2**-n is below the smallest float
         raise ParameterError(f"the capture probability 2**-n underflows to 0 at chains={n[capture == 0.0][0]}")
-    invest = invest & (v * capture - weight * per_chain >= 0.0)
+    prize = v * capture
+    profit = prize - weight * per_chain
+    invest = invest & (profit >= 0.0)
     per_chain = np.where(invest, per_chain, 0.0)
     return Equilibria(np.where(invest, signal, 0.0), per_chain, n * per_chain, capture,
-                      v * capture - weight * per_chain, np.where(invest, regime, _ZERO))
+                      prize - weight * per_chain, np.where(invest, regime, _ZERO))
 
 
 def _stake(f0, v, n):
@@ -156,7 +158,7 @@ def _stake(f0, v, n):
 
 def _name_first(bad, what: str, n, v) -> None:
     """Raise a ParameterError naming the first market where ``bad`` holds, if any."""
-    if bad.any():
+    if np.count_nonzero(bad):
         raise ParameterError(f"{what} at chains={n[bad][0]}, v={v[bad][0]:.6g}")
 
 
@@ -173,10 +175,11 @@ def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
     # round negative at 0 as well: nobody invests.
     zero = np.zeros_like(upper)
     with np.errstate(over="ignore"):
-        below = residual(upper) < 0.0
-    inside = below & (residual(zero) > 0.0)
+        at_upper, at_zero = residual(np.stack([upper, zero]))
+    below = at_upper < 0.0
+    inside = below & (at_zero > 0.0)
     root = np.where(below, 0.0, upper)
-    if inside.any():
+    if np.count_nonzero(inside):
         # the residual reads these names, so from here on it evaluates the inside points only
         half, weight, marginal, upper = half[inside], weight[inside], marginal[inside], upper[inside]
         guess = cost.stationary_signal(marginal, half, weight, upper)
@@ -195,22 +198,22 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
     comes out as it would alone.
     """
     f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
-    if ((alpha != 1.0) & (n > 2)).any():
+    if np.count_nonzero((alpha != 1.0) & (n > 2)):
         raise ParameterError("refund equilibria are available for 1 or 2 chains only")
     marginal = _stake(f0, v, n)
     upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + alpha))
     refund = (alpha != 1.0) & ~corner
     # the refund residual is evaluated at upper, and so is an uncapped signal's cost
     rounded = ~corner & (upper >= (cost.g or np.inf)) & (refund | (cost.cap is None))
-    if rounded.any():
+    if np.count_nonzero(rounded):
         raise SolverError(f"the signal rounds to the boost bound g={cost.g} at v={float(v[rounded].max()):.6g}")
     root = np.where(corner, 0.0, upper)
-    if refund.any():
+    if np.count_nonzero(refund):
         root[refund] = _refund_roots(cost, f0[refund], marginal[refund], alpha[refund], upper[refund])
     cap = np.inf if cost.cap is None else cost.cap
     signal, regime = np.minimum(root, cap), np.where(root > cap, _CAP_BINDING, _INTERIOR)
-    with np.errstate(over="ignore"):
-        per_chain = cost.cost(signal)
+    with np.errstate(over="ignore"):  # the signal lies in [0, min(upper, cap)], inside the cost's domain
+        per_chain = cost._cost(signal)
     if per_chain.max() == math.inf:
         beyond = np.isinf(per_chain)
         raise SolverError(f"the {cost.spec} cost of the signal {signal[beyond][0]:.6g} lies beyond float range "

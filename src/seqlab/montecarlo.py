@@ -51,6 +51,7 @@ from .rng import raw_words, to_uniform
 _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
+_BLOCK = 1 << 14  # analytic scores of a product family are formed this many at a time
 _Z95 = 1.96
 
 
@@ -480,16 +481,53 @@ def analytic_expected_payoff(signals, market: MarketConfig, cost: CostModel, noi
     fraction when lost.
     """
     own, rival = _per_chain_signals(signals, market.n_chains)
-    capture, expected_cost = 1.0, 0.0
-    for mine, theirs in zip(own, rival):
-        win = noise.cdf(mine - theirs)
-        capture = capture * win
-        expected_cost = expected_cost + cost.cost(mine) * (win + market.alpha * (1.0 - win))
+    capture, expected_cost = _fold(_chain_terms(own, rival, market, cost, noise))
     # capture is a fresh float or full-shape array, so update it in place
     # rather than hold a third profile-sized array
     capture *= market.v
     capture -= expected_cost
     return capture
+
+
+def _chain_terms(own, rival, market: MarketConfig, cost: CostModel, noise: NoiseModel):
+    """Per chain, trader 1's win probability and its expected cost on the chain."""
+    for mine, theirs in zip(own, rival):
+        win = noise.cdf(mine - theirs)
+        yield win, cost.cost(mine) * (win + market.alpha * (1.0 - win))
+
+
+def _fold(terms):
+    """The capture probability and the expected cost over the chains of ``terms``."""
+    capture, expected_cost = 1.0, 0.0
+    for win, spent in terms:
+        capture = capture * win
+        expected_cost = expected_cost + spent
+    return capture, expected_cost
+
+
+def _mesh_best(axes, candidate: float, market: MarketConfig, cost: CostModel, noise: NoiseModel):
+    """The first maximum in C order of the analytic payoff over a product
+    family (chain ``k``'s entry varies along axis ``k``) and its flat index.
+
+    The capture and cost over chains ``0..n-2`` are formed once, as
+    :func:`analytic_expected_payoff` forms them, and the last chain's axis
+    is scored in blocks of whole rows of at least ``_BLOCK`` profiles, so
+    every score has its bits and no array the size of the mesh is built.
+    """
+    terms = list(_chain_terms(axes, (candidate,) * len(axes), market, cost, noise))
+    capture, expected_cost = (np.reshape(x, (-1, 1)) for x in _fold(terms[:-1]))
+    win, spent = (np.reshape(x, -1) for x in terms[-1])
+    rows = -(-_BLOCK // win.size)
+    tops, at = [], []
+    for start in range(0, len(capture), rows):
+        block = capture[start:start + rows] * win
+        block *= market.v
+        block -= expected_cost[start:start + rows] + spent
+        i = int(np.argmax(block))
+        tops.append(block.flat[i])
+        at.append(start * win.size + i)
+    b = int(np.argmax(tops))  # the first block holding the first maximum, as np.argmax over the mesh
+    return float(tops[b]), at[b]
 
 
 def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301) -> np.ndarray:
@@ -511,6 +549,12 @@ def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301)
     grid = np.concatenate([[0.0, candidate], near_zero, near_candidate, backbone])
     grid.sort()
     return grid
+
+
+def _first_max(scores: np.ndarray):
+    """The first maximum of ``scores`` in C order, and its flat index."""
+    i = int(np.argmax(scores))
+    return float(np.ravel(scores)[i]), i
 
 
 @dataclass(frozen=True)
@@ -572,7 +616,10 @@ def verify_best_response(
         families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
     profiles = [np.broadcast_arrays(*own) for own in families]
     if mode == "analytic":
-        scores = [np.asarray(analytic_expected_payoff((own, cand), market, cost, noise)) for own in families]
+        baseline = float(analytic_expected_payoff((families[0], cand), market, cost, noise))
+        bests = [_first_max(analytic_expected_payoff((families[1], cand), market, cost, noise))]
+        if n >= 2:
+            bests.append(_mesh_best(families[2], cand, market, cost, noise))
     else:
         # checks trials, seed and the candidate as a one-profile run would;
         # cost.cost rejects any deviation outside the cost's domain
@@ -581,14 +628,11 @@ def verify_best_response(
         captures, joint = _tally(families, np.full(n, cand), noise, trials, seed)
         means, halfwidths = _payoff_statistics(trials, market, cost.cost(flat), captures[0], joint)
         offsets = np.cumsum([family[0].size for family in profiles])
-        scores = np.split(means, offsets[:-1])
+        baseline, *scores = np.split(means, offsets[:-1])
+        baseline, bests = float(baseline[0]), [_first_max(score) for score in scores]
 
-    baseline = float(scores[0].flat[0])
-    for f in range(1, len(families)):
-        index = int(np.argmax(scores[f]))
-        value = float(scores[f].flat[index])
-        if f == 1 or value > best_payoff:
-            best_payoff, best_family, best_index = value, f, index
+    best_family = 2 if len(bests) > 1 and bests[1][0] > bests[0][0] else 1
+    best_payoff, best_index = bests[best_family - 1]
     best_profile = tuple(float(x.flat[best_index]) for x in profiles[best_family])
 
     max_gain = best_payoff - baseline

@@ -254,6 +254,38 @@ def test_best_response_first_maximum_wins(n, mode):
     assert check.max_gain == -check.baseline_payoff > 0.0
 
 
+@pytest.mark.parametrize(
+    "n, points, cost, noise, alpha",
+    [(2, 61, POWER_TWO, UNIT_NOISE, 1.0), (3, 31, CostModel.timeboost(0.3, 2.0), NoiseModel("logistic", 0.7), 0.4),
+     (4, 11, CostModel.power(3.5), NoiseModel("laplace", 1.3), 1.0), (5, 11, POWER_TWO, NoiseModel("uniform", 0.2), 0.0),
+     (3, 200, CostModel.power(1.2, cap=0.6), UNIT_NOISE, 0.7)],
+)
+def test_mesh_scan_in_blocks_equals_the_whole_mesh(n, points, cost, noise, alpha):
+    # meshes of one block and of 2 to 10; every score keeps its bits, and ties (the uniform
+    # law at alpha 0 scores many surely lost profiles at exactly 0) go to the first in C order
+    market = MarketConfig(1.3, n, alpha)
+    axis = default_deviation_grid(0.25, cost, points=points)
+    family = tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n))
+    whole = analytic_expected_payoff((family, 0.25), market, cost, noise)
+    index = int(np.argmax(whole))
+    value, at = mc._mesh_best(family, 0.25, market, cost, noise)
+    assert (at, value.hex()) == (index, float(whole.flat[index]).hex())
+
+
+def test_analytic_verify_peak_memory_is_a_fraction_of_the_mesh():
+    # the 11**6-profile mesh is scored in blocks: well under the 16 B per profile of
+    # the whole mesh's score and cost arrays
+    market = MarketConfig(2.0, 6)
+    candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE).signal
+    tracemalloc.start()
+    try:
+        verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 11**6
+
+
 def test_best_response_empty_grid_rejected():
     with pytest.raises(ConfigError):
         verify_best_response(0.5, MarketConfig(1.0, 1), POWER_TWO, UNIT_NOISE, deviation_grid=[])
