@@ -50,8 +50,14 @@ from .rng import raw_words, to_uniform
 
 _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
+_CHUNK_WORDS = 3 * _SLOTS * (1 << 16)  # the words of a full chunk of 3 chains: the most a chunk draws
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
 _BLOCK = 1 << 14  # analytic scores of a product family are formed this many at a time
+#: Most profiles a deviation scan's product grid may have, per mode. Measured
+#: tracemalloc peaks: analytic 30 MB at 11**7 profiles (n = 7), Monte Carlo
+#: 33 MB at 5**6 (n = 6, 2,000 trials); each chain more multiplies them by
+#: about 11 and 6.
+_MAX_PROFILES = {"analytic": 11**7, "montecarlo": 5**6}
 _Z95 = 1.96
 
 
@@ -147,8 +153,9 @@ def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: in
     if all(g is None for scan in scans for g in scan.group):
         bounds = _bin_bounds(noise)
         tables = {gap: _decision_table(gap, bounds) for gap in {float(g) for scan in scans for g in scan.gaps}}
-    for start in range(0, trials, _CHUNK_TRIALS):
-        _race_chunk(scans, noise, seed, start, min(_CHUNK_TRIALS, trials - start), tables)
+    chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_WORDS // (_SLOTS * n)))  # many chains draw fewer trials at once
+    for start in range(0, trials, chunk):
+        _race_chunk(scans, noise, seed, start, min(chunk, trials - start), tables)
     counts = [scan.counts() for scan in scans]
     captures = np.concatenate([c[:2] for c in counts], axis=1)
     joint = np.empty((n, n, captures.shape[1]), dtype=np.int64)
@@ -613,6 +620,9 @@ def verify_best_response(
         else:
             axis_points = {2: 9}.get(n, 5)
         axis = default_deviation_grid(cand, cost, points=axis_points) if deviation_grid is None else grid
+        if (count := axis.size**n) > _MAX_PROFILES[mode]:
+            raise ConfigError(f"the {mode} deviation scan at chains={n} has {count:,} product-grid profiles, "
+                              f"beyond the {_MAX_PROFILES[mode]:,} it allows")
         families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
     profiles = [np.broadcast_arrays(*own) for own in families]
     if mode == "analytic":

@@ -15,6 +15,7 @@ from seqlab.analysis import (
     _EXP_ROOT,
     REVENUE_THRESHOLD_CONSTANT,
     ValueDistribution,
+    _optimal_level,
     capped_revenue_comparison,
     compare_expenditure,
     ex_ante_revenue,
@@ -27,6 +28,7 @@ from seqlab.cost import CostModel
 from seqlab.equilibrium import MarketConfig, Regime, solve_equilibrium
 from seqlab.errors import ConfigError, DomainError, ParameterError, SolverError
 from seqlab.noise import NoiseModel
+from seqlab.numerics import bisect_root
 
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
 UNIT_NOISE = NoiseModel("normal", SIGMA_UNIT_F0)
@@ -343,6 +345,26 @@ def test_optimal_c_matches_mpmath(dist, tol):
             revenue = mpmath.mpf(g) * mpmath.mpf(f0) * _mp_revenue_per_gf0(dist)(level)
             assert abs(fee.c_star / c_star - 1) <= tol, (mode, fee.c_star, c_star)
             assert abs(fee.ex_ante_revenue / revenue - 1) <= tol, (mode, fee.ex_ante_revenue, revenue)
+
+
+def test_lognormal_optimum_settles_on_the_bisection_float():
+    # the root search starts from Newton's estimate instead of halving [-ln 4, sig**2]; below
+    # sig = 1 the condition changes sign once on the floats and the root is bisection's own
+    # float. Above, rounding makes it change sign many times near its root, which either
+    # search may end on: within 2e-13*(1 + sig**2) in ln L of bisection's float
+    def bisected(sig):
+        def r(w):
+            return (math.exp(sig * sig / 8.0 - w / 2.0) * math.erfc((w / sig - sig / 2.0) / math.sqrt(2.0))
+                    - 2.0 * math.erfc(w / (sig * math.sqrt(2.0))))
+        return bisect_root(r, -math.log(4.0), sig * sig)
+
+    for sig in np.exp(np.random.default_rng(13).uniform(math.log(1e-8), math.log(37.39), 150)).tolist():
+        mu = 0.0 if sig < 1.0 else -sig * sig  # keeps L a normal float
+        level, log_level = _optimal_level(ValueDistribution.lognormal(mu, sig)), mu + bisected(sig)
+        if sig < 1.0:
+            assert level == math.exp(log_level), sig
+        else:
+            assert abs(math.log(level) - log_level) <= 2e-13 * (1.0 + sig * sig), sig
 
 
 @pytest.mark.parametrize("dist", [

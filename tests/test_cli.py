@@ -523,3 +523,13 @@ def _probe_scipy(argv):
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     assert _probe_scipy(argv) == (expected, "[]")
+
+
+@pytest.mark.parametrize(("mode", "chains", "profiles"), [("analytic", 8, "214,358,881"), ("montecarlo", 7, "78,125")])
+def test_verify_past_its_product_grid_limit_is_config_error(mode, chains, profiles, capsys):
+    # rejected before the scan allocates anything; the chain count above the
+    # limit used to end in a MemoryError traceback or an out-of-memory kill
+    code, out, err = _run(capsys, ["verify", "--v", "1", "--chains", str(chains), "--cost", "power:2",
+                                   "--noise", "normal:1", "--mode", mode, "--trials", "100"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"seqlab: config error: the {mode} deviation scan at chains={chains} has {profiles} ")

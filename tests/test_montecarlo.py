@@ -114,6 +114,23 @@ def test_simulate_memory_does_not_grow_with_trials():
     assert peaks[1] <= 1.1 * peaks[0]
 
 
+def test_simulate_memory_does_not_grow_with_chains(monkeypatch):
+    # a chunk draws at most the words of 2**16 trials of 3 chains, so 30 chains
+    # draw about 6,500 trials at a time; the counts do not depend on it
+    peaks = []
+    for n in (3, 30):
+        spec = _spec((0.4, 0.3), n=n, trials=70_000, seed=3)
+        tracemalloc.start()
+        try:
+            stats = simulate(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
+    assert simulate(spec) == stats
+
+
 @pytest.mark.parametrize("signal", [1e4, 3e4])
 def test_payoff_halfwidth_does_not_cancel(signal):
     # each payoff is -signal**2 plus a 0/1 capture, so the spread is binomial

@@ -98,3 +98,22 @@ def test_settle_root_equals_bisection_on_a_smooth_residual():
     assert 0 < (found * found == c).sum() < c.size
     alone = settle_root(lambda x: 2.0 - x * x, np.array(1.0), np.array(0.0), np.array(2.0))
     assert isinstance(alone, float) and alone == bisect_root(lambda x: 2.0 - x * x, np.zeros(1), [2.0])[0]
+
+
+def test_settle_root_crosses_zero_and_needs_no_monotone_residual():
+    # brackets across 0, some spanning more keys than int64 holds ([-1e300, 1e300]), and
+    # residuals that rise and fall but change sign once: the roots, negative, zero and
+    # positive, land on bisect_root's float from guesses a few hundred floats off
+    rng = np.random.default_rng(3)
+    k = 400
+    root = np.concatenate([-(10.0 ** rng.uniform(-300, 2, k // 2)), 10.0 ** rng.uniform(-300, 2, k // 2)])
+    root[:3] = 0.0, -0.0, 5e-324
+    lo = np.where(rng.random(k) < 0.5, -1e300, -200.0)
+    hi = np.where(rng.random(k) < 0.5, 1e300, 200.0)
+
+    def f(x):
+        return (root - x) * (2.0 + np.sin(50.0 * x))
+
+    guess = (_bits(root) + rng.integers(-300, 300, k)).view(float)
+    found = settle_root(f, guess, lo, hi)
+    assert np.array_equal(_bits(found), _bits(bisect_root(f, lo, hi)))
