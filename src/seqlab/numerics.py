@@ -121,7 +121,7 @@ def _first_bits(f: Callable, floats: Callable, keep: Callable, guess, a, b, fb):
     # past the clip, keys are added and subtracted as unsigned words: a
     # bracket across 0 can span more keys than int64 holds
     x = np.minimum(np.maximum(guess, a + 1), b - 1).view(np.uint64)
-    a, b, step = a.view(np.uint64), b.view(np.uint64), 1
+    a, b, fb, step = a.view(np.uint64), b.view(np.uint64), np.full(x.shape, fb), 1
     gap = b - a
     for _ in range(_MAX_STEPS):
         if gap.max() <= 1:

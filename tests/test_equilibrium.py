@@ -1,7 +1,9 @@
 import math
 import re
+import sys
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -469,3 +471,72 @@ def test_signal_at_the_boost_bound_is_a_solver_error_unless_capped():
     # the refund residual is evaluated at the rounded signal, cap or not
     with pytest.raises(SolverError, match="boost bound"):
         solve_equilibrium(MarketConfig(1e33, 1, 0.5), CostModel.timeboost(0.25, 1.0, cap=0.5), noise)
+
+
+def _exact_profit(cost, f0, v, n, alpha):
+    """The profit ``v*2**-n - n*(1+alpha)/2*C(s)`` at the exact stationarity root in 60-digit
+    mpmath, the market's floats taken as exact; None at a boost-fee corner, where nobody invests."""
+    with mpmath.workdps(60):
+        f0, v, alpha = mpmath.mpf(f0), mpmath.mpf(v), mpmath.mpf(alpha)
+        stake, half, weight = f0 * v / 2 ** (n - 1), (1 + alpha) / 2, (1 - alpha) * f0
+        if cost.family == "power":
+            beta = mpmath.mpf(cost.beta)
+            c_of, slope = (lambda s: s**beta), (lambda s: beta * s ** (beta - 1))
+            upper = (stake / (half * beta)) ** (1 / (beta - 1))
+        else:
+            c, g = mpmath.mpf(cost.c), mpmath.mpf(cost.g)
+            c_of, slope = (lambda s: c * s / (g - s)), (lambda s: c * g / (g - s) ** 2)
+            if stake / half <= c / g:
+                return None
+            upper = g - mpmath.sqrt(c * g * half / stake)
+        lo, root = mpmath.mpf(0), upper
+        if alpha != 1:  # the residual falls from positive at 0 to -weight*C(upper) at upper
+            while root - lo > root * mpmath.mpf(10) ** -45:
+                mid = (lo + root) / 2
+                lo, root = (mid, root) if stake - half * slope(mid) - weight * c_of(mid) > 0 else (lo, mid)
+        # the profit's change over a few floats of the signal: no float root resolves it better
+        resolution = 4 * n * half * slope(root) * math.ulp(float(root))
+        return v / 2**n - n * half * c_of(root), 1e-15 * v / 2**n + resolution, min(root, c_of(root))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(
+    log_v=st.floats(-300.0, 300.0),
+    cost=st.one_of(st.builds(CostModel.power, st.floats(1.05, 6.0)),
+                   st.builds(CostModel.timeboost, st.floats(1e-3, 10.0), st.floats(0.1, 10.0))),
+    sigma=st.floats(0.1, 10.0),
+    alpha=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    n=st.sampled_from([1, 2]),
+)
+def test_profit_matches_mpmath_at_the_exact_root(log_v, cost, sigma, alpha, n):
+    # within 1e-13 of the exact profit, or, where it is that close to 0, within a band of
+    # 1e-15*v*2**-n plus its change over 4 floats of the signal; outside that band the regime
+    # is interior exactly when the exact profit is >= 0. Markets whose exact signal or its
+    # cost lie outside the normal floats are skipped
+    v, noise = 10.0**log_v, NoiseModel("normal", sigma)
+    try:
+        result = solve_equilibrium(MarketConfig(v, n, alpha), cost, noise)
+    except (ParameterError, SolverError):  # the stake, the signal or its cost beyond float range
+        return
+    exact = _exact_profit(cost, noise.density_at_zero(), v, n, alpha)
+    if exact is None:
+        assert result.regime is Regime.ZERO_INVESTMENT
+        return
+    profit, band, smallest = exact
+    if smallest < sys.float_info.min:  # a subnormal signal or cost carries too few digits
+        return
+    if result.regime is Regime.INTERIOR:
+        error = abs(result.expected_profit - profit)
+        assert error <= 1e-13 * abs(profit) or error <= band, (result, profit)
+    if abs(profit) > band:
+        assert (result.regime is Regime.INTERIOR) == (profit >= 0), (result, profit)
+
+
+@pytest.mark.parametrize("v", [1e37, 1e51])
+def test_profit_past_the_cancellation_of_its_direct_form(v):
+    # v*2**-n and n*(1+alpha)/2*C(s) cancel to nothing here; the profit is C'(s)/(4*f0)
+    result = solve_equilibrium(MarketConfig(v, 1, 0.0), CostModel.power(2.0), NoiseModel("normal", 1.0))
+    assert result.regime is Regime.INTERIOR
+    assert result.expected_profit == pytest.approx(result.signal / (2.0 * NoiseModel("normal", 1.0).density_at_zero()),
+                                                   rel=1e-15)
