@@ -240,9 +240,10 @@ class _Race:
         ``gap + a`` and then ``- b`` round monotonically, so the test is
         monotone in the gap and trader 1 wins at every index from there on.
         A lockstep binary search races each trial ``log2(len(gaps) + 1)``
-        times; ``gaps`` holds ``2**j - 1`` entries, padded with ``+inf``,
-        which always wins, so a trial that no real gap wins gets the index of
-        the first pad.
+        times; ``gaps`` holds ``2**j - 1`` entries, the real ones padded
+        with ``+inf``, which always wins (an axis of exactly ``2**j - 1``
+        values gets no pad). A trial that no real gap wins ends at the
+        number of real gaps: the first pad's index, or ``len(gaps)``.
         """
         lost = np.zeros(len(self.mine[k]), dtype=np.intp)
         step = (len(gaps) + 1) // 2
@@ -352,7 +353,8 @@ class _Scan:
             axis, flat = int(varies[0]), e.reshape(-1)
             if axis not in axes:
                 distinct, rank = np.unique(flat, return_inverse=True)
-                # +inf pads to 2**j - 1 values for the search, and always wins
+                # +inf pads up to 2**j - 1 values for the search (none if there are
+                # exactly that many), and always wins; rank len(distinct) wins no real gap
                 padded = np.full((1 << len(distinct).bit_length()) - 1, np.inf)
                 padded[:len(distinct)] = distinct
                 axes[axis] = flat, padded, len(self.ranks)
@@ -525,16 +527,15 @@ def _mesh_best(axes, candidate: float, market: MarketConfig, cost: CostModel, no
     capture, expected_cost = (np.reshape(x, (-1, 1)) for x in _fold(terms[:-1]))
     win, spent = (np.reshape(x, -1) for x in terms[-1])
     rows = -(-_BLOCK // win.size)
-    tops, at = [], []
+    tops = []
     for start in range(0, len(capture), rows):
         block = capture[start:start + rows] * win
         block *= market.v
         block -= expected_cost[start:start + rows] + spent
-        i = int(np.argmax(block))
-        tops.append(block.flat[i])
-        at.append(start * win.size + i)
-    b = int(np.argmax(tops))  # the first block holding the first maximum, as np.argmax over the mesh
-    return float(tops[b]), at[b]
+        value, i = _first_max(block)
+        tops.append((value, start * win.size + i))
+    # the first block that holds the first maximum, as np.argmax over the whole mesh finds it
+    return tops[_first_max(np.array([value for value, _ in tops]))[1]]
 
 
 def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301) -> np.ndarray:
