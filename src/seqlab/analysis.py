@@ -386,17 +386,21 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
         for combo in itertools.product(*(grid[k] for k in cost_axes))
     ])[np.ravel_multi_index([position[k] for k in cost_axes], [len(grid[k]) for k in cost_axes])]
     f0 = np.array([replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]])[position["sigma"]]
-    # the market checks, once per axis as an array; the first value that fails
-    # is checked again alone, to raise MarketConfig's error for it
-    v_axis, n_axis, alpha_axis = (np.asarray(grid[k], dtype=float) for k in ("v", "chains", "alpha"))
-    for values, ok, check in ((grid["chains"], (n_axis == np.trunc(n_axis)) & (n_axis >= 1), _check_chains),
-                              (grid["v"], v_axis > 0.0, MarketConfig),
-                              (grid["alpha"], (alpha_axis >= 0.0) & (alpha_axis <= 1.0),
-                               lambda x: MarketConfig(1.0, 1, x))):
-        if not ok.all():
-            check(values[int(np.argmin(ok))])
-    v_at, alpha_at = v_axis[position["v"]], alpha_axis[position["alpha"]]
-    n_at = n_axis.astype(np.int64)[position["chains"]]
+    # the market checks, once per axis from its extremes; only an axis that fails
+    # is checked value by value, to raise MarketConfig's error for the first bad one
+    counts, values, fractions = grid["chains"], grid["v"], grid["alpha"]
+    if not (min(counts) >= 1 and all(count == int(count) for count in counts) and min(values) > 0.0
+            and 0.0 <= min(fractions) and max(fractions) <= 1.0):
+        for count in counts:
+            if count != int(count):
+                raise ConfigError(f"chains axis values must be integers, got {count}")
+            MarketConfig(1.0, int(count))
+        for value in values:
+            MarketConfig(value)
+        for fraction in fractions:
+            MarketConfig(1.0, 1, fraction)
+    v_at, alpha_at = (np.asarray(grid[k], dtype=float)[position[k]] for k in ("v", "alpha"))
+    n_at = np.asarray(counts, dtype=float).astype(np.int64)[position["chains"]]
 
     # column p of each field holds the shared side in row 0 and the separate side in row 1
     signal, per_chain, total, capture, profit, regime = fields = [
@@ -429,9 +433,3 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
             for combo, values in zip(itertools.product(*(axes[name] for name in SWEEP_AXES if name in axes)),
                                      zip(*columns.values()))]
 
-
-def _check_chains(count) -> None:
-    """Raise the error of a chains axis value that is not a valid chain count."""
-    if count != int(count):
-        raise ConfigError(f"chains axis values must be integers, got {count}")
-    MarketConfig(1.0, int(count))

@@ -83,12 +83,14 @@ class CostModel:
 
     def _checked(self, formula, s):
         s_arr = np.asarray(s, dtype=float)
-        if np.any(s_arr < 0) or not np.all(np.isfinite(s_arr)):
-            raise DomainError("signal must be a finite non-negative real")
-        if self.family == "timeboost" and np.any(s_arr >= self.g):
-            raise DomainError(f"timeboost signal must lie strictly below g={self.g}")
-        if self.cap is not None and np.any(s_arr > self.cap):
-            raise DomainError(f"signal exceeds the cap {self.cap}")
+        if s_arr.size:  # the extremes decide every check; a NaN makes both NaN
+            lo, hi = s_arr.min(), s_arr.max()
+            if not (lo >= 0.0 and hi < math.inf):
+                raise DomainError("signal must be a finite non-negative real")
+            if self.family == "timeboost" and hi >= self.g:
+                raise DomainError(f"timeboost signal must lie strictly below g={self.g}")
+            if self.cap is not None and hi > self.cap:
+                raise DomainError(f"signal exceeds the cap {self.cap}")
         out = formula(s_arr)
         return float(out) if np.ndim(s) == 0 else out
 

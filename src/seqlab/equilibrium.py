@@ -120,6 +120,8 @@ class Equilibria(NamedTuple):
 def _settle(v, n, alpha, signal, per_chain, regime, invest, f0, slope) -> Equilibria:
     """Candidates that invest and earn a non-negative profit stand; the rest invest nothing.
 
+    Every argument but ``slope`` is an array of one shape.
+
     The profit is ``v*2**-n - n*(1+alpha)/2*C(s)``. With a refund, both terms
     carry ``(1-alpha)/2*C(s)`` more than the profit needs: at an interior
     root ``v*2**-n = (1+alpha)/(4*f0)*C'(s) + (1-alpha)/2*C(s)``, so the
@@ -133,8 +135,6 @@ def _settle(v, n, alpha, signal, per_chain, regime, invest, f0, slope) -> Equili
     near its bound), and at ``alpha = 1`` the two forms have the same terms.
     A capped signal keeps the direct form, since ``C(cap)`` is bounded.
     """
-    v, n, alpha, signal, per_chain, regime, invest, f0 = np.broadcast_arrays(
-        *map(np.atleast_1d, (v, n, alpha, signal, per_chain, regime, invest, f0)))
     # at the symmetric point every race is a coin flip; a lost race still
     # costs an alpha fraction of that chain's bid
     capture, weight = np.ldexp(1.0, -n), n * 0.5 * (1.0 + alpha)
@@ -142,8 +142,9 @@ def _settle(v, n, alpha, signal, per_chain, regime, invest, f0, slope) -> Equili
         raise ParameterError(f"the capture probability 2**-n underflows to 0 at chains={n[capture == 0.0][0]}")
     prize = v * capture
     profit = prize - weight * per_chain
-    root = invest & (regime == _INTERIOR) & (alpha != 1.0) & (profit < 0.5 * prize)
+    root = (alpha != 1.0) & (profit < 0.5 * prize)
     if np.count_nonzero(root):
+        root &= invest & (regime == _INTERIOR)
         kappa = 0.5 * (n * (1.0 + alpha) - (1.0 - alpha))
         profit = np.where(root, 0.25 * (1.0 + alpha) * slope(signal) / f0 - kappa * per_chain, profit)
     invest = invest & (profit >= 0.0)
@@ -266,7 +267,7 @@ def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> Equilib
         what = "signal" if signal == math.inf else f"cost of the signal {signal:.6g}"
         raise SolverError(f"the power:{beta:.12g} {what} lies beyond float range "
                           f"at chains={market.n_chains}, v={market.v:.6g}")
-    return _settle(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True, f0,
+    return _settle(*np.atleast_1d(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True, f0),
                    lambda s: beta * s ** (beta - 1.0)).result(0)
 
 
@@ -289,5 +290,5 @@ def timeboost_closed_form(market: MarketConfig, c: float, g: float, f0: float) -
     k = float(n)
     signal = g - math.sqrt(k * c * g / (f0 * v))
     total_cost = max(math.sqrt(k * c * g * f0 * v) - k * c, 0.0)
-    return _settle(v, n, 1.0, signal, total_cost / n, _INTERIOR, v > k * c / (g * f0), f0,
+    return _settle(*np.atleast_1d(v, n, 1.0, signal, total_cost / n, _INTERIOR, v > k * c / (g * f0), f0),
                    lambda s: c * g / (g - s) ** 2).result(0)
