@@ -533,6 +533,14 @@ def test_profit_matches_mpmath_at_the_exact_root(log_v, cost, sigma, alpha, n):
         assert (result.regime is Regime.INTERIOR) == (profit >= 0), (result, profit)
 
 
+def test_refund_root_below_the_smallest_float_step():
+    # its bracket [0, upper] is [0, 5e-324], whose halving ends on 0.5*5e-324 = 0: the root
+    # search takes no step, and it ended in an AttributeError
+    result = solve_equilibrium(MarketConfig(2.968246743463219e-162, 1, 0.0), CostModel.power(1.5),
+                               NoiseModel("normal", 1.0))
+    assert result.signal == 0.0 and result.regime is Regime.ZERO_INVESTMENT
+
+
 @pytest.mark.parametrize("v", [1e37, 1e51])
 def test_profit_past_the_cancellation_of_its_direct_form(v):
     # v*2**-n and n*(1+alpha)/2*C(s) cancel to nothing here; the profit is C'(s)/(4*f0)

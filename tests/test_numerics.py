@@ -117,3 +117,14 @@ def test_settle_root_crosses_zero_and_needs_no_monotone_residual():
     guess = (_bits(root) + rng.integers(-300, 300, k)).view(float)
     found = settle_root(f, guess, lo, hi)
     assert np.array_equal(_bits(found), _bits(bisect_root(f, lo, hi)))
+
+
+def test_settle_root_on_brackets_one_float_wide():
+    # no float lies inside any bracket, so no step is taken; this ended in an
+    # AttributeError ('bool' has no 'any'), as from a refund root at v = 3e-162
+    lo, hi = np.array([0.0, 1.0, -2.0]), np.array([5e-324, np.nextafter(1.0, 2.0), np.nextafter(-2.0, 0.0)])
+
+    def f(x):
+        return np.where(x == lo, 1.0, -1.0)
+
+    assert np.array_equal(_bits(settle_root(f, lo, lo, hi)), _bits(bisect_root(f, lo, hi)))
