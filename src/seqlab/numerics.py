@@ -71,11 +71,12 @@ def settle_root(f: Callable, guess, lo, hi):
     stopping on its own.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    a, b = _keys(lo), _keys(hi)
-    # a non-negative float's key is its bits, so such brackets skip the conversion
-    floats = (lambda keys: keys.view(float)) if a.min() >= 0 else _floats
+    keys, floats = _keys, _floats
+    if lo.view(np.int64).min() >= 0:  # from +0.0 up a float's key is its bits: no conversions
+        keys, floats = (lambda x: np.asarray(x, dtype=float).view(np.int64)), (lambda k: k.view(float))
+    a, b = keys(lo), keys(hi)
     # the first float where f <= 0 (f(hi) < 0 stands in for the unevaluated end) ...
-    first, value = _first_bits(f, floats, np.greater, _keys(guess), a, b, -1.0)
+    first, value = _first_bits(f, floats, np.greater, keys(guess), a, b, -1.0)
     last = first - 1  # the last float where f >= 0, unless f(first) is a zero
     root = 0.5 * floats(last) + 0.5 * floats(first)
     zero = value == 0.0
