@@ -3,8 +3,8 @@
 Bisection is deliberately plain: every residual in this package changes sign
 once on the bracket it is given, and an unconditionally safe method beats a
 fast one for reproducibility. Where a good estimate of the root of a residual
-that changes sign once exists, :func:`settle_root` returns bisection's own float from it in a
-few steps, so speed there costs no reproducibility.
+that changes sign once exists, :func:`settle_root` returns bisection's own
+float from it in a few steps, so speed there costs no reproducibility.
 """
 
 from __future__ import annotations
