@@ -324,7 +324,7 @@ def _optimal_level(dist: ValueDistribution) -> float:
         lo, hi = -math.log(4.0), sig * sig
         if not r(hi) <= -sys.float_info.min:
             raise SolverError(f"the lognormal tails underflow in the optimum's condition at log-sigma {sig}")
-        if r(lo) > 0.0:
+        if r(lo) > 0.0 and (at_zero := r(0.0)) != 0.0:
             # Newton's method kept inside the sign change's bracket, from about -ln 4 + sig**2/4
             # (small sig) or sig**2 - 3 (large), then bisection's own float from there
             w, a, b = max(lo + hi / 4.0, hi - 3.0), lo, hi
@@ -335,9 +335,15 @@ def _optimal_level(dist: ValueDistribution) -> float:
                 w, last = (w - step if a < w - step < b else 0.5 * a + 0.5 * b), w
                 if abs(w - last) <= 4.0 * math.ulp(last):
                     break
-            w = float(settle_root(lambda x: np.array([r(t) for t in x.tolist()]), np.array([w]), np.array([lo]),
-                                  np.array([hi]))[0])
-        else:  # a zero at -ln 4 is bisection's root, and a negative value its error
+            # settle_root searches up from +0.0, so a root below 0 is settled as the root of
+            # x -> -r(-x) on [0, ln 4] within [-sig**2, ln 4]: negation is exact and maps
+            # the halving of one bracket onto the other's
+            flip = 1.0 if at_zero > 0.0 else -1.0
+            ends = np.array([flip * lo, flip * hi])
+            w = flip * float(settle_root(lambda x: np.array([flip * r(flip * t) for t in x.tolist()]),
+                                         np.array([flip * w]), np.zeros(1), ends.max(keepdims=True),
+                                         outer=(ends.min(keepdims=True), ends.max(keepdims=True)))[0])
+        else:  # a zero at -ln 4 is bisection's root and a negative value its error; one at 0 is too
             w = bisect_root(r, lo, hi)
         log_level = dist.mu + w
         return math.exp(log_level) if log_level <= math.log(sys.float_info.max) else math.inf
@@ -350,6 +356,11 @@ def _optimal_level(dist: ValueDistribution) -> float:
         if (value := a * math.sqrt(at) - b * at) > best:
             level, best = at, value
     return level
+
+
+def _reals(values) -> bool:
+    """Whether every value is an int or a float, as :class:`MarketConfig` requires, bools excluded."""
+    return all(issubclass(kind, (int, float)) and not issubclass(kind, bool) for kind in set(map(type, values)))
 
 
 #: Canonical sweep axis order; rows are emitted in product order over these.
@@ -386,10 +397,11 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
         for combo in itertools.product(*(grid[k] for k in cost_axes))
     ])[np.ravel_multi_index([position[k] for k in cost_axes], [len(grid[k]) for k in cost_axes])]
     f0 = np.array([replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]])[position["sigma"]]
-    # the market checks, once per axis from its extremes; only an axis that fails
-    # is checked value by value, to raise MarketConfig's error for the first bad one
+    # the market checks, once per axis from its value types and extremes; only an axis
+    # that fails is checked value by value, to raise MarketConfig's error for the first bad one
     counts, values, fractions = grid["chains"], grid["v"], grid["alpha"]
-    if not (min(counts) >= 1 and all(count == int(count) for count in counts) and min(values) > 0.0
+    if not (min(counts) >= 1 and all(count == int(count) for count in counts) and _reals(values)
+            and 0.0 < min(values) and max(values) < math.inf and _reals(fractions)
             and 0.0 <= min(fractions) and max(fractions) <= 1.0):
         for count in counts:
             if count != int(count):

@@ -117,23 +117,24 @@ class Equilibria(NamedTuple):
         return EquilibriumResult(*values, REGIMES[self.regime[i]], values[4] >= 0.0)
 
 
-def _settle(v, n, alpha, signal, per_chain, regime, invest, f0, slope) -> Equilibria:
+def _settle(v, n, alpha, signal, per_chain, regime, invest, slope_term=None) -> Equilibria:
     """Candidates that invest and earn a non-negative profit stand; the rest invest nothing.
 
-    Every argument but ``slope`` is an array of one shape.
+    Every argument but ``slope_term`` is an array of one shape.
 
     The profit is ``v*2**-n - n*(1+alpha)/2*C(s)``. With a refund, both terms
     carry ``(1-alpha)/2*C(s)`` more than the profit needs: at an interior
     root ``v*2**-n = (1+alpha)/(4*f0)*C'(s) + (1-alpha)/2*C(s)``, so the
     profit is also ``(1+alpha)/(4*f0)*C'(s) - kappa*C(s)`` with ``kappa =
-    (n*(1+alpha) - (1-alpha))/2``, ``C'`` being ``slope``. Its terms cancel
-    only near the participation threshold, and at ``n = 1``, ``alpha = 0``
-    not at all, where the direct form cancels to nothing once ``v`` is
-    large. It is taken where the direct form loses a bit or more (a profit
-    below half of ``v*2**-n``); elsewhere the direct form is the better one,
-    as ``C'`` amplifies the root's rounding more than ``C`` (a boost fee
-    near its bound), and at ``alpha = 1`` the two forms have the same terms.
-    A capped signal keeps the direct form, since ``C(cap)`` is bounded.
+    (n*(1+alpha) - (1-alpha))/2``. The refund solve passes its first term
+    as ``slope_term``, a function of ``s``. This form's terms cancel only
+    near the participation threshold, and at ``n = 1``, ``alpha = 0`` not at all,
+    where the direct form cancels to nothing once ``v`` is large. It is
+    taken where the direct form loses a bit or more (a profit below half of
+    ``v*2**-n``); elsewhere the direct form is the better one, as ``C'``
+    amplifies the root's rounding more than ``C`` (a boost fee near its
+    bound), and at ``alpha = 1`` the two forms have the same terms. A capped
+    signal keeps the direct form, since ``C(cap)`` is bounded.
     """
     # at the symmetric point every race is a coin flip; a lost race still
     # costs an alpha fraction of that chain's bid
@@ -142,11 +143,10 @@ def _settle(v, n, alpha, signal, per_chain, regime, invest, f0, slope) -> Equili
         raise ParameterError(f"the capture probability 2**-n underflows to 0 at chains={n[capture == 0.0][0]}")
     prize = v * capture
     profit = prize - weight * per_chain
-    root = (alpha != 1.0) & (profit < 0.5 * prize)
-    if np.count_nonzero(root):
+    if slope_term is not None and np.count_nonzero(root := (alpha != 1.0) & (profit < 0.5 * prize)):
         root &= invest & (regime == _INTERIOR)
         kappa = 0.5 * (n * (1.0 + alpha) - (1.0 - alpha))
-        profit = np.where(root, 0.25 * (1.0 + alpha) * slope(signal) / f0 - kappa * per_chain, profit)
+        profit = np.where(root, slope_term(signal) - kappa * per_chain, profit)
     invest = invest & (profit >= 0.0)
     per_chain = np.where(invest, per_chain, 0.0)
     return Equilibria(np.where(invest, signal, 0.0), per_chain, n * per_chain, capture,
@@ -237,7 +237,8 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
         beyond = np.isinf(per_chain)
         raise SolverError(f"the {cost.spec} cost of the signal {signal[beyond][0]:.6g} lies beyond float range "
                           f"at chains={n[beyond][0]}, v={v[beyond][0]:.6g}")
-    return _settle(v, n, alpha, signal, per_chain, regime, signal > 0.0, f0, cost._marginal)
+    return _settle(v, n, alpha, signal, per_chain, regime, signal > 0.0,
+                   lambda s: 0.25 * (1.0 + alpha) * cost._marginal(s) / f0)
 
 
 def solve_equilibrium(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
@@ -267,8 +268,7 @@ def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> Equilib
         what = "signal" if signal == math.inf else f"cost of the signal {signal:.6g}"
         raise SolverError(f"the power:{beta:.12g} {what} lies beyond float range "
                           f"at chains={market.n_chains}, v={market.v:.6g}")
-    return _settle(*np.atleast_1d(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True, f0),
-                   lambda s: beta * s ** (beta - 1.0)).result(0)
+    return _settle(*np.atleast_1d(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True)).result(0)
 
 
 def timeboost_closed_form(market: MarketConfig, c: float, g: float, f0: float) -> EquilibriumResult:
@@ -290,5 +290,4 @@ def timeboost_closed_form(market: MarketConfig, c: float, g: float, f0: float) -
     k = float(n)
     signal = g - math.sqrt(k * c * g / (f0 * v))
     total_cost = max(math.sqrt(k * c * g * f0 * v) - k * c, 0.0)
-    return _settle(*np.atleast_1d(v, n, 1.0, signal, total_cost / n, _INTERIOR, v > k * c / (g * f0), f0),
-                   lambda s: c * g / (g - s) ** 2).result(0)
+    return _settle(*np.atleast_1d(v, n, 1.0, signal, total_cost / n, _INTERIOR, v > k * c / (g * f0))).result(0)

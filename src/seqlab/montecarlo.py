@@ -53,7 +53,7 @@ _CHUNK_TRIALS = 1 << 16
 _CHUNK_WORDS = 3 * _SLOTS * (1 << 16)  # the words of a full chunk of 3 chains: the most a chunk draws
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
 _BLOCK = 1 << 14  # analytic scores of a product family are formed this many at a time
-#: Most profiles a deviation scan's product grid may have, per mode. Measured
+#: Most profiles a deviation scan's default product grid may have, per mode. Measured
 #: tracemalloc peaks: analytic 30 MB at 11**7 profiles (n = 7), Monte Carlo
 #: 33 MB at 5**6 (n = 6, 2,000 trials); each chain more multiplies them by
 #: about 11 and 6.
@@ -599,7 +599,9 @@ def verify_best_response(
     comparison is paired. Within a family the first maximum wins, and the
     product grid replaces the equal family's best only when strictly better.
     A positive best gain means the candidate is not a best response; it is
-    reported, never suppressed.
+    reported, never suppressed. A default product grid past the mode's
+    :data:`_MAX_PROFILES` is a :class:`ConfigError`, raised before the scan
+    allocates; a ``deviation_grid`` of the caller's own sets its own size.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
@@ -621,7 +623,8 @@ def verify_best_response(
         else:
             axis_points = {2: 9}.get(n, 5)
         axis = default_deviation_grid(cand, cost, points=axis_points) if deviation_grid is None else grid
-        if (count := axis.size**n) > _MAX_PROFILES[mode]:
+        # the bound is sized on the default axes; a grid of the caller's own sets its own size
+        if deviation_grid is None and (count := axis.size**n) > _MAX_PROFILES[mode]:
             raise ConfigError(f"the {mode} deviation scan at chains={n} has {count:,} product-grid profiles, "
                               f"beyond the {_MAX_PROFILES[mode]:,} it allows")
         families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))

@@ -349,9 +349,10 @@ def test_optimal_c_matches_mpmath(dist, tol):
 
 def test_lognormal_optimum_settles_on_the_bisection_float():
     # the root search starts from Newton's estimate instead of halving [-ln 4, sig**2]; below
-    # sig = 1 the condition changes sign once on the floats and the root is bisection's own
-    # float. Above, rounding makes it change sign many times near its root, which either
-    # search may end on: within 2e-13*(1 + sig**2) in ln L of bisection's float
+    # sig = 1 the condition changes sign once on the floats for nearly every law (for all of
+    # these), and the root is bisection's own float, on either side of 0. Above, rounding
+    # makes it change sign many times near its root, which either search may end on:
+    # within 2e-13*(1 + sig**2) in ln L of bisection's float
     def bisected(sig):
         def r(w):
             return (math.exp(sig * sig / 8.0 - w / 2.0) * math.erfc((w / sig - sig / 2.0) / math.sqrt(2.0))
@@ -492,6 +493,21 @@ def test_sweep_rejects_bad_axes():
         sweep({"beta": [2.0]}, cost=CostModel.timeboost(0.25, 1.0), noise=UNIT_NOISE)
     with pytest.raises(ConfigError):
         sweep({"v": []}, cost=CostModel.power(2.0), noise=UNIT_NOISE)
+
+
+@pytest.mark.parametrize(("axes", "baseline", "message"), [
+    ({"chains": [1, 2]}, {"v": math.inf}, "trade value must be positive and finite, got inf"),
+    ({"chains": [1, 2]}, {"v": True}, "trade value must be positive and finite, got True"),
+    ({"v": [1.0, True]}, {}, "trade value must be positive and finite, got True"),
+    ({"v": [1.0, np.float32(2.0)]}, {}, "trade value must be positive and finite, got np.float32(2.0)"),
+    ({"v": [1.0, 2.0]}, {"alpha": True}, "refund fraction alpha must lie in [0, 1], got True"),
+], ids=["v-inf", "v-bool", "v-axis-bool", "v-axis-float32", "alpha-bool"])
+def test_sweep_raises_market_configs_error_for_a_bad_market(axes, baseline, message):
+    # the market checks look at each axis's value types and extremes, and value by value only
+    # when those fail: what passes them passes MarketConfig, and what fails raises its error
+    with pytest.raises(ParameterError) as raised:
+        sweep(axes, cost=CostModel.power(2.0), noise=UNIT_NOISE, **baseline)
+    assert str(raised.value) == message
 
 
 SIDE_FIELDS = {"signal": "signal", "per_chain_cost": "per_chain_cost",

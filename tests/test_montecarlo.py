@@ -303,6 +303,16 @@ def test_analytic_verify_peak_memory_is_a_fraction_of_the_mesh():
     assert peak < 4 * 11**6
 
 
+def test_explicit_grid_is_not_held_to_the_default_grids_bound():
+    # the bound is sized on the default per-chain axes: 126 points of the caller's own at
+    # n = 2 are 15,876 product-grid profiles, past the Monte Carlo bound, and still run
+    grid = np.linspace(0.0, 1.0, 126)
+    assert grid.size**2 > mc._MAX_PROFILES["montecarlo"]
+    check = verify_best_response(0.25, MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE, deviation_grid=grid,
+                                 mode="montecarlo", trials=200)
+    assert check.mode == "montecarlo" and all(x in grid for x in check.argmax_deviation)
+
+
 def test_best_response_empty_grid_rejected():
     with pytest.raises(ConfigError):
         verify_best_response(0.5, MarketConfig(1.0, 1), POWER_TWO, UNIT_NOISE, deviation_grid=[])

@@ -100,29 +100,33 @@ def test_settle_root_equals_bisection_on_a_smooth_residual():
     assert isinstance(alone, float) and alone == bisect_root(lambda x: 2.0 - x * x, np.zeros(1), [2.0])[0]
 
 
-def test_settle_root_crosses_zero_and_needs_no_monotone_residual():
-    # brackets across 0, some spanning more keys than int64 holds ([-1e300, 1e300]), and
-    # residuals that rise and fall but change sign once: the roots, negative, zero and
-    # positive, land on bisect_root's float from guesses a few hundred floats off
+def test_settle_root_needs_no_monotone_residual_and_replays_an_outer_bracket():
+    # residuals that rise and fall but change sign once, some through a run of 2-5
+    # zeros, from guesses a few hundred floats off: each root lands on bisect_root's
+    # float for [lo, hi], and with an outer bracket, negative or wide at either end,
+    # on its float for that bracket, which differs only where a run is replayed
     rng = np.random.default_rng(3)
     k = 400
-    root = np.concatenate([-(10.0 ** rng.uniform(-300, 2, k // 2)), 10.0 ** rng.uniform(-300, 2, k // 2)])
-    root[:3] = 0.0, -0.0, 5e-324
-    lo = np.where(rng.random(k) < 0.5, -1e300, -200.0)
-    hi = np.where(rng.random(k) < 0.5, 1e300, 200.0)
+    root = 10.0 ** rng.uniform(-300, 2, k)
+    last = (_bits(root) + rng.integers(-1, 5, k)).view(float)  # the last float where f >= 0
+    lo = np.where(rng.random(k) < 0.5, 0.0, root * rng.uniform(0.0, 0.5, k))
+    hi = root * rng.uniform(2.0, 1e3, k)
+    outer = np.where(rng.random(k) < 0.5, -1e300, -1.0), np.where(rng.random(k) < 0.5, 1e300, 2.0 * hi)
 
     def f(x):
-        return (root - x) * (2.0 + np.sin(50.0 * x))
+        return np.where((root <= x) & (x <= last), 0.0, (root - x) * (2.0 + np.sin(50.0 * x)))
 
     guess = (_bits(root) + rng.integers(-300, 300, k)).view(float)
-    found = settle_root(f, guess, lo, hi)
-    assert np.array_equal(_bits(found), _bits(bisect_root(f, lo, hi)))
+    assert np.array_equal(_bits(settle_root(f, guess, lo, hi)), _bits(bisect_root(f, lo, hi)))
+    found = settle_root(f, guess, lo, hi, outer=outer)
+    assert np.array_equal(_bits(found), _bits(bisect_root(f, *outer)))
+    assert (found != bisect_root(f, lo, hi)).sum() > 50
 
 
 def test_settle_root_on_brackets_one_float_wide():
     # no float lies inside any bracket, so no step is taken; this ended in an
     # AttributeError ('bool' has no 'any'), as from a refund root at v = 3e-162
-    lo, hi = np.array([0.0, 1.0, -2.0]), np.array([5e-324, np.nextafter(1.0, 2.0), np.nextafter(-2.0, 0.0)])
+    lo, hi = np.array([0.0, 1.0, 2.0]), np.array([5e-324, np.nextafter(1.0, 2.0), np.nextafter(2.0, 3.0)])
 
     def f(x):
         return np.where(x == lo, 1.0, -1.0)
