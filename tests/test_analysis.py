@@ -349,10 +349,10 @@ def test_optimal_c_matches_mpmath(dist, tol):
 
 def test_lognormal_optimum_settles_on_the_bisection_float():
     # the root search starts from Newton's estimate instead of halving [-ln 4, sig**2]; below
-    # sig = 1 the condition changes sign once on the floats for nearly every law (for all of
-    # these), and the root is bisection's own float, on either side of 0. Above, rounding
-    # makes it change sign many times near its root, which either search may end on:
-    # within 2e-13*(1 + sig**2) in ln L of bisection's float
+    # sig = 1 the condition changes sign once on the floats for most laws (for all of these;
+    # about 1 in 10 at 0.8-1 does not), and the root is bisection's own float, on either side
+    # of 0. Above, rounding makes it change sign many times near its root, which either
+    # search may end on: within 2e-13*(1 + sig**2) in ln L of bisection's float
     def bisected(sig):
         def r(w):
             return (math.exp(sig * sig / 8.0 - w / 2.0) * math.erfc((w / sig - sig / 2.0) / math.sqrt(2.0))
