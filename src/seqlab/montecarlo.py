@@ -8,13 +8,19 @@ unilateral deviations against common random numbers. Nothing here reuses
 the solvers' algebra beyond the cost function itself, so the estimates are
 an independent check on the closed forms.
 
-A race is monotone in trader 1's signal, so the scan does not race each
-deviation profile: per (trial, chain) a binary search over the sorted
-deviation values finds the first that wins, and every profile's counts
-come from histograms of those thresholds. A scan costs
-O(trials * chains * log grid) races plus the histograms of the per-chain
-mesh, not O(profiles * trials), and its counts are exactly those of the
-per-profile race.
+The closed-form check scores the level family instead of a product of
+the grid over the chains: one grid value on the first chains and 0 on the
+rest. Under log-concave noise every interior coordinate of a best response
+takes one common level, so ``chains * grid`` profiles stand in for
+``grid ** chains``, and the scan's memory grows with ``chains * grid``.
+
+A race is monotone in trader 1's signal, so the Monte Carlo scan does not
+race each deviation profile: per (trial, chain) a binary search over the
+sorted deviation values finds the first that wins, and every profile's
+counts come from histograms of those thresholds. A scan costs
+O(trials * chains * log grid) races plus the histograms of its coarse
+per-chain mesh, not O(profiles * trials), and its counts are exactly those
+of the per-profile race.
 
 A simulation races each chain at one signal gap, and the sign of
 ``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
@@ -52,12 +58,12 @@ _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
 _CHUNK_WORDS = 3 * _SLOTS * (1 << 16)  # the words of a full chunk of 3 chains: the most a chunk draws
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
-_BLOCK = 1 << 14  # analytic scores of a product family are formed this many at a time
-#: Most profiles a deviation scan's default product grid may have, per mode. Measured
-#: tracemalloc peaks: analytic 30 MB at 11**7 profiles (n = 7), Monte Carlo
-#: 33 MB at 5**6 (n = 6, 2,000 trials); each chain more multiplies them by
-#: about 11 and 6.
-_MAX_PROFILES = {"analytic": 11**7, "montecarlo": 5**6}
+#: Most profiles a Monte Carlo scan's default product grid may have: its
+#: tracemalloc peak is 33 MB at 5**6 (n = 6, 2,000 trials), and each chain
+#: more multiplies it by about 6.
+_MAX_PROFILES = 5**6
+#: The least and greatest uniforms of :func:`seqlab.rng.to_uniform`.
+_EXTREME_UNIFORMS = (2.0**-54, 1.0 - 2.0**-53)
 _Z95 = 1.96
 
 
@@ -103,6 +109,13 @@ class SimulationSpec:
         for trader in self.signals:
             for s in trader:
                 self.cost.cost(s)  # raises DomainError outside the admissible range
+        # a race of infinite draws can add inf to -inf; each transform is
+        # monotone, so the extreme uniforms bound every draw
+        u, noise = np.array(_EXTREME_UNIFORMS), self.noise
+        with np.errstate(over="ignore"):
+            draws = noise.trader_noise(u) if noise.has_trader_law else noise.quantile(u)
+        if not np.isfinite(draws).all():
+            raise ConfigError(f"{noise.spec} noise is too wide to sample: its draws overflow float range")
 
 
 @dataclass(frozen=True)
@@ -511,31 +524,28 @@ def _fold(terms):
     for win, spent in terms:
         capture = capture * win
         expected_cost = expected_cost + spent
+        del win, spent  # before the next chain's terms are formed
     return capture, expected_cost
 
 
-def _mesh_best(axes, candidate: float, market: MarketConfig, cost: CostModel, noise: NoiseModel):
-    """The first maximum in C order of the analytic payoff over a product
-    family (chain ``k``'s entry varies along axis ``k``) and its flat index.
+def _level_scores(grid: np.ndarray, candidate: float, market: MarketConfig, cost: CostModel, noise: NoiseModel):
+    """Analytic payoffs of the level family against a rival at ``candidate``,
+    shape ``(n, len(grid))``: row ``r``, column ``i`` is the profile with
+    ``grid[i]`` on chains ``0..n-r-1`` and 0 on the last ``r`` chains.
 
-    The capture and cost over chains ``0..n-2`` are formed once, as
-    :func:`analytic_expected_payoff` forms them, and the last chain's axis
-    is scored in blocks of whole rows of at least ``_BLOCK`` profiles, so
-    every score has its bits and no array the size of the mesh is built.
+    Every chain races the same rival, so two per-chain terms serve every
+    profile: those of the grid and of 0. The chains are folded in order as
+    :func:`analytic_expected_payoff` folds them, so each score has the bits
+    of that function at its profile, and row 0 is the equal family.
     """
-    terms = list(_chain_terms(axes, (candidate,) * len(axes), market, cost, noise))
-    capture, expected_cost = (np.reshape(x, (-1, 1)) for x in _fold(terms[:-1]))
-    win, spent = (np.reshape(x, -1) for x in terms[-1])
-    rows = -(-_BLOCK // win.size)
-    tops = []
-    for start in range(0, len(capture), rows):
-        block = capture[start:start + rows] * win
-        block *= market.v
-        block -= expected_cost[start:start + rows] + spent
-        value, i = _first_max(block)
-        tops.append((value, start * win.size + i))
-    # the first block that holds the first maximum, as np.argmax over the whole mesh finds it
-    return tops[_first_max(np.array([value for value, _ in tops]))[1]]
+    n = market.n_chains
+    (win, spent), (win_zero, spent_zero) = _chain_terms((grid, 0.0), (candidate, candidate), market, cost, noise)
+    level = np.arange(n, 0, -1).reshape(-1, 1)  # per row, the chains at the grid value
+    capture, expected_cost = _fold((np.where(k < level, win, win_zero), np.where(k < level, spent, spent_zero))
+                                   for k in range(n))
+    capture *= market.v
+    capture -= expected_cost
+    return capture
 
 
 def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301) -> np.ndarray:
@@ -590,18 +600,27 @@ def verify_best_response(
 ) -> BestResponseCheck:
     """Scan trader 1's deviations while trader 2 sits at the candidate.
 
-    The scan covers the equal-on-every-chain family over the deviation grid
-    and, with more than one chain, a per-chain product grid (coarser per
-    axis). Analytic mode evaluates the closed-form payoff over each family
-    at once. Monte Carlo mode counts the baseline and every profile of both
-    families against the same draws of each chunk (common random numbers),
+    Analytic mode scores the level family over the deviation grid: each
+    grid value on the first ``n - r`` chains and 0 on the other ``r``, for
+    ``r`` from 0 (the equal-on-every-chain family) to ``n - 1``. Under
+    log-concave noise, the law of every family here, a best response's
+    interior coordinates share one level (Bagnoli & Bergstrom 2005), so
+    these ``n * len(grid)`` profiles stand in for the product of the grid
+    over the chains; a ``deviation_grid`` of the caller's own is scanned as
+    level rows too.
+
+    Monte Carlo mode scans the equal family and, with more than one chain,
+    a coarse per-chain product grid, counting the baseline and every
+    profile against the same draws of each chunk (common random numbers),
     so each score equals ``simulate`` at that profile and the gain
-    comparison is paired. Within a family the first maximum wins, and the
-    product grid replaces the equal family's best only when strictly better.
-    A positive best gain means the candidate is not a best response; it is
-    reported, never suppressed. A default product grid past the mode's
+    comparison is paired; the product grid replaces the equal family's best
+    only when strictly better. A default product grid past
     :data:`_MAX_PROFILES` is a :class:`ConfigError`, raised before the scan
     allocates; a ``deviation_grid`` of the caller's own sets its own size.
+
+    Within a family the first maximum in C order wins, so in both modes the
+    equal family wins ties. A positive best gain means the candidate is not
+    a best response; it is reported, never suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
@@ -610,50 +629,42 @@ def verify_best_response(
     if deviation_grid is None:
         grid = default_deviation_grid(cand, cost)
     else:
-        grid = np.asarray(deviation_grid, dtype=float)
+        grid = np.asarray(deviation_grid, dtype=float).reshape(-1)
         if grid.size == 0:
             raise ConfigError("deviation grid must not be empty")
 
-    families = [(cand,) * n, (grid,) * n]
-    if n >= 2:
-        # the product grid is dense when payoffs are closed-form and a coarse
-        # probe in Monte Carlo mode, whose scores carry sampling error
-        if mode == "analytic":
-            axis_points = {2: 61, 3: 31}.get(n, 11)
-        else:
-            axis_points = {2: 9}.get(n, 5)
-        axis = default_deviation_grid(cand, cost, points=axis_points) if deviation_grid is None else grid
-        # the bound is sized on the default axes; a grid of the caller's own sets its own size
-        if deviation_grid is None and (count := axis.size**n) > _MAX_PROFILES[mode]:
-            raise ConfigError(f"the {mode} deviation scan at chains={n} has {count:,} product-grid profiles, "
-                              f"beyond the {_MAX_PROFILES[mode]:,} it allows")
-        families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
-    profiles = [np.broadcast_arrays(*own) for own in families]
     if mode == "analytic":
-        baseline = float(analytic_expected_payoff((families[0], cand), market, cost, noise))
-        bests = [_first_max(analytic_expected_payoff((families[1], cand), market, cost, noise))]
-        if n >= 2:
-            bests.append(_mesh_best(families[2], cand, market, cost, noise))
+        baseline = float(analytic_expected_payoff(((cand,) * n, cand), market, cost, noise))
+        best_payoff, best_index = _first_max(_level_scores(grid, cand, market, cost, noise))
+        zeros, i = divmod(best_index, grid.size)
+        best_profile = (float(grid[i]),) * (n - zeros) + (0.0,) * zeros
+        epsilon = 1e-3 * market.v
     else:
-        # checks trials, seed and the candidate as a one-profile run would;
-        # cost.cost rejects any deviation outside the cost's domain
+        families = [(cand,) * n, (grid,) * n]
+        if n >= 2:
+            # a coarse probe: the scores carry sampling error
+            axis = default_deviation_grid(cand, cost, points={2: 9}.get(n, 5)) if deviation_grid is None else grid
+            # the bound is sized on the default axes; a grid of the caller's own sets its own size
+            if deviation_grid is None and (count := axis.size**n) > _MAX_PROFILES:
+                raise ConfigError(f"the montecarlo deviation scan at chains={n} has {count:,} product-grid profiles, "
+                                  f"beyond the {_MAX_PROFILES:,} it allows")
+            families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
+        # checks trials, seed, the noise and the candidate as a one-profile run
+        # would; cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
+        profiles = [np.broadcast_arrays(*own) for own in families]
         flat = np.concatenate([np.reshape(family, (n, -1)) for family in profiles], axis=1)
         captures, joint = _tally(families, np.full(n, cand), noise, trials, seed)
         means, halfwidths = _payoff_statistics(trials, market, cost.cost(flat), captures[0], joint)
         offsets = np.cumsum([family[0].size for family in profiles])
         baseline, *scores = np.split(means, offsets[:-1])
         baseline, bests = float(baseline[0]), [_first_max(score) for score in scores]
-
-    best_family = 2 if len(bests) > 1 and bests[1][0] > bests[0][0] else 1
-    best_payoff, best_index = bests[best_family - 1]
-    best_profile = tuple(float(x.flat[best_index]) for x in profiles[best_family])
+        best_family = 2 if len(bests) > 1 and bests[1][0] > bests[0][0] else 1
+        best_payoff, best_index = bests[best_family - 1]
+        best_profile = tuple(float(x.flat[best_index]) for x in profiles[best_family])
+        epsilon = float(halfwidths[offsets[best_family - 1] + best_index])
 
     max_gain = best_payoff - baseline
-    if mode == "analytic":
-        epsilon = 1e-3 * market.v
-    else:
-        epsilon = float(halfwidths[offsets[best_family - 1] + best_index])
     return BestResponseCheck(
         max_gain=float(max_gain),
         argmax_deviation=best_profile,

@@ -475,6 +475,19 @@ def test_stake_past_float_range_ends_with_a_message(argv, code, reason, capsys):
     assert result == (code, "", f"seqlab: {reason}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--mode", "montecarlo", "--v", "1e300", "--chains", "2", "--noise", "laplace:1.7e308", "--trials", "2000"],
+    ["simulate", "--v", "1", "--signals", "0.5,0.5", "--noise", "logistic:1.7e308"],
+], ids=["verify-laplace", "simulate-logistic"])
+def test_noise_whose_draws_overflow_is_config_error(argv, capsys):
+    # the verify scan once failed to reshape its histogram, and simulate gave trader 2 every inf - inf race
+    law = argv[argv.index("--noise") + 1].replace("1.7e308", "1.7e+308")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = _run(capsys, [*argv, "--cost", "power:2"])
+    assert result == (2, "", f"seqlab: config error: {law} noise is too wide to sample: its draws overflow float range\n")
+
+
 def test_refund_root_whose_bracket_end_cost_overflows(capsys):
     # at v = 1e200 the cost of the bracket end C'(s) = 2M/(1+alpha) overflows, the root
     # near 1e100 and its cost do not: the residual's -inf there is a valid negative sign
@@ -525,7 +538,7 @@ def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     assert _probe_scipy(argv) == (expected, "[]")
 
 
-@pytest.mark.parametrize(("mode", "chains", "profiles"), [("analytic", 8, "214,358,881"), ("montecarlo", 7, "78,125")])
+@pytest.mark.parametrize(("mode", "chains", "profiles"), [("montecarlo", 7, "78,125")])
 def test_verify_past_its_product_grid_limit_is_config_error(mode, chains, profiles, capsys):
     # rejected before the scan allocates anything; the chain count above the
     # limit used to end in a MemoryError traceback or an out-of-memory kill
@@ -533,3 +546,12 @@ def test_verify_past_its_product_grid_limit_is_config_error(mode, chains, profil
                                    "--noise", "normal:1", "--mode", mode, "--trials", "100"])
     assert (code, out) == (2, "")
     assert err.startswith(f"seqlab: config error: the {mode} deviation scan at chains={chains} has {profiles} ")
+
+
+@pytest.mark.parametrize("chains", [8, 64])
+def test_analytic_verify_has_no_chain_limit(chains, capsys):
+    # the level family has chains * 301 profiles; the product grid refused chains 8 onwards
+    code, out, err = _run(capsys, ["verify", "--v", "1", "--chains", str(chains), "--cost", "power:2",
+                                   "--noise", "normal:1", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["result"]["argmax_deviation"]) == chains

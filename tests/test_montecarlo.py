@@ -1,4 +1,7 @@
+import itertools
 import math
+import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -178,6 +181,23 @@ def test_spec_validation():
         SimulationSpec((1.5, 0.5), MarketConfig(1.0, 1), CostModel.timeboost(0.25, 1.0), UNIT_NOISE, trials=10)
 
 
+@pytest.mark.parametrize(("noise", "rejected"), [
+    (NoiseModel("laplace", 1.7e308), True), (NoiseModel("logistic", 1.7e308), True),
+    (NoiseModel("normal", 1.7e308), True), (NoiseModel("laplace", 5e306), True),
+    (NoiseModel("laplace", 4.8e306), False), (NoiseModel("logistic", 4.8e306), False),
+    (NoiseModel("normal", 3e307), False), (NoiseModel("uniform", 1.7e308), False),
+], ids=lambda x: x.spec if isinstance(x, NoiseModel) else None)
+def test_spec_rejects_a_law_whose_draws_overflow(noise, rejected):
+    # an infinite draw once raced inf + -inf: a reshape error in the scan, a win for trader 2 in simulate
+    with np.errstate(all="raise", under="ignore"):
+        if rejected:
+            with pytest.raises(ConfigError, match=f"^{re.escape(noise.spec)} noise is too wide to sample"):
+                _spec((0.5, 0.5), n=2, trials=10, noise=noise)
+        else:
+            stats = simulate(_spec((0.5, 0.5), n=2, trials=2_000, noise=noise))
+            assert sum(stats.capture_counts) <= 2_000
+
+
 def test_analytic_payoff_at_symmetric_points():
     market = MarketConfig(1.0, 1)
     assert analytic_expected_payoff((0.5, 0.5), market, POWER_TWO, UNIT_NOISE) == pytest.approx(0.25, abs=1e-12)
@@ -271,43 +291,91 @@ def test_best_response_first_maximum_wins(n, mode):
     assert check.max_gain == -check.baseline_payoff > 0.0
 
 
-@pytest.mark.parametrize(
-    "n, points, cost, noise, alpha",
-    [(2, 61, POWER_TWO, UNIT_NOISE, 1.0), (3, 31, CostModel.timeboost(0.3, 2.0), NoiseModel("logistic", 0.7), 0.4),
-     (4, 11, CostModel.power(3.5), NoiseModel("laplace", 1.3), 1.0), (5, 11, POWER_TWO, NoiseModel("uniform", 0.2), 0.0),
-     (3, 200, CostModel.power(1.2, cap=0.6), UNIT_NOISE, 0.7)],
-)
-def test_mesh_scan_in_blocks_equals_the_whole_mesh(n, points, cost, noise, alpha):
-    # meshes of one block and of 2 to 10; every score keeps its bits, and ties (the uniform
-    # law at alpha 0 scores many surely lost profiles at exactly 0) go to the first in C order
-    market = MarketConfig(1.3, n, alpha)
-    axis = default_deviation_grid(0.25, cost, points=points)
-    family = tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n))
-    whole = analytic_expected_payoff((family, 0.25), market, cost, noise)
-    index = int(np.argmax(whole))
-    value, at = mc._mesh_best(family, 0.25, market, cost, noise)
-    assert (at, value.hex()) == (index, float(whole.flat[index]).hex())
+@pytest.mark.parametrize("n, alpha", [(n, alpha) for n in range(1, 7) for alpha in ((1.0, 0.5) if n <= 2 else (1.0,))])
+@pytest.mark.parametrize("cost", [POWER_TWO, CostModel.timeboost(0.25, 1.0)], ids=lambda c: c.spec)
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_level_rows_equal_the_payoff_of_their_profiles(n, alpha, cost, noise):
+    # row r puts each grid value on chains 0..n-r-1 and 0 on the other r; the first
+    # maximum in C order wins: at v = 0.01 the boost fee's best response is 0, which every
+    # row holds at its first column, and the equal family (row 0) takes that tie
+    grid = default_deviation_grid(0.25, cost, points=41)
+    for v in (1.3, 0.01):
+        market = MarketConfig(v, n, alpha)
+        rows = mc._level_scores(grid, 0.25, market, cost, noise)
+        expected = np.array([analytic_expected_payoff(((grid,) * (n - r) + (0.0,) * r, 0.25), market, cost, noise)
+                             for r in range(n)])
+        assert [x.hex() for x in rows.reshape(-1).tolist()] == [x.hex() for x in expected.reshape(-1).tolist()]
+        r, i = np.unravel_index(np.argmax(expected), expected.shape)
+        check = verify_best_response(0.25, market, cost, noise, deviation_grid=grid)
+        assert check.argmax_deviation == (grid[i],) * (n - r) + (0.0,) * r
+        assert check.max_gain == float(expected[r, i]) - check.baseline_payoff
+        if v == 0.01 and cost.family == "timeboost":
+            assert check.argmax_deviation == (0.0,) * n and np.count_nonzero(expected == expected[r, i]) >= n
 
 
-def test_analytic_verify_peak_memory_is_a_fraction_of_the_mesh():
-    # the 11**6-profile mesh is scored in blocks: well under the 16 B per profile of
-    # the whole mesh's score and cost arrays
-    market = MarketConfig(2.0, 6)
+def _product_mesh_gain(candidate, market, cost, noise):
+    """The best gain over the equal family and a per-chain product mesh of
+    61 (n = 2) or 31 (n = 3) points a chain; the mesh wins only when strictly better."""
+    n = market.n_chains
+    baseline = analytic_expected_payoff(((candidate,) * n, candidate), market, cost, noise)
+    equal = analytic_expected_payoff(((default_deviation_grid(candidate, cost),) * n, candidate), market, cost, noise)
+    axis = default_deviation_grid(candidate, cost, points={2: 61, 3: 31}[n])
+    mesh = tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n))
+    product = analytic_expected_payoff((mesh, candidate), market, cost, noise)
+    return max(equal.max(), product.max()) - baseline
+
+
+def test_level_family_keeps_the_product_meshs_verdicts():
+    # the interior candidates of power costs and normal noise whose participation holds,
+    # at n = 2 and 3 and full cost, and every candidate at n = 2 with refunds
+    refuted = set()
+    for n, alpha, beta, sigma, v in itertools.product((2, 3), (1.0, 0.5, 0.0), (1.2, 1.5, 2.0, 3.0, 5.0),
+                                                      (0.1, 0.5, 1.0, 2.0), (0.05, 0.2, 1.0, 5.0, 20.0)):
+        if n == 3 and alpha < 1.0:
+            continue
+        market, cost, noise = MarketConfig(v, n, alpha), CostModel.power(beta), NoiseModel("normal", sigma)
+        candidate = solve_equilibrium(market, cost, noise)
+        if alpha == 1.0 and not (candidate.regime is Regime.INTERIOR and candidate.participation_satisfied):
+            continue
+        check = verify_best_response(candidate, market, cost, noise)
+        gain = _product_mesh_gain(candidate.signal, market, cost, noise)
+        assert check.is_epsilon_equilibrium == (gain <= 1e-3 * v), (n, alpha, beta, sigma, v)
+        if alpha == 1.0 and not check.is_epsilon_equilibrium:
+            refuted.add((n, beta, sigma, v))
+    assert refuted == {(2, 1.2, 1.0, 5.0), (2, 1.5, 0.1, 0.2), (2, 1.5, 2.0, 20.0), (3, 1.2, 2.0, 20.0)}
+
+
+def test_analytic_verify_peak_memory_stays_small_at_many_chains():
+    # the level family holds n * 301 scores: 64 chains peak well under 1 MB
+    market = MarketConfig(2.0, 64)
     candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE).signal
     tracemalloc.start()
     try:
-        verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE)
+        check = verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 11**6
+    assert len(check.argmax_deviation) == 64
+    assert peak < 1 << 20
+
+
+def test_analytic_verify_scans_a_callers_grid_as_level_rows():
+    # 301 points of the caller's own at n = 6 are 6 * 301 level profiles, not 301**6
+    market = MarketConfig(2.0, 6)
+    candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE).signal
+    grid = np.linspace(0.0, 3.0 * candidate + 1.0, 301)
+    verify_best_response(candidate, MarketConfig(2.0, 1), POWER_TWO, UNIT_NOISE, deviation_grid=grid)  # loads SciPy
+    start = time.perf_counter()
+    check = verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE, deviation_grid=grid)
+    assert time.perf_counter() - start < 0.1
+    assert all(x in grid for x in check.argmax_deviation)
 
 
 def test_explicit_grid_is_not_held_to_the_default_grids_bound():
     # the bound is sized on the default per-chain axes: 126 points of the caller's own at
     # n = 2 are 15,876 product-grid profiles, past the Monte Carlo bound, and still run
     grid = np.linspace(0.0, 1.0, 126)
-    assert grid.size**2 > mc._MAX_PROFILES["montecarlo"]
+    assert grid.size**2 > mc._MAX_PROFILES
     check = verify_best_response(0.25, MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE, deviation_grid=grid,
                                  mode="montecarlo", trials=200)
     assert check.mode == "montecarlo" and all(x in grid for x in check.argmax_deviation)
