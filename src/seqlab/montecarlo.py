@@ -62,8 +62,6 @@ _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
 #: tracemalloc peak is 33 MB at 5**6 (n = 6, 2,000 trials), and each chain
 #: more multiplies it by about 6.
 _MAX_PROFILES = 5**6
-#: The least and greatest uniforms of :func:`seqlab.rng.to_uniform`.
-_EXTREME_UNIFORMS = (2.0**-54, 1.0 - 2.0**-53)
 _Z95 = 1.96
 
 
@@ -109,9 +107,9 @@ class SimulationSpec:
         for trader in self.signals:
             for s in trader:
                 self.cost.cost(s)  # raises DomainError outside the admissible range
-        # a race of infinite draws can add inf to -inf; each transform is
-        # monotone, so the extreme uniforms bound every draw
-        u, noise = np.array(_EXTREME_UNIFORMS), self.noise
+        # a race of infinite draws can add inf to -inf; each transform is monotone,
+        # so its values at the least and greatest uniforms of to_uniform bound every draw
+        u, noise = np.array([2.0**-54, 1.0 - 2.0**-53]), self.noise
         with np.errstate(over="ignore"):
             draws = noise.trader_noise(u) if noise.has_trader_law else noise.quantile(u)
         if not np.isfinite(draws).all():
