@@ -8,11 +8,10 @@ unilateral deviations against common random numbers. Nothing here reuses
 the solvers' algebra beyond the cost function itself, so the estimates are
 an independent check on the closed forms.
 
-The closed-form check scores the level family instead of a product of
-the grid over the chains: one grid value on the first chains and 0 on the
-rest. Under log-concave noise every interior coordinate of a best response
-takes one common level, so ``chains * grid`` profiles stand in for
-``grid ** chains``, and the scan's memory grows with ``chains * grid``.
+The closed-form check scores the level family (one grid value on the first
+chains, 0 on the rest): under log-concave noise a best response's interior
+coordinates share one level, so ``chains * grid`` profiles stand in for
+the ``grid ** chains`` of a product mesh.
 
 A race is monotone in trader 1's signal, so the Monte Carlo scan does not
 race each deviation profile: per (trial, chain) a binary search over the
@@ -107,8 +106,8 @@ class SimulationSpec:
         for trader in self.signals:
             for s in trader:
                 self.cost.cost(s)  # raises DomainError outside the admissible range
-        # a race of infinite draws can add inf to -inf; each transform is monotone,
-        # so its values at the least and greatest uniforms of to_uniform bound every draw
+        # each law is monotone in its uniform, so the least and greatest uniforms bound
+        # every draw; an infinite one would race inf against -inf
         u, noise = np.array([2.0**-54, 1.0 - 2.0**-53]), self.noise
         with np.errstate(over="ignore"):
             draws = noise.trader_noise(u) if noise.has_trader_law else noise.quantile(u)
@@ -527,15 +526,10 @@ def _fold(terms):
 
 
 def _level_scores(grid: np.ndarray, candidate: float, market: MarketConfig, cost: CostModel, noise: NoiseModel):
-    """Analytic payoffs of the level family against a rival at ``candidate``,
-    shape ``(n, len(grid))``: row ``r``, column ``i`` is the profile with
-    ``grid[i]`` on chains ``0..n-r-1`` and 0 on the last ``r`` chains.
-
-    Every chain races the same rival, so two per-chain terms serve every
-    profile: those of the grid and of 0. The chains are folded in order as
-    :func:`analytic_expected_payoff` folds them, so each score has the bits
-    of that function at its profile, and row 0 is the equal family.
-    """
+    """Analytic payoffs against a rival at ``candidate``: row ``r``, column
+    ``i`` puts ``grid[i]`` on chains ``0..n-r-1`` and 0 on the other ``r``.
+    The terms of the grid and of 0 serve every chain, folded in order as in
+    :func:`analytic_expected_payoff`, so each score has that function's bits."""
     n = market.n_chains
     (win, spent), (win_zero, spent_zero) = _chain_terms((grid, 0.0), (candidate, candidate), market, cost, noise)
     level = np.arange(n, 0, -1).reshape(-1, 1)  # per row, the chains at the grid value
@@ -598,27 +592,19 @@ def verify_best_response(
 ) -> BestResponseCheck:
     """Scan trader 1's deviations while trader 2 sits at the candidate.
 
-    Analytic mode scores the level family over the deviation grid: each
-    grid value on the first ``n - r`` chains and 0 on the other ``r``, for
-    ``r`` from 0 (the equal-on-every-chain family) to ``n - 1``. Under
-    log-concave noise, the law of every family here, a best response's
-    interior coordinates share one level (Bagnoli & Bergstrom 2005), so
-    these ``n * len(grid)`` profiles stand in for the product of the grid
-    over the chains; a ``deviation_grid`` of the caller's own is scanned as
-    level rows too.
-
-    Monte Carlo mode scans the equal family and, with more than one chain,
-    a coarse per-chain product grid, counting the baseline and every
-    profile against the same draws of each chunk (common random numbers),
-    so each score equals ``simulate`` at that profile and the gain
-    comparison is paired; the product grid replaces the equal family's best
-    only when strictly better. A default product grid past
+    Analytic mode scans the deviation grid, a caller's own included, as the
+    rows of :func:`_level_scores`, row 0 being the equal-on-every-chain
+    family: under log-concave noise, as every law here is, a best response's
+    interior coordinates share one level (Bagnoli & Bergstrom 2005). Monte
+    Carlo mode scores the equal family and, with more than one chain, a
+    coarse per-chain product grid against the same draws of each chunk
+    (common random numbers), so each score equals ``simulate`` at that
+    profile and the gain comparison is paired; a default product grid past
     :data:`_MAX_PROFILES` is a :class:`ConfigError`, raised before the scan
-    allocates; a ``deviation_grid`` of the caller's own sets its own size.
-
-    Within a family the first maximum in C order wins, so in both modes the
-    equal family wins ties. A positive best gain means the candidate is not
-    a best response; it is reported, never suppressed.
+    allocates, and one of the caller's own sets its own size. The first
+    maximum in C order wins, and the product grid replaces the equal
+    family's best only when strictly better. A positive best gain means the
+    candidate is not a best response; it is reported, never suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")

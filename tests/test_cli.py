@@ -475,16 +475,15 @@ def test_stake_past_float_range_ends_with_a_message(argv, code, reason, capsys):
     assert result == (code, "", f"seqlab: {reason}\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--mode", "montecarlo", "--v", "1e300", "--chains", "2", "--noise", "laplace:1.7e308", "--trials", "2000"],
-    ["simulate", "--v", "1", "--signals", "0.5,0.5", "--noise", "logistic:1.7e308"],
+@pytest.mark.parametrize(("argv", "law"), [
+    (["verify", "--mode", "montecarlo", "--v", "1e300", "--chains", "2", "--trials", "2000"], "laplace:1.7e+308"),
+    (["simulate", "--v", "1", "--signals", "0.5,0.5"], "logistic:1.7e+308"),
 ], ids=["verify-laplace", "simulate-logistic"])
-def test_noise_whose_draws_overflow_is_config_error(argv, capsys):
+def test_noise_whose_draws_overflow_is_config_error(argv, law, capsys):
     # the verify scan once failed to reshape its histogram, and simulate gave trader 2 every inf - inf race
-    law = argv[argv.index("--noise") + 1].replace("1.7e308", "1.7e+308")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        result = _run(capsys, [*argv, "--cost", "power:2"])
+        result = _run(capsys, [*argv, "--cost", "power:2", "--noise", law])
     assert result == (2, "", f"seqlab: config error: {law} noise is too wide to sample: its draws overflow float range\n")
 
 

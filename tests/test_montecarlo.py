@@ -189,13 +189,17 @@ def test_spec_validation():
 ], ids=lambda x: x.spec if isinstance(x, NoiseModel) else None)
 def test_spec_rejects_a_law_whose_draws_overflow(noise, rejected):
     # an infinite draw once raced inf + -inf: a reshape error in the scan, a win for trader 2 in simulate
+    if rejected:
+        with pytest.raises(ConfigError, match=f"^{re.escape(noise.spec)} noise is too wide to sample"):
+            _spec((0.5, 0.5), n=2, trials=10, noise=noise)
+        return
+    spec = _spec(((0.5, 0.2), 0.5), n=2, trials=2_000, noise=noise)
     with np.errstate(all="raise", under="ignore"):
-        if rejected:
-            with pytest.raises(ConfigError, match=f"^{re.escape(noise.spec)} noise is too wide to sample"):
-                _spec((0.5, 0.5), n=2, trials=10, noise=noise)
-        else:
-            stats = simulate(_spec((0.5, 0.5), n=2, trials=2_000, noise=noise))
-            assert sum(stats.capture_counts) <= 2_000
+        stats = simulate(spec)
+    rows = np.array(spec.signals)
+    captures, joint = _reference_tally(rows[0][:, None], rows[1], noise, 2_000, 0)
+    assert stats.capture_counts == (captures[0, 0], captures[1, 0])
+    assert stats.per_chain_win_counts[0] == (joint[0, 0, 0], joint[1, 1, 0])
 
 
 def test_analytic_payoff_at_symmetric_points():
