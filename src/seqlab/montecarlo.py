@@ -8,18 +8,18 @@ unilateral deviations against common random numbers. Nothing here reuses
 the solvers' algebra beyond the cost function itself, so the estimates are
 an independent check on the closed forms.
 
-The closed-form check scores the level family (one grid value on the first
-chains, 0 on the rest): under log-concave noise a best response's interior
-coordinates share one level, so ``chains * grid`` profiles stand in for
-the ``grid ** chains`` of a product mesh.
+Both checks, closed-form and Monte Carlo, score the level family (one grid
+value on the first chains, 0 on the rest): under log-concave noise a best
+response's interior coordinates share one level, so ``chains * grid``
+profiles stand in for the ``grid ** chains`` of a product mesh.
 
 A race is monotone in trader 1's signal, so the Monte Carlo scan does not
 race each deviation profile: per (trial, chain) a binary search over the
-sorted deviation values finds the first that wins, and every profile's
-counts come from histograms of those thresholds. A scan costs
-O(trials * chains * log grid) races plus the histograms of its coarse
-per-chain mesh, not O(profiles * trials), and its counts are exactly those
-of the per-profile race.
+sorted grid finds the first value that wins, once for every level row, and
+every profile's counts come from histograms of those thresholds. A scan
+costs O(trials * chains * log grid) races plus one histogram per count and
+row, not O(profiles * trials), and its counts are exactly those of the
+per-profile race.
 
 A simulation races each chain at one signal gap, and the sign of
 ``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
@@ -57,10 +57,10 @@ _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
 _CHUNK_WORDS = 3 * _SLOTS * (1 << 16)  # the words of a full chunk of 3 chains: the most a chunk draws
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
-#: Most profiles a Monte Carlo scan's default product grid may have: its
-#: tracemalloc peak is 33 MB at 5**6 (n = 6, 2,000 trials), and each chain
-#: more multiplies it by about 6.
-_MAX_PROFILES = 5**6
+#: Most joint counts (``n * n * n * grid.size``) a Monte Carlo scan of the
+#: default grid may keep: up to 12 chains. Its tracemalloc peak grows about as
+#: n**3, to 29 MB at n = 12 (2,000 trials).
+_MAX_COUNTS = 12**3 * 301
 _Z95 = 1.96
 
 
@@ -135,19 +135,18 @@ def _probability_halfwidth(p: float, trials: int) -> float:
 def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
     """Exact race counts of trader 1's deviation profiles against one rival profile.
 
-    Each family is a tuple of trader 1's ``n`` per-chain entries, which
-    broadcast against each other: scalars, or arrays that vary along one
-    axis each (entries along the same axis hold the same values). Its
-    profiles are the points of the broadcast shape. ``rival`` holds trader
-    2's ``n`` signals. Each chunk of trials draws its words once for every
-    family.
+    Each family is a tuple of trader 1's ``n`` per-chain entries: scalars,
+    or arrays whose values are the family's profiles (every such entry of a
+    family holds the same values). ``rival`` holds trader 2's ``n``
+    signals. Each chunk of trials draws its words once for every family and
+    races each chain at each entry once, whichever families share it.
 
     When no entry varies, every chain races at one gap, and a decision table
     per distinct gap settles almost every race from the top byte of its two
     noise words; only the races it leaves open transform their words.
     Otherwise every word is transformed, and the race being monotone in
-    trader 1's signal, per family and (trial, chain) a lockstep binary
-    search over the axis's sorted values finds the first one that wins;
+    trader 1's signal, per varying entry and (trial, chain) a lockstep
+    binary search over its sorted values finds the first one that wins;
     every profile's counts follow from histograms of those thresholds. Both
     ways give exactly the counts of a one-profile run with the same seed.
 
@@ -155,28 +154,28 @@ def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: in
     resp. trader 2, won every chain) and ``joint`` of shape ``(n, n, P)``,
     the trials in which trader 1 won both chain ``k`` and chain ``l``, so its
     per-chain wins are the diagonal; ``P`` runs over the profiles of every
-    family, each family flattened in C order.
+    family in turn.
     """
     n = len(rival)
-    scans = [_Scan(family, rival) for family in families]
+    races = {}  # per (chain, entry) that some family holds: the chain and its gap(s) to the rival
+    scans = [_Scan(family, rival, races) for family in families]
     tables = None
-    if all(g is None for scan in scans for g in scan.group):
+    if all(isinstance(gap, float) for _, gap in races.values()):
         bounds = _bin_bounds(noise)
-        tables = {gap: _decision_table(gap, bounds) for gap in {float(g) for scan in scans for g in scan.gaps}}
+        tables = {gap: _decision_table(gap, bounds) for gap in {gap for _, gap in races.values()}}
     chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_WORDS // (_SLOTS * n)))  # many chains draw fewer trials at once
     for start in range(0, trials, chunk):
-        _race_chunk(scans, noise, seed, start, min(chunk, trials - start), tables)
-    counts = [scan.counts() for scan in scans]
-    captures = np.concatenate([c[:2] for c in counts], axis=1)
-    joint = np.empty((n, n, captures.shape[1]), dtype=np.int64)
-    pairs = iter(np.concatenate([c[2:] for c in counts], axis=1))
+        _race_chunk(scans, races, noise, seed, start, min(chunk, trials - start), tables)
+    counts = np.concatenate([scan.counts() for scan in scans], axis=1)
+    joint = np.empty((n, n, counts.shape[1]), dtype=np.int64)
+    pairs = iter(counts[2:])
     for k in range(n):
         for l in range(k, n):
             joint[k, l] = joint[l, k] = next(pairs)
-    return captures, joint
+    return counts[:2], joint
 
 
-def _race_chunk(scans, noise: NoiseModel, seed: int, start: int, m: int, tables) -> None:
+def _race_chunk(scans, races: dict, noise: NoiseModel, seed: int, start: int, m: int, tables) -> None:
     """Add the counts of trials ``[start, start + m)`` to every scan. A
     function of its own so the chunk's draws are freed before the next
     chunk draws its own."""
@@ -193,8 +192,10 @@ def _race_chunk(scans, noise: NoiseModel, seed: int, start: int, m: int, tables)
         mine, theirs = _noise(draws, noise)
         del draws
         race = _Race(mine, theirs, heads)
+    outcomes = {key: race.wins(k, gap) if isinstance(gap, float) else race.thresholds(k, gap)
+                for key, (k, gap) in races.items()}
     for scan in scans:
-        scan.add(race)
+        scan.add(outcomes)
 
 
 def _draws(words: np.ndarray, noise: NoiseModel):
@@ -335,93 +336,74 @@ _WIN, _LOSE = 0, 1
 class _Scan:
     """One family of profiles: its thresholds' histograms over the chunks.
 
-    Chains whose entries vary along the same axis form a group; a profile
-    at rank ``r`` of the group's sorted distinct values wins chain ``k``
-    exactly when ``r`` reaches the chain's threshold, so it wins every chain
-    of the group when ``r`` reaches their max and loses every one when ``r``
-    stays below their min. Scalar entries give per-trial booleans instead.
-    Each count (trader 1 wins every chain, loses every chain, wins chain
-    ``k`` and chain ``l``) is a histogram over the groups' thresholds among
-    the trials the scalar chains allow; cumulative sums along each axis turn
-    it into the count at every profile.
+    The family's varying entries hold the same values: a profile at rank
+    ``r`` of their sorted distinct values wins chain ``k`` exactly when
+    ``r`` reaches the chain's threshold, so it wins every varying chain when
+    ``r`` reaches their max and loses every one when ``r`` stays below their
+    min. Scalar entries give per-trial booleans instead. Each count (trader
+    1 wins every chain, loses every chain, wins chain ``k`` and chain ``l``)
+    is a histogram of that max or min among the trials the scalar chains
+    allow; a cumulative sum turns it into the count at every profile.
+
+    ``races`` maps each (chain, entry) to the chain and its gap(s) to the
+    rival, and is shared by the families of one tally, so each chunk races
+    an entry that several families hold once.
     """
 
-    def __init__(self, family, rival: np.ndarray):
-        entries = [np.asarray(e, dtype=float) for e in family]
+    def __init__(self, family, rival: np.ndarray, races: dict):
+        entries = [np.asarray(e, dtype=float).reshape(-1) for e in family]
         self.n = n = len(entries)
-        self.shape = shape = np.broadcast_shapes(*(e.shape for e in entries))
-        self.gaps, self.group = [], []  # per chain: gap(s) to the rival, group (None: scalar)
-        axes, self.ranks, self.sizes = {}, [], []  # per group: its axis; rank of each position, bins
+        values = next((e for e in entries if e.size > 1), entries[0])
+        distinct, self.rank = np.unique(values, return_inverse=True)
+        # +inf pads up to 2**j - 1 values for the search (none if there are
+        # exactly that many), and always wins; rank len(distinct) wins no real gap
+        padded = np.full((1 << len(distinct).bit_length()) - 1, np.inf)
+        padded[:len(distinct)] = distinct
+        self.size = len(distinct) + 1
+        self.races, self.varies = [], []  # per chain: its key in races, whether its entry varies
         for k, e in enumerate(entries):
             if e.size == 1:
-                self.group.append(None)
-                self.gaps.append(e.reshape(-1)[0] - rival[k])
-                continue
-            varies = np.flatnonzero(np.array((1,) * (len(shape) - e.ndim) + e.shape) > 1)
-            if len(varies) != 1:
-                raise ValueError(f"the entry of chain {k} must vary along one axis, got shape {e.shape}")
-            axis, flat = int(varies[0]), e.reshape(-1)
-            if axis not in axes:
-                distinct, rank = np.unique(flat, return_inverse=True)
-                # +inf pads up to 2**j - 1 values for the search (none if there are
-                # exactly that many), and always wins; rank len(distinct) wins no real gap
-                padded = np.full((1 << len(distinct).bit_length()) - 1, np.inf)
-                padded[:len(distinct)] = distinct
-                axes[axis] = flat, padded, len(self.ranks)
-                self.ranks.append(rank.reshape([-1 if a == axis else 1 for a in range(len(shape))]))
-                self.sizes.append(len(distinct) + 1)
-            first, padded, g = axes[axis]
-            if not np.array_equal(flat, first):
-                raise ValueError(f"entries along axis {axis} must hold the same values")
-            self.group.append(g)
-            self.gaps.append(padded - rival[k])
+                key = k, float(e[0] - rival[k])
+                races[key] = key
+            else:
+                if not np.array_equal(e, values):
+                    raise ValueError(f"the entry of chain {k} must hold the values of the family's other arrays")
+                key = k, padded.tobytes()
+                if key not in races:
+                    races[key] = k, padded - rival[k]
+            self.races.append(key)
+            self.varies.append(e.size > 1)
         self.keys = [(_WIN, tuple(range(n))), (_LOSE, tuple(range(n)))]
         self.keys += [(_WIN, (k,) if k == l else (k, l)) for k in range(n) for l in range(k, n)]
         self.hists = [0] * len(self.keys)
 
-    def add(self, race: _Race) -> None:
-        won, first = {}, {}
-        for k, gap in enumerate(self.gaps):
-            if self.group[k] is None:
-                won[k] = race.wins(k, gap)
-            else:
-                first[k] = race.thresholds(k, gap)
+    def add(self, outcomes: dict) -> None:
+        """Add one chunk's counts from the outcome of each of ``races``:
+        wins of a scalar entry, thresholds of a varying one."""
         for i, (side, chains) in enumerate(self.keys):
-            mask, dims = None, {}
+            mask = first = None
             for k in chains:
-                if k in won:
-                    w = won[k] if side == _WIN else ~won[k]
-                    mask = w if mask is None else mask & w
+                out = outcomes[self.races[k]]
+                if self.varies[k]:
+                    first = out if first is None else (np.maximum if side == _WIN else np.minimum)(first, out)
                 else:
-                    g, t = self.group[k], first[k]
-                    dims[g] = t if g not in dims else (np.maximum if side == _WIN else np.minimum)(dims[g], t)
-            self.hists[i] += self._histogram(dims, mask)
-
-    def _histogram(self, dims: dict, mask):
-        """Trials the mask allows, binned by the groups' thresholds."""
-        if not dims:  # every chain is scalar
-            return np.count_nonzero(mask)
-        sizes = [self.sizes[g] for g in sorted(dims)]
-        index = None
-        for g in sorted(dims):
-            index = dims[g] if index is None else index * self.sizes[g] + dims[g]
-        if mask is not None:
-            index = index[mask]
-        return np.bincount(index, minlength=math.prod(sizes)).reshape(sizes)
+                    w = out if side == _WIN else ~out
+                    mask = w if mask is None else mask & w
+            if first is None:  # every chain is scalar
+                self.hists[i] += np.count_nonzero(mask)
+            else:
+                self.hists[i] += np.bincount(first if mask is None else first[mask], minlength=self.size)
 
     def counts(self) -> np.ndarray:
         """Every key's count at every profile, shape ``(len(keys), P)``."""
-        out = np.empty((len(self.keys), math.prod(self.shape)), dtype=np.int64)
+        out = np.empty((len(self.keys), self.rank.size), dtype=np.int64)
         for row, (side, chains), hist in zip(out, self.keys, self.hists):
-            groups = sorted({self.group[k] for k in chains} - {None})
-            hist = np.asarray(hist, dtype=np.int64)
-            for axis in range(hist.ndim):
-                if side == _WIN:  # trials whose thresholds are at or below the ranks
-                    hist = np.cumsum(hist, axis=axis)
-                else:  # trials whose thresholds are above them
-                    hist = np.flip(np.cumsum(np.flip(hist, axis), axis=axis), axis)
-            at = tuple(self.ranks[g] + side for g in groups)
-            row[:] = np.broadcast_to(hist[at], self.shape).reshape(-1)
+            if np.ndim(hist) == 0:  # no chain varies
+                row[:] = hist
+            elif side == _WIN:  # trials whose thresholds are at or below the ranks
+                row[:] = np.cumsum(hist)[self.rank]
+            else:  # trials whose thresholds are above them
+                row[:] = np.cumsum(hist[::-1])[::-1][self.rank + 1]
         return out
 
 
@@ -596,15 +578,15 @@ def verify_best_response(
     rows of :func:`_level_scores`, row 0 being the equal-on-every-chain
     family: under log-concave noise, as every law here is, a best response's
     interior coordinates share one level (Bagnoli & Bergstrom 2005). Monte
-    Carlo mode scores the equal family and, with more than one chain, a
-    coarse per-chain product grid against the same draws of each chunk
-    (common random numbers), so each score equals ``simulate`` at that
-    profile and the gain comparison is paired; a default product grid past
-    :data:`_MAX_PROFILES` is a :class:`ConfigError`, raised before the scan
-    allocates, and one of the caller's own sets its own size. The first
-    maximum in C order wins, and the product grid replaces the equal
-    family's best only when strictly better. A positive best gain means the
-    candidate is not a best response; it is reported, never suppressed.
+    Carlo mode scores the same rows and the candidate against the same
+    draws of each chunk (common random numbers), so each score equals
+    ``simulate`` at that profile; its epsilon is the unpaired 95% half-width
+    of the gain, from the best row's and the baseline's. A default grid
+    whose joint counts pass :data:`_MAX_COUNTS` is a :class:`ConfigError`,
+    raised before the scan allocates; one of the caller's own sets its own
+    size. In both modes the first maximum in C order wins, so row 0 takes
+    ties. A positive best gain beyond epsilon means the candidate is not a
+    best response; it is reported, never suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
@@ -619,34 +601,26 @@ def verify_best_response(
 
     if mode == "analytic":
         baseline = float(analytic_expected_payoff(((cand,) * n, cand), market, cost, noise))
-        best_payoff, best_index = _first_max(_level_scores(grid, cand, market, cost, noise))
-        zeros, i = divmod(best_index, grid.size)
-        best_profile = (float(grid[i]),) * (n - zeros) + (0.0,) * zeros
-        epsilon = 1e-3 * market.v
+        scores = _level_scores(grid, cand, market, cost, noise)
     else:
-        families = [(cand,) * n, (grid,) * n]
-        if n >= 2:
-            # a coarse probe: the scores carry sampling error
-            axis = default_deviation_grid(cand, cost, points={2: 9}.get(n, 5)) if deviation_grid is None else grid
-            # the bound is sized on the default axes; a grid of the caller's own sets its own size
-            if deviation_grid is None and (count := axis.size**n) > _MAX_PROFILES:
-                raise ConfigError(f"the montecarlo deviation scan at chains={n} has {count:,} product-grid profiles, "
-                                  f"beyond the {_MAX_PROFILES:,} it allows")
-            families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
+        # the bound is sized on the default grid; a grid of the caller's own sets its own size
+        if deviation_grid is None and (count := n * n * n * grid.size) > _MAX_COUNTS:
+            raise ConfigError(f"the montecarlo deviation scan at chains={n} keeps {count:,} joint counts, "
+                              f"beyond the {_MAX_COUNTS:,} it allows")
         # checks trials, seed, the noise and the candidate as a one-profile run
         # would; cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
-        profiles = [np.broadcast_arrays(*own) for own in families]
-        flat = np.concatenate([np.reshape(family, (n, -1)) for family in profiles], axis=1)
+        families = [(cand,) * n] + [(grid,) * (n - r) + (0.0,) * r for r in range(n)]
+        flat = np.concatenate([np.reshape(np.broadcast_arrays(*own), (n, -1)) for own in families], axis=1)
         captures, joint = _tally(families, np.full(n, cand), noise, trials, seed)
         means, halfwidths = _payoff_statistics(trials, market, cost.cost(flat), captures[0], joint)
-        offsets = np.cumsum([family[0].size for family in profiles])
-        baseline, *scores = np.split(means, offsets[:-1])
-        baseline, bests = float(baseline[0]), [_first_max(score) for score in scores]
-        best_family = 2 if len(bests) > 1 and bests[1][0] > bests[0][0] else 1
-        best_payoff, best_index = bests[best_family - 1]
-        best_profile = tuple(float(x.flat[best_index]) for x in profiles[best_family])
-        epsilon = float(halfwidths[offsets[best_family - 1] + best_index])
+        baseline, scores = float(means[0]), means[1:].reshape(n, grid.size)
+
+    best_payoff, best_index = _first_max(scores)
+    zeros, i = divmod(best_index, grid.size)
+    best_profile = (float(grid[i]),) * (n - zeros) + (0.0,) * zeros
+    # Monte Carlo: the unpaired half-width of the gain, from both its terms' sampling errors
+    epsilon = 1e-3 * market.v if mode == "analytic" else math.hypot(halfwidths[1 + best_index], halfwidths[0])
 
     max_gain = best_payoff - baseline
     return BestResponseCheck(

@@ -210,8 +210,8 @@ def test_criterion_7_best_response_verification(solved_grid):
         worst = max(worst, check.max_gain / v)
         checked += 1
     assert checked > 0
-    print(f"\n[criterion 7] PASS: analytic deviation scans (301-point family plus "
-          f"per-chain product grids) certify {checked} interior equilibria; "
+    print(f"\n[criterion 7] PASS: analytic deviation scans (the 301-point grid's level "
+          f"rows) certify {checked} interior equilibria; "
           f"worst relative gain {worst:.2e}")
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from seqlab import montecarlo
 from seqlab.analysis import sweep
 from seqlab.cli import COMMANDS, _parse_grid, main
 from seqlab.cost import CostModel
@@ -537,14 +538,27 @@ def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     assert _probe_scipy(argv) == (expected, "[]")
 
 
-@pytest.mark.parametrize(("mode", "chains", "profiles"), [("montecarlo", 7, "78,125")])
-def test_verify_past_its_product_grid_limit_is_config_error(mode, chains, profiles, capsys):
-    # rejected before the scan allocates anything; the chain count above the
-    # limit used to end in a MemoryError traceback or an out-of-memory kill
+@pytest.mark.parametrize("chains", [7, 12])
+def test_montecarlo_verify_runs_up_to_its_joint_count_bound(chains, capsys):
+    # the level rows keep chains**3 * 301 joint counts; the product grid refused chains 7 onwards
     code, out, err = _run(capsys, ["verify", "--v", "1", "--chains", str(chains), "--cost", "power:2",
-                                   "--noise", "normal:1", "--mode", mode, "--trials", "100"])
+                                   "--noise", "normal:1", "--mode", "montecarlo", "--trials", "100",
+                                   "--format", "json"])
+    assert (code, err) == (0, "")
+    assert len(json.loads(out)["result"]["argmax_deviation"]) == chains
+
+
+def test_montecarlo_verify_past_its_joint_count_bound_is_config_error(capsys, monkeypatch):
+    # rejected before the scan allocates anything: 13 chains are 13**3 * 301 joint counts
+    def refuse(*args, **kwargs):
+        raise AssertionError("the scan ran past its bound")
+
+    monkeypatch.setattr(montecarlo, "_tally", refuse)
+    code, out, err = _run(capsys, ["verify", "--v", "1", "--chains", "13", "--cost", "power:2",
+                                   "--noise", "normal:1", "--mode", "montecarlo", "--trials", "100"])
     assert (code, out) == (2, "")
-    assert err.startswith(f"seqlab: config error: the {mode} deviation scan at chains={chains} has {profiles} ")
+    assert err == (f"seqlab: config error: the montecarlo deviation scan at chains=13 keeps 661,297 joint counts, "
+                   f"beyond the {montecarlo._MAX_COUNTS:,} it allows\n")
 
 
 @pytest.mark.parametrize("chains", [8, 64])

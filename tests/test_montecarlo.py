@@ -253,7 +253,8 @@ def test_best_response_holds_at_equilibrium():
     assert check.is_epsilon_equilibrium
 
 
-def test_best_response_two_chain_product_scan():
+def test_best_response_holds_at_a_two_chain_equilibrium():
+    # analytic mode over the default grid's level rows
     market = MarketConfig(1.0, 2)
     candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE)
     check = verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE)
@@ -375,11 +376,11 @@ def test_analytic_verify_scans_a_callers_grid_as_level_rows():
     assert all(x in grid for x in check.argmax_deviation)
 
 
-def test_explicit_grid_is_not_held_to_the_default_grids_bound():
-    # the bound is sized on the default per-chain axes: 126 points of the caller's own at
-    # n = 2 are 15,876 product-grid profiles, past the Monte Carlo bound, and still run
-    grid = np.linspace(0.0, 1.0, 126)
-    assert grid.size**2 > mc._MAX_PROFILES
+def test_explicit_grid_is_not_held_to_the_default_grids_joint_count_bound():
+    # the bound is sized on the default grid: 70,000 points of the caller's own at n = 2
+    # are 560,000 joint counts, past the Monte Carlo bound, and still run
+    grid = np.linspace(0.0, 1.0, 70_000)
+    assert 2**3 * grid.size > mc._MAX_COUNTS
     check = verify_best_response(0.25, MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE, deviation_grid=grid,
                                  mode="montecarlo", trials=200)
     assert check.mode == "montecarlo" and all(x in grid for x in check.argmax_deviation)
@@ -425,7 +426,7 @@ def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
                                  mode="montecarlo", trials=1_000, seed=5)
     monkeypatch.undo()
     profiles, means = seen["profiles"], seen["means"]
-    assert profiles.shape == (n, 1 + 5 + (5**n if n >= 2 else 0))
+    assert profiles.shape == (n, 1 + n * 5)  # the candidate, then the level rows
     for p in range(profiles.shape[1]):
         spec = SimulationSpec((tuple(profiles[:, p]), 0.4), market, POWER_TWO, noise, trials=1_000, seed=5)
         stats = simulate(spec)
@@ -435,7 +436,36 @@ def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
     assert check.max_gain == max(means[1:]) - means[0]
     best = list(means[1:]).index(max(means[1:])) + 1
     assert check.argmax_deviation == tuple(profiles[:, best])
-    assert check.epsilon == seen["halfwidths"][best]
+    assert check.epsilon == math.hypot(seen["halfwidths"][best], seen["halfwidths"][0])
+
+
+def test_montecarlo_epsilon_counts_the_baselines_sampling_error():
+    # a deviation to 0 loses every race of uniform:0.5 noise against 1, so its sampled
+    # payoff is constant, 0, and its half-width 0; the baseline's own error still counts
+    market, noise = MarketConfig(2.0, 1), NoiseModel("uniform", 0.5)
+    candidate = solve_equilibrium(market, POWER_TWO, noise)
+    assert verify_best_response(candidate, market, POWER_TWO, noise).is_epsilon_equilibrium
+    check = verify_best_response(candidate, market, POWER_TWO, noise, mode="montecarlo", trials=100, seed=1)
+    deviation, baseline = (simulate(SimulationSpec((own, candidate.signal), market, POWER_TWO, noise, trials=100,
+                                                   seed=1)) for own in (0.0, candidate.signal))
+    assert check.argmax_deviation == (0.0,) and deviation.payoff_ci_halfwidth[0] == 0.0
+    assert check.max_gain == -baseline.mean_payoff[0] > 0.0
+    assert check.epsilon == baseline.payoff_ci_halfwidth[0] > check.max_gain
+    assert check.is_epsilon_equilibrium
+
+
+def test_montecarlo_verify_searches_each_chains_thresholds_once_per_chunk(monkeypatch):
+    # every level row holds chain 0 at the grid, and rows 0..n-k-1 chain k: the rows share
+    # one search per chain, n per chunk, not n(n+1)/2
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
+    searched = []
+    thresholds = mc._Race.thresholds
+    monkeypatch.setattr(mc._Race, "thresholds", lambda race, k, gaps: searched.append(k) or thresholds(race, k, gaps))
+    n = 3
+    market = MarketConfig(1.0, n)
+    candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE)
+    verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE, mode="montecarlo", trials=2_500)
+    assert searched == list(range(n)) * 3  # three chunks: 2,500 trials in chunks of 1,000
 
 
 @pytest.mark.parametrize("n, trials", [(2, 2 * 10**5), (3, 10**5)])
@@ -511,13 +541,10 @@ def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 
     return captures, joint
 
 
-def _scan_families(cand, n, grid, axis):
-    """The families verify_best_response scans: the candidate, the equal
-    family over ``grid`` and, with two or more chains, the product mesh."""
-    families = [(cand,) * n, (grid,) * n]
-    if n >= 2:
-        families.append(tuple(axis.reshape([-1 if k == j else 1 for j in range(n)]) for k in range(n)))
-    return families
+def _level_families(cand, n, grid):
+    """The families verify_best_response scans: the candidate, then row ``r``
+    with ``grid`` on chains ``0..n-r-1`` and 0 on the other ``r``."""
+    return [(cand,) * n] + [(grid,) * (n - r) + (0.0,) * r for r in range(n)]
 
 
 def _assert_tally_equals_reference(families, rival, noise, trials, seed):
@@ -544,13 +571,9 @@ def test_tally_equals_per_profile_race(noise, n, grid, spread, monkeypatch):
     # 2,500 trials in chunks of 1,000: the last chunk is partial
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
     cand = 0.4
-    if GRIDS[grid] is None:
-        full = default_deviation_grid(cand, POWER_TWO)
-        axis = default_deviation_grid(cand, POWER_TWO, points={2: 9}.get(n, 5))
-    else:
-        full = axis = np.array(GRIDS[grid])
+    full = default_deviation_grid(cand, POWER_TWO) if GRIDS[grid] is None else np.array(GRIDS[grid])
     rival = cand + spread * np.arange(n)
-    _assert_tally_equals_reference(_scan_families(cand, n, full, axis), rival, noise, 2_500, 7)
+    _assert_tally_equals_reference(_level_families(cand, n, full), rival, noise, 2_500, 7)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
@@ -569,18 +592,26 @@ def test_tally_equals_per_profile_race_at_rounding_boundaries(noise):
     diff = (gaps[:, None, None] + mine) - theirs
     assert (diff == 0.0).any()  # the coin decides some races
     rival = np.zeros(n)  # so each gap is exactly the profile's signal
-    families = [(gaps,) * n, (gaps[::7, None], gaps[None, 3::11]), (float(gaps[0]), gaps[5::13])]
+    families = _level_families(float(gaps[0]), n, gaps) + [(float(gaps[0]), gaps[5::13]), (gaps[3::11], 0.0)]
     families += [(float(g), float(h)) for g, h in zip(gaps[:8], gaps[8:16])]
     _assert_tally_equals_reference(families, rival, noise, trials, seed)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_tally_groups_chains_that_share_an_axis(noise):
-    # chains 0 and 2 vary along one axis, chain 1 along another, chain 3 not at all
+    # the varying chains of a family, wherever they sit among its scalar ones, share one
+    # unsorted axis with a repeated value
     rival = np.array([0.4, 0.1, 0.6, 0.3])
-    first, second = np.array([0.5, 0.0, 0.7, 0.5]), np.array([0.2, 0.9, 0.05])
-    families = [(first[:, None], second[None, :], first[:, None], 0.3), (0.1, first, 0.2, first)]
+    first = np.array([0.5, 0.0, 0.7, 0.5])
+    families = [(first, 0.2, first, 0.3), (0.1, first, 0.2, first), (first, first, first, first)]
     _assert_tally_equals_reference(families, rival, noise, 1_500, 19)
+
+
+def test_tally_rejects_a_family_whose_arrays_differ():
+    rival = np.array([0.4, 0.1])
+    for family in [(np.array([0.5, 0.0, 0.7]), np.array([0.2, 0.9, 0.05])), (np.array([0.5, 0.0]), np.zeros(3))]:
+        with pytest.raises(ValueError, match="^the entry of chain 1 must hold the values of the family's other arrays"):
+            mc._tally([family], rival, UNIT_NOISE, 10, 0)
 
 
 # -- the decision tables of scalar chains ---------------------------------------
