@@ -16,10 +16,13 @@ profiles stand in for the ``grid ** chains`` of a product mesh.
 A race is monotone in trader 1's signal, so the Monte Carlo scan does not
 race each deviation profile: per (trial, chain) a binary search over the
 sorted grid finds the first value that wins, once for every level row, and
-every profile's counts come from histograms of those thresholds. A scan
-costs O(trials * chains * log grid) races plus one histogram per count and
-row, not O(profiles * trials), and its counts are exactly those of the
-per-profile race.
+every profile's counts come from histograms of those thresholds. Per row and
+grid value the scan keeps the captures, one chain's wins (the rows that hold
+a chain at the value share its wins), the wins summed over the row's chains
+and the sum over trials of the squared number of chains won. The statistics
+need no more, so its memory is O(chains * grid) at any chain count. A scan costs O(trials * chains * log grid) races plus O(chains**2)
+histogram entries per trial, not O(profiles * trials), and its counts are
+exactly those of the per-profile race.
 
 A simulation races each chain at one signal gap, and the sign of
 ``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
@@ -57,10 +60,6 @@ _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
 _CHUNK_WORDS = 3 * _SLOTS * (1 << 16)  # the words of a full chunk of 3 chains: the most a chunk draws
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
-#: Most joint counts (``n * n * n * grid.size``) a Monte Carlo scan of the
-#: default grid may keep: up to 12 chains. Its tracemalloc peak grows about as
-#: n**3, to 29 MB at n = 12 (2,000 trials).
-_MAX_COUNTS = 12**3 * 301
 _Z95 = 1.96
 
 
@@ -132,70 +131,122 @@ def _probability_halfwidth(p: float, trials: int) -> float:
     return _Z95 * math.sqrt(p * (1.0 - p) / trials)
 
 
-def _tally(families, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
-    """Exact race counts of trader 1's deviation profiles against one rival profile.
+def _chunk_trials(n: int) -> int:
+    """Trials per chunk at ``n`` chains: many chains draw fewer trials at once."""
+    return max(1, min(_CHUNK_TRIALS, _CHUNK_WORDS // (_SLOTS * n)))
 
-    Each family is a tuple of trader 1's ``n`` per-chain entries: scalars,
-    or arrays whose values are the family's profiles (every such entry of a
-    family holds the same values). ``rival`` holds trader 2's ``n``
-    signals. Each chunk of trials draws its words once for every family and
-    races each chain at each entry once, whichever families share it.
 
-    When no entry varies, every chain races at one gap, and a decision table
-    per distinct gap settles almost every race from the top byte of its two
-    noise words; only the races it leaves open transform their words.
-    Otherwise every word is transformed, and the race being monotone in
-    trader 1's signal, per varying entry and (trial, chain) a lockstep
-    binary search over its sorted values finds the first one that wins;
-    every profile's counts follow from histograms of those thresholds. Both
-    ways give exactly the counts of a one-profile run with the same seed.
+def _chunk_words(seed: int, start: int, m: int, n: int) -> np.ndarray:
+    """The words of trials ``[start, start + m)``, shaped ``(m, n, _SLOTS)``."""
+    return raw_words(seed, start * _SLOTS * n, m * _SLOTS * n).reshape(m, n, _SLOTS)
 
-    Returns ``captures`` of shape ``(2, P)`` (trials in which trader 1,
-    resp. trader 2, won every chain) and ``joint`` of shape ``(n, n, P)``,
-    the trials in which trader 1 won both chain ``k`` and chain ``l``, so its
-    per-chain wins are the diagonal; ``P`` runs over the profiles of every
-    family in turn.
+
+def _table_tally(own: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
+    """Exact race counts of one profile ``own`` against ``rival``, ``n`` signals each.
+
+    Every chain races at one gap, and a decision table per distinct gap
+    settles almost every race from the top byte of its two noise words; only
+    the races it leaves open transform their words, so the counts are
+    exactly those of racing every draw.
+
+    Returns ``captures``, the trials in which trader 1, resp. trader 2, won
+    every chain, and ``co_wins`` of shape ``(n, n)``, the trials in which
+    trader 1 won both chain ``k`` and chain ``l``: its diagonal holds the
+    per-chain wins.
     """
     n = len(rival)
-    races = {}  # per (chain, entry) that some family holds: the chain and its gap(s) to the rival
-    scans = [_Scan(family, rival, races) for family in families]
-    tables = None
-    if all(isinstance(gap, float) for _, gap in races.values()):
-        bounds = _bin_bounds(noise)
-        tables = {gap: _decision_table(gap, bounds) for gap in {gap for _, gap in races.values()}}
-    chunk = max(1, min(_CHUNK_TRIALS, _CHUNK_WORDS // (_SLOTS * n)))  # many chains draw fewer trials at once
+    gaps = [float(gap) for gap in own - rival]
+    bounds = _bin_bounds(noise)
+    tables = {gap: _decision_table(gap, bounds) for gap in set(gaps)}
+    captures, co_wins = np.zeros(2, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    chunk = _chunk_trials(n)
     for start in range(0, trials, chunk):
-        _race_chunk(scans, races, noise, seed, start, min(chunk, trials - start), tables)
-    counts = np.concatenate([scan.counts() for scan in scans], axis=1)
-    joint = np.empty((n, n, counts.shape[1]), dtype=np.int64)
-    pairs = iter(counts[2:])
-    for k in range(n):
-        for l in range(k, n):
-            joint[k, l] = joint[l, k] = next(pairs)
-    return counts[:2], joint
+        _table_chunk(captures, co_wins, gaps, tables, noise, seed, start, min(chunk, trials - start))
+    return captures, np.triu(co_wins) + np.triu(co_wins, 1).T
 
 
-def _race_chunk(scans, races: dict, noise: NoiseModel, seed: int, start: int, m: int, tables) -> None:
-    """Add the counts of trials ``[start, start + m)`` to every scan. A
+def _table_chunk(captures, co_wins, gaps, tables: dict, noise: NoiseModel, seed: int, start: int, m: int) -> None:
+    """Add the counts of trials ``[start, start + m)``. A function of its own
+    so the chunk's words are freed before the next chunk draws its own."""
+    race = _TableRace(_chunk_words(seed, start, m, len(gaps)), noise, tables)
+    won = [race.wins(k, gap) for k, gap in enumerate(gaps)]
+    every, some = won[0], won[0]
+    for k, mine in enumerate(won):
+        co_wins[k, k] += np.count_nonzero(mine)
+        for l in range(k):
+            co_wins[l, k] += np.count_nonzero(won[l] & mine)
+        if k:
+            every, some = every & mine, some | mine
+    captures += np.count_nonzero(every), m - np.count_nonzero(some)
+
+
+def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
+    """Exact race counts of trader 1's level rows against ``rival``'s ``n`` signals.
+
+    Row ``j`` (``1 <= j <= n``) puts one of the sorted distinct ``values``
+    on chains ``0..j-1`` and 0 on the rest. A race is monotone in trader 1's
+    signal, so per chunk one threshold search per chain finds, per trial,
+    the index of the first value that wins it, and one race per chain at 0
+    serves the rows that hold the chain at 0. Row ``j`` at value index ``i``
+    wins chain ``k < j`` when the chain's threshold ``t_k`` is at most ``i``.
+    So it captures when ``max(t_0, ..., t_{j-1})`` is at most ``i`` and
+    every chain from ``j`` on won at 0, and the square of its number of
+    chains won is the number of pairs ``k, l < j`` with ``max(t_k, t_l)`` at
+    most ``i``: chain ``k`` adds a one at ``t_k`` and a two at
+    ``max(t_l, t_k)`` for each ``l < k``. Histograms of these indices, summed
+    over the chunks, give every count; they are exactly those of racing
+    each profile.
+
+    Returns four ``(n, len(values))`` arrays, row ``j - 1`` being row ``j``:
+    ``captures``; ``wins``, whose row ``k`` holds chain ``k``'s wins, the
+    same in every row that holds the chain at the value; ``s1``, the wins
+    summed over the row's value chains; and ``s2``, the sum over trials of
+    the squared number of chains won, which is the sum of the row's win
+    co-counts over its pairs of value chains.
+    """
+    n, size = len(rival), len(values)
+    # +inf pads up to 2**j - 1 values for the search (none if there are
+    # exactly that many), and always wins; index len(values) wins no real value
+    padded = np.full((1 << size.bit_length()) - 1, np.inf)
+    padded[:size] = values
+    # per row: captures, its last chain's wins, and its last chain's pairs with the earlier ones
+    hists = np.zeros((3, n, size + 1), dtype=np.int64)
+    chunk = _chunk_trials(n)
+    for start in range(0, trials, chunk):
+        _level_chunk(hists, padded, rival, noise, seed, start, min(chunk, trials - start))
+    captures, wins, pairs = np.cumsum(hists, axis=2)[:, :, :size]
+    return captures, wins, np.cumsum(wins, axis=0), np.cumsum(wins + 2 * pairs, axis=0)
+
+
+def _level_chunk(hists: np.ndarray, padded: np.ndarray, rival: np.ndarray, noise: NoiseModel, seed: int,
+                 start: int, m: int) -> None:
+    """Add the histograms of trials ``[start, start + m)`` to ``hists``. A
     function of its own so the chunk's draws are freed before the next
     chunk draws its own."""
-    n = scans[0].n
-    words = raw_words(seed, start * _SLOTS * n, m * _SLOTS * n).reshape(m, n, _SLOTS)
-    if tables is not None:
-        race = _TableRace(words, noise, tables)
-    else:
-        # the words go before the noise is drawn and the draws once it is: a
-        # chunk that holds them to the end peaks past the point where the
-        # allocator hands its pages back, and every chunk faults them in anew
-        draws, heads = _draws(words, noise)
-        del words
-        mine, theirs = _noise(draws, noise)
-        del draws
-        race = _Race(mine, theirs, heads)
-    outcomes = {key: race.wins(k, gap) if isinstance(gap, float) else race.thresholds(k, gap)
-                for key, (k, gap) in races.items()}
-    for scan in scans:
-        scan.add(outcomes)
+    n, size = len(rival), hists.shape[2]
+    # the words go before the noise is drawn and the draws once it is: a
+    # chunk that holds them to the end peaks past the point where the
+    # allocator hands its pages back, and every chunk faults them in anew
+    draws, heads = _draws(_chunk_words(seed, start, m, n), noise)
+    mine, theirs = _noise(draws, noise)
+    del draws
+    race = _Race(mine, theirs, heads)
+    thresholds = np.empty((n, m), dtype=np.intp)
+    for k in range(n):
+        thresholds[k] = race.thresholds(k, padded - rival[k])
+    zeros = [None] * (n + 1)  # zeros[j]: whether chains j..n-1 all won at 0
+    for k in range(n - 1, 0, -1):
+        won = race.wins(k, 0.0 - rival[k])
+        zeros[k] = won if zeros[k + 1] is None else won & zeros[k + 1]
+    captured, wins, pairs = hists
+    highest = thresholds[0]
+    for j in range(n):
+        first = thresholds[j]
+        highest = np.maximum(highest, first)
+        captured[j] += np.bincount(highest if zeros[j + 1] is None else highest[zeros[j + 1]], minlength=size)
+        wins[j] += np.bincount(first, minlength=size)
+        if j:
+            pairs[j] += np.bincount(np.maximum(thresholds[:j], first).reshape(-1), minlength=size)
 
 
 def _draws(words: np.ndarray, noise: NoiseModel):
@@ -330,111 +381,41 @@ class _TableRace:
         return won.view(bool)
 
 
-_WIN, _LOSE = 0, 1
-
-
-class _Scan:
-    """One family of profiles: its thresholds' histograms over the chunks.
-
-    The family's varying entries hold the same values: a profile at rank
-    ``r`` of their sorted distinct values wins chain ``k`` exactly when
-    ``r`` reaches the chain's threshold, so it wins every varying chain when
-    ``r`` reaches their max and loses every one when ``r`` stays below their
-    min. Scalar entries give per-trial booleans instead. Each count (trader
-    1 wins every chain, loses every chain, wins chain ``k`` and chain ``l``)
-    is a histogram of that max or min among the trials the scalar chains
-    allow; a cumulative sum turns it into the count at every profile.
-
-    ``races`` maps each (chain, entry) to the chain and its gap(s) to the
-    rival, and is shared by the families of one tally, so each chunk races
-    an entry that several families hold once.
-    """
-
-    def __init__(self, family, rival: np.ndarray, races: dict):
-        entries = [np.asarray(e, dtype=float).reshape(-1) for e in family]
-        self.n = n = len(entries)
-        values = next((e for e in entries if e.size > 1), entries[0])
-        distinct, self.rank = np.unique(values, return_inverse=True)
-        # +inf pads up to 2**j - 1 values for the search (none if there are
-        # exactly that many), and always wins; rank len(distinct) wins no real gap
-        padded = np.full((1 << len(distinct).bit_length()) - 1, np.inf)
-        padded[:len(distinct)] = distinct
-        self.size = len(distinct) + 1
-        self.races, self.varies = [], []  # per chain: its key in races, whether its entry varies
-        for k, e in enumerate(entries):
-            if e.size == 1:
-                key = k, float(e[0] - rival[k])
-                races[key] = key
-            else:
-                if not np.array_equal(e, values):
-                    raise ValueError(f"the entry of chain {k} must hold the values of the family's other arrays")
-                key = k, padded.tobytes()
-                if key not in races:
-                    races[key] = k, padded - rival[k]
-            self.races.append(key)
-            self.varies.append(e.size > 1)
-        self.keys = [(_WIN, tuple(range(n))), (_LOSE, tuple(range(n)))]
-        self.keys += [(_WIN, (k,) if k == l else (k, l)) for k in range(n) for l in range(k, n)]
-        self.hists = [0] * len(self.keys)
-
-    def add(self, outcomes: dict) -> None:
-        """Add one chunk's counts from the outcome of each of ``races``:
-        wins of a scalar entry, thresholds of a varying one."""
-        for i, (side, chains) in enumerate(self.keys):
-            mask = first = None
-            for k in chains:
-                out = outcomes[self.races[k]]
-                if self.varies[k]:
-                    first = out if first is None else (np.maximum if side == _WIN else np.minimum)(first, out)
-                else:
-                    w = out if side == _WIN else ~out
-                    mask = w if mask is None else mask & w
-            if first is None:  # every chain is scalar
-                self.hists[i] += np.count_nonzero(mask)
-            else:
-                self.hists[i] += np.bincount(first if mask is None else first[mask], minlength=self.size)
-
-    def counts(self) -> np.ndarray:
-        """Every key's count at every profile, shape ``(len(keys), P)``."""
-        out = np.empty((len(self.keys), self.rank.size), dtype=np.int64)
-        for row, (side, chains), hist in zip(out, self.keys, self.hists):
-            if np.ndim(hist) == 0:  # no chain varies
-                row[:] = hist
-            elif side == _WIN:  # trials whose thresholds are at or below the ranks
-                row[:] = np.cumsum(hist)[self.rank]
-            else:  # trials whose thresholds are above them
-                row[:] = np.cumsum(hist[::-1])[::-1][self.rank + 1]
-        return out
-
-
-def _payoff_statistics(trials: int, market: MarketConfig, costs, captures: np.ndarray, joint: np.ndarray):
+def _payoff_statistics(trials: int, market: MarketConfig, captures, chains, groups, co_wins):
     """One trader's mean payoff and its 95% half-width, from exact counts.
 
-    ``costs[k]`` is the trader's cost on chain ``k``, ``captures`` its
-    capture counts and ``joint[k, l]`` the trials in which it won both chains
-    ``k`` and ``l``; trailing axes index profiles. A trial pays
+    ``captures`` holds the trader's capture counts, ``chains`` per chain its
+    cost and its wins, and ``groups`` per group of chains at one cost that
+    cost, the number of chains and their summed wins; ``co_wins[g][h]``
+    sums the trials won on a chain of group ``g`` and one of group ``h`` over
+    their pairs of chains. Trailing axes index profiles. A trial pays
     ``v*capture - sum_k costs[k]*(alpha + (1 - alpha)*win_k)``, so the sample
-    mean and variance are functions of these counts. The variance is a
-    quadratic form in the integer co-moments ``T*N_xy - N_x*N_y`` of the
-    indicators rather than ``sum(x**2) - T*mean**2``, which cancels to
-    nothing when payoffs are large next to their spread.
+    mean and variance are functions of these counts; a chain that costs
+    nothing needs no group. The mean folds the chains in order. The variance
+    is a quadratic form in the integer co-moments ``T*N_xy - N_x*N_y`` of the
+    indicators, one per pair of groups with the counts summed over their
+    chains, rather than ``sum(x**2) - T*mean**2``, which cancels to nothing
+    when payoffs are large next to their spread.
     """
     v, alpha = market.v, market.alpha
-    wins = [joint[k, k] for k in range(len(costs))]
     spent = 0.0
-    for cost, won in zip(costs, wins):
+    for cost, won in chains:
         spent = spent + cost * (won + alpha * (trials - won))
     mean = (v * captures - spent) / trials
     if trials == 1:
         return mean, np.full(mean.shape, math.inf)
-    # as Python integers: T*N reaches T**2, which passes int64 beyond 3e9 trials
-    caps, counts = captures.astype(object), joint.astype(object)
-    slopes = [(1.0 - alpha) * cost for cost in costs]  # payoff lost per chain won, beyond alpha*cost
+
+    def exact(counts):  # as Python integers: T*N reaches T**2, which passes int64 beyond 3e9 trials
+        return np.asarray(counts).astype(object)
+
+    caps, wins = exact(captures), [exact(won) for _, _, won in groups]
+    slopes = [(1.0 - alpha) * cost for cost, _, _ in groups]  # payoff lost per chain won, beyond alpha*cost
     moment = v * v * (caps * (trials - caps)).astype(float)
-    for k, slope in enumerate(slopes):
-        moment = moment - 2.0 * v * slope * (caps * (trials - counts[k, k])).astype(float)
-        for l, other in enumerate(slopes):
-            moment = moment + slope * other * (trials * counts[k, l] - counts[k, k] * counts[l, l]).astype(float)
+    for (_, size, _), won, slope, row in zip(groups, wins, slopes, co_wins):
+        # a capture wins every chain, so it co-occurs with each of the group's wins
+        moment = moment - 2.0 * v * slope * (caps * (exact(size) * trials - won)).astype(float)
+        for other_won, other, pairs in zip(wins, slopes, row):
+            moment = moment + slope * other * (trials * exact(pairs) - won * other_won).astype(float)
     variance = np.maximum(moment, 0.0) / (trials * (trials - 1.0))
     return mean, _Z95 * np.sqrt(variance / trials)
 
@@ -450,19 +431,24 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     """
     market, trials = spec.market, spec.trials
     own, rival = (np.array(row) for row in spec.signals)
-    captures, joint = _tally([tuple(own)], rival, spec.noise, trials, spec.seed)
-    wins = np.array([joint[k, k] for k in range(market.n_chains)])
+    captures, co_wins = _table_tally(own, rival, spec.noise, trials, spec.seed)
+    wins = np.diagonal(co_wins)
     # trader 2 wins a chain exactly when trader 1 loses it
-    rival_joint = trials - wins[:, None] - wins[None, :] + joint
-    mean1, hw1 = _payoff_statistics(trials, market, spec.cost.cost(own[:, None]), captures[0], joint)
-    mean2, hw2 = _payoff_statistics(trials, market, spec.cost.cost(rival[:, None]), captures[1], rival_joint)
+    rival_co_wins = trials - wins[:, None] - wins[None, :] + co_wins
+    stats = []
+    for signals, caught, co in ((own, captures[:1], co_wins), (rival, captures[1:], rival_co_wins)):
+        # one group per chain, each with a trailing axis for the one profile
+        costs, co = spec.cost.cost(signals[:, None]), co[:, :, None]
+        stats.append(_payoff_statistics(trials, market, caught, zip(costs, np.diagonal(co).T),
+                                        [(cost, 1, co[k, k]) for k, cost in enumerate(costs)], co))
+    (mean1, hw1), (mean2, hw2) = stats
 
-    capture_counts = tuple(int(c) for c in captures[:, 0])
+    capture_counts = tuple(int(c) for c in captures)
     p_hat = tuple(c / trials for c in capture_counts)
     return SimulationStats(
         trials=trials,
         capture_counts=capture_counts,
-        per_chain_win_counts=(tuple(int(w) for w in wins[:, 0]), tuple(trials - int(w) for w in wins[:, 0])),
+        per_chain_win_counts=(tuple(int(w) for w in wins), tuple(trials - int(w) for w in wins)),
         capture_probability=p_hat,
         capture_ci_halfwidth=tuple(_probability_halfwidth(p, trials) for p in p_hat),
         mean_payoff=(float(mean1[0]), float(mean2[0])),
@@ -580,12 +566,12 @@ def verify_best_response(
     interior coordinates share one level (Bagnoli & Bergstrom 2005). Monte
     Carlo mode scores the same rows and the candidate against the same
     draws of each chunk (common random numbers), so each score equals
-    ``simulate`` at that profile; its epsilon is the unpaired 95% half-width
-    of the gain, from the best row's and the baseline's. A default grid
-    whose joint counts pass :data:`_MAX_COUNTS` is a :class:`ConfigError`,
-    raised before the scan allocates; one of the caller's own sets its own
-    size. In both modes the first maximum in C order wins, so row 0 takes
-    ties. A positive best gain beyond epsilon means the candidate is not a
+    ``simulate`` at that profile. It keeps per row and grid value the
+    captures, the per-chain wins and their first two moments over the row's
+    chains, O(chains * grid) integers at any chain count, and its epsilon is
+    the unpaired 95% half-width of the gain, from the best row's and the
+    baseline's. In both modes the first maximum in C order wins, so row 0
+    takes ties. A positive best gain beyond epsilon means the candidate is not a
     best response; it is reported, never suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
@@ -603,24 +589,24 @@ def verify_best_response(
         baseline = float(analytic_expected_payoff(((cand,) * n, cand), market, cost, noise))
         scores = _level_scores(grid, cand, market, cost, noise)
     else:
-        # the bound is sized on the default grid; a grid of the caller's own sets its own size
-        if deviation_grid is None and (count := n * n * n * grid.size) > _MAX_COUNTS:
-            raise ConfigError(f"the montecarlo deviation scan at chains={n} keeps {count:,} joint counts, "
-                              f"beyond the {_MAX_COUNTS:,} it allows")
         # checks trials, seed, the noise and the candidate as a one-profile run
         # would; cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
-        families = [(cand,) * n] + [(grid,) * (n - r) + (0.0,) * r for r in range(n)]
-        flat = np.concatenate([np.reshape(np.broadcast_arrays(*own), (n, -1)) for own in families], axis=1)
-        captures, joint = _tally(families, np.full(n, cand), noise, trials, seed)
-        means, halfwidths = _payoff_statistics(trials, market, cost.cost(flat), captures[0], joint)
-        baseline, scores = float(means[0]), means[1:].reshape(n, grid.size)
+        values, ranks = np.unique(np.append(grid, cand), return_inverse=True)
+        costs = cost.cost(values)
+        captures, wins, s1, s2 = _level_tally(values, np.full(n, cand), noise, trials, seed)
+        rows = np.arange(1, n + 1).reshape(-1, 1)  # per tally row, the chains at the value; the rest cost 0
+        chains = ((np.where(k < rows, costs, 0.0), wins[k]) for k in range(n))
+        means, halfwidths = _payoff_statistics(trials, market, captures, chains, [(costs, rows, s1)], [[s2]])
+        # the baseline is the candidate on every chain; row r puts the grid on n - r chains: tally row n - r
+        baseline, baseline_halfwidth = float(means[-1, ranks[-1]]), halfwidths[-1, ranks[-1]]
+        scores, halfwidths = means[::-1, ranks[:-1]], halfwidths[::-1, ranks[:-1]]
 
     best_payoff, best_index = _first_max(scores)
     zeros, i = divmod(best_index, grid.size)
     best_profile = (float(grid[i]),) * (n - zeros) + (0.0,) * zeros
     # Monte Carlo: the unpaired half-width of the gain, from both its terms' sampling errors
-    epsilon = 1e-3 * market.v if mode == "analytic" else math.hypot(halfwidths[1 + best_index], halfwidths[0])
+    epsilon = 1e-3 * market.v if mode == "analytic" else math.hypot(halfwidths.flat[best_index], baseline_halfwidth)
 
     max_gain = best_payoff - baseline
     return BestResponseCheck(

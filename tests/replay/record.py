@@ -135,9 +135,11 @@ def _cases() -> list[tuple]:
         cases.append((f"verify-n{chains}.json", ["verify", "--v", "2", "--chains", chains, *PN, "--format", "json"],
                       None))
     cases.append(("verify-capped-n3", ["verify", "--v", "2", "--chains", "3", *PN, "--cap", "0.05"], None))
-    # Monte Carlo verify scans the same level rows, up to 12 chains on the default grid
+    # Monte Carlo verify scans the same level rows at any chain count
     cases.append(("verify-montecarlo-n7.json", ["verify", "--v", "2", "--chains", "7", *PN, "--mode", "montecarlo",
                                                 "--trials", "2000", "--format", "json"], None))
+    cases.append(("verify-montecarlo-chains-13", ["verify", "--v", "1", "--chains", "13", *PN, "--mode",
+                                                  "montecarlo", "--trials", "100"], None))
     for chains in ("1", "2", "3"):
         signals = ",".join(["0.3"] * int(chains) + ["0.2"] * int(chains))
         cases.append((f"chains-{chains}-simulate.json", ["simulate", "--v", "1", "--chains", chains,
@@ -265,8 +267,6 @@ def _cases() -> list[tuple]:
         ["--signals", "0.5,0.5", "--cap", "0.1"], ["--signals", "0.5,0.5", "--trials", "0"],
         ["--signals", "0.5,0.5", "--seed", "-1"], ["--signals", "nan,0.5"],
     ])]
-    cases.append(("error-verify-montecarlo-chains-13", ["verify", "--v", "1", "--chains", "13", *PN, "--mode",
-                                                        "montecarlo", "--trials", "100"], None))
     cases.append(("error-verify-montecarlo-infinite-draws", ["verify", "--v", "1e300", "--chains", "2", "--cost",
                                                              "power:2", "--noise", "laplace:1.7e308", "--mode",
                                                              "montecarlo", "--trials", "2000"], None))

@@ -376,11 +376,10 @@ def test_analytic_verify_scans_a_callers_grid_as_level_rows():
     assert all(x in grid for x in check.argmax_deviation)
 
 
-def test_explicit_grid_is_not_held_to_the_default_grids_joint_count_bound():
-    # the bound is sized on the default grid: 70,000 points of the caller's own at n = 2
-    # are 560,000 joint counts, past the Monte Carlo bound, and still run
+def test_montecarlo_verify_scans_a_large_callers_grid():
+    # 70,000 points of the caller's own at n = 2: the level tally keeps a few counts per
+    # row and value, and its reduction is exact on them
     grid = np.linspace(0.0, 1.0, 70_000)
-    assert 2**3 * grid.size > mc._MAX_COUNTS
     check = verify_best_response(0.25, MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE, deviation_grid=grid,
                                  mode="montecarlo", trials=200)
     assert check.mode == "montecarlo" and all(x in grid for x in check.argmax_deviation)
@@ -402,41 +401,62 @@ def test_best_response_montecarlo_mode():
     assert check.is_epsilon_equilibrium
 
 
+def _grouped_halfwidth(trials, market, cost, level, captures, joint):
+    """The 95% half-width of a profile that costs ``cost`` on its first ``level``
+    chains and nothing on the rest, from its exact counts in Python integers:
+    ``v**2*c(T-c) - 2*v*s*c(jT - S1) + s**2*(T*S2 - S1**2)``, ``s`` the slope of the cost."""
+    v, t, c = market.v, trials, int(captures)
+    s1 = sum(int(joint[k, k]) for k in range(level))
+    s2 = sum(int(joint[k, l]) for k in range(level) for l in range(level))
+    slope = (1.0 - market.alpha) * cost
+    moment = v * v * float(c * (t - c))
+    moment = moment - 2.0 * v * slope * float(c * (level * t - s1))
+    moment = moment + slope * slope * float(t * s2 - s1 * s1)
+    return 1.96 * math.sqrt(max(moment, 0.0) / (t * (t - 1.0)) / t)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("alpha", [1.0, 0.5])
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
-    # the scan races all its profiles against shared draws; each one raced
-    # alone by simulate must give the very same mean payoff and half-width
-    market = MarketConfig(1.0, n, alpha)
+    # the scan races all its profiles against shared draws; each one raced alone by
+    # simulate must give the very same mean payoff, and its half-width is the grouped
+    # form of the per-profile race's counts
+    market, grid, trials = MarketConfig(1.0, n, alpha), [0.0, 0.3, 0.4, 0.3, 0.9], 1_000
     seen = {}
-    tally, reduce = mc._tally, mc._payoff_statistics
-
-    def spy_tally(families, *args):
-        seen["profiles"] = np.concatenate([np.reshape(np.broadcast_arrays(*f), (n, -1)) for f in families], axis=1)
-        return tally(families, *args)
+    reduce = mc._payoff_statistics
 
     def spy_reduce(*args):
         seen["means"], seen["halfwidths"] = out = reduce(*args)
         return out
 
-    monkeypatch.setattr(mc, "_tally", spy_tally)
     monkeypatch.setattr(mc, "_payoff_statistics", spy_reduce)
-    check = verify_best_response(0.4, market, POWER_TWO, noise, deviation_grid=[0.0, 0.3, 0.4, 0.3, 0.9],
-                                 mode="montecarlo", trials=1_000, seed=5)
+    check = verify_best_response(0.4, market, POWER_TWO, noise, deviation_grid=grid, mode="montecarlo",
+                                 trials=trials, seed=5)
     monkeypatch.undo()
-    profiles, means = seen["profiles"], seen["means"]
-    assert profiles.shape == (n, 1 + n * 5)  # the candidate, then the level rows
-    for p in range(profiles.shape[1]):
-        spec = SimulationSpec((tuple(profiles[:, p]), 0.4), market, POWER_TWO, noise, trials=1_000, seed=5)
-        stats = simulate(spec)
-        assert stats.mean_payoff[0] == means[p]
-        assert stats.payoff_ci_halfwidth[0] == seen["halfwidths"][p]
-    assert check.baseline_payoff == means[0]
-    assert check.max_gain == max(means[1:]) - means[0]
-    best = list(means[1:]).index(max(means[1:])) + 1
-    assert check.argmax_deviation == tuple(profiles[:, best])
-    assert check.epsilon == math.hypot(seen["halfwidths"][best], seen["halfwidths"][0])
+    means, halfwidths = seen["means"], seen["halfwidths"]
+    values = np.unique(grid)  # the candidate is on the grid
+    costs = POWER_TWO.cost(values)
+    assert means.shape == halfwidths.shape == (n, values.size)
+    # tally row j - 1 puts each value on chains 0..j-1 and 0 on the rest
+    profiles = [(x,) * j + (0.0,) * (n - j) for j in range(1, n + 1) for x in values.tolist()]
+    captures, joint = _reference_tally(np.array(profiles).T, np.full(n, 0.4), noise, trials, 5)
+    for p, own in enumerate(profiles):
+        row, i = divmod(p, values.size)
+        stats = simulate(SimulationSpec((own, 0.4), market, POWER_TWO, noise, trials=trials, seed=5))
+        assert stats.mean_payoff[0] == means[row, i]
+        expected = _grouped_halfwidth(trials, market, costs[i], row + 1, captures[0, p], joint[:, :, p])
+        assert halfwidths[row, i] == expected
+        assert expected == pytest.approx(stats.payoff_ci_halfwidth[0], rel=1e-12, abs=1e-300)
+    baseline = list(values).index(0.4)
+    assert check.baseline_payoff == means[n - 1, baseline]
+    # the scan's row r holds the grid on n - r chains: tally row n - r - 1
+    scores = [(float(means[n - 1 - r, list(values).index(x)]), r, x) for r in range(n) for x in grid]
+    best = max(score for score, _, _ in scores)
+    _, r, x = next(item for item in scores if item[0] == best)
+    assert check.max_gain == best - means[n - 1, baseline]
+    assert check.argmax_deviation == (x,) * (n - r) + (0.0,) * r
+    assert check.epsilon == math.hypot(halfwidths[n - 1 - r, list(values).index(x)], halfwidths[n - 1, baseline])
 
 
 def test_montecarlo_epsilon_counts_the_baselines_sampling_error():
@@ -487,6 +507,29 @@ def test_montecarlo_verify_memory_does_not_grow_with_trials(n, trials, monkeypat
     assert peaks[1] <= 1.1 * peaks[0]
 
 
+def test_montecarlo_verify_memory_grows_linearly_with_chains():
+    # the level tally keeps O(chains * grid) counts; the joint counts it replaced grew as
+    # chains**3 and were capped at 12 chains (29 MB at 12 chains and 2,000 trials)
+    noise, peaks = NoiseModel("normal", 1.0), {}
+    for n in (16, 32):
+        market = MarketConfig(1.0, n)
+        candidate = solve_equilibrium(market, POWER_TWO, noise).signal
+        run = lambda: verify_best_response(candidate, market, POWER_TWO, noise, mode="montecarlo", trials=2_000)
+        run()
+        start = time.perf_counter()
+        check = run()
+        seconds = time.perf_counter() - start
+        tracemalloc.start()
+        try:
+            run()
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(check.argmax_deviation) == n
+    assert seconds < 0.5
+    assert peaks[32] < 10 * 2**20 and peaks[32] <= 2.5 * peaks[16]
+
+
 def test_montecarlo_verify_does_not_depend_on_chunking(monkeypatch):
     market = MarketConfig(1.0, 2, 0.5)
     candidate = solve_equilibrium(MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE).signal
@@ -497,7 +540,7 @@ def test_montecarlo_verify_does_not_depend_on_chunking(monkeypatch):
     assert run() == baseline
 
 
-# -- the deviation scan's counts against the per-(profile, trial) race it replaced --
+# -- the tallies' counts against the per-(profile, trial) race they replaced --
 
 def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 18):
     """Race every column of the ``(n, P)`` array ``own`` against every trial
@@ -541,19 +584,31 @@ def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 
     return captures, joint
 
 
-def _level_families(cand, n, grid):
-    """The families verify_best_response scans: the candidate, then row ``r``
-    with ``grid`` on chains ``0..n-r-1`` and 0 on the other ``r``."""
-    return [(cand,) * n] + [(grid,) * (n - r) + (0.0,) * r for r in range(n)]
+def _assert_level_tally_equals_reference(grid, rival, noise, trials, seed):
+    """The level tally's counts at the sorted distinct values of ``grid``, bit for
+    bit the sums of the per-profile race's counts of each row's profiles."""
+    n, values = len(rival), np.unique(grid)
+    size = values.size
+    # row j - 1 puts each value on chains 0..j-1 and 0 on the rest
+    rows = [[values if k < j else np.zeros(size) for k in range(n)] for j in range(1, n + 1)]
+    captures, joint = _reference_tally(np.concatenate(rows, axis=1), rival, noise, trials, seed)
+    captures, joint = captures[0].reshape(n, size), joint.reshape(n, n, n, size)  # chain, chain, row, value
+    got_captures, wins, s1, s2 = mc._level_tally(values, rival, noise, trials, seed)
+    assert np.array_equal(got_captures, captures)
+    for j in range(1, n + 1):  # every row that holds chain k at the value has its wins
+        for k in range(j):
+            assert np.array_equal(wins[k], joint[k, k, j - 1])
+        assert np.array_equal(s1[j - 1], sum(joint[k, k, j - 1] for k in range(j)))
+        assert np.array_equal(s2[j - 1], joint[:j, :j, j - 1].sum(axis=(0, 1)))
 
 
-def _assert_tally_equals_reference(families, rival, noise, trials, seed):
-    n = len(rival)
-    flat = np.concatenate([np.reshape(np.broadcast_arrays(*f), (n, -1)) for f in families], axis=1)
-    captures, joint = mc._tally(families, rival, noise, trials, seed)
-    expected_captures, expected_joint = _reference_tally(flat, rival, noise, trials, seed)
-    assert np.array_equal(captures, expected_captures)
-    assert np.array_equal(joint, expected_joint)
+def _assert_table_tally_equals_reference(profiles, rival, noise, trials, seed):
+    """The table tally of each column of ``profiles``, bit for bit the per-profile race's counts."""
+    captures, joint = _reference_tally(profiles, rival, noise, trials, seed)
+    for p in range(profiles.shape[1]):
+        got_captures, co_wins = mc._table_tally(profiles[:, p], rival, noise, trials, seed)
+        assert np.array_equal(got_captures, captures[:, p])
+        assert np.array_equal(co_wins, joint[:, :, p])
 
 
 GRIDS = {
@@ -573,7 +628,7 @@ def test_tally_equals_per_profile_race(noise, n, grid, spread, monkeypatch):
     cand = 0.4
     full = default_deviation_grid(cand, POWER_TWO) if GRIDS[grid] is None else np.array(GRIDS[grid])
     rival = cand + spread * np.arange(n)
-    _assert_tally_equals_reference(_level_families(cand, n, full), rival, noise, 2_500, 7)
+    _assert_level_tally_equals_reference(np.append(full, cand), rival, noise, 2_500, 7)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
@@ -592,26 +647,17 @@ def test_tally_equals_per_profile_race_at_rounding_boundaries(noise):
     diff = (gaps[:, None, None] + mine) - theirs
     assert (diff == 0.0).any()  # the coin decides some races
     rival = np.zeros(n)  # so each gap is exactly the profile's signal
-    families = _level_families(float(gaps[0]), n, gaps) + [(float(gaps[0]), gaps[5::13]), (gaps[3::11], 0.0)]
-    families += [(float(g), float(h)) for g, h in zip(gaps[:8], gaps[8:16])]
-    _assert_tally_equals_reference(families, rival, noise, trials, seed)
+    _assert_level_tally_equals_reference(gaps, rival, noise, trials, seed)
+    _assert_level_tally_equals_reference(gaps[3::11], rival, noise, trials, seed)
+    _assert_table_tally_equals_reference(np.array([gaps[:8], gaps[8:16]]), rival, noise, trials, seed)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_tally_groups_chains_that_share_an_axis(noise):
-    # the varying chains of a family, wherever they sit among its scalar ones, share one
-    # unsorted axis with a repeated value
+    # the value chains of every row share one unsorted axis with a repeated value,
+    # raced against a distinct rival on each chain
     rival = np.array([0.4, 0.1, 0.6, 0.3])
-    first = np.array([0.5, 0.0, 0.7, 0.5])
-    families = [(first, 0.2, first, 0.3), (0.1, first, 0.2, first), (first, first, first, first)]
-    _assert_tally_equals_reference(families, rival, noise, 1_500, 19)
-
-
-def test_tally_rejects_a_family_whose_arrays_differ():
-    rival = np.array([0.4, 0.1])
-    for family in [(np.array([0.5, 0.0, 0.7]), np.array([0.2, 0.9, 0.05])), (np.array([0.5, 0.0]), np.zeros(3))]:
-        with pytest.raises(ValueError, match="^the entry of chain 1 must hold the values of the family's other arrays"):
-            mc._tally([family], rival, UNIT_NOISE, 10, 0)
+    _assert_level_tally_equals_reference(np.array([0.5, 0.0, 0.7, 0.5]), rival, noise, 1_500, 19)
 
 
 # -- the decision tables of scalar chains ---------------------------------------
@@ -687,13 +733,14 @@ def test_scalar_tally_from_tables_equals_per_profile_race(noise, n, monkeypatch)
     gaps, (mine, theirs) = _scalar_gaps(noise, n, trials, seed)
     assert ((gaps[:, None, None] + mine) - theirs == 0.0).any()  # the coin decides some races
     rival = np.zeros(n)  # so each gap is exactly the entry
-    families = [(float(g),) * n for g in gaps]
-    families += [tuple(float(x) for x in np.roll(gaps, k)[:n]) for k in range(0, len(gaps), 5)]
+    profiles = [(float(g),) * n for g in gaps]
+    profiles += [tuple(float(x) for x in np.roll(gaps, k)[:n]) for k in range(0, len(gaps), 5)]
     built = []
     table = mc._decision_table
     monkeypatch.setattr(mc, "_decision_table", lambda gap, bounds: built.append(gap) or table(gap, bounds))
-    _assert_tally_equals_reference(families, rival, noise, trials, seed)
-    assert len(built) == len(set(gaps.tolist()))  # one table per distinct gap: the table path ran
+    _assert_table_tally_equals_reference(np.array(profiles).T, rival, noise, trials, seed)
+    # one table per distinct gap of each profile: the table path ran
+    assert sorted(built) == sorted(gap for own in profiles for gap in set(own))
     wide = table(2.0 * 1e3 * noise.param, mc._bin_bounds(noise))
     assert np.all(wide == 1)  # a gap beyond the noise range decides every pair of bins
 
