@@ -417,7 +417,12 @@ def _payoff_statistics(trials: int, market: MarketConfig, captures, chains, grou
         for other_won, other, pairs in zip(wins, slopes, row):
             moment = moment + slope * other * (trials * exact(pairs) - won * other_won).astype(float)
     variance = np.maximum(moment, 0.0) / (trials * (trials - 1.0))
-    return mean, _Z95 * np.sqrt(variance / trials)
+    halfwidth = _Z95 * np.sqrt(variance / trials)
+    # a capture seen in no trial or in every one leaves no spread to sample, however
+    # likely the other outcome: floor the half-width at v times the distance from that
+    # edge to the far end of Wilson's (1927) score interval
+    edge = (captures == 0) | (captures == trials)
+    return mean, np.where(edge, np.maximum(halfwidth, v * _Z95**2 / (trials + _Z95**2)), halfwidth)
 
 
 def simulate(spec: SimulationSpec) -> SimulationStats:
@@ -570,7 +575,9 @@ def verify_best_response(
     captures, the per-chain wins and their first two moments over the row's
     chains, O(chains * grid) integers at any chain count, and its epsilon is
     the unpaired 95% half-width of the gain, from the best row's and the
-    baseline's. In both modes the first maximum in C order wins, so row 0
+    baseline's. A profile whose capture no trial saw, or every trial did,
+    has a half-width of at least ``v`` times the far end of Wilson's score
+    interval, so epsilon is never 0. In both modes the first maximum in C order wins, so row 0
     takes ties. A positive best gain beyond epsilon means the candidate is not a
     best response; it is reported, never suppressed.
     """

@@ -548,6 +548,19 @@ def test_montecarlo_verify_has_no_chain_limit(chains, capsys):
     assert len(json.loads(out)["result"]["argmax_deviation"]) == chains
 
 
+def test_montecarlo_verify_epsilon_is_positive_when_no_capture_is_seen(capsys):
+    # 100 trials at 4 chains see no capture at the candidate nor at the best deviation, every
+    # chain at 0: each half-width is v times the far end of Wilson's interval at 0,
+    # z**2 / (T + z**2), where the sample half-width was 0 and refuted the market
+    code, out, err = _run(capsys, ["verify", "--v", "0.5", "--chains", "4", "--cost", "power:2", "--noise",
+                                   "normal:1", "--mode", "montecarlo", "--trials", "100", "--seed", "5"])
+    assert (code, err) == (0, "")
+    rows = dict(line.split() for line in out.splitlines())
+    floor = 0.5 * 1.96**2 / (100 + 1.96**2)
+    assert rows["argmax_deviation_0"] == "0" and rows["epsilon"] == f"{math.hypot(floor, floor):.12g}"
+    assert rows["epsilon"] == "0.026159279235" and rows["is_epsilon_equilibrium"] == "true"
+
+
 @pytest.mark.parametrize("chains", [8, 64])
 def test_analytic_verify_has_no_chain_limit(chains, capsys):
     # the level family has chains * 301 profiles; the product grid refused chains 8 onwards

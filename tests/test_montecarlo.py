@@ -412,7 +412,13 @@ def _grouped_halfwidth(trials, market, cost, level, captures, joint):
     moment = v * v * float(c * (t - c))
     moment = moment - 2.0 * v * slope * float(c * (level * t - s1))
     moment = moment + slope * slope * float(t * s2 - s1 * s1)
-    return 1.96 * math.sqrt(max(moment, 0.0) / (t * (t - 1.0)) / t)
+    halfwidth = 1.96 * math.sqrt(max(moment, 0.0) / (t * (t - 1.0)) / t)
+    return max(halfwidth, _wilson_floor(v, t)) if c in (0, t) else halfwidth
+
+
+def _wilson_floor(v, trials):
+    """``v`` times the distance from 0 to the upper end of Wilson's 95% score interval at 0 of ``trials``."""
+    return v * 1.96**2 / (trials + 1.96**2)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -461,17 +467,33 @@ def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
 
 def test_montecarlo_epsilon_counts_the_baselines_sampling_error():
     # a deviation to 0 loses every race of uniform:0.5 noise against 1, so its sampled
-    # payoff is constant, 0, and its half-width 0; the baseline's own error still counts
+    # payoff is constant, 0: no capture is seen, and its half-width is Wilson's floor,
+    # not 0; the baseline's own error counts as well
     market, noise = MarketConfig(2.0, 1), NoiseModel("uniform", 0.5)
     candidate = solve_equilibrium(market, POWER_TWO, noise)
     assert verify_best_response(candidate, market, POWER_TWO, noise).is_epsilon_equilibrium
     check = verify_best_response(candidate, market, POWER_TWO, noise, mode="montecarlo", trials=100, seed=1)
     deviation, baseline = (simulate(SimulationSpec((own, candidate.signal), market, POWER_TWO, noise, trials=100,
                                                    seed=1)) for own in (0.0, candidate.signal))
-    assert check.argmax_deviation == (0.0,) and deviation.payoff_ci_halfwidth[0] == 0.0
+    assert check.argmax_deviation == (0.0,) and deviation.capture_counts[0] == 0
+    assert deviation.payoff_ci_halfwidth[0] == _wilson_floor(2.0, 100)
     assert check.max_gain == -baseline.mean_payoff[0] > 0.0
-    assert check.epsilon == baseline.payoff_ci_halfwidth[0] > check.max_gain
+    assert check.epsilon == math.hypot(_wilson_floor(2.0, 100), baseline.payoff_ci_halfwidth[0]) > check.max_gain
     assert check.is_epsilon_equilibrium
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_montecarlo_verify_certifies_a_market_whose_capture_no_trial_sees(seed):
+    # at 12 chains the candidate captures with probability 2**-12, so 2,000 trials see
+    # no capture at the baseline or at the best deviation; their sampled payoffs barely
+    # vary, and a sample half-width of about 0 once refuted the market by its candidate's
+    # cost, 1e-7, although analytic mode certifies it
+    market, noise = MarketConfig(1.0, 12), NoiseModel("normal", 1.0)
+    candidate = solve_equilibrium(market, POWER_TWO, noise)
+    assert verify_best_response(candidate, market, POWER_TWO, noise).is_epsilon_equilibrium
+    check = verify_best_response(candidate, market, POWER_TWO, noise, mode="montecarlo", trials=2_000, seed=seed)
+    assert check.epsilon >= math.hypot(_wilson_floor(1.0, 2_000), _wilson_floor(1.0, 2_000))
+    assert 0.0 < check.max_gain <= check.epsilon and check.is_epsilon_equilibrium
 
 
 def test_montecarlo_verify_searches_each_chains_thresholds_once_per_chunk(monkeypatch):
