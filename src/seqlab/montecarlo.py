@@ -20,9 +20,10 @@ every profile's counts come from histograms of those thresholds. Per row and
 grid value the scan keeps the captures, one chain's wins (the rows that hold
 a chain at the value share its wins), the wins summed over the row's chains
 and the sum over trials of the squared number of chains won. The statistics
-need no more, so its memory is O(chains * grid) at any chain count. A scan costs O(trials * chains * log grid) races plus O(chains**2)
-histogram entries per trial, not O(profiles * trials), and its counts are
-exactly those of the per-profile race.
+need no more, so its memory is O(chains * grid) at any chain count. A scan
+costs O(trials * chains * log grid) races plus O(chains**2) histogram
+entries per trial, not O(profiles * trials), and its counts are exactly
+those of the per-profile race.
 
 A simulation races each chain at one signal gap, and the sign of
 ``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
@@ -239,10 +240,8 @@ def _level_chunk(hists: np.ndarray, padded: np.ndarray, rival: np.ndarray, noise
         won = race.wins(k, 0.0 - rival[k])
         zeros[k] = won if zeros[k + 1] is None else won & zeros[k + 1]
     captured, wins, pairs = hists
-    highest = thresholds[0]
-    for j in range(n):
-        first = thresholds[j]
-        highest = np.maximum(highest, first)
+    for j, first in enumerate(thresholds):
+        highest = np.maximum(highest, first) if j else first
         captured[j] += np.bincount(highest if zeros[j + 1] is None else highest[zeros[j + 1]], minlength=size)
         wins[j] += np.bincount(first, minlength=size)
         if j:
@@ -442,10 +441,10 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     rival_co_wins = trials - wins[:, None] - wins[None, :] + co_wins
     stats = []
     for signals, caught, co in ((own, captures[:1], co_wins), (rival, captures[1:], rival_co_wins)):
-        # one group per chain, each with a trailing axis for the one profile
+        # one group per chain; costs and counts have a trailing axis for the one profile
         costs, co = spec.cost.cost(signals[:, None]), co[:, :, None]
-        stats.append(_payoff_statistics(trials, market, caught, zip(costs, np.diagonal(co).T),
-                                        [(cost, 1, co[k, k]) for k, cost in enumerate(costs)], co))
+        chains = [(cost, co[k, k]) for k, cost in enumerate(costs)]
+        stats.append(_payoff_statistics(trials, market, caught, chains, [(c, 1, won) for c, won in chains], co))
     (mean1, hw1), (mean2, hw2) = stats
 
     capture_counts = tuple(int(c) for c in captures)

@@ -146,6 +146,15 @@ def test_payoff_halfwidth_does_not_cancel(signal):
         assert stats.payoff_ci_halfwidth[trader] == pytest.approx(1.96 * math.sqrt(sample_variance / trials), rel=1e-9)
 
 
+def test_payoff_halfwidth_of_a_certain_or_unseen_capture_is_wilsons_floor():
+    # uniform:0.5 noise never closes a gap of 1: trader 1 captures in every trial and
+    # trader 2 in none, so both payoffs are constant; each half-width is v times the
+    # distance from its edge to the far end of Wilson's interval, not 0
+    stats = simulate(_spec((1.0, 0.0), n=2, v=3.0, trials=400, noise=NoiseModel("uniform", 0.5)))
+    assert stats.capture_counts == (400, 0)
+    assert stats.payoff_ci_halfwidth == (_wilson_floor(3.0, 400),) * 2
+
+
 def test_per_chain_wins_are_independent():
     trials = 10**6
     stats = simulate(_spec((0.3, 0.3), n=2, trials=trials, seed=17))
