@@ -576,9 +576,10 @@ def verify_best_response(
     the unpaired 95% half-width of the gain, from the best row's and the
     baseline's. A profile whose capture no trial saw, or every trial did,
     has a half-width of at least ``v`` times the far end of Wilson's score
-    interval, so epsilon is never 0. In both modes the first maximum in C order wins, so row 0
-    takes ties. A positive best gain beyond epsilon means the candidate is not a
-    best response; it is reported, never suppressed.
+    interval, so epsilon is never 0. In both modes the first maximum in C
+    order wins, so row 0 takes ties. A positive best gain beyond epsilon
+    means the candidate is not a best response; it is reported, never
+    suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
