@@ -25,16 +25,13 @@ from .cost import CostModel
 from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
 from .errors import ConfigError, ParameterError, SolverError
 from .noise import NoiseModel
-from .numerics import bisect_root, settle_root
+from .numerics import bisect_root
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 #: Normal-noise constant in the boost-fee revenue comparison: separate
 #: sequencing collects more than shared iff  constant * v / sigma >= c / g.
 REVENUE_THRESHOLD_CONSTANT = (3.0 - 2.0 * math.sqrt(2.0)) / _SQRT_2PI
-
-#: Newton steps toward the lognormal optimum's root; a handful reach its float.
-_NEWTON_STEPS = 60
 
 #: Root of ``erfc(y) = 2*y*exp(-y*y)/sqrt(pi)``: an exp(rate) value law has its optimal ``L`` at ``y*y/rate``.
 _EXP_ROOT = 0.5315968851493932
@@ -316,35 +313,13 @@ def _optimal_level(dist: ValueDistribution) -> float:
         # r is not monotone, but it changes sign once on [-ln 4, sig**2]
         sig = dist.sigma_log
 
-        def r(w, slope=False):
+        def r(w):
             tail = math.exp(sig * sig / 8.0 - w / 2.0) * math.erfc((w / sig - sig / 2.0) / math.sqrt(2.0))
-            value = tail - 2.0 * math.erfc(w / (sig * math.sqrt(2.0)))
-            return (value, 2.0 / sig * math.exp(-0.5 * (w / sig) ** 2) / _SQRT_2PI - 0.5 * tail) if slope else value
+            return tail - 2.0 * math.erfc(w / (sig * math.sqrt(2.0)))
 
-        lo, hi = -math.log(4.0), sig * sig
-        if not r(hi) <= -sys.float_info.min:
+        if not r(sig * sig) <= -sys.float_info.min:
             raise SolverError(f"the lognormal tails underflow in the optimum's condition at log-sigma {sig}")
-        if r(lo) > 0.0 and (at_zero := r(0.0)) != 0.0:
-            # Newton's method kept inside the sign change's bracket, from about -ln 4 + sig**2/4
-            # (small sig) or sig**2 - 3 (large), then bisection's own float from there
-            w, a, b = max(lo + hi / 4.0, hi - 3.0), lo, hi
-            for _ in range(_NEWTON_STEPS):
-                value, slope = r(w, slope=True)
-                a, b = (w, b) if value > 0.0 else (a, w)
-                step = value / slope if slope else math.inf
-                w, last = (w - step if a < w - step < b else 0.5 * a + 0.5 * b), w
-                if abs(w - last) <= 4.0 * math.ulp(last):
-                    break
-            # settle_root searches up from +0.0, so a root below 0 is settled as the root of
-            # x -> -r(-x) on [0, ln 4] within [-sig**2, ln 4]: negation is exact and maps
-            # the halving of one bracket onto the other's
-            flip = 1.0 if at_zero > 0.0 else -1.0
-            ends = np.array([flip * lo, flip * hi])
-            w = flip * float(settle_root(lambda x: np.array([flip * r(flip * t) for t in x.tolist()]),
-                                         np.array([flip * w]), np.zeros(1), ends.max(keepdims=True),
-                                         outer=(ends.min(keepdims=True), ends.max(keepdims=True)))[0])
-        else:  # a zero at -ln 4 is bisection's root and a negative value its error; one at 0 is too
-            w = bisect_root(r, lo, hi)
+        w = bisect_root(r, -math.log(4.0), sig * sig)
         log_level = dist.mu + w
         return math.exp(log_level) if log_level <= math.log(sys.float_info.max) else math.inf
     # between adjacent support values h is a*sqrt(L) - b*L, highest at sqrt(L) = a/(2b) within the piece

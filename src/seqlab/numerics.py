@@ -2,13 +2,17 @@
 
 Bisection is deliberately plain: every residual in this package changes sign
 once on the bracket it is given, and an unconditionally safe method beats a
-fast one for reproducibility. Where a good estimate of the root of a residual
-that changes sign once exists, :func:`settle_root` returns bisection's own
-float from it in a few steps, so speed there costs no reproducibility.
+fast one for reproducibility. :func:`bisect_root` halves one bracket on Python
+floats; it is the scalar solver and the reference every other root search is
+held to. Where good estimates of many roots of such residuals exist,
+:func:`settle_root` searches arrays of brackets in lockstep and lands on the
+float :func:`bisect_root` returns for each, so speed there costs no
+reproducibility.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -22,41 +26,38 @@ _MAX_HALVINGS = 2200
 _MAX_STEPS = 130
 
 
-def bisect_root(f: Callable, lo, hi):
-    """Roots of ``f`` on bracketing intervals ``[lo, hi]``, halved in lockstep.
+def bisect_root(f: Callable, lo: float, hi: float) -> float:
+    """The root of ``f`` on the bracketing interval ``[lo, hi]``, halved to float resolution.
 
-    ``lo`` and ``hi`` are floats or arrays that broadcast, and ``f`` acts
-    elementwise; ``f(lo)`` and ``f(hi)`` must have opposite signs at every
-    point. Each point stops on its own: on an exact zero at the midpoint or
-    once no float lies strictly between its bracket's ends, so every root is
-    found to float resolution whatever its scale. A float for float ends.
+    ``f(lo)`` and ``f(hi)`` must be finite with opposite signs; a NaN inside
+    counts as negative. Halving stops on an exact zero at the midpoint or once
+    no float lies strictly between the bracket's ends, so the root is found to
+    float resolution whatever its scale.
     """
-    lo, hi = (np.array(end, dtype=float) for end in np.broadcast_arrays(lo, hi))
-    flo, fhi = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
-    root, active, positive = np.where(flo == 0.0, lo, hi), (flo != 0.0) & (fhi != 0.0), flo > 0.0
-    for bad, what in ((~(np.isfinite(flo) & np.isfinite(fhi)), "non-finite bracket values"),
-                      (active & (positive == (fhi > 0.0)), "no sign change")):
-        if bad.any():
-            i = np.flatnonzero(bad)[0]
-            raise SolverError(f"{what} on [{lo.flat[i]}, {hi.flat[i]}]: f = {flo.flat[i]}, {fhi.flat[i]}")
+    lo, hi = float(lo), float(hi)
+    flo, fhi = float(f(lo)), float(f(hi))
+    if not (math.isfinite(flo) and math.isfinite(fhi)):
+        raise SolverError(f"non-finite bracket values on [{lo}, {hi}]: f = {flo}, {fhi}")
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    positive = flo > 0.0
+    if positive == (fhi > 0.0):
+        raise SolverError(f"no sign change on [{lo}, {hi}]: f = {flo}, {fhi}")
     for _ in range(_MAX_HALVINGS):
         mid = 0.5 * lo + 0.5 * hi  # lo + hi can overflow near the top of the float range
-        np.copyto(root, mid, where=active)
-        active = active & (lo < mid) & (mid < hi)  # else no float lies strictly inside
-        if not active.any():
-            return float(root) if root.ndim == 0 else root
-        fmid = np.asarray(f(mid), dtype=float)
-        active &= fmid != 0.0
-        rise = active & ((fmid > 0.0) == positive)
-        np.copyto(lo, mid, where=rise)
-        np.copyto(hi, mid, where=active ^ rise)
+        if not lo < mid < hi:  # no float lies strictly inside
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        lo, hi = (mid, hi) if (fmid > 0.0) == positive else (lo, mid)
     raise SolverError(f"bisection did not converge in {_MAX_HALVINGS} halvings")
 
 
-def settle_root(f: Callable, guess, lo, hi, outer=None):
-    """The float ``bisect_root(f, lo, hi)`` returns, searched for outward from ``guess``.
+def settle_root(f: Callable, guess, lo, hi):
+    """Per point, the float ``bisect_root(f, lo, hi)`` returns, searched for outward from ``guess``.
 
-    ``guess``, ``lo`` and ``hi`` are float arrays of one shape with ``0 <=
+    ``guess``, ``lo`` and ``hi`` are 1-d float arrays of one shape with ``0 <=
     lo < hi``; ``f`` acts elementwise on such arrays and changes sign once
     on the floats of ``[lo, hi]``: positive from ``lo``, then zero on a run
     of floats that may be empty, then negative up to ``hi`` (neither end is
@@ -69,15 +70,8 @@ def settle_root(f: Callable, guess, lo, hi, outer=None):
     ``f``. Every point gallops through the float bit patterns from its
     guess and then bisects them, in lockstep: one call to ``f`` a step, each
     point stopping on its own.
-
-    ``outer``, a pair of arrays ``(x, y)`` with ``x <= lo`` and ``hi <= y``,
-    stands for a wider bracket on which ``f`` is positive below ``lo`` and
-    negative above ``hi``: the float is then that of ``bisect_root(f, x,
-    y)``, which differs only where a run of zeros is replayed. ``x`` may be
-    negative.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    x0, y0 = (lo, hi) if outer is None else outer
     a, b = lo.view(np.int64), hi.view(np.int64)  # non-negative floats order as their bit patterns
     # the first float where f <= 0 (f(hi) < 0 stands in for the unevaluated end) ...
     first, value = _first_bits(f, np.greater, np.asarray(guess, dtype=float).view(np.int64), a, b, -1.0)
@@ -88,13 +82,12 @@ def settle_root(f: Callable, guess, lo, hi, outer=None):
         last = _first_bits(f, np.greater_equal, first + 1, np.where(zero, first, last), np.where(zero, b, first),
                            -1.0)[0] - 1
         root = np.where(zero, first.view(float), root)
-        ends = first.view(float), last.view(float)
         for i in np.flatnonzero(last > first):  # a run of zeros: replay the halving against it
-            (z0, z1), x, y = (float(end.flat[i]) for end in ends), float(x0.flat[i]), float(y0.flat[i])
+            z0, z1, x, y = (float(end[i]) for end in (first.view(float), last.view(float), lo, hi))
             while not z0 <= (mid := 0.5 * x + 0.5 * y) <= z1:
                 x, y = (mid, y) if mid < z0 else (x, mid)
-            root.flat[i] = mid
-    return float(root) if root.ndim == 0 else root
+            root[i] = mid
+    return root
 
 
 def _first_bits(f: Callable, keep: Callable, guess, a, b, fb):

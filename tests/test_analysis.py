@@ -348,11 +348,9 @@ def test_optimal_c_matches_mpmath(dist, tol):
 
 
 def test_lognormal_optimum_settles_on_the_bisection_float():
-    # the root search starts from Newton's estimate instead of halving [-ln 4, sig**2]; below
-    # sig = 1 the condition changes sign once on the floats for most laws (for all of these;
-    # about 1 in 10 at 0.8-1 does not), and the root is bisection's own float, on either side
-    # of 0. Above, rounding makes it change sign many times near its root, which either
-    # search may end on: within 2e-13*(1 + sig**2) in ln L of bisection's float
+    # the optimum is the float that halving [-ln 4, sig**2] ends on, for every sig: above
+    # about sig = 1 rounding makes the condition change sign many times near its root,
+    # and bisection's path picks one of those floats
     def bisected(sig):
         def r(w):
             return (math.exp(sig * sig / 8.0 - w / 2.0) * math.erfc((w / sig - sig / 2.0) / math.sqrt(2.0))
@@ -361,11 +359,7 @@ def test_lognormal_optimum_settles_on_the_bisection_float():
 
     for sig in np.exp(np.random.default_rng(13).uniform(math.log(1e-8), math.log(37.39), 150)).tolist():
         mu = 0.0 if sig < 1.0 else -sig * sig  # keeps L a normal float
-        level, log_level = _optimal_level(ValueDistribution.lognormal(mu, sig)), mu + bisected(sig)
-        if sig < 1.0:
-            assert level == math.exp(log_level), sig
-        else:
-            assert abs(math.log(level) - log_level) <= 2e-13 * (1.0 + sig * sig), sig
+        assert _optimal_level(ValueDistribution.lognormal(mu, sig)) == math.exp(mu + bisected(sig)), sig
 
 
 @pytest.mark.parametrize("dist", [

@@ -23,7 +23,6 @@ from seqlab.equilibrium import (
 )
 from seqlab.errors import ParameterError, SolverError
 from seqlab.noise import NoiseModel
-from seqlab.numerics import bisect_root
 
 # sigma for which the peak density of the normal difference law is exactly 1
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
@@ -269,8 +268,8 @@ def test_refund_root_is_scale_free(v, alpha, n, noise):
         assert result.signal == pytest.approx(root, rel=1e-14, abs=0.0)
 
 
-def _halved_refund_roots(cost, f0, marginal, alpha, upper):
-    """Refund roots by halving ``[0, upper]`` to float resolution, the reference for the settled roots."""
+def _halved_refund_roots(cost, f0, marginal, alpha, upper, bisect):
+    """Refund roots by halving ``[0, upper]`` to float resolution with ``bisect``, the reference for the settled roots."""
     half, weight = 0.5 * (1.0 + alpha), (1.0 - alpha) * f0
 
     def residual_of(i):
@@ -281,11 +280,11 @@ def _halved_refund_roots(cost, f0, marginal, alpha, upper):
     inside = below & (residual_of(slice(None))(np.zeros_like(upper)) > 0.0)
     root = np.where(below, 0.0, upper)
     if inside.any():
-        root[inside] = bisect_root(residual_of(inside), 0.0, upper[inside])
+        root[inside] = bisect(residual_of(inside), 0.0, upper[inside])
     return root
 
 
-def test_refund_roots_are_the_halving_float(monkeypatch):
+def test_refund_roots_are_the_halving_float(monkeypatch, lockstep_bisect):
     # 20,000 refund markets over both families, v from 1e-12 to 1e12, alpha in [0, 1) and
     # n in {1, 2}: every Equilibria field equals, bit for bit, what halving [0, upper] gives
     rng = np.random.default_rng(9)
@@ -297,7 +296,7 @@ def test_refund_roots_are_the_halving_float(monkeypatch):
     zeros = {"single": 0, "run": 0}
 
     def halved(cost, f0, marginal, alpha, upper):
-        root = _halved_refund_roots(cost, f0, marginal, alpha, upper)
+        root = _halved_refund_roots(cost, f0, marginal, alpha, upper, lockstep_bisect)
 
         def zero_at(s):
             return marginal - 0.5 * (1.0 + alpha) * cost._marginal(s) - (1.0 - alpha) * f0 * cost._cost(s) == 0.0
