@@ -184,12 +184,12 @@ def _table_chunk(captures, co_wins, gaps, tables: dict, noise: NoiseModel, seed:
 def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
     """Exact race counts of trader 1's level rows against ``rival``'s ``n`` signals.
 
-    Row ``j`` (``1 <= j <= n``) puts one of the sorted distinct ``values``
-    on chains ``0..j-1`` and 0 on the rest. A race is monotone in trader 1's
-    signal, so per chunk one threshold search per chain finds, per trial,
-    the index of the first value that wins it, and one race per chain at 0
-    serves the rows that hold the chain at 0. Row ``j`` at value index ``i``
-    wins chain ``k < j`` when the chain's threshold ``t_k`` is at most ``i``.
+    Row ``j`` (``1 <= j <= n``) puts one of the sorted distinct ``values``,
+    which hold 0, on chains ``0..j-1`` and 0 on the rest. A race is monotone
+    in trader 1's signal, so per chunk one threshold search per chain finds,
+    per trial, the index of the first value that wins it. Row ``j`` at value
+    index ``i`` wins chain ``k < j`` when the chain's threshold ``t_k`` is at
+    most ``i``, and a chain held at 0 when its threshold is at most 0's index.
     So it captures when ``max(t_0, ..., t_{j-1})`` is at most ``i`` and
     every chain from ``j`` on won at 0, and the square of its number of
     chains won is the number of pairs ``k, l < j`` with ``max(t_k, t_l)`` at
@@ -212,15 +212,16 @@ def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trial
     padded[:size] = values
     # per row: captures, its last chain's wins, and its last chain's pairs with the earlier ones
     hists = np.zeros((3, n, size + 1), dtype=np.int64)
+    zero = int(np.searchsorted(values, 0.0))
     chunk = _chunk_trials(n)
     for start in range(0, trials, chunk):
-        _level_chunk(hists, padded, rival, noise, seed, start, min(chunk, trials - start))
+        _level_chunk(hists, padded, zero, rival, noise, seed, start, min(chunk, trials - start))
     captures, wins, pairs = np.cumsum(hists, axis=2)[:, :, :size]
     return captures, wins, np.cumsum(wins, axis=0), np.cumsum(wins + 2 * pairs, axis=0)
 
 
-def _level_chunk(hists: np.ndarray, padded: np.ndarray, rival: np.ndarray, noise: NoiseModel, seed: int,
-                 start: int, m: int) -> None:
+def _level_chunk(hists: np.ndarray, padded: np.ndarray, zero: int, rival: np.ndarray, noise: NoiseModel,
+                 seed: int, start: int, m: int) -> None:
     """Add the histograms of trials ``[start, start + m)`` to ``hists``. A
     function of its own so the chunk's draws are freed before the next
     chunk draws its own."""
@@ -235,14 +236,14 @@ def _level_chunk(hists: np.ndarray, padded: np.ndarray, rival: np.ndarray, noise
     thresholds = np.empty((n, m), dtype=np.intp)
     for k in range(n):
         thresholds[k] = race.thresholds(k, padded - rival[k])
-    zeros = [None] * (n + 1)  # zeros[j]: whether chains j..n-1 all won at 0
-    for k in range(n - 1, 0, -1):
-        won = race.wins(k, 0.0 - rival[k])
-        zeros[k] = won if zeros[k + 1] is None else won & zeros[k + 1]
+    lost = np.zeros((n, m), dtype=bool)  # lost[j]: whether a chain after j lost at 0
+    for k in range(n - 1, 0, -1):  # row by row: numpy's accumulate along this axis is many times slower
+        np.logical_or(lost[k], thresholds[k] > zero, out=lost[k - 1])
     captured, wins, pairs = hists
     for j, first in enumerate(thresholds):
         highest = np.maximum(highest, first) if j else first
-        captured[j] += np.bincount(highest if zeros[j + 1] is None else highest[zeros[j + 1]], minlength=size)
+        # a trial that lost a chain held at 0 captures at no value: the dropped last bin
+        captured[j] += np.bincount(np.where(lost[j], size - 1, highest), minlength=size)
         wins[j] += np.bincount(first, minlength=size)
         if j:
             pairs[j] += np.bincount(np.maximum(thresholds[:j], first).reshape(-1), minlength=size)
@@ -599,15 +600,16 @@ def verify_best_response(
         # checks trials, seed, the noise and the candidate as a one-profile run
         # would; cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
-        values, ranks = np.unique(np.append(grid, cand), return_inverse=True)
+        # 0, the least signal, is among the tally's values for the chains held at 0
+        values, ranks = np.unique(np.append(grid, (cand, 0.0)), return_inverse=True)
         costs = cost.cost(values)
         captures, wins, s1, s2 = _level_tally(values, np.full(n, cand), noise, trials, seed)
         rows = np.arange(1, n + 1).reshape(-1, 1)  # per tally row, the chains at the value; the rest cost 0
         chains = ((np.where(k < rows, costs, 0.0), wins[k]) for k in range(n))
         means, halfwidths = _payoff_statistics(trials, market, captures, chains, [(costs, rows, s1)], [[s2]])
         # the baseline is the candidate on every chain; row r puts the grid on n - r chains: tally row n - r
-        baseline, baseline_halfwidth = float(means[-1, ranks[-1]]), halfwidths[-1, ranks[-1]]
-        scores, halfwidths = means[::-1, ranks[:-1]], halfwidths[::-1, ranks[:-1]]
+        baseline, baseline_halfwidth = float(means[-1, ranks[-2]]), halfwidths[-1, ranks[-2]]
+        scores, halfwidths = means[::-1, ranks[:-2]], halfwidths[::-1, ranks[:-2]]
 
     best_payoff, best_index = _first_max(scores)
     zeros, i = divmod(best_index, grid.size)

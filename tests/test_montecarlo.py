@@ -519,6 +519,24 @@ def test_montecarlo_verify_searches_each_chains_thresholds_once_per_chunk(monkey
     assert searched == list(range(n)) * 3  # three chunks: 2,500 trials in chunks of 1,000
 
 
+def test_montecarlo_verify_races_no_chain_at_a_scalar_gap(monkeypatch):
+    # a chain held at 0 wins where its threshold is at most 0's index among the values,
+    # which verify adds to a grid without it: the threshold searches race every chain
+    gaps, wins = [], mc._Race.wins
+    monkeypatch.setattr(mc._Race, "wins", lambda race, k, gap: gaps.append(np.ndim(gap)) or wins(race, k, gap))
+    market, spec = MarketConfig(1.0, 3), {"trials": 2_000, "seed": 1}
+    check = verify_best_response(0.4, market, POWER_TWO, UNIT_NOISE, deviation_grid=[0.3], mode="montecarlo",
+                                 **spec)
+    assert gaps and set(gaps) == {1}
+    monkeypatch.undo()
+    # and every row, zero chains and all, scores as simulate does
+    baseline = simulate(SimulationSpec(((0.4,) * 3, 0.4), market, POWER_TWO, UNIT_NOISE, **spec)).mean_payoff[0]
+    rows = [simulate(SimulationSpec(((0.3,) * (3 - r) + (0.0,) * r, 0.4), market, POWER_TWO, UNIT_NOISE, **spec))
+            for r in range(3)]
+    assert check.baseline_payoff == baseline
+    assert check.max_gain == max(row.mean_payoff[0] for row in rows) - baseline
+
+
 @pytest.mark.parametrize("n, trials", [(2, 2 * 10**5), (3, 10**5)])
 def test_montecarlo_verify_memory_does_not_grow_with_trials(n, trials, monkeypatch):
     # the scan keeps histograms of win thresholds, whatever the trial count;
@@ -616,9 +634,9 @@ def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 
 
 
 def _assert_level_tally_equals_reference(grid, rival, noise, trials, seed):
-    """The level tally's counts at the sorted distinct values of ``grid``, bit for
-    bit the sums of the per-profile race's counts of each row's profiles."""
-    n, values = len(rival), np.unique(grid)
+    """The level tally's counts at the sorted distinct values of ``grid`` and 0, bit
+    for bit the sums of the per-profile race's counts of each row's profiles."""
+    n, values = len(rival), np.unique(np.append(grid, 0.0))
     size = values.size
     # row j - 1 puts each value on chains 0..j-1 and 0 on the rest
     rows = [[values if k < j else np.zeros(size) for k in range(n)] for j in range(1, n + 1)]
