@@ -128,7 +128,16 @@ class SimulationStats:
     payoff_ci_halfwidth: tuple[float, float]
 
 
-def _probability_halfwidth(p: float, trials: int) -> float:
+def _probability_halfwidth(count: int, trials: int) -> float:
+    """The 95% half-width of a probability seen ``count`` times in ``trials``.
+
+    A count of 0 or ``trials`` leaves no spread to sample: its half-width is
+    the distance from that edge to the far end of Wilson's score interval,
+    as the payoff's is.
+    """
+    if count in (0, trials):
+        return _Z95**2 / (trials + _Z95**2)
+    p = count / trials
     return _Z95 * math.sqrt(p * (1.0 - p) / trials)
 
 
@@ -449,13 +458,12 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     (mean1, hw1), (mean2, hw2) = stats
 
     capture_counts = tuple(int(c) for c in captures)
-    p_hat = tuple(c / trials for c in capture_counts)
     return SimulationStats(
         trials=trials,
         capture_counts=capture_counts,
         per_chain_win_counts=(tuple(int(w) for w in wins), tuple(trials - int(w) for w in wins)),
-        capture_probability=p_hat,
-        capture_ci_halfwidth=tuple(_probability_halfwidth(p, trials) for p in p_hat),
+        capture_probability=tuple(c / trials for c in capture_counts),
+        capture_ci_halfwidth=tuple(_probability_halfwidth(c, trials) for c in capture_counts),
         mean_payoff=(float(mean1[0]), float(mean2[0])),
         payoff_ci_halfwidth=(float(hw1[0]), float(hw2[0])),
     )

@@ -561,6 +561,21 @@ def test_montecarlo_verify_epsilon_is_positive_when_no_capture_is_seen(capsys):
     assert rows["epsilon"] == "0.026159279235" and rows["is_epsilon_equilibrium"] == "true"
 
 
+@pytest.mark.parametrize("trials, payoff", [(2000, "0.00191711760051"), (1, "inf")])
+def test_simulate_capture_halfwidth_of_a_certain_or_unseen_capture_is_wilsons_floor(trials, payoff, capsys):
+    # a lead of 9 wins every race: trader 1 captures in every trial and trader 2 in none,
+    # and each capture half-width is z**2 / (T + z**2), where it was 0; one trial leaves
+    # the payoff's sample variance undefined
+    code, out, err = _run(capsys, ["simulate", "--v", "1", "--signals", "9,0", "--noise", "normal:1",
+                                   "--trials", str(trials), "--seed", "1"])
+    assert (code, err) == (0, "")
+    rows = dict(line.split() for line in out.splitlines())
+    assert (rows["capture_counts_0"], rows["capture_counts_1"]) == (str(trials), "0")
+    floor = f"{1.96**2 / (trials + 1.96**2):.12g}"
+    assert rows["capture_ci_halfwidth_0"] == rows["capture_ci_halfwidth_1"] == floor
+    assert rows["payoff_ci_halfwidth_0"] == rows["payoff_ci_halfwidth_1"] == payoff
+
+
 @pytest.mark.parametrize("chains", [8, 64])
 def test_analytic_verify_has_no_chain_limit(chains, capsys):
     # the level family has chains * 301 profiles; the product grid refused chains 8 onwards
