@@ -240,7 +240,7 @@ def _equilibrium_dict(result) -> dict:
 
 
 def _comparison_dict(report) -> dict:
-    out = {
+    return {
         "shared": _equilibrium_dict(report.shared_result),
         "separate": _equilibrium_dict(report.separate_result),
         "shared_total_expenditure": report.shared_total_expenditure,
@@ -251,10 +251,6 @@ def _comparison_dict(report) -> dict:
         "capture_probability_separate": report.capture_probability_separate,
         "displayed_thresholds": report.displayed_thresholds,
     }
-    if report.cap_condition_holds is not None:
-        out["cap_condition_holds"] = report.cap_condition_holds
-        out["separate_exceeds_shared"] = report.separate_exceeds_shared
-    return out
 
 
 def _run_equilibrium(args) -> dict:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from seqlab import montecarlo
 from seqlab.analysis import sweep
 from seqlab.cli import COMMANDS, _parse_grid, main
 from seqlab.cost import CostModel
@@ -69,6 +70,22 @@ def test_verify_json(capsys):
     assert result["is_epsilon_equilibrium"] is True
     assert result["max_gain"] <= 1e-3
     assert len(result["argmax_deviation"]) == 2
+
+
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+def test_verify_at_cap_zero_scans_the_one_point_grid(mode, capsys, monkeypatch):
+    # a cap of 0 admits the signal 0 alone: the candidate invests nothing, the default
+    # deviation grid is [0.0], and the one deviation, the candidate itself, gains nothing
+    grids, grid_of = [], montecarlo.default_deviation_grid
+    monkeypatch.setattr(montecarlo, "default_deviation_grid", lambda *a: grids.append(grid_of(*a)) or grids[-1])
+    code, out, err = _run(capsys, ["verify", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--cap", "0",
+                                   "--mode", mode, "--trials", "2000", "--seed", "1", "--format", "json"])
+    assert (code, err) == (0, "")
+    result = json.loads(out)["result"]
+    assert [grid.tolist() for grid in grids] == [[0.0]]
+    assert (result["candidate_signal"], result["regime"]) == (0.0, "zero_investment")
+    assert result["argmax_deviation"] == [0.0] and result["max_gain"] == 0.0
+    assert result["is_epsilon_equilibrium"] is True
 
 
 def test_optimal_c_json(capsys):
