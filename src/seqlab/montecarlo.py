@@ -14,14 +14,16 @@ response's interior coordinates share one level, so ``chains * grid``
 profiles stand in for the ``grid ** chains`` of a product mesh.
 
 A race is monotone in trader 1's signal, so the Monte Carlo scan does not
-race each deviation profile: per (trial, chain) a binary search over the
-sorted grid finds the first value that wins, once for every level row, and
-every profile's counts come from histograms of those thresholds. Per row and
-grid value the scan keeps the captures, one chain's wins (the rows that hold
-a chain at the value share its wins), the wins summed over the row's chains
-and the sum over trials of the squared number of chains won. The statistics
-need no more, so its memory is O(chains * grid) at any chain count. A scan
-costs O(trials * chains * log grid) races plus O(chains**2) histogram
+race each deviation profile: per (trial, chain) it finds the first value
+that wins, once for every level row, and every profile's counts come from
+histograms of those thresholds. A bucket index over the sorted gaps to the
+rival guesses it from the race's ``b - a``, and two exact races confirm the
+guess; the few trials they leave open are binary-searched. Per row
+and grid value the scan keeps the captures, one chain's wins (the rows that
+hold a chain at the value share its wins), the wins summed over the row's
+chains and the sum over trials of the squared number of chains won. The
+statistics need no more, so its memory is O(chains * grid) at any chain
+count. A scan costs O(trials * chains) races plus O(chains**2) histogram
 entries per trial, not O(profiles * trials), and its counts are exactly
 those of the per-profile race.
 
@@ -62,6 +64,7 @@ _CHUNK_TRIALS = 1 << 16
 _CHUNK_WORDS = 3 * _SLOTS * (1 << 16)  # the words of a full chunk of 3 chains: the most a chunk draws
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
 _Z95 = 1.96
+_BUCKETS = 1 << 14  # equal-width buckets of a gap index: most keys share theirs with no gap
 
 
 def _per_chain_signals(signals, n_chains: int) -> tuple[tuple, tuple]:
@@ -196,16 +199,17 @@ def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trial
     Row ``j`` (``1 <= j <= n``) puts one of the sorted distinct ``values``,
     which hold 0, on chains ``0..j-1`` and 0 on the rest. A race is monotone
     in trader 1's signal, so per chunk one threshold search per chain finds,
-    per trial, the index of the first value that wins it. Row ``j`` at value
-    index ``i`` wins chain ``k < j`` when the chain's threshold ``t_k`` is at
-    most ``i``, and a chain held at 0 when its threshold is at most 0's index.
-    So it captures when ``max(t_0, ..., t_{j-1})`` is at most ``i`` and
-    every chain from ``j`` on won at 0, and the square of its number of
-    chains won is the number of pairs ``k, l < j`` with ``max(t_k, t_l)`` at
-    most ``i``: chain ``k`` adds a one at ``t_k`` and a two at
-    ``max(t_l, t_k)`` for each ``l < k``. Histograms of these indices, summed
-    over the chunks, give every count; they are exactly those of racing
-    each profile.
+    per trial, the index of the first value that wins it, from a
+    :class:`_GapIndex` of the gaps to the chain's rival signal, built once
+    per distinct signal. Row ``j`` at value index ``i`` wins chain ``k < j``
+    when the chain's threshold ``t_k`` is at most ``i``, and a chain held at
+    0 when its threshold is at most 0's index. So it captures when
+    ``max(t_0, ..., t_{j-1})`` is at most ``i`` and every chain from ``j`` on
+    won at 0, and the square of its number of chains won is the number of
+    pairs ``k, l < j`` with ``max(t_k, t_l)`` at most ``i``: chain ``k`` adds
+    a one at ``t_k`` and a two at ``max(t_l, t_k)`` for each ``l < k``.
+    Histograms of these indices, summed over the chunks, give every count;
+    they are exactly those of racing each profile.
 
     Returns four ``(n, len(values))`` arrays, row ``j - 1`` being row ``j``:
     ``captures``; ``wins``, whose row ``k`` holds chain ``k``'s wins, the
@@ -215,26 +219,24 @@ def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trial
     co-counts over its pairs of value chains.
     """
     n, size = len(rival), len(values)
-    # +inf pads up to 2**j - 1 values for the search (none if there are
-    # exactly that many), and always wins; index len(values) wins no real value
-    padded = np.full((1 << size.bit_length()) - 1, np.inf)
-    padded[:size] = values
+    indices = {signal: _GapIndex(values - signal) for signal in set(rival.tolist())}
+    chain_indices = [indices[signal] for signal in rival.tolist()]
     # per row: captures, its last chain's wins, and its last chain's pairs with the earlier ones
     hists = np.zeros((3, n, size + 1), dtype=np.int64)
     zero = int(np.searchsorted(values, 0.0))
     chunk = _chunk_trials(n)
     for start in range(0, trials, chunk):
-        _level_chunk(hists, padded, zero, rival, noise, seed, start, min(chunk, trials - start))
+        _level_chunk(hists, chain_indices, zero, noise, seed, start, min(chunk, trials - start))
     captures, wins, pairs = np.cumsum(hists, axis=2)[:, :, :size]
     return captures, wins, np.cumsum(wins, axis=0), np.cumsum(wins + 2 * pairs, axis=0)
 
 
-def _level_chunk(hists: np.ndarray, padded: np.ndarray, zero: int, rival: np.ndarray, noise: NoiseModel,
-                 seed: int, start: int, m: int) -> None:
-    """Add the histograms of trials ``[start, start + m)`` to ``hists``. A
-    function of its own so the chunk's draws are freed before the next
-    chunk draws its own."""
-    n, size = len(rival), hists.shape[2]
+def _level_chunk(hists: np.ndarray, indices: list, zero: int, noise: NoiseModel, seed: int, start: int,
+                 m: int) -> None:
+    """Add the histograms of trials ``[start, start + m)`` to ``hists``, chain
+    ``k`` searched in ``indices[k]``. A function of its own so the chunk's
+    draws are freed before the next chunk draws its own."""
+    n, size = len(indices), hists.shape[2]
     # the words go before the noise is drawn and the draws once it is: a
     # chunk that holds them to the end peaks past the point where the
     # allocator hands its pages back, and every chunk faults them in anew
@@ -243,8 +245,8 @@ def _level_chunk(hists: np.ndarray, padded: np.ndarray, zero: int, rival: np.nda
     del draws
     race = _Race(mine, theirs, heads)
     thresholds = np.empty((n, m), dtype=np.intp)
-    for k in range(n):
-        thresholds[k] = race.thresholds(k, padded - rival[k])
+    for k, index in enumerate(indices):
+        thresholds[k] = race.thresholds(k, index)
     lost = np.zeros((n, m), dtype=bool)  # lost[j]: whether a chain after j lost at 0
     for k in range(n - 1, 0, -1):  # row by row: numpy's accumulate along this axis is many times slower
         np.logical_or(lost[k], thresholds[k] > zero, out=lost[k - 1])
@@ -294,6 +296,46 @@ def _wins(gap, mine: np.ndarray, theirs, heads: np.ndarray) -> np.ndarray:
     return won
 
 
+class _GapIndex:
+    """The sorted gaps ``values - signal`` to one rival signal, bucketed.
+
+    Trader 1 wins about where the gap exceeds the race's key ``b - a``, so
+    the first winning gap is about ``first[b]``, the number of gaps below
+    the key's bucket ``b``: ``_BUCKETS`` equal widths from the first gap to
+    the last, which opens bucket ``_BUCKETS``; keys a width past it fall in
+    ``_BUCKETS + 1``. ``at[t]`` is gap ``t`` and ``below[t]`` gap ``t - 1``,
+    with ``-inf`` and ``+inf`` past the ends; ``padded`` pads the gaps with
+    ``+inf`` to ``2**j - 1`` entries for :meth:`_Race.search`.
+    """
+
+    def __init__(self, gaps: np.ndarray):
+        lo, hi = np.nan_to_num(gaps[[0, -1]])  # an infinite gap bounds no bucket
+        with np.errstate(over="ignore", divide="ignore"):
+            scale = _BUCKETS / 2 / (0.5 * hi - 0.5 * lo)  # halved: a span past float range stays finite
+        # a one-value axis has no width to split, and any finite scale buckets it
+        self.scale = float(scale) if np.isfinite(scale) else 1.0
+        self.shift = float(lo) * self.scale
+        # first is i from the bucket after gap i - 1's to gap i's, made as the one index-sized array:
+        # a bincount and cumsum left a hole under it that no chunk's words fit, and each verify
+        # then faulted their pages in anew
+        edges = np.concatenate(([0], self.bucket(gaps.copy()) + 1, [_BUCKETS + 2]))
+        self.first = np.repeat(np.arange(len(gaps) + 1), np.diff(edges))
+        size = len(gaps)
+        ext = np.full((1 << size.bit_length()) + 1, np.inf)
+        ext[0], ext[1:size + 1] = -np.inf, gaps
+        self.below, self.at, self.padded = ext[:-1], ext[1:], ext[1:-1]
+
+    def bucket(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's bucket, overwriting ``keys``. The scale and shift are
+        finite, so no key makes a NaN or an index out of range."""
+        with np.errstate(over="ignore"):
+            keys *= self.scale
+        keys -= self.shift
+        np.minimum(keys, _BUCKETS + 1.0, out=keys)
+        np.maximum(keys, 0.0, out=keys)
+        return keys.astype(np.intp)
+
+
 class _Race:
     """One chunk's exact draws per chain: the win test at any gap."""
 
@@ -304,17 +346,34 @@ class _Race:
         """Whether trader 1 wins chain ``k`` of each trial at ``gap``."""
         return _wins(gap, self.mine[k], None if self.theirs is None else self.theirs[k], self.heads[k])
 
-    def thresholds(self, k: int, gaps: np.ndarray) -> np.ndarray:
-        """Per trial, the index of the first of the non-decreasing ``gaps``
-        that wins chain ``k``.
+    def thresholds(self, k: int, index: _GapIndex) -> np.ndarray:
+        """Per trial, the index of the first of ``index``'s gaps that wins
+        chain ``k`` (the number of gaps if none does).
 
-        ``gap + a`` and then ``- b`` round monotonically, so the test is
-        monotone in the gap and trader 1 wins at every index from there on.
-        A lockstep binary search races each trial ``log2(len(gaps) + 1)``
-        times; ``gaps`` holds ``2**j - 1`` entries, the real ones padded
-        with ``+inf``, which always wins (an axis of exactly ``2**j - 1``
-        values gets no pad). A trial that no real gap wins ends at the
-        number of real gaps: the first pad's index, or ``len(gaps)``.
+        ``gap + a`` and then ``- b`` round monotonically, so the race is
+        monotone in the gap: where gap ``t``, the guess of the key's bucket,
+        wins and gap ``t - 1`` loses, ``t`` is the threshold exactly. The
+        few trials left (a gap shares the bucket, or rounding moved the win)
+        go to :meth:`search`.
+        """
+        key = np.negative(self.mine[k]) if self.theirs is None else self.theirs[k] - self.mine[k]
+        t = index.first[index.bucket(key)]
+        del key  # before the races: a chunk whose peak passes the allocator's trim point faults anew
+        won, lower = self.wins(k, index.at[t]), self.wins(k, index.below[t])
+        open_ = np.flatnonzero(won == lower)  # the race is monotone: where gap t - 1 wins, gap t wins too
+        if open_.size:
+            theirs = None if self.theirs is None else [self.theirs[k][open_]]
+            t[open_] = _Race([self.mine[k][open_]], theirs, [self.heads[k][open_]]).search(0, index.padded)
+        return t
+
+    def search(self, k: int, gaps: np.ndarray) -> np.ndarray:
+        """Per trial, the index of the first of the non-decreasing ``gaps``
+        that wins chain ``k``, by a lockstep binary search that races each
+        trial ``log2(len(gaps) + 1)`` times; ``gaps`` holds ``2**j - 1``
+        entries, the real ones padded with ``+inf``, which always wins (an
+        axis of exactly ``2**j - 1`` values gets no pad). A trial that no
+        real gap wins ends at the number of real gaps: the first pad's
+        index, or ``len(gaps)``.
         """
         lost = np.zeros(len(self.mine[k]), dtype=np.intp)
         step = (len(gaps) + 1) // 2

@@ -681,9 +681,10 @@ def test_tally_equals_per_profile_race(noise, n, grid, spread, monkeypatch):
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
-def test_tally_equals_per_profile_race_at_rounding_boundaries(noise):
+def test_tally_equals_per_profile_race_at_rounding_boundaries(noise, monkeypatch):
     # gaps at fl(b - a) of chosen trials and chains and at their float
     # neighbours: the threshold search meets rounding boundaries and exact ties
+    searched = _spy_on_search(monkeypatch)
     n, trials, seed = 2, 3_000, 11
     u = uniform_stream(seed, 0, trials * 3 * n).reshape(trials, n, 3)
     if noise.has_trader_law:
@@ -698,6 +699,7 @@ def test_tally_equals_per_profile_race_at_rounding_boundaries(noise):
     rival = np.zeros(n)  # so each gap is exactly the profile's signal
     _assert_level_tally_equals_reference(gaps, rival, noise, trials, seed)
     _assert_level_tally_equals_reference(gaps[3::11], rival, noise, trials, seed)
+    assert sum(searched) > 0  # where rounding moves a win, the bucket's guess fails
     _assert_table_tally_equals_reference(np.array([gaps[:8], gaps[8:16]]), rival, noise, trials, seed)
 
 
@@ -805,3 +807,129 @@ def test_simulate_from_tables_equals_per_profile_race(noise):
             captures, joint = _reference_tally(rows[0][:, None], rows[1], noise, 3_000, 31)
             assert stats.capture_counts == (captures[0, 0], captures[1, 0])
             assert stats.per_chain_win_counts[0] == tuple(joint[k, k, 0] for k in range(n))
+
+
+# -- the gap index's guesses against the first winning gap ------------------------
+
+def _spy_on_search(monkeypatch):
+    """A list that gets the number of trials of every lockstep binary search."""
+    searched, search = [], mc._Race.search
+    monkeypatch.setattr(mc._Race, "search",
+                        lambda race, k, gaps: searched.append(len(race.heads[k])) or search(race, k, gaps))
+    return searched
+
+
+def _first_winning_gap(gaps, mine, theirs, heads):
+    """Per trial, the index of the first of ``gaps`` that wins, raced at every gap."""
+    diff = gaps[:, None] + mine
+    if theirs is not None:
+        diff -= theirs
+    won = (diff > 0.0) | ((diff == 0.0) & heads)
+    return np.where(won.any(axis=0), np.argmax(won, axis=0), len(gaps))
+
+
+def _assert_thresholds_are_the_first_winning_gap(gaps, mine, theirs, heads):
+    race, index = mc._Race(mine, theirs, heads), mc._GapIndex(gaps)
+    with np.errstate(invalid="raise", over="ignore"):  # bucketing makes no NaN and casts no infinity
+        for k in range(len(mine)):
+            expected = _first_winning_gap(gaps, mine[k], None if theirs is None else theirs[k], heads[k])
+            assert np.array_equal(race.thresholds(k, index), expected)
+
+
+FRAGILE_AXES = {
+    "one-value": [0.3],
+    "ulps-around-a-candidate": [np.nextafter(0.4, 1.0) - 0.4, 0.0, 0.4 - np.nextafter(0.4, 0.0),
+                                float(np.spacing(0.4)) * 3, -float(np.spacing(0.4)) * 3],
+    "up-to-1e300": np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 41)]),
+    "span-past-float-range": [-1.5e308, -1e300, -1.0, 0.0, 1e-300, 1.0, 1e300, 1.5e308],
+    "infinite-ends": [-np.inf, -1.0, 0.0, 1.0, np.inf],  # values - signal past float range
+    "default": default_deviation_grid(0.4, POWER_TWO) - 0.4,
+}
+
+
+@pytest.mark.parametrize("axis", FRAGILE_AXES, ids=str)
+@pytest.mark.parametrize("noise", EXTREME_NOISES, ids=lambda m: m.spec)
+def test_gap_index_thresholds_are_the_first_winning_gap(noise, axis):
+    n, trials = 2, 1_500
+    draws, heads = mc._draws(mc._chunk_words(29, 0, trials, n), noise)
+    mine, theirs = mc._noise(draws, noise)
+    gaps = np.unique(FRAGILE_AXES[axis])
+    _assert_thresholds_are_the_first_winning_gap(gaps, mine, theirs, heads)
+    # and runs of consecutive floats about some keys: where a's ulp dwarfs the key's, several
+    # gaps about a key tie by rounding and the coin decides them
+    keys = (-mine[0] if theirs is None else theirs[0] - mine[0])[::50]
+    run, up, down = [keys], keys, keys
+    for _ in range(12):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        run += [up, down]
+    _assert_thresholds_are_the_first_winning_gap(np.unique(run), mine, theirs, heads)
+
+
+def test_gap_index_settles_keys_that_overflow():
+    # logistic noise near the edge of float range: every draw is finite, but b - a of
+    # the extreme draws is +-inf; the bucket clips it, and no NaN or stray index arises
+    noise = NoiseModel("logistic", 4.8e306)
+    u = np.concatenate([[2.0**-54, 1.0 - 2.0**-53, 0.5, 2.0**-40, 1.0 - 2.0**-40], np.linspace(0.01, 0.99, 95)])
+    # trials 0 and 1 pair the least draw with the greatest
+    mine, theirs = noise.trader_noise(u), noise.trader_noise(np.concatenate([u[1::-1], u[:1:-1]]))
+    assert np.isfinite(mine).all() and np.isfinite(theirs).all()
+    with np.errstate(over="ignore"):
+        assert (theirs - mine)[:2].tolist() == [np.inf, -np.inf]
+    heads = np.arange(u.size) % 2 == 0
+    for axis in ([0.0], [-1e308, 0.0, 1e308], [-1.5e308, -1e300, 0.0, 1e300, 1.5e308]):
+        _assert_thresholds_are_the_first_winning_gap(np.array(axis), mine[None], theirs[None], heads[None])
+
+
+@pytest.mark.parametrize("heads", [True, False])
+def test_gap_index_finds_ties_below_the_key(heads):
+    # fl(g + a) rounds to b for a few gaps g below b - a, which win on heads. On an axis
+    # from 0 to 1, b - a = 0.5 or 0.75 opens a bucket, so the gaps just below it sit in
+    # the bucket before and only the race at gap t - 1 shows the guess t too high
+    for a, b in ((1.0, 1.5), (-3.0, -2.5), (1e6, 1e6 + 0.75), (1.0, 1.2)):
+        key = b - a
+        run, up, down = [0.0, key, 1.0], key, key
+        for _ in range(12):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            run += [up, down]
+        gaps = np.unique(run)
+        assert sum((gaps + a) - b == 0.0) > 1
+        _assert_thresholds_are_the_first_winning_gap(gaps, np.array([[a]]), np.array([[b]]), np.array([[heads]]))
+
+
+@pytest.mark.parametrize("axis", FRAGILE_AXES, ids=str)
+def test_gap_index_buckets_every_key_in_range(axis):
+    gaps = np.unique(FRAGILE_AXES[axis])
+    index = mc._GapIndex(gaps)
+    assert np.isfinite(index.scale) and index.scale > 0.0 and np.isfinite(index.shift)
+    assert len(index.first) == mc._BUCKETS + 2 and np.all(np.diff(index.first) >= 0)
+    tiny = np.finfo(float).tiny
+    keys = np.array([-np.inf, -np.finfo(float).max, -1e300, -1.0, -tiny, -5e-324, 0.0, 5e-324, tiny, 1.0, 1e300,
+                     np.finfo(float).max, np.inf, *gaps])
+    with np.errstate(invalid="raise"):
+        buckets = index.bucket(keys.copy())
+    assert buckets.min() >= 0 and buckets.max() <= mc._BUCKETS + 1
+    assert np.all(np.diff(index.bucket(np.sort(keys))) >= 0)  # monotone, so first is a valid guess
+
+
+FRAGILE_VALUES = {
+    "one-value": [0.3],
+    "ulps-around-the-candidate": 0.4 + np.arange(-3, 4) * np.spacing(0.4),
+    "span-past-float-range": FRAGILE_AXES["span-past-float-range"],
+}
+
+
+@pytest.mark.parametrize("values", FRAGILE_VALUES, ids=str)
+@pytest.mark.parametrize("noise", BROADCAST_NOISES + EXTREME_NOISES[::4], ids=lambda m: m.spec)
+def test_tally_equals_per_profile_race_on_fragile_axes(noise, values):
+    rival = np.array([0.4, 0.45])  # the candidate, and a second index with its own gaps on chain 1
+    _assert_level_tally_equals_reference(np.asarray(FRAGILE_VALUES[values], dtype=float), rival, noise, 1_200, 31)
+
+
+def test_few_trials_reach_the_binary_search_on_the_default_grid(monkeypatch):
+    # n = 2, normal:1, 20,000 trials on the default grid: the buckets settle all but
+    # the trials whose bucket a gap shares, under 2% of the chain-trials
+    searched = _spy_on_search(monkeypatch)
+    market, noise, trials = MarketConfig(1.0, 2), NoiseModel("normal", 1.0), 20_000
+    candidate = solve_equilibrium(market, POWER_TWO, noise)
+    verify_best_response(candidate, market, POWER_TWO, noise, mode="montecarlo", trials=trials, seed=1)
+    assert 0 < sum(searched) < 0.02 * 2 * trials
