@@ -324,8 +324,8 @@ _RUNNERS = {
 def _round12(value):
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, float):
-        return float(f"{value:.12g}")
+    if isinstance(value, float):  # JSON has no infinity or NaN: a non-finite value is null
+        return float(f"{value:.12g}") if math.isfinite(value) else None
     if isinstance(value, dict):
         return {k: _round12(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

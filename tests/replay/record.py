@@ -140,6 +140,13 @@ def _cases() -> list[tuple]:
                                                 "--trials", "2000", "--format", "json"], None))
     cases.append(("verify-montecarlo-chains-13", ["verify", "--v", "1", "--chains", "13", *PN, "--mode",
                                                   "montecarlo", "--trials", "100"], None))
+    # one trial leaves no spread to sample: the infinite half-widths and epsilon print null in JSON
+    cases.append(("simulate-one-trial-infinite-halfwidth.json", ["simulate", "--v", "1", "--signals", "9,0",
+                                                                 "--noise", "normal:1", "--trials", "1", "--seed", "1",
+                                                                 "--format", "json"], None))
+    cases.append(("verify-montecarlo-one-trial-infinite-epsilon.json", ["verify", "--v", "1", "--cost", "power:2",
+                                                                        "--noise", "normal:1", "--mode", "montecarlo",
+                                                                        "--trials", "1", "--format", "json"], None))
     for chains in ("1", "2", "3"):
         signals = ",".join(["0.3"] * int(chains) + ["0.2"] * int(chains))
         cases.append((f"chains-{chains}-simulate.json", ["simulate", "--v", "1", "--chains", chains,

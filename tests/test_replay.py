@@ -46,3 +46,16 @@ def test_every_case_replays_byte_identical(tmp_path):
         if fields:
             moved[entry["id"]] = fields
     assert not moved, f"{len(moved)} cases moved (case: fields): {moved}"
+
+
+def test_every_json_case_is_standard_json():
+    # JSON (RFC 8259) has no Infinity or NaN, which Python's parser accepts by default
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    cases = [entry for entry in json.loads(RECORDED.read_text(encoding="utf-8")) if entry["stdout"].startswith("{")]
+    assert len(cases) > 100
+    results = {entry["id"]: json.loads(entry["stdout"], parse_constant=reject)["result"] for entry in cases}
+    # a one-trial run's half-widths and epsilon are infinite: null
+    assert results["simulate-one-trial-infinite-halfwidth.json"]["payoff_ci_halfwidth"] == [None, None]
+    assert results["verify-montecarlo-one-trial-infinite-epsilon.json"]["epsilon"] is None
