@@ -19,8 +19,7 @@ import math
 import sys
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._np import np
 from .cost import CostModel
 from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
 from .errors import ConfigError, ParameterError, SolverError

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .errors import ConfigError, DomainError, ParameterError, SolverError
 
 FAMILIES = ("power", "timeboost")

@@ -46,8 +46,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
+from ._np import np
 from .cost import CostModel
 from .errors import ParameterError, SolverError
 from .noise import NoiseModel

@@ -51,8 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .cost import CostModel
 from .equilibrium import EquilibriumResult, MarketConfig, _real
 from .errors import ConfigError

@@ -33,6 +33,8 @@ transformed.
 
 ``scipy.special`` is imported on first use, by the normal and logistic
 methods that need it, so solving, comparing and sweeping never load SciPy.
+NumPy is imported on first use too, through ``seqlab._np``, so parsing a
+noise spec loads neither.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._np import np
 from .errors import ConfigError, ParameterError
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
+from ._np import np
 from .errors import SolverError
 
 #: Halving a finite float interval runs out of midpoints within about 2,100

@@ -8,12 +8,12 @@ on chunking, thread layout, or the order in which ranges are generated.
 
 from __future__ import annotations
 
-import numpy as np
+from ._np import np
 
 # Philox4x64 emits 4 words per counter tick; word w of the stream is output
 # (w % 4) of counter block (w // 4).
 _WORDS_PER_BLOCK = 4
-_SHIFT = np.uint64(11)
+_SHIFT = 11
 _INV_2_53 = 2.0**-53
 _BELOW_ONE = 1.0 - 2.0**-53
 

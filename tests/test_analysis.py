@@ -230,12 +230,12 @@ def test_ex_ante_revenue_keeps_the_far_tail():
     assert value == pytest.approx(4.28e-10, rel=1e-2)
 
 
-def test_import_leaves_out_scipy_integrate():
-    code = "import sys, seqlab; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+def test_import_leaves_out_numpy_and_scipy():
+    code = "import sys, seqlab; print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
     # the child must import the seqlab this process sees, wherever that is
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize(

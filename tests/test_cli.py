@@ -533,14 +533,15 @@ def test_refund_root_whose_bracket_end_cost_overflows(capsys):
     assert len(rows) == 3
 
 
-def _probe_scipy(argv):
-    """Exit code and the scipy modules loaded by ``main(argv)`` in a fresh interpreter."""
+def _probe(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, whether it loaded NumPy, and the scipy modules it loaded."""
     code = ("import sys; from seqlab.cli import main; code = main(sys.argv[1:]); "
-            "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
+            "print(code, 'numpy._core' in sys.modules, "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
-    code, _, modules = out.stderr.splitlines()[-1].partition(" ")
-    return int(code), modules
+    code, numpy, modules = out.stderr.splitlines()[-1].split(" ", 2)
+    return int(code), numpy == "True", modules
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -551,7 +552,38 @@ def _probe_scipy(argv):
     (["equilibrium", "--v", "2", "--cost", "power:x", "--noise", "normal:1"], 2),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_commands_that_never_sample_leave_out_scipy(argv, expected):
-    assert _probe_scipy(argv) == (expected, "[]")
+    code, _, modules = _probe(argv)
+    assert (code, modules) == (expected, "[]")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1", "--value-dist", "exp:1"], 0),
+    (["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1", "--value-dist", "lognormal:0,0.5"], 0),
+    (["optimal-c", "--cost", "timeboost:c=0.3,g=2", "--noise", "logistic:1", "--value-dist", "points:1@0.5,2@0.5"], 0),
+    (["equilibrium", "--v", "1", "--cost", "power:0.5", "--noise", "normal:1"], 2),
+    (["equilibrium", "--v", "1", "--cost", "power:2", "--noise", "gauss:1"], 2),
+    (["equilibrium", "--v", "-1", "--cost", "power:2", "--noise", "normal:1"], 2),
+    (["sweep", "--cost", "power:2", "--noise", "normal:1", "--grid", "v=3:-1:1"], 2),
+    (["simulate", "--v", "1", "--chains", "2", "--signals", "0.1,0.2,0.3"], 2),
+    (["equilibrium", "--v", "1", "--cost", "timeboost:c=0.1", "--noise", "normal:1"], 2),
+    (["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1", "--value-dist", "exp:-1"], 2),
+    (["equilibrium", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--g", "1"], 2),
+], ids=["optimal-c-exp", "optimal-c-lognormal", "optimal-c-points", "power-below-one", "unknown-noise",
+        "negative-v", "descending-grid", "three-signals-two-chains", "timeboost-without-g", "negative-exp-rate",
+        "bare-g"])
+def test_runs_without_arrays_leave_out_numpy(argv, expected):
+    # NumPy is imported on first use: a cold run that needs no array never pays for it
+    assert _probe(argv) == (expected, False, "[]")
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--v", "2", "--cost", "power:2", "--noise", "normal:1"],
+    ["sweep", "--grid", "v=0.5:0.5:2", "--cost", "power:2", "--noise", "normal:1"],
+    ["simulate", "--v", "1", "--signals", "0.5,0.5", "--trials", "1000"],
+    ["verify", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--mode", "montecarlo", "--trials", "1000"],
+], ids=lambda v: v[0])
+def test_array_commands_load_numpy_on_first_use(argv):
+    assert _probe(argv)[:2] == (0, True)
 
 
 @pytest.mark.parametrize("chains", [7, 12, 13, 32])

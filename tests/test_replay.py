@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -37,15 +40,33 @@ def run_case(case: dict, scratch: Path) -> dict:
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
 
 
-def test_every_case_replays_byte_identical(tmp_path):
-    # one test for the whole corpus: a test item per case would double its time
+def replay_moves(scratch: Path) -> dict:
+    """The fields each recorded case no longer reproduces through ``main``, by case id."""
     moved = {}
     for entry in json.loads(RECORDED.read_text(encoding="utf-8")):
-        now = run_case(entry, tmp_path)
+        now = run_case(entry, scratch)
         fields = [key for key, value in now.items() if value != entry[key]]
         if fields:
             moved[entry["id"]] = fields
+    return moved
+
+
+def test_every_case_replays_byte_identical(tmp_path):
+    # one test for the whole corpus: a test item per case would double its time
+    moved = replay_moves(tmp_path)
     assert not moved, f"{len(moved)} cases moved (case: fields): {moved}"
+
+
+def test_every_case_replays_byte_identical_with_numpy_deferred(tmp_path):
+    # this process imported NumPy before seqlab, so seqlab's np is NumPy itself; a fresh
+    # interpreter that imports seqlab first replays the corpus through the deferred module
+    code = ("import json, sys; from pathlib import Path; import seqlab; loaded = 'numpy' in sys.modules; "
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r}); from test_replay import replay_moves; "
+            "print(json.dumps([loaded, replay_moves(Path(sys.argv[1]))]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, check=True,
+                         env=env, timeout=300)
+    assert json.loads(out.stdout.splitlines()[-1]) == [False, {}]
 
 
 def test_every_json_case_is_standard_json():
