@@ -374,8 +374,11 @@ def _emit(args, result: dict) -> None:
     else:
         text = _emit_text(result, table=fmt == "table")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {args.out!r}: {exc}") from None
     else:
         sys.stdout.write(text)
 

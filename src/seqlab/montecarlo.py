@@ -42,8 +42,8 @@ chunked or scheduled: the counts are integers, and the statistics are
 computed from the final counts only. Noise is drawn per trader so that the
 per-chain races of the separate game are genuinely independent; the
 per-trader laws are chosen so the within-chain difference has exactly the
-configured law (the uniform family, which has no such decomposition, draws
-the difference directly and splits it antisymmetrically).
+configured law (the uniform family has no such decomposition: trader 1 draws
+the whole difference and trader 2's noise is 0, see ``NoiseModel.race_noise``).
 """
 
 from __future__ import annotations
@@ -99,22 +99,22 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        rows = _per_chain_signals(self.signals, self.market.n_chains)
-        object.__setattr__(self, "signals", tuple(tuple(float(s) for s in row) for row in rows))
+        # trials and seed first: the signals' checks import NumPy
         if not (_real(self.trials, int) and self.trials >= 1):
             raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
         if not (_real(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        rows = _per_chain_signals(self.signals, self.market.n_chains)
+        object.__setattr__(self, "signals", tuple(tuple(float(s) for s in row) for row in rows))
         for trader in self.signals:
             for s in trader:
                 self.cost.cost(s)  # raises DomainError outside the admissible range
         # each law is monotone in its uniform, so the least and greatest uniforms bound
         # every draw; an infinite one would race inf against -inf
-        u, noise = np.array([2.0**-54, 1.0 - 2.0**-53]), self.noise
         with np.errstate(over="ignore"):
-            draws = noise.trader_noise(u) if noise.has_trader_law else noise.quantile(u)
+            draws = self.noise.race_noise(np.array([[2.0**-54, 1.0 - 2.0**-53]] * 2))
         if not np.isfinite(draws).all():
-            raise ConfigError(f"{noise.spec} noise is too wide to sample: its draws overflow float range")
+            raise ConfigError(f"{self.noise.spec} noise is too wide to sample: its draws overflow float range")
 
 
 @dataclass(frozen=True)
@@ -236,13 +236,7 @@ def _level_chunk(hists: np.ndarray, indices: list, zero: int, noise: NoiseModel,
     ``k`` searched in ``indices[k]``. A function of its own so the chunk's
     draws are freed before the next chunk draws its own."""
     n, size = len(indices), hists.shape[2]
-    # the words go before the noise is drawn and the draws once it is: a
-    # chunk that holds them to the end peaks past the point where the
-    # allocator hands its pages back, and every chunk faults them in anew
-    draws, heads = _draws(_chunk_words(seed, start, m, n), noise)
-    mine, theirs = _noise(draws, noise)
-    del draws
-    race = _Race(mine, theirs, heads)
+    race = _Race.of(_chunk_words(seed, start, m, n), noise)
     thresholds = np.empty((n, m), dtype=np.intp)
     for k, index in enumerate(indices):
         thresholds[k] = race.thresholds(k, index)
@@ -257,42 +251,6 @@ def _level_chunk(hists: np.ndarray, indices: list, zero: int, noise: NoiseModel,
         wins[j] += np.bincount(first, minlength=size)
         if j:
             pairs[j] += np.bincount(np.maximum(thresholds[:j], first).reshape(-1), minlength=size)
-
-
-def _draws(words: np.ndarray, noise: NoiseModel):
-    """The uniforms that drive the noise and the coins (heads when the
-    tie-break draw is below 1/2) of ``words`` shaped ``(..., _SLOTS)``.
-
-    The words are converted in place, in memory order; one gather then lays
-    trader 1's and trader 2's draws (trader 1's alone for the uniform law,
-    which draws the difference) out in rows. The leading axes come reversed,
-    so a chunk's rows are per chain and contiguous over trials.
-    """
-    u = to_uniform(words).T
-    slots = u[:2] if noise.has_trader_law else u[:1]
-    return np.ascontiguousarray(slots), np.less(u[-1], 0.5, order="C")
-
-
-def _noise(draws: np.ndarray, noise: NoiseModel):
-    """Trader 1's and trader 2's noise (``None`` for the uniform law) from ``_draws``'s rows."""
-    if noise.has_trader_law:
-        mine, theirs = noise.trader_noise(draws)
-        return mine, theirs
-    return noise.quantile(draws[0]), None
-
-
-def _wins(gap, mine: np.ndarray, theirs, heads: np.ndarray) -> np.ndarray:
-    """Whether trader 1 wins each race at ``gap`` (own minus rival signal, a
-    scalar or one per race): ``(gap + a) - b > 0``, and on an exact tie the
-    coin. ``theirs`` is ``None`` when the law draws the difference."""
-    diff = gap + mine
-    if theirs is not None:
-        diff -= theirs
-    won = diff > 0.0
-    tie = diff == 0.0
-    if tie.any():
-        won[tie] = heads[tie]
-    return won
 
 
 class _GapIndex:
@@ -341,9 +299,35 @@ class _Race:
     def __init__(self, mine, theirs, heads):
         self.mine, self.theirs, self.heads = mine, theirs, heads
 
+    @classmethod
+    def of(cls, words: np.ndarray, noise: NoiseModel) -> _Race:
+        """The race of ``words`` shaped ``(trials, chains, _SLOTS)``.
+
+        The words are converted to uniforms in place, in memory order; one
+        gather then lays trader 1's and trader 2's out in rows, per chain and
+        contiguous over trials. The coin is heads when the tie-break uniform
+        is below 1/2.
+        """
+        u = to_uniform(words).T
+        draws, heads = np.ascontiguousarray(u[:2]), np.less(u[-1], 0.5, order="C")
+        # the words go before the noise is drawn and the draws once it is: a chunk that holds
+        # them peaks past the allocator's trim point, and every chunk faults them in anew
+        del words, u
+        mine, theirs = noise.race_noise(draws)
+        del draws
+        return cls(mine, theirs, heads)
+
     def wins(self, k: int, gap) -> np.ndarray:
-        """Whether trader 1 wins chain ``k`` of each trial at ``gap``."""
-        return _wins(gap, self.mine[k], None if self.theirs is None else self.theirs[k], self.heads[k])
+        """Whether trader 1 wins chain ``k`` of each trial at ``gap`` (own minus
+        rival signal, a scalar or one per trial): ``(gap + a) - b > 0``, and on
+        an exact tie the coin."""
+        diff = gap + self.mine[k]
+        diff -= self.theirs[k]
+        won = diff > 0.0
+        tie = diff == 0.0
+        if tie.any():
+            won[tie] = self.heads[k][tie]
+        return won
 
     def thresholds(self, k: int, index: _GapIndex) -> np.ndarray:
         """Per trial, the index of the first of ``index``'s gaps that wins
@@ -355,14 +339,14 @@ class _Race:
         few trials left (a gap shares the bucket, or rounding moved the win)
         go to :meth:`search`.
         """
-        key = np.negative(self.mine[k]) if self.theirs is None else self.theirs[k] - self.mine[k]
+        key = self.theirs[k] - self.mine[k]
         t = index.first[index.bucket(key)]
         del key  # before the races: a chunk whose peak passes the allocator's trim point faults anew
         won, lower = self.wins(k, index.at[t]), self.wins(k, index.below[t])
         open_ = np.flatnonzero(won == lower)  # the race is monotone: where gap t - 1 wins, gap t wins too
         if open_.size:
-            theirs = None if self.theirs is None else [self.theirs[k][open_]]
-            t[open_] = _Race([self.mine[k][open_]], theirs, [self.heads[k][open_]]).search(0, index.padded)
+            race = _Race([self.mine[k][open_]], [self.theirs[k][open_]], [self.heads[k][open_]])
+            t[open_] = race.search(0, index.padded)
         return t
 
     def search(self, k: int, gaps: np.ndarray) -> np.ndarray:
@@ -394,19 +378,16 @@ def _bin_bounds(noise: NoiseModel):
     between its values at the bin's first and last word. The computed
     transform need not be monotone in its last bits, so the bounds are
     widened by a slack far beyond its rounding, and then by one more ulp
-    for subnormal results. Trader 2's noise is 0 under the uniform law.
+    for subnormal results.
     """
     first = np.arange(1 << _K, dtype=np.uint64) << np.uint64(64 - _K)
     ends = to_uniform(np.stack([first, first | np.uint64((1 << (64 - _K)) - 1)]))
-    ends = noise.trader_noise(ends) if noise.has_trader_law else noise.quantile(ends)
-    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    ends = np.stack(noise.race_noise(np.stack([ends, ends])))  # trader, bin end, bin
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
     with np.errstate(invalid="ignore"):  # an infinite end leaves the bin open
         lo = np.nextafter(lo - (1e-9 * np.abs(lo) + 1e-12 * noise.param), -np.inf)
         hi = np.nextafter(hi + (1e-9 * np.abs(hi) + 1e-12 * noise.param), np.inf)
-    if noise.has_trader_law:
-        return lo, hi, lo, hi
-    zero = np.zeros(1 << _K)
-    return lo, hi, zero, zero
+    return lo[0], hi[0], lo[1], hi[1]
 
 
 def _decision_table(gap: float, bounds) -> np.ndarray:
@@ -443,8 +424,7 @@ class _TableRace:
         won = np.take(self.tables[gap], pairs)
         open_ = np.flatnonzero(won == _OPEN)
         if open_.size:
-            draws, heads = _draws(self.words[open_, k], self.noise)
-            won[open_] = _wins(gap, *_noise(draws, self.noise), heads)
+            won[open_] = _Race.of(self.words[open_, k:k + 1], self.noise).wins(0, gap)
         return won.view(bool)
 
 

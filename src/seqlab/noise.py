@@ -18,9 +18,10 @@ reproduces the configured difference law exactly:
   Gumbels is logistic
 * ``laplace``  per-trader Exponential(scale); the difference of two
   independent exponentials is Laplace
-* ``uniform``  no per-trader law yields a uniform difference, so the engine
-  draws the difference directly and splits it antisymmetrically, which is
-  distributionally equivalent in a two-trader race
+* ``uniform``  no per-trader law yields a uniform difference, so trader 1
+  draws the whole difference and trader 2's term is 0 (see ``race_noise``,
+  which gives both terms under every law), which is distributionally
+  equivalent in a two-trader race
 
 Sampling applies ``quantile`` (or ``trader_noise``) to the uniforms that
 :func:`seqlab.rng.to_uniform` makes of counter-based words, so draw ``i`` is
@@ -133,13 +134,10 @@ class NoiseModel:
                 out = b * logit(p)
             elif self.family == "laplace":
                 out = np.where(p < 0.5, b * np.log(2.0 * p), -b * np.log(2.0 * (1.0 - p)))
-            else:
-                out = b * (2.0 * p - 1.0)
+            else:  # scaled in place, as the race draws it on a whole chunk
+                out = 2.0 * p - 1.0
+                out *= b
         return _scalar_or_array(p, out)
-
-    @property
-    def has_trader_law(self) -> bool:
-        return self.family != "uniform"
 
     def trader_noise(self, u):
         """Per-trader noise terms from uniforms; differences have this law."""
@@ -157,6 +155,15 @@ class NoiseModel:
             out *= -self.param
             return out
         raise ParameterError("uniform noise has no per-trader decomposition; sample the difference directly")
+
+    def race_noise(self, u):
+        """Trader 1's and trader 2's noise from the uniform rows ``u[0]`` and ``u[1]``: the
+        uniform law gives trader 1 the whole difference and trader 2 a zero that allocates
+        nothing, and never reads ``u[1]``; the others transform both rows in one call."""
+        if self.family == "uniform":
+            mine = self.quantile(u[0])
+            return mine, np.broadcast_to(0.0, np.shape(mine))
+        return tuple(self.trader_noise(u))
 
 
 def parse_noise(text: str) -> NoiseModel:

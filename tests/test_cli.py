@@ -118,6 +118,14 @@ def test_json_round_trip_through_config(capsys, tmp_path):
     assert (tmp_path / "again.json").read_text() == first
 
 
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_unwritable_out_is_config_error(target, capsys, tmp_path):
+    path = tmp_path / "missing" / "run.json" if target == "missing-directory" else tmp_path
+    code, out, err = _run(capsys, EQ_ARGS + ["--format", "json", "--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("seqlab: config error: cannot write output file")
+
+
 def test_flat_config_file(capsys, tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
@@ -568,9 +576,11 @@ def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     (["equilibrium", "--v", "1", "--cost", "timeboost:c=0.1", "--noise", "normal:1"], 2),
     (["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1", "--value-dist", "exp:-1"], 2),
     (["equilibrium", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--g", "1"], 2),
+    (["simulate", "--v", "1", "--signals", "0.5,0.5", "--trials", "0"], 2),
+    (["simulate", "--v", "1", "--signals", "0.5,0.5", "--seed", "-1"], 2),
 ], ids=["optimal-c-exp", "optimal-c-lognormal", "optimal-c-points", "power-below-one", "unknown-noise",
         "negative-v", "descending-grid", "three-signals-two-chains", "timeboost-without-g", "negative-exp-rate",
-        "bare-g"])
+        "bare-g", "simulate-zero-trials", "simulate-negative-seed"])
 def test_runs_without_arrays_leave_out_numpy(argv, expected):
     # NumPy is imported on first use: a cold run that needs no array never pays for it
     assert _probe(argv) == (expected, False, "[]")

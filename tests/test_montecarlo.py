@@ -602,7 +602,7 @@ def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
         u = uniform_stream(seed, start * 3 * n, m * 3 * n).reshape(m, n, 3)
-        if noise.has_trader_law:
+        if noise.family != "uniform":
             mine = np.ascontiguousarray(noise.trader_noise(u[:, :, 0]).T)
             theirs = np.ascontiguousarray(noise.trader_noise(u[:, :, 1]).T)
         else:
@@ -687,7 +687,7 @@ def test_tally_equals_per_profile_race_at_rounding_boundaries(noise, monkeypatch
     searched = _spy_on_search(monkeypatch)
     n, trials, seed = 2, 3_000, 11
     u = uniform_stream(seed, 0, trials * 3 * n).reshape(trials, n, 3)
-    if noise.has_trader_law:
+    if noise.family != "uniform":
         mine, theirs = noise.trader_noise(u[:, :, 0]), noise.trader_noise(u[:, :, 1])
     else:
         mine, theirs = noise.quantile(u[:, :, 0]), np.zeros((trials, n))
@@ -721,17 +721,17 @@ _BIN_SHIFT = np.uint64(64 - mc._K)
 def _exact_noise(noise, words):
     """Each word's noise as the race computes it: the law's transform of its uniform."""
     u = to_uniform(np.array(words, dtype=np.uint64))
-    return noise.trader_noise(u) if noise.has_trader_law else noise.quantile(u)
+    return noise.trader_noise(u) if noise.family != "uniform" else noise.quantile(u)
 
 
 def _assert_bounds_hold(noise, words):
     lo_a, hi_a, lo_b, hi_b = mc._bin_bounds(noise)
     x, bins = _exact_noise(noise, words), np.array(words, dtype=np.uint64) >> _BIN_SHIFT
     assert np.all(lo_a[bins] <= x) and np.all(x <= hi_a[bins]), noise.spec
-    if noise.has_trader_law:
+    if noise.family != "uniform":
         assert np.array_equal(lo_b, lo_a) and np.array_equal(hi_b, hi_a)
-    else:  # the difference is drawn directly: trader 2's noise is 0
-        assert not np.any(lo_b) and not np.any(hi_b)
+    else:  # the difference is drawn directly: trader 2's noise is 0, inside its bounds' slack
+        assert np.all(lo_b < 0.0) and np.all(hi_b > 0.0)
 
 
 @pytest.mark.parametrize("noise", EXTREME_NOISES, ids=lambda m: m.spec)
@@ -764,7 +764,7 @@ def _scalar_gaps(noise, n, trials, seed):
     """Gaps 0, gaps beyond every table's range, and fl(b - a) of chosen races
     with their float neighbours, where races tie and the tables leave them open."""
     u = uniform_stream(seed, 0, trials * 3 * n).reshape(trials, n, 3)
-    if noise.has_trader_law:
+    if noise.family != "uniform":
         mine, theirs = noise.trader_noise(u[:, :, 0]), noise.trader_noise(u[:, :, 1])
     else:
         mine, theirs = noise.quantile(u[:, :, 0]), np.zeros((trials, n))
@@ -821,9 +821,7 @@ def _spy_on_search(monkeypatch):
 
 def _first_winning_gap(gaps, mine, theirs, heads):
     """Per trial, the index of the first of ``gaps`` that wins, raced at every gap."""
-    diff = gaps[:, None] + mine
-    if theirs is not None:
-        diff -= theirs
+    diff = (gaps[:, None] + mine) - theirs
     won = (diff > 0.0) | ((diff == 0.0) & heads)
     return np.where(won.any(axis=0), np.argmax(won, axis=0), len(gaps))
 
@@ -832,7 +830,7 @@ def _assert_thresholds_are_the_first_winning_gap(gaps, mine, theirs, heads):
     race, index = mc._Race(mine, theirs, heads), mc._GapIndex(gaps)
     with np.errstate(invalid="raise", over="ignore"):  # bucketing makes no NaN and casts no infinity
         for k in range(len(mine)):
-            expected = _first_winning_gap(gaps, mine[k], None if theirs is None else theirs[k], heads[k])
+            expected = _first_winning_gap(gaps, mine[k], theirs[k], heads[k])
             assert np.array_equal(race.thresholds(k, index), expected)
 
 
@@ -851,13 +849,13 @@ FRAGILE_AXES = {
 @pytest.mark.parametrize("noise", EXTREME_NOISES, ids=lambda m: m.spec)
 def test_gap_index_thresholds_are_the_first_winning_gap(noise, axis):
     n, trials = 2, 1_500
-    draws, heads = mc._draws(mc._chunk_words(29, 0, trials, n), noise)
-    mine, theirs = mc._noise(draws, noise)
+    race = mc._Race.of(mc._chunk_words(29, 0, trials, n), noise)
+    mine, theirs, heads = race.mine, race.theirs, race.heads
     gaps = np.unique(FRAGILE_AXES[axis])
     _assert_thresholds_are_the_first_winning_gap(gaps, mine, theirs, heads)
     # and runs of consecutive floats about some keys: where a's ulp dwarfs the key's, several
     # gaps about a key tie by rounding and the coin decides them
-    keys = (-mine[0] if theirs is None else theirs[0] - mine[0])[::50]
+    keys = (theirs[0] - mine[0])[::50]
     run, up, down = [keys], keys, keys
     for _ in range(12):
         up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)

@@ -127,7 +127,7 @@ def test_sampling_is_deterministic():
     assert np.array_equal(tail, a[600:])
 
 
-@pytest.mark.parametrize("model", [m for m in MODELS if m.has_trader_law], ids=lambda m: m.spec)
+@pytest.mark.parametrize("model", [m for m in MODELS if m.family != "uniform"], ids=lambda m: m.spec)
 def test_trader_noise_difference_has_configured_law(model):
     u = uniform_stream(99, 0, 2 * 10**5).reshape(-1, 2)
     diffs = np.sort(model.trader_noise(u[:, 0]) - model.trader_noise(u[:, 1]))
@@ -142,9 +142,28 @@ def test_trader_noise_difference_has_configured_law(model):
 
 def test_uniform_has_no_trader_law():
     model = NoiseModel("uniform", 2.0)
-    assert not model.has_trader_law
+    mine, theirs = model.race_noise(np.array([[0.25, 0.75], [0.5, 0.5]]))
+    assert mine.tolist() == [-1.0, 1.0] and theirs.tolist() == [0.0, 0.0]
     with pytest.raises(ParameterError):
         model.trader_noise(np.array([0.5]))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_race_noise_gives_both_traders_terms(family):
+    model = NoiseModel(family, 0.7)
+    u = uniform_stream(17, 0, 2 * 3 * 500).reshape(2, 3, 500)
+    mine, theirs = model.race_noise(u)
+    assert mine.shape == theirs.shape == (3, 500)
+    if family != "uniform":
+        # bit for bit the transform of each row on its own
+        assert np.array_equal(mine, model.trader_noise(u[0])) and np.array_equal(theirs, model.trader_noise(u[1]))
+        return
+    # the whole difference goes to trader 1; trader 2's zero allocates nothing and u[1] is never read
+    assert np.array_equal(mine, model.quantile(u[0]))
+    assert not theirs.any() and not np.signbit(theirs).any() and theirs.strides == (0, 0)
+    u[1] = np.nan
+    again, zero = model.race_noise(u)
+    assert np.array_equal(again, mine) and not zero.any() and not np.signbit(zero).any()
 
 
 @given(

@@ -7,6 +7,7 @@ when it was recorded by ``tests/replay/record.py``.
 
 from __future__ import annotations
 
+import importlib.util
 import io
 import json
 import os
@@ -67,6 +68,23 @@ def test_every_case_replays_byte_identical_with_numpy_deferred(tmp_path):
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, check=True,
                          env=env, timeout=300)
     assert json.loads(out.stdout.splitlines()[-1]) == [False, {}]
+
+
+def test_recorder_and_corpus_list_the_same_cases():
+    # runs no command: a case added to the recorder but never recorded shows here
+    spec = importlib.util.spec_from_file_location("record", RECORDED.parent / "record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    entries = json.loads(RECORDED.read_text(encoding="utf-8"))
+    base = [(entry["id"], entry["argv"], entry["config"]) for entry in entries if not entry["id"].endswith("@config")]
+    assert base == [(name, argv, config) for name, argv, config in record._cases()]
+    # every run that prints JSON is followed by its --config replay, whose config text is that JSON
+    runs = [(entry, after) for entry, after in zip(entries, entries[1:] + [None])
+            if not entry["id"].endswith("@config") and entry["exit"] == 0 and entry["stdout"].startswith("{")]
+    for entry, replay in runs:
+        assert replay is not None and replay["id"] == f"{entry['id']}@config", entry["id"]
+        assert (replay["argv"], replay["config"]) == (["--config", "{config}"], entry["stdout"]), entry["id"]
+    assert len(runs) == len(entries) - len(base)  # and no replay of anything else
 
 
 def test_every_json_case_is_standard_json():
