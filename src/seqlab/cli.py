@@ -290,6 +290,8 @@ def _run_verify(args) -> dict:
     market = MarketConfig(args.v, args.chains, args.alpha)
     cost = _resolve_cost(args)
     noise = parse_noise(args.noise)
+    if args.mode == "montecarlo":  # before the candidate's solve loads NumPy
+        montecarlo.check_draws(args.trials, args.seed)
     candidate = solve_equilibrium(market, cost, noise)
     check = montecarlo.verify_best_response(
         candidate, market, cost, noise, mode=args.mode, trials=args.trials, seed=args.seed,

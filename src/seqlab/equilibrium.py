@@ -215,9 +215,10 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
     its own at the float bisection of ``[0, upper]`` ends on, so every point
     comes out as it would alone.
     """
-    f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
-    if np.count_nonzero((alpha != 1.0) & (n > 2)):
+    refused = (alpha != 1.0) & (n > 2)  # a bool for one market, which needs no NumPy to refuse
+    if refused if isinstance(refused, bool) else refused.any():
         raise ParameterError("refund equilibria are available for 1 or 2 chains only")
+    f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
     marginal = _stake(f0, v, n)
     upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + alpha))
     refund = (alpha != 1.0) & ~corner

@@ -87,6 +87,14 @@ def _per_chain_signals(signals, n_chains: int) -> tuple[tuple, tuple]:
     return out[0], out[1]
 
 
+def check_draws(trials, seed) -> None:
+    """Refuse a trial count or a seed that no simulation can draw, with no NumPy."""
+    if not (_real(trials, int) and trials >= 1):
+        raise ConfigError(f"trials must be a positive integer, got {trials!r}")
+    if not (_real(seed, int) and 0 <= seed < 2**64):
+        raise ConfigError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """One reproducible simulation: who plays what, where, and for how long."""
@@ -99,11 +107,7 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # trials and seed first: the signals' checks import NumPy
-        if not (_real(self.trials, int) and self.trials >= 1):
-            raise ConfigError(f"trials must be a positive integer, got {self.trials!r}")
-        if not (_real(self.seed, int) and 0 <= self.seed < 2**64):
-            raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_draws(self.trials, self.seed)  # first: the signals' checks import NumPy
         rows = _per_chain_signals(self.signals, self.market.n_chains)
         object.__setattr__(self, "signals", tuple(tuple(float(s) for s in row) for row in rows))
         for trader in self.signals:

@@ -32,10 +32,14 @@ noise of all words that share a top byte lies between the transform of the
 first and the last of them, and only the races those bounds leave open are
 transformed.
 
-``scipy.special`` is imported on first use, by the normal and logistic
-methods that need it, so solving, comparing and sweeping never load SciPy.
-NumPy is imported on first use too, through ``seqlab._np``, so parsing a
-noise spec loads neither.
+Densities and CDFs need only ``math`` and NumPy: the normal CDF is
+``erfc`` of each value, and the logistic laws are formed from
+``exp(-|z|)``, so neither tail cancels. ``scipy.special`` is imported on
+first use by the normal ``quantile`` and ``trader_noise`` and the logistic
+``quantile``, for ``ndtri`` and ``logit``. So only sampling under normal
+noise loads it (logistic sampling draws Gumbel terms with NumPy), and no
+analytic command does. NumPy is imported on first use too, through
+``seqlab._np``, so parsing a noise spec loads neither.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from dataclasses import dataclass
 from ._np import np
 from .errors import ConfigError, ParameterError
 
+_SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 FAMILIES = ("normal", "logistic", "laplace", "uniform")
@@ -94,9 +99,9 @@ class NoiseModel:
         if self.family == "normal":
             out = np.exp(-0.5 * (x / b) ** 2) / (_SQRT_2PI * b)
         elif self.family == "logistic":
-            from scipy.special import expit
-            p = expit(x / b)
-            out = p * (1.0 - p) / b
+            e = np.exp(-np.abs(x / b))
+            tail = e / (1.0 + e)  # F(-|x|): the density is F(x)(1 - F(x))/b, from the tail's side
+            out = tail * (1.0 - tail) / b
         elif self.family == "laplace":
             out = np.exp(-np.abs(x) / b) / (2.0 * b)
         else:
@@ -107,11 +112,13 @@ class NoiseModel:
         x = np.asarray(x, dtype=float)
         b = self.param
         if self.family == "normal":
-            from scipy.special import ndtr
-            out = ndtr(x / b)
+            # erfc keeps the lower tail's relative accuracy, where 1 - erf would cancel
+            z = (x / b).reshape(-1) / -_SQRT_2
+            out = 0.5 * np.fromiter(map(math.erfc, z.tolist()), float, z.size).reshape(x.shape)
         elif self.family == "logistic":
-            from scipy.special import expit
-            out = expit(x / b)
+            z = x / b
+            e = np.exp(-np.abs(z))  # at most 1, so it never overflows
+            out = np.where(z < 0.0, e, 1.0) / (1.0 + e)
         elif self.family == "laplace":
             out = np.where(
                 x < 0,
@@ -145,7 +152,7 @@ class NoiseModel:
         if self.family == "normal":
             from scipy.special import ndtri
             out = ndtri(u)
-            out *= self.param / math.sqrt(2.0)
+            out *= self.param / _SQRT_2
             return out
         if self.family in ("logistic", "laplace"):
             out = np.log(u)

@@ -31,11 +31,6 @@ def raw_words(seed: int, start: int, count: int) -> np.ndarray:
     return gen.random_raw(rem + count)[rem:]
 
 
-def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniform draws on the open interval (0, 1), one per word index."""
-    return to_uniform(raw_words(seed, start, count))
-
-
 def to_uniform(words: np.ndarray) -> np.ndarray:
     """The uniform on (0, 1) of each 64-bit word, written over the words.
 

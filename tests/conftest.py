@@ -1,6 +1,13 @@
 import numpy as np
 import pytest
 
+from seqlab.rng import raw_words, to_uniform
+
+
+def uniforms(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform draws ``[start, start + count)`` of the stream keyed by ``seed``, as sampling makes them."""
+    return to_uniform(raw_words(seed, start, count))
+
 
 def _lockstep_bisect(f, lo, hi):
     """Per point, the float ``bisect_root(f, lo, hi)`` returns, by the same halving on arrays in lockstep.

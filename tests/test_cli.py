@@ -558,10 +558,24 @@ def _probe(argv):
     (["sweep", "--grid", "v=0.5:0.5:2", "--alpha", "0.5", "--cost", "power:2", "--noise", "normal:1"], 0),
     (["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1", "--value-dist", "exp:1"], 0),
     (["equilibrium", "--v", "2", "--cost", "power:x", "--noise", "normal:1"], 2),
+    # analytic verify evaluates the normal and logistic CDFs with math and NumPy alone
+    (["verify", "--v", "2", "--cost", "power:2", "--noise", "normal:1"], 0),
+    (["verify", "--v", "2", "--chains", "2", "--cost", "power:2", "--noise", "logistic:1"], 0),
+    (["verify", "--v", "2", "--chains", "3", "--cost", "power:2", "--cap", "0.05", "--noise", "normal:1"], 0),
+    (["verify", "--v", "2", "--chains", "2", "--alpha", "0.5", "--cost", "power:2", "--noise", "normal:1"], 0),
+    (["verify", "--v", "2", "--chains", "2", "--cost", "timeboost:c=0.25,g=1", "--noise", "laplace:1"], 0),
+    (["verify", "--v", "2", "--cost", "power:2", "--noise", "uniform:1"], 0),
 ], ids=lambda v: v[0] if isinstance(v, list) else None)
 def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     code, _, modules = _probe(argv)
     assert (code, modules) == (expected, "[]")
+
+
+def test_montecarlo_verify_under_normal_noise_loads_scipy_special():
+    # sampling normal noise takes its quantiles from scipy.special's ndtri
+    code, _, modules = _probe(["verify", "--v", "2", "--cost", "power:2", "--noise", "normal:1",
+                               "--mode", "montecarlo", "--trials", "1000"])
+    assert code == 0 and "'scipy.special'" in modules
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -578,9 +592,12 @@ def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     (["equilibrium", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--g", "1"], 2),
     (["simulate", "--v", "1", "--signals", "0.5,0.5", "--trials", "0"], 2),
     (["simulate", "--v", "1", "--signals", "0.5,0.5", "--seed", "-1"], 2),
+    (["verify", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--mode", "montecarlo", "--trials", "0"], 2),
+    (["equilibrium", "--v", "1", "--chains", "3", "--alpha", "0.5", "--cost", "power:2", "--noise", "normal:1"], 2),
 ], ids=["optimal-c-exp", "optimal-c-lognormal", "optimal-c-points", "power-below-one", "unknown-noise",
         "negative-v", "descending-grid", "three-signals-two-chains", "timeboost-without-g", "negative-exp-rate",
-        "bare-g", "simulate-zero-trials", "simulate-negative-seed"])
+        "bare-g", "simulate-zero-trials", "simulate-negative-seed", "verify-montecarlo-zero-trials",
+        "refund-three-chains"])
 def test_runs_without_arrays_leave_out_numpy(argv, expected):
     # NumPy is imported on first use: a cold run that needs no array never pays for it
     assert _probe(argv) == (expected, False, "[]")

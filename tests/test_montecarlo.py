@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import uniforms
+
 import seqlab.montecarlo as mc
 from seqlab.cost import CostModel
 from seqlab.equilibrium import MarketConfig, Regime, solve_equilibrium
@@ -21,7 +23,7 @@ from seqlab.montecarlo import (
     verify_best_response,
 )
 from seqlab.noise import NoiseModel
-from seqlab.rng import to_uniform, uniform_stream
+from seqlab.rng import to_uniform
 
 SIGMA_UNIT_F0 = 1.0 / math.sqrt(2.0 * math.pi)
 UNIT_NOISE = NoiseModel("normal", SIGMA_UNIT_F0)
@@ -601,7 +603,7 @@ def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 
     joint = np.zeros((n, n, profiles), dtype=np.int64)
     for start in range(0, trials, chunk):
         m = min(chunk, trials - start)
-        u = uniform_stream(seed, start * 3 * n, m * 3 * n).reshape(m, n, 3)
+        u = uniforms(seed, start * 3 * n, m * 3 * n).reshape(m, n, 3)
         if noise.family != "uniform":
             mine = np.ascontiguousarray(noise.trader_noise(u[:, :, 0]).T)
             theirs = np.ascontiguousarray(noise.trader_noise(u[:, :, 1]).T)
@@ -686,7 +688,7 @@ def test_tally_equals_per_profile_race_at_rounding_boundaries(noise, monkeypatch
     # neighbours: the threshold search meets rounding boundaries and exact ties
     searched = _spy_on_search(monkeypatch)
     n, trials, seed = 2, 3_000, 11
-    u = uniform_stream(seed, 0, trials * 3 * n).reshape(trials, n, 3)
+    u = uniforms(seed, 0, trials * 3 * n).reshape(trials, n, 3)
     if noise.family != "uniform":
         mine, theirs = noise.trader_noise(u[:, :, 0]), noise.trader_noise(u[:, :, 1])
     else:
@@ -763,7 +765,7 @@ def test_noise_of_the_top_and_bottom_words_is_finite_without_warnings():
 def _scalar_gaps(noise, n, trials, seed):
     """Gaps 0, gaps beyond every table's range, and fl(b - a) of chosen races
     with their float neighbours, where races tie and the tables leave them open."""
-    u = uniform_stream(seed, 0, trials * 3 * n).reshape(trials, n, 3)
+    u = uniforms(seed, 0, trials * 3 * n).reshape(trials, n, 3)
     if noise.family != "uniform":
         mine, theirs = noise.trader_noise(u[:, :, 0]), noise.trader_noise(u[:, :, 1])
     else:

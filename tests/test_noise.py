@@ -1,20 +1,22 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import expit, logit, ndtr, ndtri
+from scipy.special import logit, ndtri
+
+from conftest import uniforms
 
 from seqlab.errors import ConfigError, ParameterError
 from seqlab.noise import FAMILIES, NoiseModel, parse_noise
-from seqlab.rng import uniform_stream
 
 
 def _draws(model, seed, count, start=0):
     """Difference-law draws at stream indices ``[start, start + count)``."""
-    return model.quantile(uniform_stream(seed, start, count))
+    return model.quantile(uniforms(seed, start, count))
 
 
 # one representative parameter per family, used by the invariant tests
@@ -36,21 +38,54 @@ PHI_AT_1 = 0.8413447460685429
 @pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
 def test_normal_and_logistic_evaluate_scipy_special_bit_for_bit(b):
     normal, logistic = NoiseModel("normal", b), NoiseModel("logistic", b)
-    x = np.concatenate([np.linspace(-50.0, 50.0, 4001) * b, [-1e300, -1e-300, 0.0, 1e-300, 1e300]])
-    u = np.concatenate([uniform_stream(7, 0, 4096), [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
+    u = np.concatenate([uniforms(7, 0, 4096), [0.0, 1e-300, 0.5, 1.0 - 2.0**-53, 1.0]])
     with np.errstate(all="ignore"):  # the edges reach the infinite tails
-        p = expit(x / b)
         cases = [
-            (normal.cdf, x, ndtr(x / b)),
             (normal.quantile, u, b * ndtri(u)),
             (normal.trader_noise, u, ndtri(u) * (b / math.sqrt(2.0))),
-            (logistic.pdf, x, p * (1.0 - p) / b),
-            (logistic.cdf, x, p),
             (logistic.quantile, u, b * logit(u)),
         ]
         for method, arg, expected in cases:
             assert np.array_equal(method(arg), expected), method
             assert all(method(a) == e for a, e in zip(arg[::97].tolist(), expected[::97].tolist())), method
+
+
+def _ulps(got, exact):
+    """Each float's distance from its 50-digit value, in units of the float spacing there, and that value."""
+    nearest = np.array([float(e) for e in exact])
+    error = np.array([float(abs(g - e)) for g, e in zip(got.tolist(), exact)])
+    return error / np.spacing(nearest), error, nearest
+
+
+@pytest.mark.parametrize("b", [0.3, 1.0, 2.5])
+def test_normal_and_logistic_cdf_and_pdf_against_a_50_digit_oracle(b):
+    # The oracle takes the float x / b each method forms, so the bounds measure the law's own
+    # evaluation. On these points scipy.special's ndtr is off by up to 2, 108 ulps and a
+    # relative 2.1e-13 in the three normal bands, and returns 0 below -37.5 where the CDF is
+    # a subnormal; expit is off by up to 1.8 ulps, and expit's p*(1-p)/b density by up to 3.3
+    # below z = -1 and by all its digits above z = 1, where p rounds towards 1.
+    normal, logistic = NoiseModel("normal", b), NoiseModel("logistic", b)
+    x = np.concatenate([np.linspace(-50.0, 50.0, 4001) * b, [-1e300, -1e-300, 0.0, 1e-300, 1e300]])
+    z = x / b
+    with mpmath.workdps(50):
+        clipped = [mpmath.mpf(min(max(t, -1000.0), 1000.0)) for t in z.tolist()]  # beyond, every value is a limit
+        phi = [mpmath.ncdf(t) for t in clipped]
+        tail = [1 / (1 + mpmath.exp(abs(t))) for t in clipped]  # the logistic CDF at -|z|
+        sigmoid = [s if t < 0 else 1 - s for s, t in zip(tail, clipped)]
+        density = [s * (1 - s) / b for s in tail]
+        (normal_ulps, normal_error, exact), (cdf_ulps, _, _), (pdf_ulps, _, _) = (
+            _ulps(got, want) for got, want in
+            [(normal.cdf(x), phi), (logistic.cdf(x), sigmoid), (logistic.pdf(x), density)])
+    assert normal_ulps[z >= -1.0].max() <= 2.0
+    assert normal_ulps[(-10.0 <= z) & (z < -1.0)].max() <= 102.0
+    # relative from -10 down, where the tail below -37.5 is subnormal: one step of rounding more
+    far = z < -10.0
+    assert (normal_error[far] <= 1.9e-13 * exact[far] + 2.0**-1074).all()
+    assert cdf_ulps.max() <= 2.0
+    assert pdf_ulps[np.abs(z) <= 1.0].max() <= 2.0 and pdf_ulps.max() <= 4.0
+    assert normal.cdf(-1e300) == logistic.cdf(-1e300) == 0.0 and normal.cdf(1e300) == logistic.cdf(1e300) == 1.0
+    for method in (normal.cdf, logistic.cdf, logistic.pdf):  # a scalar takes the arrays' path
+        assert all(method(a) == e for a, e in zip(x[::97].tolist(), method(x)[::97].tolist())), method
 
 
 def test_density_at_zero_examples():
@@ -129,7 +164,7 @@ def test_sampling_is_deterministic():
 
 @pytest.mark.parametrize("model", [m for m in MODELS if m.family != "uniform"], ids=lambda m: m.spec)
 def test_trader_noise_difference_has_configured_law(model):
-    u = uniform_stream(99, 0, 2 * 10**5).reshape(-1, 2)
+    u = uniforms(99, 0, 2 * 10**5).reshape(-1, 2)
     diffs = np.sort(model.trader_noise(u[:, 0]) - model.trader_noise(u[:, 1]))
     n = len(diffs)
     analytic = model.cdf(diffs)
@@ -151,7 +186,7 @@ def test_uniform_has_no_trader_law():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_race_noise_gives_both_traders_terms(family):
     model = NoiseModel(family, 0.7)
-    u = uniform_stream(17, 0, 2 * 3 * 500).reshape(2, 3, 500)
+    u = uniforms(17, 0, 2 * 3 * 500).reshape(2, 3, 500)
     mine, theirs = model.race_noise(u)
     assert mine.shape == theirs.shape == (3, 500)
     if family != "uniform":
