@@ -361,16 +361,15 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
     baseline = (v, cost.beta, cost.c, cost.g, noise.param, alpha, chains, cost.cap)
     grid = {name: axes.get(name, [base]) for name, base in zip(SWEEP_AXES, baseline)}
     size = math.prod(len(values) for values in grid.values())
-    # each point's index along each axis, in product order
-    position = dict(zip(grid, np.unravel_index(np.arange(size), [len(values) for values in grid.values()])))
 
+    # the cost models, noise laws and markets are checked before NumPy loads, so a bad value needs none
     cost_axes = ("beta", "c", "g", "cap")
     models: dict = {}  # distinct cost model -> group number, in order of first use
-    group = np.array([
+    groups = [
         models.setdefault(replace(cost, **{k: x for k, x in zip(cost_axes, combo) if k in axes}), len(models))
         for combo in itertools.product(*(grid[k] for k in cost_axes))
-    ])[np.ravel_multi_index([position[k] for k in cost_axes], [len(grid[k]) for k in cost_axes])]
-    f0 = np.array([replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]])[position["sigma"]]
+    ]
+    densities = [replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]]
     # the market checks, once per axis from its value types and extremes; only an axis
     # that fails is checked value by value, to raise MarketConfig's error for the first bad one
     counts, values, fractions = grid["chains"], grid["v"], grid["alpha"]
@@ -385,6 +384,10 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
             MarketConfig(value)
         for fraction in fractions:
             MarketConfig(1.0, 1, fraction)
+    # each point's index along each axis, in product order
+    position = dict(zip(grid, np.unravel_index(np.arange(size), [len(values) for values in grid.values()])))
+    group = np.array(groups)[np.ravel_multi_index([position[k] for k in cost_axes], [len(grid[k]) for k in cost_axes])]
+    f0 = np.array(densities)[position["sigma"]]
     v_at, alpha_at = (np.asarray(grid[k], dtype=float)[position[k]] for k in ("v", "alpha"))
     n_at = np.asarray(counts, dtype=float).astype(np.int64)[position["chains"]]
 

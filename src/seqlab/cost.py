@@ -81,16 +81,17 @@ class CostModel:
         return hi if self.cap is None else min(hi, self.cap)
 
     def _checked(self, formula, s):
-        s_arr = np.asarray(s, dtype=float)
-        if s_arr.size:  # the extremes decide every check; a NaN makes both NaN
-            lo, hi = s_arr.min(), s_arr.max()
+        number = isinstance(s, (int, float))  # checked with no NumPy, so a bad number is refused before it loads
+        s_arr = s if number else np.asarray(s, dtype=float)
+        if number or s_arr.size:  # the extremes decide every check; a NaN makes both NaN
+            lo, hi = (s, s) if number else (s_arr.min(), s_arr.max())
             if not (lo >= 0.0 and hi < math.inf):
                 raise DomainError("signal must be a finite non-negative real")
             if self.family == "timeboost" and hi >= self.g:
                 raise DomainError(f"timeboost signal must lie strictly below g={self.g}")
             if self.cap is not None and hi > self.cap:
                 raise DomainError(f"signal exceeds the cap {self.cap}")
-        out = formula(s_arr)
+        out = formula(np.asarray(s_arr, dtype=float))
         return float(out) if np.ndim(s) == 0 else out
 
     def cost(self, s):

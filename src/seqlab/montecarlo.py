@@ -77,7 +77,7 @@ def _per_chain_signals(signals, n_chains: int) -> tuple[tuple, tuple]:
         raise ConfigError(f"expected signals for exactly 2 traders, got {len(signals)}")
     out = []
     for trader in signals:
-        if isinstance(trader, (tuple, list)) or np.ndim(trader) > 0:
+        if isinstance(trader, (tuple, list)) or not isinstance(trader, (int, float)) and np.ndim(trader) > 0:
             row = tuple(trader)
             if len(row) != n_chains:
                 raise ConfigError(f"expected {n_chains} per-chain signals, got {len(row)}")
@@ -107,7 +107,7 @@ class SimulationSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_draws(self.trials, self.seed)  # first: the signals' checks import NumPy
+        check_draws(self.trials, self.seed)
         rows = _per_chain_signals(self.signals, self.market.n_chains)
         object.__setattr__(self, "signals", tuple(tuple(float(s) for s in row) for row in rows))
         for trader in self.signals:

@@ -571,11 +571,14 @@ def test_commands_that_never_sample_leave_out_scipy(argv, expected):
     assert (code, modules) == (expected, "[]")
 
 
-def test_montecarlo_verify_under_normal_noise_loads_scipy_special():
-    # sampling normal noise takes its quantiles from scipy.special's ndtri
-    code, _, modules = _probe(["verify", "--v", "2", "--cost", "power:2", "--noise", "normal:1",
-                               "--mode", "montecarlo", "--trials", "1000"])
-    assert code == 0 and "'scipy.special'" in modules
+@pytest.mark.parametrize("law", ["normal:1", "logistic:1", "laplace:1", "uniform:1"])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--v", "1", "--chains", "2", "--signals", "0.5,0.5", "--trials", "1000"],
+    ["verify", "--v", "2", "--chains", "2", "--cost", "power:2", "--mode", "montecarlo", "--trials", "1000"],
+], ids=lambda v: v[0])
+def test_sampling_under_every_law_leaves_out_scipy(argv, law):
+    # the normal quantile is AS241 in NumPy and the logistic one a NumPy logit, so no sampling loads SciPy
+    assert _probe([*argv, "--noise", law]) == (0, True, "[]")
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -594,10 +597,16 @@ def test_montecarlo_verify_under_normal_noise_loads_scipy_special():
     (["simulate", "--v", "1", "--signals", "0.5,0.5", "--seed", "-1"], 2),
     (["verify", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--mode", "montecarlo", "--trials", "0"], 2),
     (["equilibrium", "--v", "1", "--chains", "3", "--alpha", "0.5", "--cost", "power:2", "--noise", "normal:1"], 2),
+    (["simulate", "--v", "1", "--signals", "nan,0.5"], 2),
+    (["simulate", "--v", "1", "--signals", "inf,0.5"], 2),
+    (["sweep", "--grid", "v=-1:1:2", "--cost", "power:2", "--noise", "normal:1"], 2),
+    (["sweep", "--grid", "sigma=0:1:2", "--cost", "power:2", "--noise", "normal:1"], 2),
+    (["sweep", "--grid", "chains=0:1:2", "--cost", "power:2", "--noise", "normal:1"], 2),
 ], ids=["optimal-c-exp", "optimal-c-lognormal", "optimal-c-points", "power-below-one", "unknown-noise",
         "negative-v", "descending-grid", "three-signals-two-chains", "timeboost-without-g", "negative-exp-rate",
         "bare-g", "simulate-zero-trials", "simulate-negative-seed", "verify-montecarlo-zero-trials",
-        "refund-three-chains"])
+        "refund-three-chains", "simulate-nan-signal", "simulate-infinite-signal", "sweep-negative-v",
+        "sweep-zero-sigma", "sweep-zero-chains"])
 def test_runs_without_arrays_leave_out_numpy(argv, expected):
     # NumPy is imported on first use: a cold run that needs no array never pays for it
     assert _probe(argv) == (expected, False, "[]")

@@ -60,14 +60,16 @@ def test_every_case_replays_byte_identical(tmp_path):
 
 def test_every_case_replays_byte_identical_with_numpy_deferred(tmp_path):
     # this process imported NumPy before seqlab, so seqlab's np is NumPy itself; a fresh
-    # interpreter that imports seqlab first replays the corpus through the deferred module
+    # interpreter that imports seqlab first replays the corpus through the deferred module,
+    # and every command of the corpus, sampling ones included, leaves SciPy unloaded
     code = ("import json, sys; from pathlib import Path; import seqlab; loaded = 'numpy' in sys.modules; "
             f"sys.path.insert(0, {str(Path(__file__).parent)!r}); from test_replay import replay_moves; "
-            "print(json.dumps([loaded, replay_moves(Path(sys.argv[1]))]))")
+            "moved = replay_moves(Path(sys.argv[1])); "
+            "print(json.dumps([loaded, moved, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True, check=True,
                          env=env, timeout=300)
-    assert json.loads(out.stdout.splitlines()[-1]) == [False, {}]
+    assert json.loads(out.stdout.splitlines()[-1]) == [False, {}, []]
 
 
 def test_recorder_and_corpus_list_the_same_cases():
