@@ -169,8 +169,10 @@ def _merge_config(args: argparse.Namespace, params: dict) -> None:
                 value = [value]
             if not all(isinstance(part, str) for part in (value if attr == "grid" else [value])):
                 raise ConfigError(f"config key {key!r} needs a string, got {json.dumps(value)}")
-            if attr == "format" and value not in _FORMATS:
-                raise ConfigError(f"config key 'format' needs one of {', '.join(_FORMATS)}, got {value!r}")
+            if attr in ("format", "mode"):  # the choices argparse checks on the command line
+                choices = _FORMATS if attr == "format" else _MODES[args.command][0]
+                if value not in choices:
+                    raise ConfigError(f"config key {attr!r} needs one of {', '.join(choices)}, got {value!r}")
         setattr(args, attr, value)
 
 

@@ -8,10 +8,12 @@ unilateral deviations against common random numbers. Nothing here reuses
 the solvers' algebra beyond the cost function itself, so the estimates are
 an independent check on the closed forms.
 
-Both checks, closed-form and Monte Carlo, score the level family (one grid
-value on the first chains, 0 on the rest): under log-concave noise a best
-response's interior coordinates share one level, so ``chains * grid``
-profiles stand in for the ``grid ** chains`` of a product mesh.
+Both checks, closed-form and Monte Carlo, fill one payoff table of the
+level family (one value on the first chains, 0 on the rest): under
+log-concave noise a best response's interior coordinates share one level,
+so ``chains * grid`` profiles stand in for the ``grid ** chains`` of a
+product mesh. Its values are the sorted grid with 0 and the candidate always
+among them, so the baseline, the candidate on every chain, is read off it.
 
 A race is monotone in trader 1's signal, so the Monte Carlo scan does not
 race each deviation profile: per (trial, chain) it finds the first value
@@ -182,10 +184,22 @@ def _table_tally(own: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: 
 
 
 def _table_chunk(captures, co_wins, gaps, tables: dict, noise: NoiseModel, seed: int, start: int, m: int) -> None:
-    """Add the counts of trials ``[start, start + m)``. A function of its own
-    so the chunk's words are freed before the next chunk draws its own."""
-    race = _TableRace(_chunk_words(seed, start, m, len(gaps)), noise, tables)
-    won = [race.wins(k, gap) for k, gap in enumerate(gaps)]
+    """Add the counts of trials ``[start, start + m)``, a chain's words
+    transformed only in the races its table leaves open. A function of its
+    own so the chunk's words are freed before the next chunk draws its own."""
+    n = len(gaps)
+    words = _chunk_words(seed, start, m, n)
+    # each word's top byte, so slot 0's and slot 1's of one race are
+    # adjacent and read as one little-endian 16-bit index
+    top = words.astype("<u8", copy=False).reshape(-1).view(np.uint8)[7::8].copy()
+    won = []
+    for k, gap in enumerate(gaps):
+        pairs = np.ndarray((m,), dtype="<u2", buffer=top, offset=_SLOTS * k, strides=(_SLOTS * n,))
+        mine = np.take(tables[gap], pairs)
+        open_ = np.flatnonzero(mine == _OPEN)
+        if open_.size:
+            mine[open_] = _Race.of(words[open_, k:k + 1], noise).wins(0, gap)
+        won.append(mine.view(bool))
     every, some = won[0], won[0]
     for k, mine in enumerate(won):
         co_wins[k, k] += np.count_nonzero(mine)
@@ -411,35 +425,14 @@ def _decision_table(gap: float, bounds) -> np.ndarray:
     return np.where(win, 1, np.where(lose, 0, _OPEN)).astype(np.uint8).reshape(-1)
 
 
-class _TableRace:
-    """One chunk's words, raced from decision tables: a chain's words are
-    transformed only in the races its table leaves open."""
-
-    def __init__(self, words: np.ndarray, noise: NoiseModel, tables: dict):
-        self.words, self.noise, self.tables = words, noise, tables
-        # each word's top byte, so slot 0's and slot 1's of one race are
-        # adjacent and read as one little-endian 16-bit index
-        self.top = words.astype("<u8", copy=False).reshape(-1).view(np.uint8)[7::8].copy()
-
-    def wins(self, k: int, gap) -> np.ndarray:
-        """Whether trader 1 wins chain ``k`` of each trial at the scalar ``gap``."""
-        m, n, _ = self.words.shape
-        pairs = np.ndarray((m,), dtype="<u2", buffer=self.top, offset=_SLOTS * k, strides=(_SLOTS * n,))
-        won = np.take(self.tables[gap], pairs)
-        open_ = np.flatnonzero(won == _OPEN)
-        if open_.size:
-            won[open_] = _Race.of(self.words[open_, k:k + 1], self.noise).wins(0, gap)
-        return won.view(bool)
-
-
 def _payoff_statistics(trials: int, market: MarketConfig, captures, chains, groups, co_wins):
-    """One trader's mean payoff and its 95% half-width, from exact counts.
+    """Mean payoffs and their 95% half-widths, from exact counts.
 
-    ``captures`` holds the trader's capture counts, ``chains`` per chain its
+    ``captures`` holds the capture counts, ``chains`` per chain its
     cost and its wins, and ``groups`` per group of chains at one cost that
     cost, the number of chains and their summed wins; ``co_wins[g][h]``
     sums the trials won on a chain of group ``g`` and one of group ``h`` over
-    their pairs of chains. Trailing axes index profiles. A trial pays
+    their pairs of chains. Trailing axes index profiles or traders. A trial pays
     ``v*capture - sum_k costs[k]*(alpha + (1 - alpha)*win_k)``, so the sample
     mean and variance are functions of these counts; a chain that costs
     nothing needs no group. The mean folds the chains in order. The variance
@@ -489,15 +482,11 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     own, rival = (np.array(row) for row in spec.signals)
     captures, co_wins = _table_tally(own, rival, spec.noise, trials, spec.seed)
     wins = np.diagonal(co_wins)
-    # trader 2 wins a chain exactly when trader 1 loses it
-    rival_co_wins = trials - wins[:, None] - wins[None, :] + co_wins
-    stats = []
-    for signals, caught, co in ((own, captures[:1], co_wins), (rival, captures[1:], rival_co_wins)):
-        # one group per chain; costs and counts have a trailing axis for the one profile
-        costs, co = spec.cost.cost(signals[:, None]), co[:, :, None]
-        chains = [(cost, co[k, k]) for k, cost in enumerate(costs)]
-        stats.append(_payoff_statistics(trials, market, caught, chains, [(c, 1, won) for c, won in chains], co))
-    (mean1, hw1), (mean2, hw2) = stats
+    # a trailing axis holds the traders; trader 2 wins a chain exactly when trader 1 loses it
+    co = np.stack([co_wins, trials - wins[:, None] - wins[None, :] + co_wins], axis=-1)
+    costs = spec.cost.cost(np.stack([own, rival], axis=-1))
+    chains = [(cost, co[k, k]) for k, cost in enumerate(costs)]  # one group per chain
+    mean, halfwidth = _payoff_statistics(trials, market, captures, chains, [(c, 1, won) for c, won in chains], co)
 
     capture_counts = tuple(int(c) for c in captures)
     return SimulationStats(
@@ -506,8 +495,8 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
         per_chain_win_counts=(tuple(int(w) for w in wins), tuple(trials - int(w) for w in wins)),
         capture_probability=tuple(c / trials for c in capture_counts),
         capture_ci_halfwidth=tuple(_probability_halfwidth(c, trials) for c in capture_counts),
-        mean_payoff=(float(mean1[0]), float(mean2[0])),
-        payoff_ci_halfwidth=(float(hw1[0]), float(hw2[0])),
+        mean_payoff=tuple(mean.tolist()),
+        payoff_ci_halfwidth=tuple(halfwidth.tolist()),
     )
 
 
@@ -548,14 +537,15 @@ def _fold(terms):
     return capture, expected_cost
 
 
-def _level_scores(grid: np.ndarray, candidate: float, market: MarketConfig, cost: CostModel, noise: NoiseModel):
-    """Analytic payoffs against a rival at ``candidate``: row ``r``, column
-    ``i`` puts ``grid[i]`` on chains ``0..n-r-1`` and 0 on the other ``r``.
-    The terms of the grid and of 0 serve every chain, folded in order as in
+def _level_scores(values: np.ndarray, candidate: float, market: MarketConfig, cost: CostModel, noise: NoiseModel):
+    """Analytic payoffs against a rival at ``candidate``, laid out as
+    :func:`_level_tally`'s counts: row ``j - 1``, column ``i`` puts
+    ``values[i]`` on chains ``0..j-1`` and 0 on the rest. The terms of the
+    values and of 0 serve every chain, folded in order as in
     :func:`analytic_expected_payoff`, so each score has that function's bits."""
     n = market.n_chains
-    (win, spent), (win_zero, spent_zero) = _chain_terms((grid, 0.0), (candidate, candidate), market, cost, noise)
-    level = np.arange(n, 0, -1).reshape(-1, 1)  # per row, the chains at the grid value
+    (win, spent), (win_zero, spent_zero) = _chain_terms((values, 0.0), (candidate, candidate), market, cost, noise)
+    level = np.arange(1, n + 1).reshape(-1, 1)  # per row, the chains at the value
     capture, expected_cost = _fold((np.where(k < level, win, win_zero), np.where(k < level, spent, spent_zero))
                                    for k in range(n))
     capture *= market.v
@@ -584,12 +574,6 @@ def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301)
     return grid
 
 
-def _first_max(scores: np.ndarray):
-    """The first maximum of ``scores`` in C order, and its flat index."""
-    i = int(np.argmax(scores))
-    return float(np.ravel(scores)[i]), i
-
-
 @dataclass(frozen=True)
 class BestResponseCheck:
     """Outcome of a unilateral-deviation scan against a fixed rival."""
@@ -615,64 +599,59 @@ def verify_best_response(
 ) -> BestResponseCheck:
     """Scan trader 1's deviations while trader 2 sits at the candidate.
 
-    Analytic mode scans the deviation grid, a caller's own included, as the
-    rows of :func:`_level_scores`, row 0 being the equal-on-every-chain
-    family: under log-concave noise, as every law here is, a best response's
-    interior coordinates share one level (Bagnoli & Bergstrom 2005). Monte
-    Carlo mode scores the same rows and the candidate against the same
-    draws of each chunk (common random numbers), so each score equals
-    ``simulate`` at that profile. It keeps per row and grid value the
-    captures, the per-chain wins and their first two moments over the row's
-    chains, O(chains * grid) integers at any chain count, and its epsilon is
-    the unpaired 95% half-width of the gain, from the best row's and the
-    baseline's. A profile whose capture no trial saw, or every trial did,
-    has a half-width of at least ``v`` times the far end of Wilson's score
-    interval, so epsilon is never 0. In both modes the first maximum in C
-    order wins, so row 0 takes ties. A positive best gain beyond epsilon
-    means the candidate is not a best response; it is reported, never
-    suppressed.
+    Both modes fill one table of level rows, laid out as :func:`_level_tally`
+    lays out its counts, over the sorted deviation grid, a caller's own
+    included, with the candidate and 0 always scored: under log-concave
+    noise, as every law here is, a best response's interior coordinates
+    share one level (Bagnoli & Bergstrom 2005). The baseline is the table's
+    all-chain row at the candidate, so the best gain is never below 0, and
+    ties go to the all-chain row and then to the least value. Analytic mode
+    scores the rows with :func:`_level_scores`. Monte Carlo mode scores them
+    against the same draws of each chunk (common random numbers), so each
+    score equals ``simulate`` at that profile. It keeps per row and value
+    the captures, the per-chain wins and their first two moments over the
+    row's chains, O(chains * grid) integers at any chain count, and its
+    epsilon is the unpaired 95% half-width of the gain, from the best row's
+    and the baseline's. A profile whose capture no trial saw, or every trial
+    did, has a half-width of at least ``v`` times the far end of Wilson's
+    score interval, so epsilon is never 0. A positive best gain beyond
+    epsilon means the candidate is not a best response; it is reported,
+    never suppressed.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
     cand = float(candidate.signal) if isinstance(candidate, EquilibriumResult) else float(candidate)
     n = market.n_chains
-    if deviation_grid is None:
-        grid = default_deviation_grid(cand, cost)
-    else:
-        grid = np.asarray(deviation_grid, dtype=float).reshape(-1)
-        if grid.size == 0:
-            raise ConfigError("deviation grid must not be empty")
+    grid = default_deviation_grid(cand, cost) if deviation_grid is None else np.asarray(deviation_grid, dtype=float)
+    # the candidate is the baseline and 0 the signal of the chains a row leaves out: both are scored
+    values = np.unique(np.append(grid, (cand, 0.0)))
 
     if mode == "analytic":
-        baseline = float(analytic_expected_payoff(((cand,) * n, cand), market, cost, noise))
-        scores = _level_scores(grid, cand, market, cost, noise)
+        scores = _level_scores(values, cand, market, cost, noise)
     else:
         # checks trials, seed, the noise and the candidate as a one-profile run
         # would; cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
-        # 0, the least signal, is among the tally's values for the chains held at 0
-        values, ranks = np.unique(np.append(grid, (cand, 0.0)), return_inverse=True)
         costs = cost.cost(values)
         captures, wins, s1, s2 = _level_tally(values, np.full(n, cand), noise, trials, seed)
-        rows = np.arange(1, n + 1).reshape(-1, 1)  # per tally row, the chains at the value; the rest cost 0
+        rows = np.arange(1, n + 1).reshape(-1, 1)  # per row, the chains at the value; the rest cost 0
         chains = ((np.where(k < rows, costs, 0.0), wins[k]) for k in range(n))
-        means, halfwidths = _payoff_statistics(trials, market, captures, chains, [(costs, rows, s1)], [[s2]])
-        # the baseline is the candidate on every chain; row r puts the grid on n - r chains: tally row n - r
-        baseline, baseline_halfwidth = float(means[-1, ranks[-2]]), halfwidths[-1, ranks[-2]]
-        scores, halfwidths = means[::-1, ranks[:-2]], halfwidths[::-1, ranks[:-2]]
+        scores, halfwidths = _payoff_statistics(trials, market, captures, chains, [(costs, rows, s1)], [[s2]])
 
-    best_payoff, best_index = _first_max(scores)
-    zeros, i = divmod(best_index, grid.size)
-    best_profile = (float(grid[i]),) * (n - zeros) + (0.0,) * zeros
+    # the first maximum from the all-chain row up, and in a row the least value
+    zeros, i = divmod(int(np.argmax(scores[::-1])), values.size)
+    best, base = (n - 1 - zeros, i), (n - 1, int(np.searchsorted(values, cand)))
+    best_profile = (float(values[i]),) * (n - zeros) + (0.0,) * zeros
     # Monte Carlo: the unpaired half-width of the gain, from both its terms' sampling errors
-    epsilon = 1e-3 * market.v if mode == "analytic" else math.hypot(halfwidths.flat[best_index], baseline_halfwidth)
+    epsilon = 1e-3 * market.v if mode == "analytic" else math.hypot(halfwidths[best], halfwidths[base])
 
-    max_gain = best_payoff - baseline
+    baseline = float(scores[base])
+    max_gain = float(scores[best]) - baseline
     return BestResponseCheck(
-        max_gain=float(max_gain),
+        max_gain=max_gain,
         argmax_deviation=best_profile,
         is_epsilon_equilibrium=max_gain <= epsilon,
         epsilon=float(epsilon),
-        baseline_payoff=float(baseline),
+        baseline_payoff=baseline,
         mode=mode,
     )

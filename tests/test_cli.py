@@ -541,14 +541,20 @@ def test_refund_root_whose_bracket_end_cost_overflows(capsys):
     assert len(rows) == 3
 
 
-def _probe(argv):
-    """Exit code of ``main(argv)`` in a fresh interpreter, whether it loaded NumPy, and the scipy modules it loaded."""
+def _probe_stderr(argv):
+    """The standard error lines of ``main(argv)`` in a fresh interpreter, the last one
+    its exit code, whether it loaded NumPy, and the scipy modules it loaded."""
     code = ("import sys; from seqlab.cli import main; code = main(sys.argv[1:]); "
             "print(code, 'numpy._core' in sys.modules, "
             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
-    code, numpy, modules = out.stderr.splitlines()[-1].split(" ", 2)
+    return out.stderr.splitlines()
+
+
+def _probe(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, whether it loaded NumPy, and the scipy modules it loaded."""
+    code, numpy, modules = _probe_stderr(argv)[-1].split(" ", 2)
     return int(code), numpy == "True", modules
 
 
@@ -610,6 +616,19 @@ def test_sampling_under_every_law_leaves_out_scipy(argv, law):
 def test_runs_without_arrays_leave_out_numpy(argv, expected):
     # NumPy is imported on first use: a cold run that needs no array never pays for it
     assert _probe(argv) == (expected, False, "[]")
+
+
+@pytest.mark.parametrize("command, params, choices", [
+    ("verify", {"v": 2, "cost": "power:2", "noise": "normal:1"}, "analytic, montecarlo"),
+    ("optimal-c", {"cost": "timeboost:g=1", "noise": "normal:1", "value-dist": "exp:1"}, "shared, separate, both"),
+])
+def test_config_mode_outside_the_commands_choices_exits_before_any_solve(command, params, choices, tmp_path):
+    # a config's mode is checked against --mode's choices, as its format is against --format's
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"command": command, "params": {**params, "mode": "bogus"}}))
+    *message, probe = _probe_stderr(["--config", str(path)])
+    assert message == [f"seqlab: config error: config key 'mode' needs one of {choices}, got 'bogus'"]
+    assert probe == "2 False []"
 
 
 @pytest.mark.parametrize("argv", [

@@ -296,37 +296,63 @@ def test_best_response_grid_of_only_the_candidate():
 @pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
 @pytest.mark.parametrize("n", [1, 2])
 def test_best_response_first_maximum_wins(n, mode):
-    # with no refund, a deviation that surely loses every race costs nothing,
-    # so 0.5, 0.0 and 0.8 all tie at payoff exactly 0; the first one listed wins
+    # with no refund, a deviation that surely loses every race costs nothing, so 0.8,
+    # 0.5 and 0, which is always scored, all tie at payoff exactly 0: the least value
+    # wins, whatever the caller's order
     market = MarketConfig(0.5, n, 0.0)
     check = verify_best_response(
         1.0, market, POWER_TWO, NoiseModel("uniform", 0.1),
-        deviation_grid=[1.2, 0.5, 0.0, 0.5, 0.8], mode=mode, trials=200,
+        deviation_grid=[1.2, 0.8, 0.5, 0.8], mode=mode, trials=200,
     )
-    assert check.argmax_deviation == (0.5,) * n
+    assert check.argmax_deviation == (0.0,) * n
     assert check.max_gain == -check.baseline_payoff > 0.0
+
+
+@pytest.mark.parametrize("mode", ["analytic", "montecarlo"])
+def test_best_response_scores_the_candidate_off_a_callers_grid(mode):
+    # the grid leaves out the candidate, which is the baseline: no best gain falls below 0
+    check = verify_best_response(0.5, MarketConfig(1.0, 1), POWER_TWO, NoiseModel("normal", 1.0),
+                                 deviation_grid=[1.2], mode=mode, trials=2_000)
+    assert check.max_gain >= 0.0 and check.argmax_deviation != (1.2,)
+
+
+@pytest.mark.parametrize("mode, scan", [("analytic", "_level_scores"), ("montecarlo", "_level_tally")])
+def test_best_response_empty_grid_scores_zero_and_the_candidate(mode, scan, monkeypatch):
+    scanned, inner = [], getattr(mc, scan)
+    monkeypatch.setattr(mc, scan, lambda values, *args: scanned.append(values.tolist()) or inner(values, *args))
+    market = MarketConfig(1.0, 2)
+    check = verify_best_response(0.5, market, POWER_TWO, UNIT_NOISE, deviation_grid=[], mode=mode, trials=500)
+    assert scanned == [[0.0, 0.5]]
+    assert check.argmax_deviation in {(0.0, 0.0), (0.5, 0.0), (0.5, 0.5)} and check.max_gain >= 0.0
 
 
 @pytest.mark.parametrize("n, alpha", [(n, alpha) for n in range(1, 7) for alpha in ((1.0, 0.5) if n <= 2 else (1.0,))])
 @pytest.mark.parametrize("cost", [POWER_TWO, CostModel.timeboost(0.25, 1.0)], ids=lambda c: c.spec)
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_level_rows_equal_the_payoff_of_their_profiles(n, alpha, cost, noise):
-    # row r puts each grid value on chains 0..n-r-1 and 0 on the other r; the first
-    # maximum in C order wins: at v = 0.01 the boost fee's best response is 0, which every
-    # row holds at its first column, and the equal family (row 0) takes that tie
-    grid = default_deviation_grid(0.25, cost, points=41)
+    # row j - 1 puts each value on chains 0..j-1 and 0 on the rest; the first maximum from
+    # the all-chain row up, and in a row the least value, wins: at v = 0.01 the boost fee's
+    # best response is 0, which every row holds at its first column
+    values = np.unique(default_deviation_grid(0.25, cost, points=41))  # it holds 0 and the candidate
     for v in (1.3, 0.01):
         market = MarketConfig(v, n, alpha)
-        rows = mc._level_scores(grid, 0.25, market, cost, noise)
-        expected = np.array([analytic_expected_payoff(((grid,) * (n - r) + (0.0,) * r, 0.25), market, cost, noise)
-                             for r in range(n)])
+        rows = mc._level_scores(values, 0.25, market, cost, noise)
+        expected = np.array([analytic_expected_payoff(((values,) * j + (0.0,) * (n - j), 0.25), market, cost, noise)
+                             for j in range(1, n + 1)])
         assert [x.hex() for x in rows.reshape(-1).tolist()] == [x.hex() for x in expected.reshape(-1).tolist()]
-        r, i = np.unravel_index(np.argmax(expected), expected.shape)
-        check = verify_best_response(0.25, market, cost, noise, deviation_grid=grid)
-        assert check.argmax_deviation == (grid[i],) * (n - r) + (0.0,) * r
-        assert check.max_gain == float(expected[r, i]) - check.baseline_payoff
+        best = None
+        for j in range(n, 0, -1):
+            for i, score in enumerate(expected[j - 1].tolist()):
+                if best is None or score > best[0]:
+                    best = score, j, i
+        score, j, i = best
+        check = verify_best_response(0.25, market, cost, noise, deviation_grid=values)
+        assert check.argmax_deviation == (values[i],) * j + (0.0,) * (n - j)
+        baseline = analytic_expected_payoff(((0.25,) * n, 0.25), market, cost, noise)
+        assert check.baseline_payoff.hex() == float(baseline).hex()
+        assert check.max_gain == score - check.baseline_payoff
         if v == 0.01 and cost.family == "timeboost":
-            assert check.argmax_deviation == (0.0,) * n and np.count_nonzero(expected == expected[r, i]) >= n
+            assert check.argmax_deviation == (0.0,) * n and np.count_nonzero(expected == score) >= n
 
 
 def _product_mesh_gain(candidate, market, cost, noise):
@@ -384,7 +410,8 @@ def test_analytic_verify_scans_a_callers_grid_as_level_rows():
     start = time.perf_counter()
     check = verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE, deviation_grid=grid)
     assert time.perf_counter() - start < 0.1
-    assert all(x in grid for x in check.argmax_deviation)
+    # the candidate, off this grid, is scored too
+    assert check.argmax_deviation == (candidate,) * 6 and check.max_gain == 0.0
 
 
 def test_montecarlo_verify_scans_a_large_callers_grid():
@@ -394,11 +421,6 @@ def test_montecarlo_verify_scans_a_large_callers_grid():
     check = verify_best_response(0.25, MarketConfig(1.0, 2), POWER_TWO, UNIT_NOISE, deviation_grid=grid,
                                  mode="montecarlo", trials=200)
     assert check.mode == "montecarlo" and all(x in grid for x in check.argmax_deviation)
-
-
-def test_best_response_empty_grid_rejected():
-    with pytest.raises(ConfigError):
-        verify_best_response(0.5, MarketConfig(1.0, 1), POWER_TWO, UNIT_NOISE, deviation_grid=[])
 
 
 def test_best_response_montecarlo_mode():
@@ -531,12 +553,14 @@ def test_montecarlo_verify_races_no_chain_at_a_scalar_gap(monkeypatch):
                                  **spec)
     assert gaps and set(gaps) == {1}
     monkeypatch.undo()
-    # and every row, zero chains and all, scores as simulate does
-    baseline = simulate(SimulationSpec(((0.4,) * 3, 0.4), market, POWER_TWO, UNIT_NOISE, **spec)).mean_payoff[0]
-    rows = [simulate(SimulationSpec(((0.3,) * (3 - r) + (0.0,) * r, 0.4), market, POWER_TWO, UNIT_NOISE, **spec))
-            for r in range(3)]
+    # and every row of 0, the grid and the candidate scores as simulate does, from the all-chain row up
+    profiles = [(x,) * j + (0.0,) * (3 - j) for j in (3, 2, 1) for x in (0.0, 0.3, 0.4)]
+    payoffs = [simulate(SimulationSpec((own, 0.4), market, POWER_TWO, UNIT_NOISE, **spec)).mean_payoff[0]
+               for own in profiles]
+    baseline = payoffs[profiles.index((0.4,) * 3)]
     assert check.baseline_payoff == baseline
-    assert check.max_gain == max(row.mean_payoff[0] for row in rows) - baseline
+    assert check.max_gain == max(payoffs) - baseline
+    assert check.argmax_deviation == profiles[payoffs.index(max(payoffs))]
 
 
 @pytest.mark.parametrize("n, trials", [(2, 2 * 10**5), (3, 10**5)])
