@@ -20,14 +20,9 @@ race each deviation profile: per (trial, chain) it finds the first value
 that wins, once for every level row, and every profile's counts come from
 histograms of those thresholds. A bucket index over the sorted gaps to the
 rival guesses it from the race's ``b - a``, and two exact races confirm the
-guess; the few trials they leave open are binary-searched. Per row
-and grid value the scan keeps the captures, one chain's wins (the rows that
-hold a chain at the value share its wins), the wins summed over the row's
-chains and the sum over trials of the squared number of chains won. The
-statistics need no more, so its memory is O(chains * grid) at any chain
-count. A scan costs O(trials * chains) races plus O(chains**2) histogram
-entries per trial, not O(profiles * trials), and its counts are exactly
-those of the per-profile race.
+guess; the few trials they leave open are binary-searched. A scan costs
+O(trials * chains) races plus O(chains**2) histogram entries per trial, not
+O(profiles * trials), and its counts are exactly those of the per-profile race.
 
 A simulation races each chain at one signal gap, and the sign of
 ``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
@@ -35,6 +30,12 @@ byte of each noise word bounds its noise, a table per gap says which pairs
 of bytes win or lose whatever the exact draws, and only the races it leaves
 open (about 1% of them) are transformed and raced exactly. Rounded addition
 is monotone, so the tables decide exactly as the exact test would.
+
+Both tallies count, per group of chains at one cost (a scan's level row at a
+value, or a simulation's chains at one pair of signals), the wins and the sum
+over trials of the product of two groups' numbers of chains won, which with the
+captures is all the statistics need: O(chains * grid) or O(groups**2) counts.
+A simulation costs O(trials * chains) plus a groups x groups product per chunk.
 
 Determinism contract: the uniform driving trial ``t``, chain ``k``, slot
 ``j`` is word ``(t*n + k)*3 + j`` of the counter-based stream keyed by the
@@ -162,52 +163,49 @@ def _chunk_words(seed: int, start: int, m: int, n: int) -> np.ndarray:
 def _table_tally(own: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
     """Exact race counts of one profile ``own`` against ``rival``, ``n`` signals each.
 
-    Every chain races at one gap, and a decision table per distinct gap
-    settles almost every race from the top byte of its two noise words; only
-    the races it leaves open transform their words, so the counts are
-    exactly those of racing every draw.
+    A decision table per distinct gap settles most races from their words' top
+    bytes, and the rest are raced exactly: the counts are those of racing every draw.
 
     Returns ``captures``, the trials in which trader 1, resp. trader 2, won
-    every chain, and ``co_wins`` of shape ``(n, n)``, the trials in which
-    trader 1 won both chain ``k`` and chain ``l``: its diagonal holds the
-    per-chain wins.
+    every chain; trader 1's ``wins`` per chain; per chain its ``group``, the
+    chains at one (own, rival) pair being one group, numbered in order of first
+    use; and ``co_wins``, per pair of groups the sum over trials of the product
+    of their numbers of chains won.
     """
-    n = len(rival)
+    n, numbers = len(rival), {}
+    group = np.array([numbers.setdefault(pair, len(numbers)) for pair in zip(own.tolist(), rival.tolist())])
     gaps = [float(gap) for gap in own - rival]
     bounds = _bin_bounds(noise)
     tables = {gap: _decision_table(gap, bounds) for gap in set(gaps)}
-    captures, co_wins = np.zeros(2, dtype=np.int64), np.zeros((n, n), dtype=np.int64)
+    counts = np.zeros(2, np.int64), np.zeros(n, np.int64), np.zeros((len(numbers),) * 2, np.int64)
     chunk = _chunk_trials(n)
     for start in range(0, trials, chunk):
-        _table_chunk(captures, co_wins, gaps, tables, noise, seed, start, min(chunk, trials - start))
-    return captures, np.triu(co_wins) + np.triu(co_wins, 1).T
+        _table_chunk(counts, gaps, group, tables, noise, seed, start, min(chunk, trials - start))
+    return (*counts, group)
 
 
-def _table_chunk(captures, co_wins, gaps, tables: dict, noise: NoiseModel, seed: int, start: int, m: int) -> None:
+def _table_chunk(counts, gaps, group, tables: dict, noise: NoiseModel, seed: int, start: int, m: int) -> None:
     """Add the counts of trials ``[start, start + m)``, a chain's words
     transformed only in the races its table leaves open. A function of its
     own so the chunk's words are freed before the next chunk draws its own."""
-    n = len(gaps)
+    (captures, wins, co_wins), n = counts, len(gaps)
     words = _chunk_words(seed, start, m, n)
     # each word's top byte, so slot 0's and slot 1's of one race are
     # adjacent and read as one little-endian 16-bit index
     top = words.astype("<u8", copy=False).reshape(-1).view(np.uint8)[7::8].copy()
-    won = []
+    won = np.zeros((len(co_wins), m), dtype=np.min_scalar_type(n))  # per group and trial, the chains won
     for k, gap in enumerate(gaps):
         pairs = np.ndarray((m,), dtype="<u2", buffer=top, offset=_SLOTS * k, strides=(_SLOTS * n,))
         mine = np.take(tables[gap], pairs)
         open_ = np.flatnonzero(mine == _OPEN)
         if open_.size:
             mine[open_] = _Race.of(words[open_, k:k + 1], noise).wins(0, gap)
-        won.append(mine.view(bool))
-    every, some = won[0], won[0]
-    for k, mine in enumerate(won):
-        co_wins[k, k] += np.count_nonzero(mine)
-        for l in range(k):
-            co_wins[l, k] += np.count_nonzero(won[l] & mine)
-        if k:
-            every, some = every & mine, some | mine
-    captures += np.count_nonzero(every), m - np.count_nonzero(some)
+        wins[k] += np.count_nonzero(mine)
+        won[group[k]] += mine
+    total = won.sum(axis=0, dtype=won.dtype)
+    captures += np.count_nonzero(total == n), np.count_nonzero(total == 0)
+    won = won.astype(float)  # a float product is exact: every sum stays below 2**53
+    co_wins += (won @ won.T).astype(np.int64)
 
 
 def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
@@ -428,11 +426,11 @@ def _decision_table(gap: float, bounds) -> np.ndarray:
 def _payoff_statistics(trials: int, market: MarketConfig, captures, chains, groups, co_wins):
     """Mean payoffs and their 95% half-widths, from exact counts.
 
-    ``captures`` holds the capture counts, ``chains`` per chain its
-    cost and its wins, and ``groups`` per group of chains at one cost that
-    cost, the number of chains and their summed wins; ``co_wins[g][h]``
-    sums the trials won on a chain of group ``g`` and one of group ``h`` over
-    their pairs of chains. Trailing axes index profiles or traders. A trial pays
+    ``captures`` holds the capture counts, ``chains`` per chain its cost and
+    its wins, and ``groups`` per group of chains at one cost (see the module
+    docstring) that cost, the number of chains and their summed wins;
+    ``co_wins[g][h]`` sums the trials won on a chain of group ``g`` and one of
+    group ``h`` over their pairs of chains. Trailing axes index profiles or traders. A trial pays
     ``v*capture - sum_k costs[k]*(alpha + (1 - alpha)*win_k)``, so the sample
     mean and variance are functions of these counts; a chain that costs
     nothing needs no group. The mean folds the chains in order. The variance
@@ -480,13 +478,17 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     """
     market, trials = spec.market, spec.trials
     own, rival = (np.array(row) for row in spec.signals)
-    captures, co_wins = _table_tally(own, rival, spec.noise, trials, spec.seed)
-    wins = np.diagonal(co_wins)
-    # a trailing axis holds the traders; trader 2 wins a chain exactly when trader 1 loses it
-    co = np.stack([co_wins, trials - wins[:, None] - wins[None, :] + co_wins], axis=-1)
+    captures, wins, co_wins, group = _table_tally(own, rival, spec.noise, trials, spec.seed)
     costs = spec.cost.cost(np.stack([own, rival], axis=-1))
-    chains = [(cost, co[k, k]) for k, cost in enumerate(costs)]  # one group per chain
-    mean, halfwidth = _payoff_statistics(trials, market, captures, chains, [(c, 1, won) for c, won in chains], co)
+    first, size = np.unique(group, return_index=True, return_counts=True)[1:]
+    # a trailing axis holds the traders; trader 2 wins a chain exactly when trader 1 loses it,
+    # so size - w of a group's chains in a trial where trader 1 wins w of them
+    won = np.bincount(group, wins).astype(np.int64)  # exact while trials * chains < 2**53
+    lost = trials * size - won
+    co = np.stack([co_wins, co_wins + np.outer(size, lost) - np.outer(won, size)], axis=-1)
+    groups = zip(costs[first], size, np.stack([won, lost], axis=-1))
+    chains = zip(costs, np.stack([wins, trials - wins], axis=-1))
+    mean, halfwidth = _payoff_statistics(trials, market, captures, chains, list(groups), co)
 
     capture_counts = tuple(int(c) for c in captures)
     return SimulationStats(
@@ -608,11 +610,9 @@ def verify_best_response(
     ties go to the all-chain row and then to the least value. Analytic mode
     scores the rows with :func:`_level_scores`. Monte Carlo mode scores them
     against the same draws of each chunk (common random numbers), so each
-    score equals ``simulate`` at that profile. It keeps per row and value
-    the captures, the per-chain wins and their first two moments over the
-    row's chains, O(chains * grid) integers at any chain count, and its
-    epsilon is the unpaired 95% half-width of the gain, from the best row's
-    and the baseline's. A profile whose capture no trial saw, or every trial
+    score and its half-width equal ``simulate``'s at that profile. Its epsilon
+    is the unpaired 95% half-width of the gain, from the best row's and the
+    baseline's. A profile whose capture no trial saw, or every trial
     did, has a half-width of at least ``v`` times the far end of Wilson's
     score interval, so epsilon is never 0. A positive best gain beyond
     epsilon means the candidate is not a best response; it is reported,

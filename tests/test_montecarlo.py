@@ -459,8 +459,8 @@ def _wilson_floor(v, trials):
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
     # the scan races all its profiles against shared draws; each one raced alone by
-    # simulate must give the very same mean payoff, and its half-width is the grouped
-    # form of the per-profile race's counts
+    # simulate must give the very same mean payoff and half-width, the grouped form of
+    # the per-profile race's counts
     market, grid, trials = MarketConfig(1.0, n, alpha), [0.0, 0.3, 0.4, 0.3, 0.9], 1_000
     seen = {}
     reduce = mc._payoff_statistics
@@ -486,7 +486,7 @@ def test_montecarlo_scan_scores_equal_simulate(n, alpha, noise, monkeypatch):
         assert stats.mean_payoff[0] == means[row, i]
         expected = _grouped_halfwidth(trials, market, costs[i], row + 1, captures[0, p], joint[:, :, p])
         assert halfwidths[row, i] == expected
-        assert expected == pytest.approx(stats.payoff_ci_halfwidth[0], rel=1e-12, abs=1e-300)
+        assert stats.payoff_ci_halfwidth[0] == expected
     baseline = list(values).index(0.4)
     assert check.baseline_payoff == means[n - 1, baseline]
     # the scan's row r holds the grid on n - r chains: tally row n - r - 1
@@ -678,12 +678,20 @@ def _assert_level_tally_equals_reference(grid, rival, noise, trials, seed):
 
 
 def _assert_table_tally_equals_reference(profiles, rival, noise, trials, seed):
-    """The table tally of each column of ``profiles``, bit for bit the per-profile race's counts."""
+    """The table tally of each column of ``profiles``, bit for bit the per-profile race's
+    counts: both traders' captures, each chain's wins (the joint table's diagonal), and
+    per pair of groups the joint table's block over their chains."""
     captures, joint = _reference_tally(profiles, rival, noise, trials, seed)
     for p in range(profiles.shape[1]):
-        got_captures, co_wins = mc._table_tally(profiles[:, p], rival, noise, trials, seed)
+        got_captures, wins, co_wins, group = mc._table_tally(profiles[:, p], rival, noise, trials, seed)
         assert np.array_equal(got_captures, captures[:, p])
-        assert np.array_equal(co_wins, joint[:, :, p])
+        assert np.array_equal(wins, np.diagonal(joint[:, :, p]))
+        # groups hold the chains of one (own, rival) pair, numbered in order of first use
+        pairs = list(zip(profiles[:, p].tolist(), rival.tolist()))
+        assert group.tolist() == [list(dict.fromkeys(pairs)).index(pair) for pair in pairs]
+        members = [group == g for g in range(co_wins.shape[0])]
+        blocks = [[joint[np.ix_(rows, cols)][..., p].sum() for cols in members] for rows in members]
+        assert np.array_equal(co_wins, blocks)
 
 
 GRIDS = {
@@ -820,6 +828,41 @@ def test_scalar_tally_from_tables_equals_per_profile_race(noise, n, monkeypatch)
     assert sorted(built) == sorted(gap for own in profiles for gap in set(own))
     wide = table(2.0 * 1e3 * noise.param, mc._bin_bounds(noise))
     assert np.all(wide == 1)  # a gap beyond the noise range decides every pair of bins
+
+
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_table_tally_groups_chains_that_race_one_pair(noise, monkeypatch):
+    # chains 0 and 2 race one pair of signals and chain 1 another at the same gap, and
+    # chain 3 races at gap 0: three groups, [0, 1, 0, 2], and one table per distinct gap
+    own, rival = np.array([0.5, 0.6, 0.5, 0.2]), np.array([0.4, 0.5, 0.4, 0.2])
+    assert own[0] - rival[0] == own[1] - rival[1]
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
+    built, table = [], mc._decision_table
+    monkeypatch.setattr(mc, "_decision_table", lambda gap, bounds: built.append(gap) or table(gap, bounds))
+    _assert_table_tally_equals_reference(own[:, None], rival, noise, 2_500, 13)
+    assert sorted(built) == [0.0, own[0] - rival[0]]
+
+
+def test_simulate_tallies_chains_at_one_pair_as_one_group(monkeypatch):
+    # 1,024 chains at one pair of signals are one group: the reducer gets one group and a
+    # 1 x 1 co-win table per trader, not one entry per pair of chains, and the run's time
+    # and memory grow as the chain count, not its square
+    seen, reduce = [], mc._payoff_statistics
+    monkeypatch.setattr(mc, "_payoff_statistics", lambda *args: seen.append(args) or reduce(*args))
+    spec = _spec((0.5, 0.5), n=1024, alpha=0.5, trials=1_000, seed=3)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        stats = simulate(spec)
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (*_, groups, co_wins), = seen
+    assert len(groups) == 1 and np.shape(co_wins) == (1, 1, 2)
+    assert len(stats.per_chain_win_counts[0]) == 1024
+    assert peak < 10 * 2**20
+    assert seconds < 5.0
 
 
 @pytest.mark.parametrize("noise", EXTREME_NOISES[2::5] + EXTREME_NOISES[3::5], ids=lambda m: m.spec)
