@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import asdict, replace
 
-from . import analysis, montecarlo
+# analysis and montecarlo are imported by the runners that use them, so no other command compiles them
 from .cost import CostModel, parse_cost, tokenize_cost
 from .equilibrium import MarketConfig, solve_equilibrium
 from .errors import ConfigError, DomainError, ParameterError, SolverError
@@ -196,7 +196,7 @@ def _parse_signals(text: str, n_chains: int):
 
 
 def _parse_grid(specs: list[str]) -> dict:
-    """Axis value lists from ``axis=start:step:stop`` or ``axis=value`` specs.
+    """Axis value lists from ``axis=start:step:stop`` or ``axis=value`` specs, one per axis.
 
     The row count is checked against :data:`_MAX_SWEEP_ROWS` before any list
     is built.
@@ -207,6 +207,8 @@ def _parse_grid(specs: list[str]) -> dict:
         axis = axis.strip().replace("-", "_")
         if not sep:
             raise ConfigError(f"grid spec {spec!r} must look like axis=start:step:stop")
+        if axis in ranges:
+            raise ConfigError(f"grid axis {axis!r} is given more than once")
         parts = rng.split(":")
         try:
             if len(parts) == 1:
@@ -262,36 +264,35 @@ def _run_equilibrium(args) -> dict:
 
 
 def _run_compare(args) -> dict:
-    report = analysis.compare_expenditure(
-        args.v, _resolve_cost(args), parse_noise(args.noise), args.alpha,
-        separate_chains=args.chains,
-    )
+    cost, noise = _resolve_cost(args), parse_noise(args.noise)
+    from . import analysis
+
+    report = analysis.compare_expenditure(args.v, cost, noise, args.alpha, separate_chains=args.chains)
     return _comparison_dict(report)
 
 
 def _run_sweep(args) -> dict:
-    axes = _parse_grid(args.grid)
-    rows = analysis.sweep(
-        axes, v=args.v, cost=_resolve_cost(args), noise=parse_noise(args.noise),
-        alpha=args.alpha, chains=args.chains,
-    )
-    return {"rows": rows}
+    axes, cost, noise = _parse_grid(args.grid), _resolve_cost(args), parse_noise(args.noise)
+    from . import analysis
+
+    return {"rows": analysis.sweep(axes, v=args.v, cost=cost, noise=noise, alpha=args.alpha, chains=args.chains)}
 
 
 def _run_simulate(args) -> dict:
     market = MarketConfig(args.v, args.chains, args.alpha)
     signals = _parse_signals(args.signals, market.n_chains)
-    spec = montecarlo.SimulationSpec(
-        signals, market, _resolve_cost(args), parse_noise(args.noise),
-        trials=args.trials, seed=args.seed,
-    )
+    cost, noise = _resolve_cost(args), parse_noise(args.noise)
+    from . import montecarlo
+
+    spec = montecarlo.SimulationSpec(signals, market, cost, noise, trials=args.trials, seed=args.seed)
     return asdict(montecarlo.simulate(spec))
 
 
 def _run_verify(args) -> dict:
     market = MarketConfig(args.v, args.chains, args.alpha)
-    cost = _resolve_cost(args)
-    noise = parse_noise(args.noise)
+    cost, noise = _resolve_cost(args), parse_noise(args.noise)
+    from . import montecarlo
+
     if args.mode == "montecarlo":  # before the candidate's solve loads NumPy
         montecarlo.check_draws(args.trials, args.seed)
     candidate = solve_equilibrium(market, cost, noise)
@@ -308,7 +309,13 @@ def _run_optimal_c(args) -> dict:
     if family != "timeboost" or positional or not g > 0.0:
         raise ConfigError(f"optimal-c needs a timeboost cost spec with a positive g like 'timeboost:g=1.0', "
                           f"got {args.cost!r}")
+    extra = sorted(set(fields) - {"c", "g"})
+    if extra:
+        raise ConfigError(f"optimal-c takes only g, and an ignored c, from its cost spec; got {', '.join(extra)} "
+                          f"in {args.cost!r}")
     f0 = parse_noise(args.noise).density_at_zero()
+    from . import analysis
+
     dist = analysis.parse_value_dist(args.value_dist)
     modes = ("shared", "separate") if args.mode == "both" else (args.mode,)
     fees = (analysis.optimal_c(dist, g, f0, mode) for mode in modes)

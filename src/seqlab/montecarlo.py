@@ -430,7 +430,8 @@ def _payoff_statistics(trials: int, market: MarketConfig, captures, chains, grou
     its wins, and ``groups`` per group of chains at one cost (see the module
     docstring) that cost, the number of chains and their summed wins;
     ``co_wins[g][h]`` sums the trials won on a chain of group ``g`` and one of
-    group ``h`` over their pairs of chains. Trailing axes index profiles or traders. A trial pays
+    group ``h`` over their pairs of chains. Trailing axes index profiles or
+    traders, the same ones in every group's entries. A trial pays
     ``v*capture - sum_k costs[k]*(alpha + (1 - alpha)*win_k)``, so the sample
     mean and variance are functions of these counts; a chain that costs
     nothing needs no group. The mean folds the chains in order. The variance
@@ -447,17 +448,19 @@ def _payoff_statistics(trials: int, market: MarketConfig, captures, chains, grou
     if trials == 1:
         return mean, np.full(mean.shape, math.inf)
 
-    def exact(counts):  # as Python integers: T*N reaches T**2, which passes int64 beyond 3e9 trials
-        return np.asarray(counts).astype(object)
-
-    caps, wins = exact(captures), [exact(won) for _, _, won in groups]
-    slopes = [(1.0 - alpha) * cost for cost, _, _ in groups]  # payoff lost per chain won, beyond alpha*cost
+    # every product of counts is below (T*n)**2: int64 holds it exactly up to about 3e9 trial-chains,
+    # and Python integers beyond
+    kind = np.int64 if (trials * market.n_chains) ** 2 < 2**63 else object
+    costs, sizes, won = map(np.array, zip(*groups))
+    caps, sizes, won, co = (np.asarray(counts, dtype=kind) for counts in (captures, sizes, won, co_wins))
+    slopes = (1.0 - alpha) * costs  # payoff lost per chain won, beyond alpha*cost
     moment = v * v * (caps * (trials - caps)).astype(float)
-    for (_, size, _), won, slope, row in zip(groups, wins, slopes, co_wins):
-        # a capture wins every chain, so it co-occurs with each of the group's wins
-        moment = moment - 2.0 * v * slope * (caps * (exact(size) * trials - won)).astype(float)
-        for other_won, other, pairs in zip(wins, slopes, row):
-            moment = moment + slope * other * (trials * exact(pairs) - won * other_won).astype(float)
+    # a capture wins every chain, so it co-occurs with each of the group's wins
+    lone = -2.0 * v * slopes * (caps * (sizes * trials - won)).astype(float)
+    pairs = slopes[:, None] * slopes * (trials * co - won[:, None] * won).astype(float)
+    steps = np.concatenate([lone[:, None], pairs], axis=1)  # per group its capture term, then its pair terms
+    # accumulate adds in order, rounding as one addition at a time, as a loop over the steps would
+    moment = np.cumsum(np.concatenate([moment[None], *steps]), axis=0)[-1]
     variance = np.maximum(moment, 0.0) / (trials * (trials - 1.0))
     halfwidth = _Z95 * np.sqrt(variance / trials)
     # a capture seen in no trial or in every one leaves no spread to sample, however
@@ -486,7 +489,7 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     won = np.bincount(group, wins).astype(np.int64)  # exact while trials * chains < 2**53
     lost = trials * size - won
     co = np.stack([co_wins, co_wins + np.outer(size, lost) - np.outer(won, size)], axis=-1)
-    groups = zip(costs[first], size, np.stack([won, lost], axis=-1))
+    groups = zip(costs[first], size[:, None], np.stack([won, lost], axis=-1))
     chains = zip(costs, np.stack([wins, trials - wins], axis=-1))
     mean, halfwidth = _payoff_statistics(trials, market, captures, chains, list(groups), co)
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -162,6 +163,20 @@ def test_identical_invocations_are_byte_identical(capsys):
     assert outputs[1] == outputs[3]
 
 
+def test_console_script_prints_what_python_m_seqlab_prints():
+    # the installed ``seqlab`` script imports its [project.scripts] target and exits with what it returns
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
+        module, _, attr = tomllib.load(handle)["project"]["scripts"]["seqlab"].partition(":")
+    script = f"import sys; from {module} import {attr}; sys.exit({attr}())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    runs = [subprocess.run([sys.executable, *entry, *EQ_ARGS, "--format", "json"], capture_output=True, env=env)
+            for entry in (["-c", script], ["-m", "seqlab"])]
+    assert [(run.returncode, run.stderr) for run in runs] == [(0, b"")] * 2
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["command"] == "equilibrium"
+
+
 def test_unknown_flag_is_config_error(capsys):
     code, _, err = _run(capsys, EQ_ARGS + ["--volatility", "1"])
     assert code == 2
@@ -255,8 +270,10 @@ def test_solver_failure_maps_to_exit_one(capsys, monkeypatch):
         ([], '{"command": "equilibrium", "params": 5}'),
         (["simulate"], "v = 1\nsignals = 0.5,0.5\ntrials = abc\n"),
         (["simulate"], "v = 1\nsignals = 0.5,0.5\nchains = 2.5\n"),
+        (["sweep"], "cost = power:2\nnoise = normal:1\ngrid = v=1:1:3\ngrid = v=2\n"),
     ],
-    ids=["missing-peek", "missing", "malformed-json", "params-not-object", "trials-not-int", "chains-not-int"],
+    ids=["missing-peek", "missing", "malformed-json", "params-not-object", "trials-not-int", "chains-not-int",
+         "repeated-grid-axis"],
 )
 def test_bad_config_file_is_config_error(command, content, capsys, tmp_path):
     path = tmp_path / "run.cfg"
@@ -406,15 +423,18 @@ def test_sweep_grid_size_limit():
     # over the limit by a product of small axes, so a missing check stays cheap
     with pytest.raises(ConfigError, match="1002001 rows"):
         _parse_grid(["v=1:1:1001", "beta=2:1:1002"])
+    # a second spec for an axis would silently replace the first
+    with pytest.raises(ConfigError, match="grid axis 'v' is given more than once"):
+        _parse_grid(["v=1:1:3", "beta=2", "v=2"])
 
 
 def test_oversized_sweep_exits_before_solving(capsys, monkeypatch):
-    import seqlab.cli as cli
+    from seqlab import analysis
 
     def refuse(*args, **kwargs):
         raise AssertionError("sweep ran on an oversized grid")
 
-    monkeypatch.setattr(cli.analysis, "sweep", refuse)
+    monkeypatch.setattr(analysis, "sweep", refuse)
     code, out, err = _run(capsys, ["sweep", "--cost", "power:2", "--noise", "normal:1",
                                    "--grid", "v=1:1:1001", "--grid", "beta=2:1:1002"])
     assert code == 2
@@ -543,19 +563,36 @@ def test_refund_root_whose_bracket_end_cost_overflows(capsys):
 
 def _probe_stderr(argv):
     """The standard error lines of ``main(argv)`` in a fresh interpreter, the last one
-    its exit code, whether it loaded NumPy, and the scipy modules it loaded."""
+    its exit code, whether it loaded NumPy, the seqlab modules it loaded, joined by
+    commas, and the scipy modules it loaded."""
     code = ("import sys; from seqlab.cli import main; code = main(sys.argv[1:]); "
             "print(code, 'numpy._core' in sys.modules, "
+            "','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'seqlab')), "
             "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'), file=sys.stderr)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
     return out.stderr.splitlines()
 
 
-def _probe(argv):
-    """Exit code of ``main(argv)`` in a fresh interpreter, whether it loaded NumPy, and the scipy modules it loaded."""
-    code, numpy, modules = _probe_stderr(argv)[-1].split(" ", 2)
+#: per command, the seqlab modules none of its runs loads
+_NEVER_LOADED = {
+    "equilibrium": {"seqlab.analysis", "seqlab.montecarlo", "seqlab.rng"},
+    **dict.fromkeys(("compare", "sweep", "optimal-c"), {"seqlab.montecarlo", "seqlab.rng"}),
+    **dict.fromkeys(("simulate", "verify"), {"seqlab.analysis"}),
+}
+
+
+def _split_probe(command, line):
+    """A probe line's exit code, NumPy flag and scipy modules; fails if ``command`` loaded a module it never uses."""
+    code, numpy, loaded, modules = line.split(" ", 3)
+    assert _NEVER_LOADED[command].isdisjoint(loaded.split(",")), f"{command} loaded {loaded}"
     return int(code), numpy == "True", modules
+
+
+def _probe(argv):
+    """Exit code of ``main(argv)`` in a fresh interpreter, whether it loaded NumPy, and the scipy modules it
+    loaded; fails if the run loaded a seqlab module its command never uses."""
+    return _split_probe(argv[0], _probe_stderr(argv)[-1])
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -608,11 +645,15 @@ def test_sampling_under_every_law_leaves_out_scipy(argv, law):
     (["sweep", "--grid", "v=-1:1:2", "--cost", "power:2", "--noise", "normal:1"], 2),
     (["sweep", "--grid", "sigma=0:1:2", "--cost", "power:2", "--noise", "normal:1"], 2),
     (["sweep", "--grid", "chains=0:1:2", "--cost", "power:2", "--noise", "normal:1"], 2),
+    (["sweep", "--grid", "v=1:1:3", "--grid", "v=2", "--cost", "power:2", "--noise", "normal:1"], 2),
+    (["optimal-c", "--cost", "timeboost:g=1,cap=0.2", "--noise", "normal:1", "--value-dist", "exp:1"], 2),
+    (["optimal-c", "--cost", "timeboost:g=1,foo=3", "--noise", "normal:1", "--value-dist", "exp:1"], 2),
 ], ids=["optimal-c-exp", "optimal-c-lognormal", "optimal-c-points", "power-below-one", "unknown-noise",
         "negative-v", "descending-grid", "three-signals-two-chains", "timeboost-without-g", "negative-exp-rate",
         "bare-g", "simulate-zero-trials", "simulate-negative-seed", "verify-montecarlo-zero-trials",
         "refund-three-chains", "simulate-nan-signal", "simulate-infinite-signal", "sweep-negative-v",
-        "sweep-zero-sigma", "sweep-zero-chains"])
+        "sweep-zero-sigma", "sweep-zero-chains", "sweep-repeated-axis", "optimal-c-cost-cap",
+        "optimal-c-unknown-cost-entry"])
 def test_runs_without_arrays_leave_out_numpy(argv, expected):
     # NumPy is imported on first use: a cold run that needs no array never pays for it
     assert _probe(argv) == (expected, False, "[]")
@@ -628,7 +669,7 @@ def test_config_mode_outside_the_commands_choices_exits_before_any_solve(command
     path.write_text(json.dumps({"command": command, "params": {**params, "mode": "bogus"}}))
     *message, probe = _probe_stderr(["--config", str(path)])
     assert message == [f"seqlab: config error: config key 'mode' needs one of {choices}, got 'bogus'"]
-    assert probe == "2 False []"
+    assert _split_probe(command, probe) == (2, False, "[]")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,7 +1,8 @@
-"""NumPy as seqlab imports it: deferred to first use, shared with a NumPy already loaded.
+"""NumPy and seqlab's own modules as seqlab imports them: deferred to first use,
+NumPy shared with a NumPy already loaded.
 
 Each test runs its code in a fresh interpreter, since this process has
-imported NumPy already.
+imported NumPy and every seqlab module already.
 """
 
 from __future__ import annotations
@@ -71,3 +72,31 @@ numpy = sys.modules["numpy"]
 print(before, type(numpy) is types.ModuleType, rng.np is not numpy, type(draws) is numpy.ndarray)
 """
     assert _child(code) == "False True True True"
+
+
+def test_import_seqlab_loads_no_submodule():
+    code = """
+import sys
+import seqlab
+print(sorted(name for name in sys.modules if name.startswith("seqlab.")))
+"""
+    assert _child(code) == "[]"
+
+
+def test_every_public_name_is_its_defining_modules_object():
+    # dir lists the names before any is loaded; each resolves on first access and is then kept
+    code = """
+import importlib
+import seqlab
+listed = set(seqlab.__all__) <= set(dir(seqlab))
+exports = {name: module for module, names in seqlab._EXPORTS.items() for name in names}
+wrong = []
+for name in seqlab.__all__:
+    module = importlib.import_module("seqlab." + exports[name])
+    value = getattr(seqlab, name)
+    if value is not getattr(module, name) or getattr(value, "__module__", module.__name__) != module.__name__:
+        wrong.append(name)
+kept = all(name in vars(seqlab) for name in seqlab.__all__)
+print(listed, sorted(exports) == seqlab.__all__, wrong, kept, hasattr(seqlab, "no_such_name"))
+"""
+    assert _child(code) == "True True [] True False"

@@ -865,6 +865,67 @@ def test_simulate_tallies_chains_at_one_pair_as_one_group(monkeypatch):
     assert seconds < 5.0
 
 
+def _pair_loop_payoff_statistics(trials, market, captures, chains, groups, co_wins):
+    """The reducer as a loop over pairs of groups on Python integers: the reference for its order of additions."""
+    v, alpha = market.v, market.alpha
+    spent = 0.0
+    for cost, won in chains:
+        spent = spent + cost * (won + alpha * (trials - won))
+    mean = (v * captures - spent) / trials
+
+    def exact(counts):
+        return np.asarray(counts).astype(object)
+
+    caps, wins = exact(captures), [exact(won) for _, _, won in groups]
+    slopes = [(1.0 - alpha) * cost for cost, _, _ in groups]
+    moment = v * v * (caps * (trials - caps)).astype(float)
+    for (_, size, _), won, slope, row in zip(groups, wins, slopes, co_wins):
+        moment = moment - 2.0 * v * slope * (caps * (exact(size) * trials - won)).astype(float)
+        for other_won, other, pairs in zip(wins, slopes, row):
+            moment = moment + slope * other * (trials * exact(pairs) - won * other_won).astype(float)
+    variance = np.maximum(moment, 0.0) / (trials * (trials - 1.0))
+    halfwidth = mc._Z95 * np.sqrt(variance / trials)
+    edge = (captures == 0) | (captures == trials)
+    return mean, np.where(edge, np.maximum(halfwidth, v * mc._Z95**2 / (trials + mc._Z95**2)), halfwidth)
+
+
+def _assert_same_bits(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def test_payoff_statistics_keeps_the_bits_of_the_pair_loop(monkeypatch):
+    # 40 chains at 40 distinct signal pairs are 40 groups, plus a Monte Carlo verify's level row
+    calls, reduce = [], mc._payoff_statistics
+
+    def both(trials, market, captures, chains, groups, co_wins):
+        chains = list(chains)
+        got = reduce(trials, market, captures, iter(chains), groups, co_wins)
+        _assert_same_bits(got, _pair_loop_payoff_statistics(trials, market, captures, iter(chains), groups, co_wins))
+        calls.append(len(groups))
+        return got
+
+    monkeypatch.setattr(mc, "_payoff_statistics", both)
+    own = tuple(0.2 + 0.015 * k for k in range(40))
+    simulate(_spec((own, own[::-1]), n=40, v=3.0, alpha=0.3, trials=2_000, seed=5))
+    verify_best_response(0.4, MarketConfig(2.0, 3, 0.5), POWER_TWO, UNIT_NOISE, mode="montecarlo",
+                         trials=2_000, seed=5, deviation_grid=np.linspace(0.0, 1.0, 11))
+    assert calls == [40, 1]
+
+
+def test_payoff_statistics_past_int64_keeps_the_bits_of_the_pair_loop():
+    # at 10**10 trials T*N passes int64, so the co-moments are formed from Python integers
+    trials, market = 10**10, MarketConfig(5.0, 3, 0.25)
+    captures = np.array([1_234_567_891, 987_654_321])
+    wins = np.array([[4_000_000_001, 6_000_000_003], [5_500_000_000, 4_500_000_000], [7_000_000_007, 3_000_000_001]])
+    costs = np.array([[0.09, 0.16], [0.25, 0.04], [0.09, 0.16]])
+    groups = [(costs[0], np.array([2]), wins[0] + wins[2]), (costs[1], np.array([1]), wins[1])]
+    co_wins = np.array([[[2 * 10**10, 10**10], [9 * 10**9, 4 * 10**9]],
+                        [[9 * 10**9, 4 * 10**9], [5_500_000_000, 4_500_000_000]]])
+    got = mc._payoff_statistics(trials, market, captures, zip(costs, wins), groups, co_wins)
+    _assert_same_bits(got, _pair_loop_payoff_statistics(trials, market, captures, zip(costs, wins), groups, co_wins))
+
+
 @pytest.mark.parametrize("noise", EXTREME_NOISES[2::5] + EXTREME_NOISES[3::5], ids=lambda m: m.spec)
 def test_simulate_from_tables_equals_per_profile_race(noise):
     # simulate's counts, through the public entry point, at equal and unequal signals
