@@ -18,14 +18,11 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analysis": (
         "REVENUE_THRESHOLD_CONSTANT", "ComparisonReport", "OptimalBoostFee", "RevenueThreshold",
-        "ValueDistribution", "capped_revenue_comparison", "compare_expenditure", "ex_ante_revenue",
-        "optimal_c", "parse_value_dist", "sweep", "timeboost_revenue_threshold",
+        "ValueDistribution", "compare_expenditure", "ex_ante_revenue", "optimal_c", "parse_value_dist",
+        "sweep", "timeboost_revenue_threshold",
     ),
     "cost": ("CostModel", "parse_cost"),
-    "equilibrium": (
-        "EquilibriumResult", "MarketConfig", "Regime", "latency_closed_form", "solve_equilibrium",
-        "timeboost_closed_form",
-    ),
+    "equilibrium": ("EquilibriumResult", "MarketConfig", "Regime", "solve_equilibrium"),
     "errors": ("ConfigError", "DomainError", "ParameterError", "SolverError"),
     "montecarlo": (
         "BestResponseCheck", "SimulationSpec", "SimulationStats", "analytic_expected_payoff",

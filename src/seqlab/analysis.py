@@ -5,11 +5,11 @@ policy: latency investment under first-come-first-serve is deadweight loss
 ("waste"), while bids under a fee-based policy are protocol income
 ("revenue"). The arithmetic is identical; only the label differs.
 
-Besides the head-to-head expenditure comparison this module covers the
-capped-bidding corner (a low cap reverses the usual shared-beats-separate
-revenue ranking), the boost-fee revenue threshold for normal noise, the
-ex-ante optimal choice of the fee parameter ``c`` when the trade value is
-random, and grid sweeps that tabulate everything for plotting.
+Besides the head-to-head expenditure comparison (under a low bid cap it
+reverses the usual shared-beats-separate revenue ranking) this module covers
+the boost-fee revenue threshold for normal noise, the ex-ante optimal choice
+of the fee parameter ``c`` when the trade value is random, and grid sweeps
+that tabulate everything for plotting.
 """
 
 from __future__ import annotations
@@ -49,8 +49,6 @@ class ComparisonReport:
     capture_probability_shared: float
     capture_probability_separate: float
     displayed_thresholds: dict
-    cap_condition_holds: bool | None = None
-    separate_exceeds_shared: bool | None = None
 
 
 def _displayed_thresholds(cost: CostModel, noise: NoiseModel, v: float, n_sep: int) -> dict:
@@ -102,27 +100,6 @@ def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: flo
         capture_probability_shared=1.0,
         capture_probability_separate=2.0 * 0.5**separate_chains,
         displayed_thresholds=_displayed_thresholds(cost, noise, v, separate_chains),
-    )
-
-
-def capped_revenue_comparison(v: float, beta: float, f0: float, cap: float) -> ComparisonReport:
-    """Bidding revenue under a hard bid cap, shared vs. separate.
-
-    With a low enough cap both traders bid the cap in the single shared race
-    (revenue ``cap**beta`` per bidder) while the separate game still collects
-    up to twice that, reversing the unconstrained ranking. The report flags
-    the printed sufficient condition ``cap < (v*f0/(2*beta))**(1/(1-beta))``
-    alongside the direct revenue comparison, which is authoritative.
-    """
-    cost = CostModel.power(beta, cap=cap)
-    if not (math.isfinite(f0) and f0 > 0.0):
-        raise ParameterError(f"peak noise density must be positive, got {f0!r}")
-    noise = NoiseModel("normal", 1.0 / (_SQRT_2PI * f0))
-    report = compare_expenditure(v, cost, noise, interpretation="revenue")
-    return replace(
-        report,
-        cap_condition_holds=cap < (v * f0 / (2.0 * beta)) ** (1.0 / (1.0 - beta)),
-        separate_exceeds_shared=report.separate_total_expenditure > report.shared_total_expenditure,
     )
 
 

@@ -40,7 +40,6 @@ be compared side by side.
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import math
 from dataclasses import dataclass
@@ -114,42 +113,6 @@ class Equilibria(NamedTuple):
     def result(self, i: int) -> EquilibriumResult:
         values = [float(field[i]) for field in self[:5]]
         return EquilibriumResult(*values, REGIMES[self.regime[i]], values[4] >= 0.0)
-
-
-def _settle(v, n, alpha, signal, per_chain, regime, invest, slope_term=None) -> Equilibria:
-    """Candidates that invest and earn a non-negative profit stand; the rest invest nothing.
-
-    Every argument but ``slope_term`` is an array of one shape.
-
-    The profit is ``v*2**-n - n*(1+alpha)/2*C(s)``. With a refund, both terms
-    carry ``(1-alpha)/2*C(s)`` more than the profit needs: at an interior
-    root ``v*2**-n = (1+alpha)/(4*f0)*C'(s) + (1-alpha)/2*C(s)``, so the
-    profit is also ``(1+alpha)/(4*f0)*C'(s) - kappa*C(s)`` with ``kappa =
-    (n*(1+alpha) - (1-alpha))/2``. The refund solve passes its first term
-    as ``slope_term``, a function of ``s``. This form's terms cancel only
-    near the participation threshold, and at ``n = 1``, ``alpha = 0`` not at all,
-    where the direct form cancels to nothing once ``v`` is large. It is
-    taken where the direct form loses a bit or more (a profit below half of
-    ``v*2**-n``); elsewhere the direct form is the better one, as ``C'``
-    amplifies the root's rounding more than ``C`` (a boost fee near its
-    bound), and at ``alpha = 1`` the two forms have the same terms. A capped
-    signal keeps the direct form, since ``C(cap)`` is bounded.
-    """
-    # at the symmetric point every race is a coin flip; a lost race still
-    # costs an alpha fraction of that chain's bid
-    capture, weight = np.ldexp(1.0, -n), n * 0.5 * (1.0 + alpha)
-    if not capture.all():  # past 1074 chains 2**-n is below the smallest float
-        raise ParameterError(f"the capture probability 2**-n underflows to 0 at chains={n[capture == 0.0][0]}")
-    prize = v * capture
-    profit = prize - weight * per_chain
-    if slope_term is not None and np.count_nonzero(root := (alpha != 1.0) & (profit < 0.5 * prize)):
-        root &= invest & (regime == _INTERIOR)
-        kappa = 0.5 * (n * (1.0 + alpha) - (1.0 - alpha))
-        profit = np.where(root, slope_term(signal) - kappa * per_chain, profit)
-    invest = invest & (profit >= 0.0)
-    per_chain = np.where(invest, per_chain, 0.0)
-    return Equilibria(np.where(invest, signal, 0.0), per_chain, n * per_chain, capture,
-                      np.where(invest, profit, prize), np.where(invest, regime, _ZERO))
 
 
 def _stake(f0, v, n):
@@ -237,57 +200,34 @@ def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
         beyond = np.isinf(per_chain)
         raise SolverError(f"the {cost.spec} cost of the signal {signal[beyond][0]:.6g} lies beyond float range "
                           f"at chains={n[beyond][0]}, v={v[beyond][0]:.6g}")
-    return _settle(v, n, alpha, signal, per_chain, regime, signal > 0.0,
-                   lambda s: 0.25 * (1.0 + alpha) * cost._marginal(s) / f0)
+    # Candidates that invest and earn a non-negative profit stand; the rest invest nothing. At
+    # the symmetric point every race is a coin flip, and a lost race still costs an alpha
+    # fraction of that chain's bid, so the profit is v*2**-n - n*(1+alpha)/2*C(s). With a
+    # refund, both terms carry (1-alpha)/2*C(s) more than the profit needs: at an interior root
+    # v*2**-n = (1+alpha)/(4*f0)*C'(s) + (1-alpha)/2*C(s), so the profit is also
+    # (1+alpha)/(4*f0)*C'(s) - kappa*C(s) with kappa = (n*(1+alpha) - (1-alpha))/2. This
+    # form's terms cancel only near the participation threshold, and at n = 1, alpha = 0 not
+    # at all, where the direct form cancels to nothing once v is large. It is taken where the
+    # direct form loses a bit or more (a profit below half of v*2**-n); elsewhere the direct
+    # form is the better one, as C' amplifies the root's rounding more than C (a boost fee
+    # near its bound), and at alpha = 1 the two forms have the same terms. A capped signal
+    # keeps the direct form, since C(cap) is bounded.
+    capture, invest = np.ldexp(1.0, -n), signal > 0.0
+    if not capture.all():  # past 1074 chains 2**-n is below the smallest float
+        raise ParameterError(f"the capture probability 2**-n underflows to 0 at chains={n[capture == 0.0][0]}")
+    prize = v * capture
+    profit = prize - n * 0.5 * (1.0 + alpha) * per_chain
+    if np.count_nonzero(root := (alpha != 1.0) & (profit < 0.5 * prize)):
+        root &= invest & (regime == _INTERIOR)
+        kappa = 0.5 * (n * (1.0 + alpha) - (1.0 - alpha))
+        profit = np.where(root, 0.25 * (1.0 + alpha) * cost._marginal(signal) / f0 - kappa * per_chain, profit)
+    invest &= profit >= 0.0
+    per_chain = np.where(invest, per_chain, 0.0)
+    return Equilibria(np.where(invest, signal, 0.0), per_chain, n * per_chain, capture,
+                      np.where(invest, profit, prize), np.where(invest, regime, _ZERO))
 
 
 def solve_equilibrium(market: MarketConfig, cost: CostModel, noise: NoiseModel) -> EquilibriumResult:
     """Symmetric equilibrium of one market: the one-point case of :func:`solve_equilibria`."""
     return solve_equilibria(cost, noise.density_at_zero(), market.v, market.n_chains, market.alpha).result(0)
 
-
-def latency_closed_form(market: MarketConfig, beta: float, f0: float) -> EquilibriumResult:
-    """Power-cost equilibrium via the closed forms, as a cross-check path.
-
-    Signal ``(f0*v / (2**(n-1)*beta)) ** (1/(beta-1))`` with per-chain cost
-    given by the matching ``beta/(beta-1)`` power; independent of the generic
-    marginal-cost inversion used by :func:`solve_equilibrium`.
-    """
-    if market.alpha != 1.0:
-        raise ParameterError("closed forms cover the full-cost baseline only (alpha=1)")
-    if not (math.isfinite(beta) and beta > 1.0):
-        raise ParameterError(f"power cost needs beta > 1, got {beta!r}")
-    if not (math.isfinite(f0) and f0 > 0.0):
-        raise ParameterError(f"peak noise density must be positive, got {f0!r}")
-    base = float(_stake(*np.atleast_1d(f0, market.v, market.n_chains))[0]) / beta
-    signal = per_chain_cost = math.inf
-    with contextlib.suppress(OverflowError):  # Python's float power raises where numpy's gives inf
-        signal = base ** (1.0 / (beta - 1.0))
-        per_chain_cost = base ** (beta / (beta - 1.0))
-    if per_chain_cost == math.inf:
-        what = "signal" if signal == math.inf else f"cost of the signal {signal:.6g}"
-        raise SolverError(f"the power:{beta:.12g} {what} lies beyond float range "
-                          f"at chains={market.n_chains}, v={market.v:.6g}")
-    return _settle(*np.atleast_1d(market.v, market.n_chains, 1.0, signal, per_chain_cost, _INTERIOR, True)).result(0)
-
-
-def timeboost_closed_form(market: MarketConfig, c: float, g: float, f0: float) -> EquilibriumResult:
-    """Boost-fee equilibrium via the closed forms, as a cross-check path.
-
-    Shared (n=1): signal ``g - sqrt(c*g/(f0*v))`` when ``v > c/(g*f0)``, with
-    total cost ``max(sqrt(c*g*f0*v) - c, 0)``. Separate (n=2): signal
-    ``g - sqrt(2*c*g/(f0*v))`` when ``v > 2*c/(g*f0)``, with total cost
-    ``max(sqrt(2*c*g*f0*v) - 2*c, 0)``.
-    """
-    if market.alpha != 1.0:
-        raise ParameterError("closed forms cover the full-cost baseline only (alpha=1)")
-    if market.n_chains not in (1, 2):
-        raise ParameterError("boost-fee closed forms are stated for 1 or 2 chains")
-    for name, value in (("c", c), ("g", g), ("f0", f0)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-    n, v = market.n_chains, market.v
-    k = float(n)
-    signal = g - math.sqrt(k * c * g / (f0 * v))
-    total_cost = max(math.sqrt(k * c * g * f0 * v) - k * c, 0.0)
-    return _settle(*np.atleast_1d(v, n, 1.0, signal, total_cost / n, _INTERIOR, v > k * c / (g * f0))).result(0)

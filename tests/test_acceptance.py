@@ -4,14 +4,19 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 summary lines alongside the pytest verdicts.
 """
 
+import ast
 import itertools
 import json
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import closed_forms
+from seqlab import equilibrium
 from seqlab.analysis import (
     REVENUE_THRESHOLD_CONSTANT,
     ValueDistribution,
@@ -20,12 +25,7 @@ from seqlab.analysis import (
 )
 from seqlab.cli import main
 from seqlab.cost import CostModel
-from seqlab.equilibrium import (
-    MarketConfig,
-    Regime,
-    latency_closed_form,
-    solve_equilibrium,
-)
+from seqlab.equilibrium import MarketConfig, Regime, solve_equilibrium
 from seqlab.montecarlo import (
     SimulationSpec,
     analytic_expected_payoff,
@@ -49,31 +49,61 @@ def _grid():
     return list(itertools.product(BETAS, VALUES, SIGMAS, CHAINS))
 
 
-@pytest.fixture(scope="module")
-def solved_grid():
+def _solve_grid():
+    """Criterion 1's grid, each tuple solved by the FOC solver and by the closed form, and the time taken."""
     rows = []
     start = time.perf_counter()
     for beta, v, sigma, n in _grid():
-        noise = NoiseModel("normal", sigma)
-        market = MarketConfig(v, n)
-        via_solver = solve_equilibrium(market, CostModel.power(beta), noise)
-        via_formula = latency_closed_form(market, beta, noise.density_at_zero())
+        via_solver = solve_equilibrium(MarketConfig(v, n), CostModel.power(beta), NoiseModel("normal", sigma))
+        via_formula = closed_forms.power(v, n, beta, closed_forms.peak_density("normal", sigma))
         rows.append((beta, v, sigma, n, via_solver, via_formula))
     elapsed = time.perf_counter() - start
     return rows, elapsed
 
 
+def _disagreements(rows):
+    """Labels of the tuples where solver and closed form differ in signal or cost past 1e-9, or in regime."""
+    return [
+        f"beta={beta} v={v} sigma={sigma} n={n}"
+        for beta, v, sigma, n, via_solver, via_formula in rows
+        if abs(via_formula.signal - via_solver.signal) > 1e-9
+        or abs(via_formula.total_cost_per_trader - via_solver.total_cost_per_trader) > 1e-9
+        or via_formula.regime != via_solver.regime.value
+    ]
+
+
+@pytest.fixture(scope="module")
+def solved_grid():
+    return _solve_grid()
+
+
 def test_criterion_1_closed_form_oracle_agreement(solved_grid):
     rows, elapsed = solved_grid
     assert len(rows) >= 200
-    for beta, v, sigma, n, via_solver, via_formula in rows:
-        label = f"beta={beta} v={v} sigma={sigma} n={n}"
-        assert abs(via_formula.signal - via_solver.signal) <= 1e-9, label
-        assert abs(via_formula.total_cost_per_trader - via_solver.total_cost_per_trader) <= 1e-9, label
-        assert via_formula.regime is via_solver.regime, label
+    assert _disagreements(rows) == []
     assert elapsed < 1.0
     print(f"\n[criterion 1] PASS: closed form vs FOC solver agree to 1e-9 on "
           f"{len(rows)} tuples in {elapsed:.3f}s")
+
+
+def test_criterion_1_catches_a_doubled_stake(monkeypatch):
+    # a stake of f0*v/2**(n-2) in place of f0*v/2**(n-1) must not pass the closed-form check
+    stake = equilibrium._stake
+    monkeypatch.setattr(equilibrium, "_stake", lambda f0, v, n: 2.0 * stake(f0, v, n))
+    rows, _ = _solve_grid()
+    assert _disagreements(rows)
+
+
+def test_closed_form_oracle_imports_only_the_standard_library():
+    tree = ast.parse(Path(closed_forms.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, "a relative import"
+            imported.add(node.module.partition(".")[0])
+    assert imported and imported <= sys.stdlib_module_names, imported - sys.stdlib_module_names
 
 
 def test_criterion_2_waste_ratio(solved_grid):

@@ -11,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import closed_forms
 from seqlab.analysis import (
     _EXP_ROOT,
     REVENUE_THRESHOLD_CONSTANT,
     ValueDistribution,
     _optimal_level,
-    capped_revenue_comparison,
     compare_expenditure,
     ex_ante_revenue,
     optimal_c,
@@ -82,26 +82,34 @@ def test_displayed_thresholds_reported():
     assert tb.displayed_thresholds["separate_positive_signal_min_value"] == pytest.approx(0.5)
 
 
+def _capped(cap):
+    """Bidding revenue under a bid cap at v = 1, beta = 2, shared vs. separate, at a normal noise with f0 = 1."""
+    noise = NoiseModel("normal", 1.0 / (math.sqrt(2.0 * math.pi) * 1.0))
+    return compare_expenditure(1.0, CostModel.power(2.0, cap=cap), noise, interpretation="revenue")
+
+
 def test_capped_comparison_tight_cap():
-    report = capped_revenue_comparison(1.0, 2.0, 1.0, cap=0.1)
+    # both traders bid the cap in the one shared race, and the separate game collects twice that
+    report = _capped(0.1)
     assert report.shared_result.total_cost_per_trader == pytest.approx(0.01, abs=1e-12)
     assert report.separate_result.total_cost_per_trader == pytest.approx(0.02, abs=1e-12)
     assert report.shared_result.regime is Regime.CAP_BINDING
-    assert report.separate_exceeds_shared is True
-    assert report.cap_condition_holds is True  # 0.1 < (1/4)^(-1) = 4
+    assert report.separate_total_expenditure > report.shared_total_expenditure
+    assert closed_forms.cap_condition(1.0, 2.0, 1.0, 0.1) is True  # 0.1 < (1/4)^(-1) = 4
     assert report.interpretation == "revenue"
 
 
 def test_capped_comparison_slack_cap():
-    report = capped_revenue_comparison(1.0, 2.0, 1.0, cap=10.0)
+    report = _capped(10.0)
     assert report.shared_result.total_cost_per_trader == pytest.approx(0.25, abs=1e-12)
     assert report.separate_result.total_cost_per_trader == pytest.approx(0.125, abs=1e-12)
     assert report.shared_result.regime is Regime.INTERIOR
-    assert report.separate_exceeds_shared is False
+    assert not report.separate_total_expenditure > report.shared_total_expenditure
+    assert closed_forms.cap_condition(1.0, 2.0, 1.0, 10.0) is False
 
 
 def test_capped_comparison_zero_cap():
-    report = capped_revenue_comparison(1.0, 2.0, 1.0, cap=0.0)
+    report = _capped(0.0)
     assert report.shared_total_expenditure == 0.0
     assert report.separate_total_expenditure == 0.0
 

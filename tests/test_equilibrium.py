@@ -10,17 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import closed_forms
 from seqlab import equilibrium
 from seqlab.cost import CostModel
-from seqlab.equilibrium import (
-    MarketConfig,
-    Regime,
-    _stake,
-    latency_closed_form,
-    solve_equilibria,
-    solve_equilibrium,
-    timeboost_closed_form,
-)
+from seqlab.equilibrium import EquilibriumResult, MarketConfig, Regime, _stake, solve_equilibria, solve_equilibrium
 from seqlab.errors import ParameterError, SolverError
 from seqlab.noise import NoiseModel
 
@@ -74,12 +67,12 @@ def test_cap_binds():
 
 
 def test_latency_closed_form_examples():
-    assert latency_closed_form(MarketConfig(1.0, 1), 2.0, 1.0).signal == pytest.approx(0.5, abs=1e-12)
-    separate = latency_closed_form(MarketConfig(1.0, 2), 2.0, 1.0)
+    assert closed_forms.power(1.0, 1, 2.0, 1.0).signal == pytest.approx(0.5, abs=1e-12)
+    separate = closed_forms.power(1.0, 2, 2.0, 1.0)
     assert separate.signal == pytest.approx(0.25, abs=1e-12)
     assert separate.total_cost_per_trader == pytest.approx(0.125, abs=1e-12)
     # sigma = 1 shifts the peak density to 1/sqrt(2*pi)
-    sigma_one = latency_closed_form(MarketConfig(1.0, 1), 2.0, NoiseModel("normal", 1.0).density_at_zero())
+    sigma_one = closed_forms.power(1.0, 1, 2.0, closed_forms.peak_density("normal", 1.0))
     assert sigma_one.signal == pytest.approx(0.19947114020071635, abs=1e-12)
 
 
@@ -87,35 +80,33 @@ def test_latency_closed_form_examples():
 @pytest.mark.parametrize("v", [0.1, 1.0, 2.0])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_closed_form_agrees_with_foc_solver(beta, v, n):
-    market = MarketConfig(v, n)
-    via_solver = solve_equilibrium(market, CostModel.power(beta), UNIT_NOISE)
-    via_formula = latency_closed_form(market, beta, 1.0)
+    via_solver = solve_equilibrium(MarketConfig(v, n), CostModel.power(beta), UNIT_NOISE)
+    via_formula = closed_forms.power(v, n, beta, closed_forms.peak_density("normal", SIGMA_UNIT_F0))
     assert via_formula.signal == pytest.approx(via_solver.signal, abs=1e-9)
     assert via_formula.total_cost_per_trader == pytest.approx(via_solver.total_cost_per_trader, abs=1e-9)
-    assert via_formula.regime is via_solver.regime
+    assert via_formula.regime == via_solver.regime.value
 
 
 def test_timeboost_closed_form_examples():
-    shared = timeboost_closed_form(MarketConfig(1.0, 1), 0.25, 1.0, 1.0)
+    shared = closed_forms.boost_fee(1.0, 1, 0.25, 1.0, 1.0)
     assert shared.signal == pytest.approx(0.5, abs=1e-12)
     assert shared.total_cost_per_trader == pytest.approx(0.25, abs=1e-12)
-    separate = timeboost_closed_form(MarketConfig(1.0, 2), 0.25, 1.0, 1.0)
+    separate = closed_forms.boost_fee(1.0, 2, 0.25, 1.0, 1.0)
     assert separate.signal == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
     assert separate.total_cost_per_trader == pytest.approx(math.sqrt(0.5) - 0.5, abs=1e-12)
-    low_value = timeboost_closed_form(MarketConfig(0.2, 1), 0.25, 1.0, 1.0)
+    low_value = closed_forms.boost_fee(0.2, 1, 0.25, 1.0, 1.0)
     assert low_value.signal == 0.0
-    assert low_value.regime is Regime.ZERO_INVESTMENT
+    assert low_value.regime == Regime.ZERO_INVESTMENT.value
 
 
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("c,g,v", [(0.25, 1.0, 1.0), (0.1, 2.0, 0.7), (0.5, 1.0, 3.0), (2.0, 1.0, 1.0)])
 def test_timeboost_closed_form_agrees_with_foc_solver(n, c, g, v):
-    market = MarketConfig(v, n)
-    via_solver = solve_equilibrium(market, CostModel.timeboost(c, g), UNIT_NOISE)
-    via_formula = timeboost_closed_form(market, c, g, 1.0)
+    via_solver = solve_equilibrium(MarketConfig(v, n), CostModel.timeboost(c, g), UNIT_NOISE)
+    via_formula = closed_forms.boost_fee(v, n, c, g, closed_forms.peak_density("normal", SIGMA_UNIT_F0))
     assert via_formula.signal == pytest.approx(via_solver.signal, abs=1e-9)
     assert via_formula.total_cost_per_trader == pytest.approx(via_solver.total_cost_per_trader, abs=1e-9)
-    assert via_formula.regime is via_solver.regime
+    assert via_formula.regime == via_solver.regime.value
 
 
 @pytest.mark.parametrize(
@@ -326,9 +317,7 @@ def test_refund_roots_are_the_halving_float(monkeypatch, lockstep_bisect):
 
 @pytest.mark.parametrize("beta", [1.5, 2.0, 3.0, 5.0])
 def test_chain_count_decay_rate(beta):
-    signals = [
-        latency_closed_form(MarketConfig(0.5, n), beta, 1.0).signal for n in (1, 2, 3, 4)
-    ]
+    signals = [solve_equilibrium(MarketConfig(0.5, n), CostModel.power(beta), UNIT_NOISE).signal for n in (1, 2, 3, 4)]
     expected_ratio = 2.0 ** (-1.0 / (beta - 1.0))
     for lower, upper in zip(signals, signals[1:]):
         if upper > 0.0:  # interior on both sides
@@ -342,18 +331,18 @@ def test_chain_counts_past_1024_solve_until_the_stake_or_capture_underflows():
     for n in (1024, 1030, 1070, 1074):
         market = MarketConfig(1e10, n)
         result = solve_equilibrium(market, cost, UNIT_NOISE)
-        assert result == latency_closed_form(market, 2.0, f0)
+        oracle = closed_forms.power(1e10, n, 2.0, f0)
+        assert result == EquilibriumResult(*oracle[:5], Regime(oracle.regime), oracle.participation_satisfied)
         assert result.regime is Regime.INTERIOR and result.signal > 0.0 and result.capture_probability > 0.0
-    for solve in (lambda m: solve_equilibrium(m, cost, UNIT_NOISE), lambda m: latency_closed_form(m, 2.0, f0)):
-        stake = re.escape("the stake f0*v/2**(n-1) underflows to 0")
-        with pytest.raises(ParameterError, match=rf"^{stake} at chains=1100, v=1$"):
-            solve(MarketConfig(1.0, 1100))
-        with pytest.raises(ParameterError, match=rf"^{stake} at chains=100, v=1e-300$"):
-            solve(MarketConfig(1e-300, 100))
-        capture = re.escape("the capture probability 2**-n underflows to 0")
-        for n in (1075, 1100):
-            with pytest.raises(ParameterError, match=rf"^{capture} at chains={n}$"):
-                solve(MarketConfig(1e10, n))
+    stake = re.escape("the stake f0*v/2**(n-1) underflows to 0")
+    with pytest.raises(ParameterError, match=rf"^{stake} at chains=1100, v=1$"):
+        solve_equilibrium(MarketConfig(1.0, 1100), cost, UNIT_NOISE)
+    with pytest.raises(ParameterError, match=rf"^{stake} at chains=100, v=1e-300$"):
+        solve_equilibrium(MarketConfig(1e-300, 100), cost, UNIT_NOISE)
+    capture = re.escape("the capture probability 2**-n underflows to 0")
+    for n in (1075, 1100):
+        with pytest.raises(ParameterError, match=rf"^{capture} at chains={n}$"):
+            solve_equilibrium(MarketConfig(1e10, n), cost, UNIT_NOISE)
 
 
 @pytest.mark.parametrize("field, kwargs", [
@@ -394,19 +383,6 @@ def test_stake_past_float_range_names_the_inputs():
     assert _stake(np.array([f0]), np.array([1e300]), np.array([40]))[0] == float(Fraction(f0) * 10**300 / 2**39)
 
 
-def test_closed_form_past_float_range_is_a_solver_error():
-    # the closed form meets the same market as the solver with the same message,
-    # not with the OverflowError of Python's float power
-    noise = NoiseModel("normal", 1e-10)
-    market, f0 = MarketConfig(1e300, 40), noise.density_at_zero()
-    with pytest.raises(SolverError) as solved:
-        solve_equilibrium(market, CostModel.power(2.0), noise)
-    with pytest.raises(SolverError, match=f"^{re.escape(str(solved.value))}$"):
-        latency_closed_form(market, 2.0, f0)
-    with pytest.raises(SolverError, match=r"^the power:1\.001 signal lies beyond float range at chains=40, v=1e\+300$"):
-        latency_closed_form(market, 1.001, f0)
-
-
 def test_interior_foc_residual_is_tiny():
     for beta in (1.5, 2.0, 5.0):
         for v in (0.1, 1.0):
@@ -427,13 +403,6 @@ def test_dispatcher_routes_by_alpha_and_chains():
     )
     with pytest.raises(ParameterError):
         solve_equilibrium(MarketConfig(1.0, 3, 0.5), cost, UNIT_NOISE)
-
-
-def test_solver_preconditions():
-    with pytest.raises(ParameterError):
-        timeboost_closed_form(MarketConfig(1.0, 3), 0.25, 1.0, 1.0)
-    with pytest.raises(ParameterError):
-        latency_closed_form(MarketConfig(1.0, 1), 2.0, -1.0)
 
 
 def test_market_config_validation():
