@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Boost-fee revenue comparison over the (c/g, v/sigma) plane.
 
-For normally distributed noise, separate sequencing out-earns a shared
-sequencer exactly when 0.0684477 * v / sigma >= c / g. This script tabulates
-both revenue formulas on a log grid and marks the winner per cell, which
-plots into the classic threshold-line picture.
+For normally distributed noise, the paper's line says separate sequencing
+out-earns a shared sequencer exactly when c / g < 0.0684477 * v / sigma. This
+script takes both revenues per bidder from one solver sweep over a log grid,
+so a cell where nobody invests reads 0, and marks where separate sequencing
+earns strictly more. Its ``threshold_v`` column is the value on the paper's
+line at each c/g, which plots into the classic threshold-line picture.
 
 Usage:
     python scripts/timeboost_revenue_map.py --out revenue_map.csv
@@ -12,11 +14,18 @@ Usage:
 
 import argparse
 import csv
+import itertools
+import math
 import sys
 
 import numpy as np
 
-from seqlab import timeboost_revenue_threshold
+from seqlab.analysis import sweep
+from seqlab.cost import CostModel
+from seqlab.noise import NoiseModel
+
+#: The paper's line for normal noise, c/g = LINE * v / sigma: (3 - 2*sqrt(2)) times the peak density at sigma = 1.
+LINE = (3.0 - 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
 
 
 def main() -> int:
@@ -26,18 +35,18 @@ def main() -> int:
     parser.add_argument("--out", default="revenue_map.csv", help="output CSV path")
     args = parser.parse_args()
 
-    rows = []
-    for c_over_g in np.geomspace(1e-3, 1.0, 40):
-        threshold = timeboost_revenue_threshold(args.sigma, c_over_g * args.g, args.g)
-        for v in np.geomspace(0.05, 20.0, 40):
-            rows.append({
-                "c_over_g": c_over_g,
-                "v": v,
-                "shared_revenue": threshold.shared_revenue(v),
-                "separate_revenue": threshold.separate_revenue(v),
-                "separate_beats": threshold.separate_beats(v),
-                "threshold_v": c_over_g * args.sigma / threshold.threshold_constant,
-            })
+    values = np.geomspace(0.05, 20.0, 40).tolist()
+    ratios = np.geomspace(1e-3, 1.0, 40).tolist()
+    table = sweep({"v": values, "c": [c_over_g * args.g for c_over_g in ratios]},
+                  cost=CostModel.timeboost(ratios[0] * args.g, args.g), noise=NoiseModel("normal", args.sigma))
+    rows = [{
+        "c_over_g": c_over_g,
+        "v": v,
+        "shared_revenue": row["shared_total_cost"],
+        "separate_revenue": row["separate_total_cost"],
+        "separate_beats": row["separate_total_cost"] > row["shared_total_cost"],
+        "threshold_v": c_over_g * args.sigma / LINE,
+    } for (v, c_over_g), row in zip(itertools.product(values, ratios), table)]
 
     with open(args.out, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(rows[0]))

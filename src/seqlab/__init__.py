@@ -17,9 +17,8 @@ __version__ = "0.1.0"
 #: each public name, by the module that defines it
 _EXPORTS = {
     "analysis": (
-        "REVENUE_THRESHOLD_CONSTANT", "ComparisonReport", "OptimalBoostFee", "RevenueThreshold",
-        "ValueDistribution", "compare_expenditure", "ex_ante_revenue", "optimal_c", "parse_value_dist",
-        "sweep", "timeboost_revenue_threshold",
+        "ComparisonReport", "OptimalBoostFee", "ValueDistribution", "compare_expenditure", "ex_ante_revenue",
+        "optimal_c", "parse_value_dist", "sweep",
     ),
     "cost": ("CostModel", "parse_cost"),
     "equilibrium": ("EquilibriumResult", "MarketConfig", "Regime", "solve_equilibrium"),

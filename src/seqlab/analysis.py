@@ -1,15 +1,15 @@
-"""Shared-vs-separate comparisons, thresholds, and parameter sweeps.
+"""Shared-vs-separate comparisons, ex-ante fee tuning, and parameter sweeps.
 
 The same equilibrium expenditure reads two ways depending on the ordering
 policy: latency investment under first-come-first-serve is deadweight loss
-("waste"), while bids under a fee-based policy are protocol income
-("revenue"). The arithmetic is identical; only the label differs.
+("waste"), while bids under a boost fee are protocol income ("revenue").
+The arithmetic is identical; the label follows the cost family.
 
-Besides the head-to-head expenditure comparison (under a low bid cap it
-reverses the usual shared-beats-separate revenue ranking) this module covers
-the boost-fee revenue threshold for normal noise, the ex-ante optimal choice
-of the fee parameter ``c`` when the trade value is random, and grid sweeps
-that tabulate everything for plotting.
+Besides the head-to-head expenditure comparison (a low bid cap, or a boost
+fee with a low enough c/g, reverses the usual shared-beats-separate revenue
+ranking) this module covers the ex-ante optimal choice of the fee parameter
+``c`` when the trade value is random, and grid sweeps that tabulate
+everything for plotting.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, s
 from .errors import ConfigError, ParameterError, SolverError
 from .noise import NoiseModel
 from .numerics import bisect_root
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-#: Normal-noise constant in the boost-fee revenue comparison: separate
-#: sequencing collects more than shared iff  constant * v / sigma >= c / g.
-REVENUE_THRESHOLD_CONSTANT = (3.0 - 2.0 * math.sqrt(2.0)) / _SQRT_2PI
 
 #: Root of ``erfc(y) = 2*y*exp(-y*y)/sqrt(pi)``: an exp(rate) value law has its optimal ``L`` at ``y*y/rate``.
 _EXP_ROOT = 0.5315968851493932
@@ -76,17 +70,13 @@ def _displayed_thresholds(cost: CostModel, noise: NoiseModel, v: float, n_sep: i
 
 
 def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: float = 1.0, *,
-                        separate_chains: int = 2, interpretation: str | None = None) -> ComparisonReport:
+                        separate_chains: int = 2) -> ComparisonReport:
     """Solve both sequencing modes and assemble the comparison.
 
     ``separate_chains`` generalizes the separate side to ``n`` independent
     sequencers; the shared side is always a single race. Expenditures count
     both traders' nominal equilibrium cost.
     """
-    if interpretation is None:
-        interpretation = "revenue" if cost.family == "timeboost" else "waste"
-    if interpretation not in ("waste", "revenue"):
-        raise ParameterError(f"interpretation must be 'waste' or 'revenue', got {interpretation!r}")
     shared = solve_equilibrium(MarketConfig(v, 1, alpha), cost, noise)
     separate = solve_equilibrium(MarketConfig(v, separate_chains, alpha), cost, noise)
     shared_total, separate_total = 2.0 * shared.total_cost_per_trader, 2.0 * separate.total_cost_per_trader
@@ -96,39 +86,11 @@ def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: flo
         shared_total_expenditure=shared_total,
         separate_total_expenditure=separate_total,
         expenditure_ratio=shared_total / separate_total if separate_total > 0.0 else None,
-        interpretation=interpretation,
+        interpretation="revenue" if cost.family == "timeboost" else "waste",
         capture_probability_shared=1.0,
         capture_probability_separate=2.0 * 0.5**separate_chains,
         displayed_thresholds=_displayed_thresholds(cost, noise, v, separate_chains),
     )
-
-
-@dataclass(frozen=True)
-class RevenueThreshold:
-    """Boost-fee revenue comparison for normally distributed noise."""
-
-    threshold_constant: float
-    sigma: float
-    c: float
-    g: float
-
-    def shared_revenue(self, v: float) -> float:
-        return math.sqrt(self.c * self.g * v / (_SQRT_2PI * self.sigma)) - self.c
-
-    def separate_revenue(self, v: float) -> float:
-        return math.sqrt(2.0 * self.c * self.g * v / (_SQRT_2PI * self.sigma)) - 2.0 * self.c
-
-    def separate_beats(self, v: float) -> bool:
-        """True when separate sequencing collects at least as much revenue."""
-        return self.threshold_constant * v / self.sigma >= self.c / self.g
-
-
-def timeboost_revenue_threshold(sigma: float, c: float, g: float) -> RevenueThreshold:
-    """Threshold record for the normal-noise boost-fee revenue comparison."""
-    for name, value in (("sigma", sigma), ("c", c), ("g", g)):
-        if not (math.isfinite(value) and value > 0.0):
-            raise ParameterError(f"{name} must be positive and finite, got {value!r}")
-    return RevenueThreshold(REVENUE_THRESHOLD_CONSTANT, sigma, c, g)
 
 
 @dataclass(frozen=True)

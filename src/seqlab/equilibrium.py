@@ -84,7 +84,11 @@ class MarketConfig:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
-    """A symmetric equilibrium point and its bookkeeping."""
+    """A symmetric equilibrium point and its bookkeeping.
+
+    ``participation_satisfied`` (the CLI's ``participation``) describes the reported profile, so it
+    is true in every regime: a candidate that fails the participation test shows as ``zero_investment``.
+    """
 
     signal: float
     per_chain_cost: float

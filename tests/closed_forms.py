@@ -60,3 +60,12 @@ def boost_fee(v: float, n: int, c: float, g: float, f0: float) -> Point:
 def cap_condition(v: float, beta: float, f0: float, cap: float) -> bool:
     """The printed sufficient condition for a bid cap to reverse the power-cost revenue ranking."""
     return cap < (v * f0 / (2.0 * beta)) ** (1.0 / (1.0 - beta))
+
+
+def revenue_threshold(f0: float, v: float) -> float:
+    """The boost-fee ``c/g`` where separate sequencing's revenue per bidder meets the shared one.
+
+    Where both sides invest, ``sqrt(2*x) - 2*c = sqrt(x) - c`` with ``x = c*g*f0*v``: separate
+    sequencing earns more below ``c/g = (3 - 2*sqrt(2))*f0*v`` and less above it.
+    """
+    return (3.0 - 2.0 * math.sqrt(2.0)) * f0 * v

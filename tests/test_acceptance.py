@@ -17,12 +17,7 @@ import pytest
 
 import closed_forms
 from seqlab import equilibrium
-from seqlab.analysis import (
-    REVENUE_THRESHOLD_CONSTANT,
-    ValueDistribution,
-    optimal_c,
-    timeboost_revenue_threshold,
-)
+from seqlab.analysis import ValueDistribution, compare_expenditure, optimal_c
 from seqlab.cli import main
 from seqlab.cost import CostModel
 from seqlab.equilibrium import MarketConfig, Regime, solve_equilibrium
@@ -126,24 +121,59 @@ def test_criterion_2_waste_ratio(solved_grid):
           f"on {checked} interior pairs")
 
 
+# criterion-3 points: each noise law at unit scale, at (g, v) with g*f0 <= 0.75, so that both sides
+# pass the participation test at the flip (the separate side's holds there for g*f0 up to about 1.03)
+FLIP_POINTS = [(law, g, v) for law in ("normal", "logistic", "laplace", "uniform")
+               for g, v in ((1.0, 1.0), (0.5, 0.2), (1.5, 7.0))]
+
+
+def _revenue_flips():
+    """Per criterion-3 point, the c/g where the solver's separate revenue per bidder meets the shared one.
+
+    Each row also carries the oracle's line at that point.
+    """
+    rows = []
+    for law, g, v in FLIP_POINTS:
+        noise, f0 = NoiseModel(law, 1.0), closed_forms.peak_density(law, 1.0)
+
+        def gap(c_over_g):
+            report = compare_expenditure(v, CostModel.timeboost(c_over_g * g, g), noise)
+            return report.separate_total_expenditure - report.shared_total_expenditure
+
+        # separate sequencing earns more at a tiny fee, and nothing from c/g = f0*v/2 on, where its signal is 0
+        flip = bisect_root(gap, 1e-6 * f0 * v, 0.5 * f0 * v)
+        rows.append((law, g, v, flip, closed_forms.revenue_threshold(f0, v)))
+    return rows
+
+
+def _flip_disagreements(rows):
+    """Labels of the points where the solver's flip and the oracle's line differ past 1e-12 relative."""
+    return [f"{law} g={g} v={v}: flip {flip!r}, line {line!r}"
+            for law, g, v, flip, line in rows if abs(flip - line) > 1e-12 * line]
+
+
 def test_criterion_3_revenue_threshold_constant():
-    exact = (3.0 - 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
-    assert abs(REVENUE_THRESHOLD_CONSTANT - exact) <= 1e-12
-    assert abs(REVENUE_THRESHOLD_CONSTANT - 0.068447) <= 1e-5
+    rows = _revenue_flips()
+    assert _flip_disagreements(rows) == []
+    # the paper prints the normal-noise line as c/g = 0.068447 * v/sigma
+    normal_line = closed_forms.revenue_threshold(closed_forms.peak_density("normal", 1.0), 1.0)
+    assert abs(normal_line - 0.068447) <= 1e-5
+    worst = max(abs(flip - line) / line for *_, flip, line in rows)
+    print(f"\n[criterion 3] PASS: the solver's revenue flip meets (3-2*sqrt(2))*f0*v to {worst:.1e} "
+          f"relative at {len(rows)} points under 4 noise laws; the normal line {normal_line:.7f} "
+          f"matches the printed 0.068447 to 1e-5")
 
-    # the revenue-difference sign must flip exactly at the threshold in c/g
-    sigma, g, v = 1.0, 1.0, 1.0
 
-    def revenue_gap(c_over_g):
-        threshold = timeboost_revenue_threshold(sigma, c_over_g * g, g)
-        return threshold.separate_revenue(v) - threshold.shared_revenue(v)
-
-    flip = bisect_root(revenue_gap, 1e-6, 1.0)
-    predicted = REVENUE_THRESHOLD_CONSTANT * v / sigma
-    assert abs(flip - predicted) <= 1e-9
-    print(f"\n[criterion 3] PASS: constant {REVENUE_THRESHOLD_CONSTANT:.7f} matches "
-          f"(3-2*sqrt(2))/sqrt(2*pi) to 1e-12 and the printed 0.068447 to 1e-5; "
-          f"sign flip at c/g={flip:.12f}")
+def test_criterion_3_catches_a_doubled_stake(monkeypatch):
+    # a stake of f0*v/2**(n-2) in place of f0*v/2**(n-1) doubles the flip, which must not pass the check
+    stake = equilibrium._stake
+    monkeypatch.setattr(equilibrium, "_stake", lambda f0, v, n: 2.0 * stake(f0, v, n))
+    rows = _revenue_flips()
+    assert len(_flip_disagreements(rows)) == len(rows)
+    # where twice g*f0 is at most 1, both sides still pass the participation test at the doubled flip
+    doubled = [(flip, line) for law, g, _, flip, line in rows if 2.0 * g * closed_forms.peak_density(law, 1.0) <= 1.0]
+    assert len(doubled) == 9
+    assert all(abs(flip - 2.0 * line) <= 1e-12 * line for flip, line in doubled)
 
 
 def test_criterion_4_optimal_c_equivalence():

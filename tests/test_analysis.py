@@ -14,7 +14,6 @@ from scipy.integrate import quad
 import closed_forms
 from seqlab.analysis import (
     _EXP_ROOT,
-    REVENUE_THRESHOLD_CONSTANT,
     ValueDistribution,
     _optimal_level,
     compare_expenditure,
@@ -22,7 +21,6 @@ from seqlab.analysis import (
     optimal_c,
     parse_value_dist,
     sweep,
-    timeboost_revenue_threshold,
 )
 from seqlab.cost import CostModel
 from seqlab.equilibrium import MarketConfig, Regime, solve_equilibrium
@@ -85,7 +83,7 @@ def test_displayed_thresholds_reported():
 def _capped(cap):
     """Bidding revenue under a bid cap at v = 1, beta = 2, shared vs. separate, at a normal noise with f0 = 1."""
     noise = NoiseModel("normal", 1.0 / (math.sqrt(2.0 * math.pi) * 1.0))
-    return compare_expenditure(1.0, CostModel.power(2.0, cap=cap), noise, interpretation="revenue")
+    return compare_expenditure(1.0, CostModel.power(2.0, cap=cap), noise)
 
 
 def test_capped_comparison_tight_cap():
@@ -96,7 +94,6 @@ def test_capped_comparison_tight_cap():
     assert report.shared_result.regime is Regime.CAP_BINDING
     assert report.separate_total_expenditure > report.shared_total_expenditure
     assert closed_forms.cap_condition(1.0, 2.0, 1.0, 0.1) is True  # 0.1 < (1/4)^(-1) = 4
-    assert report.interpretation == "revenue"
 
 
 def test_capped_comparison_slack_cap():
@@ -114,46 +111,61 @@ def test_capped_comparison_zero_cap():
     assert report.separate_total_expenditure == 0.0
 
 
+def _boost_fee_revenues(sigma, c, g, v):
+    """The solver's boost-fee revenue per bidder under normal noise, shared and separate."""
+    report = compare_expenditure(v, CostModel.timeboost(c, g), NoiseModel("normal", sigma))
+    return report.shared_result.total_cost_per_trader, report.separate_result.total_cost_per_trader
+
+
 def test_threshold_constant():
-    exact = (3.0 - 2.0 * math.sqrt(2.0)) / math.sqrt(2.0 * math.pi)
-    assert REVENUE_THRESHOLD_CONSTANT == pytest.approx(exact, abs=1e-15)
-    assert REVENUE_THRESHOLD_CONSTANT == pytest.approx(0.068447, abs=1e-5)
+    # the solver's revenues meet at the paper's line, printed as c/g = 0.068447 * v/sigma for normal noise
+    def gap(c_over_g):
+        shared, separate = _boost_fee_revenues(1.0, c_over_g, 1.0, 1.0)
+        return separate - shared
+
+    flip = bisect_root(gap, 1e-6, 0.2)
+    exact = closed_forms.revenue_threshold(closed_forms.peak_density("normal", 1.0), 1.0)
+    assert flip == pytest.approx(exact, abs=1e-15)
+    assert flip == pytest.approx(0.068447, abs=1e-5)
 
 
 def test_threshold_predicate_examples():
-    cheap = timeboost_revenue_threshold(1.0, 0.01, 1.0)
-    assert cheap.separate_beats(1.0)
-    expensive = timeboost_revenue_threshold(1.0, 0.5, 1.0)
-    assert not expensive.separate_beats(1.0)
+    shared, separate = _boost_fee_revenues(1.0, 0.01, 1.0, 1.0)
+    assert separate > shared > 0.0
+    shared, separate = _boost_fee_revenues(1.0, 0.1, 1.0, 1.0)
+    assert shared > separate > 0.0
+    # past c = g*f0*v nobody invests, and neither side earns anything
+    assert _boost_fee_revenues(1.0, 0.5, 1.0, 1.0) == (0.0, 0.0)
 
 
 def test_threshold_predicate_matches_direct_comparison():
+    # wherever both sides earn, the solver's ranking is the oracle line's
     rng = np.random.default_rng(2024)
     checked = 0
     while checked < 1000:
-        sigma, c, g, v = np.exp(rng.uniform(-2.0, 2.0, size=4))
-        threshold = timeboost_revenue_threshold(sigma, c, g)
-        margin = threshold.threshold_constant * v / sigma - c / g
-        if abs(margin) < 1e-9:  # stay away from the knife edge
+        sigma, c, g, v = np.exp(rng.uniform(-2.0, 2.0, size=4)).tolist()
+        line = closed_forms.revenue_threshold(closed_forms.peak_density("normal", sigma), v)
+        if abs(line - c / g) < 1e-9:  # stay away from the knife edge
             continue
-        direct = threshold.separate_revenue(v) >= threshold.shared_revenue(v)
-        assert threshold.separate_beats(v) == direct
-        checked += 1
+        shared, separate = _boost_fee_revenues(sigma, c, g, v)
+        if shared > 0.0 and separate > 0.0:
+            assert (separate >= shared) == (c / g <= line)
+            checked += 1
 
 
 def test_timeboost_revenue_monotonicities():
-    base = timeboost_revenue_threshold(1.0, 0.25, 1.0)
-    values = np.linspace(0.5, 5.0, 30)
-    shared = [base.shared_revenue(v) for v in values]
-    assert all(b >= a for a, b in zip(shared, shared[1:]))
-    boosts = np.linspace(0.5, 5.0, 30)
-    by_g = [timeboost_revenue_threshold(1.0, 0.25, g).shared_revenue(1.0) for g in boosts]
-    assert all(b >= a for a, b in zip(by_g, by_g[1:]))
-    # the c effect rises and then falls: exactly one sign change in differences
-    cs = np.linspace(0.01, 2.0, 300)
-    by_c = np.array([timeboost_revenue_threshold(1.0, c, 1.0).shared_revenue(1.0) for c in cs])
+    def shared_revenue(axis, lo, hi, count):
+        rows = sweep({axis: np.linspace(lo, hi, count).tolist()}, cost=CostModel.timeboost(0.25, 1.0),
+                     noise=NoiseModel("normal", 1.0))
+        return np.array([row["shared_total_cost"] for row in rows])
+
+    assert (np.diff(shared_revenue("v", 0.5, 5.0, 30)) >= 0.0).all()
+    assert (np.diff(shared_revenue("g", 0.5, 5.0, 30)) >= 0.0).all()
+    # the c effect rises and then falls, to 0 once nobody invests: exactly one sign change in differences
+    by_c = shared_revenue("c", 0.01, 2.0, 300)
+    assert by_c.min() == by_c[-1] == 0.0
     signs = np.sign(np.diff(by_c))
-    flips = np.count_nonzero(np.diff(signs))
+    flips = np.count_nonzero(np.diff(signs[signs != 0.0]))
     assert flips == 1
 
 

@@ -5,16 +5,24 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parent.parent / "scripts").glob("*.py"))
+import closed_forms
+
+SCRIPT_DIR = Path(__file__).resolve().parent.parent / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
+
+
+def _run(script, out, monkeypatch):
+    """Run ``script`` as ``__main__`` writing its CSV to ``out``, and require exit status 0."""
+    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out)])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(script), run_name="__main__")
+    assert excinfo.value.code == 0
 
 
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.stem)
 def test_script_writes_csv(script, tmp_path, monkeypatch):
     out = tmp_path / "x.csv"
-    monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out)])
-    with pytest.raises(SystemExit) as excinfo:
-        runpy.run_path(str(script), run_name="__main__")
-    assert excinfo.value.code == 0
+    _run(script, out, monkeypatch)
     with open(out, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader)
@@ -22,3 +30,22 @@ def test_script_writes_csv(script, tmp_path, monkeypatch):
     assert header and all(name for name in header)
     assert len(rows) > 0
     assert all(len(row) == len(header) for row in rows)
+
+
+def test_revenue_map_takes_the_solvers_revenues(tmp_path, monkeypatch):
+    # no cell earns a negative revenue, and wherever both sides earn, the winner is the oracle line's
+    out = tmp_path / "map.csv"
+    _run(SCRIPT_DIR / "timeboost_revenue_map.py", out, monkeypatch)
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    f0 = closed_forms.peak_density("normal", 1.0)  # the script's default sigma
+    compared = 0
+    for row in rows:
+        c_over_g, v = float(row["c_over_g"]), float(row["v"])
+        shared, separate = float(row["shared_revenue"]), float(row["separate_revenue"])
+        assert shared >= 0.0 and separate >= 0.0, row
+        line = closed_forms.revenue_threshold(f0, v)
+        if shared > 0.0 and separate > 0.0 and abs(c_over_g - line) > 1e-9:
+            assert row["separate_beats"] == str(c_over_g < line), row
+            compared += 1
+    assert compared > 0
