@@ -15,7 +15,7 @@ import csv
 import math
 import sys
 
-from seqlab import CostModel, NoiseModel, sweep
+from seqlab import ConfigError, CostModel, NoiseModel, ParameterError, sweep
 
 
 def main() -> int:
@@ -25,11 +25,19 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=21, help="alpha grid points on [0, 1]")
     parser.add_argument("--out", default="refund_curves.csv", help="output CSV path")
     args = parser.parse_args()
+    if args.steps < 2:
+        parser.error(f"--steps needs at least 2 alpha grid points, got {args.steps}")
+    try:
+        betas = [float(b) for b in args.betas.split(",")]
+    except ValueError:
+        parser.error(f"--betas needs comma-separated numbers, got {args.betas!r}")
 
     noise = NoiseModel("normal", 1.0 / math.sqrt(2.0 * math.pi))  # peak density 1
-    betas = [float(b) for b in args.betas.split(",")]
     alphas = [k / (args.steps - 1) for k in range(args.steps)]
-    grid = sweep({"beta": betas, "alpha": alphas}, v=args.v, cost=CostModel.power(betas[0]), noise=noise)
+    try:
+        grid = sweep({"beta": betas, "alpha": alphas}, v=args.v, cost=CostModel.power(betas[0]), noise=noise)
+    except (ConfigError, ParameterError) as exc:
+        parser.error(str(exc))
     rows = [
         {
             "beta": row["beta"],

@@ -22,6 +22,7 @@ import numpy as np
 
 from seqlab.analysis import sweep
 from seqlab.cost import CostModel
+from seqlab.errors import ParameterError
 from seqlab.noise import NoiseModel
 
 #: The paper's line for normal noise, c/g = LINE * v / sigma: (3 - 2*sqrt(2)) times the peak density at sigma = 1.
@@ -37,8 +38,11 @@ def main() -> int:
 
     values = np.geomspace(0.05, 20.0, 40).tolist()
     ratios = np.geomspace(1e-3, 1.0, 40).tolist()
-    table = sweep({"v": values, "c": [c_over_g * args.g for c_over_g in ratios]},
-                  cost=CostModel.timeboost(ratios[0] * args.g, args.g), noise=NoiseModel("normal", args.sigma))
+    try:  # the c axis replaces the baseline's c, a positive one so that a bad g gets its own message
+        table = sweep({"v": values, "c": [c_over_g * args.g for c_over_g in ratios]},
+                      cost=CostModel.timeboost(ratios[0], args.g), noise=NoiseModel("normal", args.sigma))
+    except ParameterError as exc:
+        parser.error(str(exc))
     rows = [{
         "c_over_g": c_over_g,
         "v": v,

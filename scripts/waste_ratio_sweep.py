@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from seqlab import CostModel, NoiseModel, sweep
+from seqlab import CostModel, NoiseModel, ParameterError, sweep
 
 
 def main() -> int:
@@ -30,7 +30,10 @@ def main() -> int:
         "beta": np.round(np.arange(1.25, 8.01, 0.25), 2).tolist(),
         "v": [0.1, 0.5, 1.0, 2.0],
     }
-    rows = sweep(axes, cost=CostModel.power(2.0), noise=NoiseModel("normal", args.sigma))
+    try:
+        rows = sweep(axes, cost=CostModel.power(2.0), noise=NoiseModel("normal", args.sigma))
+    except ParameterError as exc:
+        parser.error(str(exc))
     for row in rows:
         beta = row["beta"]
         row["interior_ratio_formula"] = 2.0 ** (1.0 / (beta - 1.0))

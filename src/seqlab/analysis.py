@@ -34,11 +34,11 @@ _EXP_ROOT = 0.5315968851493932
 class ComparisonReport:
     """Shared vs. separate equilibrium expenditure for one parameter point."""
 
-    shared_result: EquilibriumResult
-    separate_result: EquilibriumResult
+    shared: EquilibriumResult
+    separate: EquilibriumResult
     shared_total_expenditure: float
     separate_total_expenditure: float
-    expenditure_ratio: float | None
+    ratio: float | None
     interpretation: str
     capture_probability_shared: float
     capture_probability_separate: float
@@ -79,13 +79,13 @@ def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: flo
     """
     shared = solve_equilibrium(MarketConfig(v, 1, alpha), cost, noise)
     separate = solve_equilibrium(MarketConfig(v, separate_chains, alpha), cost, noise)
-    shared_total, separate_total = 2.0 * shared.total_cost_per_trader, 2.0 * separate.total_cost_per_trader
+    shared_total, separate_total = 2.0 * shared.total_cost, 2.0 * separate.total_cost
     return ComparisonReport(
-        shared_result=shared,
-        separate_result=separate,
+        shared=shared,
+        separate=separate,
         shared_total_expenditure=shared_total,
         separate_total_expenditure=separate_total,
-        expenditure_ratio=shared_total / separate_total if separate_total > 0.0 else None,
+        ratio=shared_total / separate_total if separate_total > 0.0 else None,
         interpretation="revenue" if cost.family == "timeboost" else "waste",
         capture_probability_shared=1.0,
         capture_probability_separate=2.0 * 0.5**separate_chains,

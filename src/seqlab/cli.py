@@ -6,6 +6,8 @@ Subcommands: ``equilibrium``, ``compare``, ``sweep``, ``simulate``,
 JSON output is a single object with stable keys ``command``, ``params``, and
 ``result``; reals carry 12 significant digits, and feeding an emitted JSON
 file back through ``--config`` reproduces the identical run byte for byte.
+The ``equilibrium``, ``compare`` and ``simulate`` results are their records'
+fields under the records' own names.
 Table and CSV cells print each real once with ``.12g``, booleans as
 ``true``/``false`` and a missing value as an empty cell.
 Config files may also be flat ``key = value`` lines (flag names without the
@@ -231,44 +233,16 @@ def _parse_grid(specs: list[str]) -> dict:
     }
 
 
-def _equilibrium_dict(result) -> dict:
-    return {
-        "signal": result.signal,
-        "per_chain_cost": result.per_chain_cost,
-        "total_cost": result.total_cost_per_trader,
-        "capture_probability": result.capture_probability,
-        "expected_profit": result.expected_profit,
-        "regime": result.regime.value,
-        "participation": result.participation_satisfied,
-    }
-
-
-def _comparison_dict(report) -> dict:
-    return {
-        "shared": _equilibrium_dict(report.shared_result),
-        "separate": _equilibrium_dict(report.separate_result),
-        "shared_total_expenditure": report.shared_total_expenditure,
-        "separate_total_expenditure": report.separate_total_expenditure,
-        "ratio": report.expenditure_ratio,
-        "interpretation": report.interpretation,
-        "capture_probability_shared": report.capture_probability_shared,
-        "capture_probability_separate": report.capture_probability_separate,
-        "displayed_thresholds": report.displayed_thresholds,
-    }
-
-
 def _run_equilibrium(args) -> dict:
     market = MarketConfig(args.v, args.chains, args.alpha)
-    result = solve_equilibrium(market, _resolve_cost(args), parse_noise(args.noise))
-    return _equilibrium_dict(result)
+    return asdict(solve_equilibrium(market, _resolve_cost(args), parse_noise(args.noise)))
 
 
 def _run_compare(args) -> dict:
     cost, noise = _resolve_cost(args), parse_noise(args.noise)
     from . import analysis
 
-    report = analysis.compare_expenditure(args.v, cost, noise, args.alpha, separate_chains=args.chains)
-    return _comparison_dict(report)
+    return asdict(analysis.compare_expenditure(args.v, cost, noise, args.alpha, separate_chains=args.chains))
 
 
 def _run_sweep(args) -> dict:
@@ -299,7 +273,7 @@ def _run_verify(args) -> dict:
     check = montecarlo.verify_best_response(
         candidate, market, cost, noise, mode=args.mode, trials=args.trials, seed=args.seed,
     )
-    return {"candidate_signal": candidate.signal, "regime": candidate.regime.value, **asdict(check)}
+    return {"candidate_signal": candidate.signal, "regime": candidate.regime, **asdict(check)}
 
 
 def _run_optimal_c(args) -> dict:
@@ -398,10 +372,11 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
+        path, params = None, {}  # a config read to find the command, kept so a pipe is read once
         if not argv or argv[0].startswith("-"):
-            command = _peek_config_command(argv)
-            if command is not None:
-                argv.insert(0, command)
+            path, params = _peek_config(argv)
+            if "command" in params:
+                argv.insert(0, params["command"])
             elif not {"-h", "--help"} & set(argv):
                 parser.error("a command is required (one of: " + ", ".join(COMMANDS) + ")")
         args = parser.parse_args(argv)
@@ -409,7 +384,7 @@ def main(argv=None) -> int:
             flag = "--g" if args.g is not None else "--c"
             raise ConfigError(f"{flag} is ambiguous here; pass TimeBoost parameters via --cost timeboost:c=...,g=...")
         if args.config:
-            _merge_config(args, _load_config(args.config))
+            _merge_config(args, params if args.config == path else _load_config(args.config))
         for name, default in _COMMANDS[args.command].items():
             if getattr(args, name) is None:
                 if default is _REQUIRED:
@@ -425,13 +400,15 @@ def main(argv=None) -> int:
         return 1
 
 
-def _peek_config_command(argv: list[str]) -> str | None:
+def _peek_config(argv: list[str]) -> tuple[str | None, dict]:
+    """The path and params of the first ``--config`` in ``argv``, or ``(None, {})``."""
     for i, token in enumerate(argv):
         if token == "--config" and i + 1 < len(argv):
-            return _load_config(argv[i + 1]).get("command")
+            return argv[i + 1], _load_config(argv[i + 1])
         if token.startswith("--config="):
-            return _load_config(token.split("=", 1)[1]).get("command")
-    return None
+            path = token.split("=", 1)[1]
+            return path, _load_config(path)
+    return None, {}
 
 
 if __name__ == "__main__":

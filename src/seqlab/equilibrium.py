@@ -52,7 +52,7 @@ from .noise import NoiseModel
 from .numerics import settle_root
 
 
-class Regime(enum.Enum):
+class Regime(enum.StrEnum):
     INTERIOR = "interior"
     CAP_BINDING = "cap_binding"
     ZERO_INVESTMENT = "zero_investment"
@@ -86,17 +86,17 @@ class MarketConfig:
 class EquilibriumResult:
     """A symmetric equilibrium point and its bookkeeping.
 
-    ``participation_satisfied`` (the CLI's ``participation``) describes the reported profile, so it
-    is true in every regime: a candidate that fails the participation test shows as ``zero_investment``.
+    ``participation`` describes the reported profile, so it is true in every regime: a candidate
+    that fails the participation test shows as ``zero_investment``.
     """
 
     signal: float
     per_chain_cost: float
-    total_cost_per_trader: float
+    total_cost: float
     capture_probability: float
     expected_profit: float
     regime: Regime
-    participation_satisfied: bool
+    participation: bool
 
 
 #: Regimes by the integer code :class:`Equilibria` carries.
@@ -109,7 +109,7 @@ class Equilibria(NamedTuple):
 
     signal: np.ndarray
     per_chain_cost: np.ndarray
-    total_cost_per_trader: np.ndarray
+    total_cost: np.ndarray
     capture_probability: np.ndarray
     expected_profit: np.ndarray
     regime: np.ndarray  # indices into REGIMES

@@ -18,11 +18,11 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 class Point(NamedTuple):
     signal: float
     per_chain_cost: float
-    total_cost_per_trader: float
+    total_cost: float
     capture_probability: float
     expected_profit: float
     regime: str
-    participation_satisfied: bool
+    participation: bool
 
 
 def peak_density(law: str, scale: float) -> float:

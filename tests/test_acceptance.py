@@ -62,7 +62,7 @@ def _disagreements(rows):
         f"beta={beta} v={v} sigma={sigma} n={n}"
         for beta, v, sigma, n, via_solver, via_formula in rows
         if abs(via_formula.signal - via_solver.signal) > 1e-9
-        or abs(via_formula.total_cost_per_trader - via_solver.total_cost_per_trader) > 1e-9
+        or abs(via_formula.total_cost - via_solver.total_cost) > 1e-9
         or via_formula.regime != via_solver.regime.value
     ]
 
@@ -111,7 +111,7 @@ def test_criterion_2_waste_ratio(solved_grid):
         separate = by_key[(beta, v, sigma, 2)]
         if separate.regime is not Regime.INTERIOR:
             continue
-        ratio = shared.total_cost_per_trader / separate.total_cost_per_trader
+        ratio = shared.total_cost / separate.total_cost
         expected = 2.0 ** (1.0 / (beta - 1.0))
         assert abs(ratio - expected) <= 1e-9, f"beta={beta} v={v} sigma={sigma}"
         assert ratio >= 1.0
@@ -258,7 +258,7 @@ def test_criterion_7_best_response_verification(solved_grid):
     checked = 0
     worst = -math.inf
     for beta, v, sigma, n, via_solver, _ in rows:
-        if via_solver.regime is not Regime.INTERIOR or not via_solver.participation_satisfied:
+        if via_solver.regime is not Regime.INTERIOR or not via_solver.participation:
             continue
         market = MarketConfig(v, n)
         check = verify_best_response(

@@ -34,9 +34,9 @@ UNIT_NOISE = NoiseModel("normal", SIGMA_UNIT_F0)
 
 def test_expenditure_ratio_beta_two():
     report = compare_expenditure(1.0, CostModel.power(2.0), UNIT_NOISE)
-    assert report.shared_result.total_cost_per_trader == pytest.approx(0.25, abs=1e-12)
-    assert report.separate_result.total_cost_per_trader == pytest.approx(0.125, abs=1e-12)
-    assert report.expenditure_ratio == pytest.approx(2.0, abs=1e-12)
+    assert report.shared.total_cost == pytest.approx(0.25, abs=1e-12)
+    assert report.separate.total_cost == pytest.approx(0.125, abs=1e-12)
+    assert report.ratio == pytest.approx(2.0, abs=1e-12)
     assert report.interpretation == "waste"
     assert report.capture_probability_shared == 1.0
     assert report.capture_probability_separate == 0.5
@@ -45,29 +45,29 @@ def test_expenditure_ratio_beta_two():
 
 def test_expenditure_ratio_beta_three():
     report = compare_expenditure(1.0, CostModel.power(3.0), UNIT_NOISE)
-    assert report.expenditure_ratio == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    assert report.ratio == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # cross-check against explicit cost evaluation
-    explicit = report.shared_result.total_cost_per_trader / report.separate_result.total_cost_per_trader
-    assert report.expenditure_ratio == pytest.approx(explicit, abs=1e-12)
+    explicit = report.shared.total_cost / report.separate.total_cost
+    assert report.ratio == pytest.approx(explicit, abs=1e-12)
 
 
 def test_below_threshold_ratio_undefined():
     report = compare_expenditure(4.0, CostModel.power(2.0), UNIT_NOISE)
     assert report.shared_total_expenditure == 0.0
     assert report.separate_total_expenditure == 0.0
-    assert report.expenditure_ratio is None
+    assert report.ratio is None
 
 
 @pytest.mark.parametrize("beta", np.linspace(1.25, 8.0, 16).tolist())
 def test_interior_ratio_formula(beta):
     report = compare_expenditure(0.5, CostModel.power(beta), UNIT_NOISE)
     if (
-        report.shared_result.regime is Regime.INTERIOR
-        and report.separate_result.regime is Regime.INTERIOR
+        report.shared.regime is Regime.INTERIOR
+        and report.separate.regime is Regime.INTERIOR
     ):
         ratio = 2.0 ** (1.0 / (beta - 1.0))
-        assert report.expenditure_ratio == pytest.approx(ratio, abs=1e-9)
-        assert report.expenditure_ratio >= 1.0
+        assert report.ratio == pytest.approx(ratio, abs=1e-9)
+        assert report.ratio >= 1.0
 
 
 def test_displayed_thresholds_reported():
@@ -89,18 +89,18 @@ def _capped(cap):
 def test_capped_comparison_tight_cap():
     # both traders bid the cap in the one shared race, and the separate game collects twice that
     report = _capped(0.1)
-    assert report.shared_result.total_cost_per_trader == pytest.approx(0.01, abs=1e-12)
-    assert report.separate_result.total_cost_per_trader == pytest.approx(0.02, abs=1e-12)
-    assert report.shared_result.regime is Regime.CAP_BINDING
+    assert report.shared.total_cost == pytest.approx(0.01, abs=1e-12)
+    assert report.separate.total_cost == pytest.approx(0.02, abs=1e-12)
+    assert report.shared.regime is Regime.CAP_BINDING
     assert report.separate_total_expenditure > report.shared_total_expenditure
     assert closed_forms.cap_condition(1.0, 2.0, 1.0, 0.1) is True  # 0.1 < (1/4)^(-1) = 4
 
 
 def test_capped_comparison_slack_cap():
     report = _capped(10.0)
-    assert report.shared_result.total_cost_per_trader == pytest.approx(0.25, abs=1e-12)
-    assert report.separate_result.total_cost_per_trader == pytest.approx(0.125, abs=1e-12)
-    assert report.shared_result.regime is Regime.INTERIOR
+    assert report.shared.total_cost == pytest.approx(0.25, abs=1e-12)
+    assert report.separate.total_cost == pytest.approx(0.125, abs=1e-12)
+    assert report.shared.regime is Regime.INTERIOR
     assert not report.separate_total_expenditure > report.shared_total_expenditure
     assert closed_forms.cap_condition(1.0, 2.0, 1.0, 10.0) is False
 
@@ -114,7 +114,7 @@ def test_capped_comparison_zero_cap():
 def _boost_fee_revenues(sigma, c, g, v):
     """The solver's boost-fee revenue per bidder under normal noise, shared and separate."""
     report = compare_expenditure(v, CostModel.timeboost(c, g), NoiseModel("normal", sigma))
-    return report.shared_result.total_cost_per_trader, report.separate_result.total_cost_per_trader
+    return report.shared.total_cost, report.separate.total_cost
 
 
 def test_threshold_constant():
@@ -466,9 +466,9 @@ def test_sweep_single_point_matches_compare():
     assert len(rows) == 1
     row = rows[0]
     assert row["v"] == 1.0
-    assert row["shared_signal"] == report.shared_result.signal
-    assert row["separate_total_cost"] == report.separate_result.total_cost_per_trader
-    assert row["expenditure_ratio"] == report.expenditure_ratio
+    assert row["shared_signal"] == report.shared.signal
+    assert row["separate_total_cost"] == report.separate.total_cost
+    assert row["expenditure_ratio"] == report.ratio
 
 
 def test_sweep_value_monotonicity():
@@ -524,19 +524,19 @@ def test_sweep_raises_market_configs_error_for_a_bad_market(axes, baseline, mess
     assert str(raised.value) == message
 
 
-SIDE_FIELDS = {"signal": "signal", "per_chain_cost": "per_chain_cost",
-               "total_cost": "total_cost_per_trader", "expected_profit": "expected_profit"}
+#: the result fields a sweep row carries per side, as ``<side>_<field>``
+SIDE_FIELDS = ("signal", "per_chain_cost", "total_cost", "expected_profit")
 
 
 def _assert_row_equals_report(row, report):
-    for prefix, result in (("shared", report.shared_result), ("separate", report.separate_result)):
-        for column, field in SIDE_FIELDS.items():
-            assert row[f"{prefix}_{column}"].hex() == getattr(result, field).hex(), (prefix, column, row)
+    for prefix, result in (("shared", report.shared), ("separate", report.separate)):
+        for field in SIDE_FIELDS:
+            assert row[f"{prefix}_{field}"].hex() == getattr(result, field).hex(), (prefix, field, row)
         assert row[f"{prefix}_regime"] == result.regime.value
     for name in ("shared_total_expenditure", "separate_total_expenditure",
                  "capture_probability_shared", "capture_probability_separate"):
         assert row[name].hex() == getattr(report, name).hex(), (name, row)
-    ratio = report.expenditure_ratio
+    ratio = report.ratio
     assert (row["expenditure_ratio"] is None) if ratio is None else row["expenditure_ratio"].hex() == ratio.hex()
     assert row["interpretation"] == report.interpretation
 
@@ -622,7 +622,7 @@ def test_one_row_sweep_equals_solve_equilibrium(log_v, cost, noise, alpha, chain
         return
     (row,) = rows
     for prefix, result in zip(("shared", "separate"), expected):
-        for column, field in SIDE_FIELDS.items():
-            assert row[f"{prefix}_{column}"].hex() == getattr(result, field).hex(), (prefix, column)
+        for field in SIDE_FIELDS:
+            assert row[f"{prefix}_{field}"].hex() == getattr(result, field).hex(), (prefix, field)
         assert row[f"{prefix}_regime"] == result.regime.value
         assert math.isfinite(result.signal) and math.isfinite(result.expected_profit)

@@ -3,7 +3,9 @@ import math
 import os
 import subprocess
 import sys
+import tomllib
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -11,9 +13,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from seqlab import montecarlo
-from seqlab.analysis import sweep
+from seqlab.analysis import ComparisonReport, sweep
 from seqlab.cli import COMMANDS, _parse_grid, main
 from seqlab.cost import CostModel
+from seqlab.equilibrium import EquilibriumResult, Regime
 from seqlab.errors import ConfigError
 from seqlab.noise import NoiseModel
 
@@ -27,6 +30,10 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _field_names(record) -> list[str]:
+    return [field.name for field in fields(record)]
+
+
 def test_equilibrium_json_schema(capsys):
     code, out, _ = _run(capsys, EQ_ARGS + ["--format", "json"])
     assert code == 0
@@ -38,9 +45,43 @@ def test_equilibrium_json_schema(capsys):
         "signal", "per_chain_cost", "total_cost", "capture_probability",
         "expected_profit", "regime", "participation",
     }
+    assert list(result) == _field_names(EquilibriumResult)  # the record, printed as it is
     assert result["signal"] == pytest.approx(0.5, abs=1e-6)
     assert result["regime"] == "interior"
     assert result["participation"] is True
+
+
+def test_compare_prints_its_record_as_named(capsys):
+    code, out, _ = _run(capsys, ["compare", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--format", "json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert list(result) == _field_names(ComparisonReport)
+    assert list(result["shared"]) == list(result["separate"]) == _field_names(EquilibriumResult)
+
+
+REGIME_ARGS = {
+    Regime.INTERIOR: EQ_ARGS,
+    Regime.CAP_BINDING: EQ_ARGS + ["--cap", "0.1"],
+    Regime.ZERO_INVESTMENT: ["equilibrium", "--v", "1", "--cost", "timeboost:c=10,g=1", "--noise", "normal:1"],
+}
+
+
+@pytest.mark.parametrize("regime", Regime, ids=str)
+def test_each_regime_prints_its_value(regime, capsys):
+    assert str(regime) == format(regime) == f"{regime}" == regime.value
+    assert json.dumps(regime) == json.dumps(regime.value)
+    cells = {}
+    for fmt in ("json", "csv", "table"):
+        code, out, _ = _run(capsys, REGIME_ARGS[regime] + ["--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            cells[fmt] = json.loads(out)["result"]["regime"]
+        elif fmt == "csv":
+            header, row = out.splitlines()
+            cells[fmt] = dict(zip(header.split(","), row.split(",")))["regime"]
+        else:
+            cells[fmt] = dict(line.split(None, 1) for line in out.splitlines())["regime"]
+    assert cells == dict.fromkeys(("json", "csv", "table"), regime.value)
 
 
 def test_compare_csv_ratio(capsys):
@@ -119,6 +160,20 @@ def test_json_round_trip_through_config(capsys, tmp_path):
     assert (tmp_path / "again.json").read_text() == first
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+@pytest.mark.parametrize("flags", [["--config", "/dev/stdin"], ["--config=/dev/stdin"]])
+@pytest.mark.parametrize("argv", [EQ_ARGS, ["compare", "--v", "1", "--cost", "power:2", "--noise", "normal:1"]],
+                         ids=lambda argv: argv[0])
+def test_piped_json_run_through_config_prints_the_same_run(argv, flags, capsys):
+    # with no command on the line, the config names it; a pipe can be read only once, so its params must be kept
+    code, emitted, _ = _run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    piped = subprocess.run([sys.executable, "-m", "seqlab", *flags], input=emitted, capture_output=True, text=True,
+                           env=env)
+    assert (piped.returncode, piped.stderr, piped.stdout) == (0, "", emitted)
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_unwritable_out_is_config_error(target, capsys, tmp_path):
     path = tmp_path / "missing" / "run.json" if target == "missing-directory" else tmp_path
@@ -165,7 +220,6 @@ def test_identical_invocations_are_byte_identical(capsys):
 
 def test_console_script_prints_what_python_m_seqlab_prints():
     # the installed ``seqlab`` script imports its [project.scripts] target and exits with what it returns
-    tomllib = pytest.importorskip("tomllib")
     with open(Path(__file__).resolve().parent.parent / "pyproject.toml", "rb") as handle:
         module, _, attr = tomllib.load(handle)["project"]["scripts"]["seqlab"].partition(":")
     script = f"import sys; from {module} import {attr}; sys.exit({attr}())"

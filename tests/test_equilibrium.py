@@ -31,14 +31,14 @@ def test_shared_baseline_example():
     assert result.per_chain_cost == pytest.approx(0.25, abs=1e-12)
     assert result.expected_profit == pytest.approx(0.25, abs=1e-12)
     assert result.regime is Regime.INTERIOR
-    assert result.participation_satisfied
+    assert result.participation
     assert result.capture_probability == 0.5
 
 
 def test_separate_baseline_example():
     result = solve_equilibrium(MarketConfig(1.0, 2), CostModel.power(2.0), UNIT_NOISE)
     assert result.signal == pytest.approx(0.25, abs=1e-12)
-    assert result.total_cost_per_trader == pytest.approx(0.125, abs=1e-12)
+    assert result.total_cost == pytest.approx(0.125, abs=1e-12)
     assert result.expected_profit == pytest.approx(0.125, abs=1e-12)
     assert result.regime is Regime.INTERIOR
     assert result.capture_probability == 0.25
@@ -56,7 +56,7 @@ def test_failed_participation_is_zero_investment():
     result = solve_equilibrium(MarketConfig(4.0, 1), CostModel.power(2.0), UNIT_NOISE)
     assert result.signal == 0.0
     assert result.regime is Regime.ZERO_INVESTMENT
-    assert result.participation_satisfied  # not investing is costless
+    assert result.participation  # not investing is costless
 
 
 def test_cap_binds():
@@ -70,7 +70,7 @@ def test_latency_closed_form_examples():
     assert closed_forms.power(1.0, 1, 2.0, 1.0).signal == pytest.approx(0.5, abs=1e-12)
     separate = closed_forms.power(1.0, 2, 2.0, 1.0)
     assert separate.signal == pytest.approx(0.25, abs=1e-12)
-    assert separate.total_cost_per_trader == pytest.approx(0.125, abs=1e-12)
+    assert separate.total_cost == pytest.approx(0.125, abs=1e-12)
     # sigma = 1 shifts the peak density to 1/sqrt(2*pi)
     sigma_one = closed_forms.power(1.0, 1, 2.0, closed_forms.peak_density("normal", 1.0))
     assert sigma_one.signal == pytest.approx(0.19947114020071635, abs=1e-12)
@@ -83,17 +83,17 @@ def test_closed_form_agrees_with_foc_solver(beta, v, n):
     via_solver = solve_equilibrium(MarketConfig(v, n), CostModel.power(beta), UNIT_NOISE)
     via_formula = closed_forms.power(v, n, beta, closed_forms.peak_density("normal", SIGMA_UNIT_F0))
     assert via_formula.signal == pytest.approx(via_solver.signal, abs=1e-9)
-    assert via_formula.total_cost_per_trader == pytest.approx(via_solver.total_cost_per_trader, abs=1e-9)
+    assert via_formula.total_cost == pytest.approx(via_solver.total_cost, abs=1e-9)
     assert via_formula.regime == via_solver.regime.value
 
 
 def test_timeboost_closed_form_examples():
     shared = closed_forms.boost_fee(1.0, 1, 0.25, 1.0, 1.0)
     assert shared.signal == pytest.approx(0.5, abs=1e-12)
-    assert shared.total_cost_per_trader == pytest.approx(0.25, abs=1e-12)
+    assert shared.total_cost == pytest.approx(0.25, abs=1e-12)
     separate = closed_forms.boost_fee(1.0, 2, 0.25, 1.0, 1.0)
     assert separate.signal == pytest.approx(1.0 - math.sqrt(0.5), abs=1e-12)
-    assert separate.total_cost_per_trader == pytest.approx(math.sqrt(0.5) - 0.5, abs=1e-12)
+    assert separate.total_cost == pytest.approx(math.sqrt(0.5) - 0.5, abs=1e-12)
     low_value = closed_forms.boost_fee(0.2, 1, 0.25, 1.0, 1.0)
     assert low_value.signal == 0.0
     assert low_value.regime == Regime.ZERO_INVESTMENT.value
@@ -105,7 +105,7 @@ def test_timeboost_closed_form_agrees_with_foc_solver(n, c, g, v):
     via_solver = solve_equilibrium(MarketConfig(v, n), CostModel.timeboost(c, g), UNIT_NOISE)
     via_formula = closed_forms.boost_fee(v, n, c, g, closed_forms.peak_density("normal", SIGMA_UNIT_F0))
     assert via_formula.signal == pytest.approx(via_solver.signal, abs=1e-9)
-    assert via_formula.total_cost_per_trader == pytest.approx(via_solver.total_cost_per_trader, abs=1e-9)
+    assert via_formula.total_cost == pytest.approx(via_solver.total_cost, abs=1e-9)
     assert via_formula.regime == via_solver.regime.value
 
 
@@ -332,7 +332,7 @@ def test_chain_counts_past_1024_solve_until_the_stake_or_capture_underflows():
         market = MarketConfig(1e10, n)
         result = solve_equilibrium(market, cost, UNIT_NOISE)
         oracle = closed_forms.power(1e10, n, 2.0, f0)
-        assert result == EquilibriumResult(*oracle[:5], Regime(oracle.regime), oracle.participation_satisfied)
+        assert result == EquilibriumResult(*oracle[:5], Regime(oracle.regime), oracle.participation)
         assert result.regime is Regime.INTERIOR and result.signal > 0.0 and result.capture_probability > 0.0
     stake = re.escape("the stake f0*v/2**(n-1) underflows to 0")
     with pytest.raises(ParameterError, match=rf"^{stake} at chains=1100, v=1$"):

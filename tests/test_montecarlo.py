@@ -377,7 +377,7 @@ def test_level_family_keeps_the_product_meshs_verdicts():
             continue
         market, cost, noise = MarketConfig(v, n, alpha), CostModel.power(beta), NoiseModel("normal", sigma)
         candidate = solve_equilibrium(market, cost, noise)
-        if alpha == 1.0 and not (candidate.regime is Regime.INTERIOR and candidate.participation_satisfied):
+        if alpha == 1.0 and not (candidate.regime is Regime.INTERIOR and candidate.participation):
             continue
         check = verify_best_response(candidate, market, cost, noise)
         gain = _product_mesh_gain(candidate.signal, market, cost, noise)

@@ -19,6 +19,30 @@ def _run(script, out, monkeypatch):
     assert excinfo.value.code == 0
 
 
+BAD_FLAGS = [
+    ("refund_alpha_curves", ["--steps", "1"], "--steps needs at least 2 alpha grid points, got 1"),
+    ("refund_alpha_curves", ["--steps", "0"], "--steps needs at least 2 alpha grid points, got 0"),
+    ("refund_alpha_curves", ["--betas", ""], "--betas needs comma-separated numbers, got ''"),
+    ("refund_alpha_curves", ["--betas", "1"], "power cost needs elasticity beta >= 1.000001, got 1.0"),
+    ("refund_alpha_curves", ["--v", "0"], "trade value must be positive and finite, got 0.0"),
+    ("waste_ratio_sweep", ["--sigma", "0"], "normal noise needs a positive finite parameter, got 0.0"),
+    ("timeboost_revenue_map", ["--g", "0"], "timeboost cost needs positive finite g, got 0.0"),
+    ("timeboost_revenue_map", ["--sigma", "-1"], "normal noise needs a positive finite parameter, got -1.0"),
+]
+
+
+@pytest.mark.parametrize(("script", "flags", "message"), BAD_FLAGS,
+                         ids=[" ".join([script, *flags]) for script, flags, _ in BAD_FLAGS])
+def test_script_refuses_a_bad_flag_with_exit_2(script, flags, message, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "x.csv"
+    monkeypatch.setattr(sys, "argv", [f"{script}.py", *flags, "--out", str(out)])
+    with pytest.raises(SystemExit) as excinfo:
+        runpy.run_path(str(SCRIPT_DIR / f"{script}.py"), run_name="__main__")
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.endswith(f"{script}.py: error: {message}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("script", SCRIPTS, ids=lambda path: path.stem)
 def test_script_writes_csv(script, tmp_path, monkeypatch):
     out = tmp_path / "x.csv"
