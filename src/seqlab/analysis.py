@@ -5,10 +5,12 @@ policy: latency investment under first-come-first-serve is deadweight loss
 ("waste"), while bids under a boost fee are protocol income ("revenue").
 The arithmetic is identical; the label follows the cost family.
 
-Besides the head-to-head expenditure comparison (a low bid cap, or a boost
-fee with a low enough c/g, reverses the usual shared-beats-separate revenue
-ranking) this module covers the ex-ante optimal choice of the fee parameter
-``c`` when the trade value is random, and grid sweeps that tabulate
+Besides the head-to-head expenditure comparison (a boost fee with a low
+enough c/g reverses the usual shared-beats-separate revenue ranking; a low
+bid cap reverses the expenditure ranking, but the label follows the cost
+family alone, so ``compare --v 1 --cost power:2 --noise normal:0.4 --cap 0.1``
+prints ``waste``) this module covers the ex-ante optimal choice of the fee
+parameter ``c`` when the trade value is random, and grid sweeps that tabulate
 everything for plotting.
 """
 

@@ -6,6 +6,8 @@ Subcommands: ``equilibrium``, ``compare``, ``sweep``, ``simulate``,
 JSON output is a single object with stable keys ``command``, ``params``, and
 ``result``; reals carry 12 significant digits, and feeding an emitted JSON
 file back through ``--config`` reproduces the identical run byte for byte.
+A run with no command on the line takes it from the ``--config`` argparse
+reads (the last one, abbreviated as any flag may be), and opens that file once.
 The ``equilibrium``, ``compare`` and ``simulate`` results are their records'
 fields under the records' own names.
 Table and CSV cells print each real once with ``.12g``, booleans as
@@ -93,11 +95,11 @@ _CASTS = {name: options["type"] for name, options in _FLAGS.items() if "type" in
 _PARAM_KEYS = (*_FLAGS, "mode", "format")
 
 
-def _build_parser() -> _CliParser:
+def _build_parser(commands: dict = _COMMANDS, add_help: bool = True) -> _CliParser:
     parser = _CliParser(prog="seqlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    for command, flags in _COMMANDS.items():
-        arg = sub.add_parser(command, help=f"run the {command} computation").add_argument
+    for command, flags in commands.items():
+        arg = sub.add_parser(command, help=f"run the {command} computation", add_help=add_help).add_argument
         for name in flags:
             if name in _FLAGS:
                 arg("--" + name.replace("_", "-"), default=None, **_FLAGS[name])
@@ -372,9 +374,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
-        path, params = None, {}  # a config read to find the command, kept so a pipe is read once
-        if not argv or argv[0].startswith("-"):
-            path, params = _peek_config(argv)
+        params = {}  # a config read to find the command, kept so a pipe is read once
+        if not argv or argv[0].startswith("-"):  # argparse reads --config; flags not all commands share are left over
+            path = _build_parser({COMMANDS[0]: {}}, add_help=False).parse_known_args([COMMANDS[0], *argv])[0].config
+            params = _load_config(path) if path else {}
             if "command" in params:
                 argv.insert(0, params["command"])
             elif not {"-h", "--help"} & set(argv):
@@ -384,7 +387,7 @@ def main(argv=None) -> int:
             flag = "--g" if args.g is not None else "--c"
             raise ConfigError(f"{flag} is ambiguous here; pass TimeBoost parameters via --cost timeboost:c=...,g=...")
         if args.config:
-            _merge_config(args, params if args.config == path else _load_config(args.config))
+            _merge_config(args, params or _load_config(args.config))
         for name, default in _COMMANDS[args.command].items():
             if getattr(args, name) is None:
                 if default is _REQUIRED:
@@ -398,17 +401,6 @@ def main(argv=None) -> int:
     except SolverError as exc:
         print(f"seqlab: solver error: {exc}", file=sys.stderr)
         return 1
-
-
-def _peek_config(argv: list[str]) -> tuple[str | None, dict]:
-    """The path and params of the first ``--config`` in ``argv``, or ``(None, {})``."""
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1], _load_config(argv[i + 1])
-        if token.startswith("--config="):
-            path = token.split("=", 1)[1]
-            return path, _load_config(path)
-    return None, {}
 
 
 if __name__ == "__main__":

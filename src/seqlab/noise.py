@@ -23,9 +23,10 @@ reproduces the configured difference law exactly:
   which gives both terms under every law), which is distributionally
   equivalent in a two-trader race
 
-Sampling applies ``quantile`` (or ``trader_noise``) to the uniforms that
-:func:`seqlab.rng.to_uniform` makes of counter-based words, so draw ``i`` is
-a pure function of ``(seed, i)``. Each transform is monotone in its uniform
+Sampling goes through ``race_noise``, which applies ``trader_noise`` (the
+uniform law: ``quantile``) to the uniforms :func:`seqlab.rng.to_uniform`
+makes of counter-based words, so draw ``i`` is a pure function of
+``(seed, i)``. Each transform is monotone in its uniform
 (the laplace ``trader_noise`` falls, the others rise), and the uniform does
 not fall as the word rises. The Monte Carlo engine relies on that: the
 noise of all words that share a top byte lies between the transform of the

@@ -174,6 +174,35 @@ def test_piped_json_run_through_config_prints_the_same_run(argv, flags, capsys):
     assert (piped.returncode, piped.stderr, piped.stdout) == (0, "", emitted)
 
 
+_RUNS = {
+    "run": ["equilibrium", "--v", "1", "--cost", "power:2", "--noise", "normal:1"],
+    "cmp": ["compare", "--v", "2", "--cost", "power:2", "--noise", "normal:1"],
+    "sweep": ["sweep", "--cost", "power:2", "--noise", "normal:1", "--grid", "v=1:1:3"],
+    "oc": ["optimal-c", "--cost", "timeboost:g=1", "--noise", "normal:1", "--value-dist", "exp:1"],
+}
+
+
+@pytest.mark.parametrize(("command", "flags"), [
+    ("compare", ["--config", "{tmp}/run.json", "--config", "{tmp}/cmp.json", "--format", "csv"]),
+    ("equilibrium", ["--config={tmp}/cmp.json", "--config={tmp}/run.json", "--format", "csv"]),
+    ("equilibrium", ["--conf", "{tmp}/run.json", "--format", "csv"]),
+    ("compare", ["--con={tmp}/cmp.json"]),
+    ("sweep", ["--config", "{tmp}/sweep.json", "--format", "csv"]),
+    ("sweep", ["--format", "csv", "--grid", "v=4", "--config", "{tmp}/sweep.json"]),
+    ("optimal-c", ["--config", "{tmp}/oc.json", "--mode", "shared"]),
+    ("optimal-c", ["--config", "{tmp}/oc.json", "--v", "exp:2", "--format", "csv"]),  # --v abbreviates --value-dist
+], ids=["last-config", "last-config-equals", "abbreviated", "abbreviated-equals", "sweep-format", "sweep-grid",
+        "optimal-c-mode", "optimal-c-abbreviated-value-dist"])
+def test_commandless_run_reads_the_config_argparse_reads(command, flags, capsys, tmp_path):
+    # the command and the params come from one file, the one argparse reads: the last --config, abbreviated or not
+    for name, argv in _RUNS.items():
+        assert _run(capsys, argv + ["--format", "json", "--out", str(tmp_path / f"{name}.json")])[0] == 0
+    flags = [flag.format(tmp=tmp_path) for flag in flags]
+    named = _run(capsys, [command, *flags])
+    assert named[0] == 0 and named[1]
+    assert _run(capsys, flags) == named
+
+
 @pytest.mark.parametrize("target", ["missing-directory", "directory"])
 def test_unwritable_out_is_config_error(target, capsys, tmp_path):
     path = tmp_path / "missing" / "run.json" if target == "missing-directory" else tmp_path
@@ -398,6 +427,19 @@ def test_top_level_help_lists_every_command(flag, capsys):
     assert text.startswith("usage: seqlab")
     for command in COMMANDS:
         assert f"run the {command} computation" in text
+
+
+@pytest.mark.parametrize("flags", [["--config", "{path}", "--help"], ["-h", "--config={path}"]])
+def test_help_with_a_config_alone_is_the_configs_command_help(flags, capsys, tmp_path):
+    path = tmp_path / "cmp.json"
+    path.write_text(json.dumps({"command": "compare", "params": {"v": 2}}))
+    texts = []
+    for argv in (["compare", "--help"], [flag.format(path=path) for flag in flags]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0].startswith("usage: seqlab compare") and texts[1] == texts[0]
 
 
 @given(st.floats())
