@@ -18,11 +18,12 @@ among them, so the baseline, the candidate on every chain, is read off it.
 A race is monotone in trader 1's signal, so the Monte Carlo scan does not
 race each deviation profile: per (trial, chain) it finds the first value
 that wins, once for every level row, and every profile's counts come from
-histograms of those thresholds. A bucket index over the sorted gaps to the
-rival guesses it from the race's ``b - a``, and two exact races confirm the
-guess; the few trials they leave open are binary-searched. A scan costs
-O(trials * chains) races plus O(chains**2) histogram entries per trial, not
-O(profiles * trials), and its counts are exactly those of the per-profile race.
+histograms of those thresholds. The chains that race one rival signal share
+one array pass per chunk: a bucket index over the sorted gaps to the rival
+guesses each threshold from the race's ``b - a``, two exact races confirm the
+guesses, and the few trials they leave open are binary-searched together. A
+scan costs O(trials * chains) races plus O(chains**2) histogram entries per
+trial, not O(profiles * trials), and its counts are those of the per-profile race.
 
 A simulation races each chain at one signal gap, and the sign of
 ``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
@@ -213,10 +214,10 @@ def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trial
 
     Row ``j`` (``1 <= j <= n``) puts one of the sorted distinct ``values``,
     which hold 0, on chains ``0..j-1`` and 0 on the rest. A race is monotone
-    in trader 1's signal, so per chunk one threshold search per chain finds,
-    per trial, the index of the first value that wins it, from a
-    :class:`_GapIndex` of the gaps to the chain's rival signal, built once
-    per distinct signal. Row ``j`` at value index ``i`` wins chain ``k < j``
+    in trader 1's signal, so per chunk one pass per distinct rival signal
+    finds, per trial and chain that races it, the index of the first value
+    that wins, from a :class:`_GapIndex` of the gaps to that signal, built
+    once. Row ``j`` at value index ``i`` wins chain ``k < j``
     when the chain's threshold ``t_k`` is at most ``i``, and a chain held at
     0 when its threshold is at most 0's index. So it captures when
     ``max(t_0, ..., t_{j-1})`` is at most ``i`` and every chain from ``j`` on
@@ -234,39 +235,43 @@ def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trial
     co-counts over its pairs of value chains.
     """
     n, size = len(rival), len(values)
-    indices = {signal: _GapIndex(values - signal) for signal in set(rival.tolist())}
-    chain_indices = [indices[signal] for signal in rival.tolist()]
+    signals = dict.fromkeys(rival.tolist())  # one block of chains per distinct signal: all, or those that race it
+    blocks = [(slice(None) if len(signals) < 2 else np.flatnonzero(rival == s), _GapIndex(values - s)) for s in signals]
     # per row: captures, its last chain's wins, and its last chain's pairs with the earlier ones
     hists = np.zeros((3, n, size + 1), dtype=np.int64)
     zero = int(np.searchsorted(values, 0.0))
     chunk = _chunk_trials(n)
     for start in range(0, trials, chunk):
-        _level_chunk(hists, chain_indices, zero, noise, seed, start, min(chunk, trials - start))
+        _level_chunk(hists, blocks, zero, noise, seed, start, min(chunk, trials - start))
     captures, wins, pairs = np.cumsum(hists, axis=2)[:, :, :size]
     return captures, wins, np.cumsum(wins, axis=0), np.cumsum(wins + 2 * pairs, axis=0)
 
 
-def _level_chunk(hists: np.ndarray, indices: list, zero: int, noise: NoiseModel, seed: int, start: int,
+def _level_chunk(hists: np.ndarray, blocks: list, zero: int, noise: NoiseModel, seed: int, start: int,
                  m: int) -> None:
-    """Add the histograms of trials ``[start, start + m)`` to ``hists``, chain
-    ``k`` searched in ``indices[k]``. A function of its own so the chunk's
-    draws are freed before the next chunk draws its own."""
-    n, size = len(indices), hists.shape[2]
+    """Add the histograms of trials ``[start, start + m)`` to ``hists``, each
+    block of ``(chains, index)`` searched in one pass. A function of its own
+    so the chunk's draws are freed before the next chunk draws its own."""
+    n, size = hists.shape[1:]
     race = _Race.of(_chunk_words(seed, start, m, n), noise)
-    thresholds = np.empty((n, m), dtype=np.intp)
-    for k, index in enumerate(indices):
-        thresholds[k] = race.thresholds(k, index)
+    if len(blocks) == 1:  # the pass's own array: a copy lifts the chunk's peak past the allocator's trim point
+        thresholds = race.thresholds(*blocks[0])
+    else:
+        thresholds = np.empty((n, m), dtype=np.intp)
+        for chains, index in blocks:
+            thresholds[chains] = race.thresholds(chains, index)
     lost = np.zeros((n, m), dtype=bool)  # lost[j]: whether a chain after j lost at 0
     for k in range(n - 1, 0, -1):  # row by row: numpy's accumulate along this axis is many times slower
         np.logical_or(lost[k], thresholds[k] > zero, out=lost[k - 1])
     captured, wins, pairs = hists
     for j, first in enumerate(thresholds):
         highest = np.maximum(highest, first) if j else first
-        # a trial that lost a chain held at 0 captures at no value: the dropped last bin
-        captured[j] += np.bincount(np.where(lost[j], size - 1, highest), minlength=size)
         wins[j] += np.bincount(first, minlength=size)
-        if j:
-            pairs[j] += np.bincount(np.maximum(thresholds[:j], first).reshape(-1), minlength=size)
+        # a trial that lost a chain held at 0 captures at no value: the dropped last bin; no chain follows the last row
+        reached = np.bincount(highest if j == n - 1 else np.where(lost[j], size - 1, highest), minlength=size)
+        captured[j] += reached
+        if j:  # at two chains, row 1's pairs max(t_0, t_1) are its highest thresholds, counted above
+            pairs[j] += reached if n == 2 else np.bincount(np.maximum(thresholds[:j], first).ravel(), minlength=size)
 
 
 class _GapIndex:
@@ -319,66 +324,61 @@ class _Race:
     def of(cls, words: np.ndarray, noise: NoiseModel) -> _Race:
         """The race of ``words`` shaped ``(trials, chains, _SLOTS)``.
 
-        The words are converted to uniforms in place, in memory order; one
-        gather then lays trader 1's and trader 2's out in rows, per chain and
-        contiguous over trials. The coin is heads when the tie-break uniform
-        is below 1/2.
+        One gather lays the noise slots' words out in rows, per chain and
+        contiguous over trials, and only those become uniforms (only trader
+        1's under the uniform law, whose ``race_noise`` never reads trader
+        2's). The coin is heads when the tie-break word is below ``2**63``:
+        exactly when its uniform is below 1/2.
         """
-        u = to_uniform(words).T
-        draws, heads = np.ascontiguousarray(u[:2]), np.less(u[-1], 0.5, order="C")
+        slots = 1 if noise.family == "uniform" else 2
+        draws = to_uniform(np.ascontiguousarray(words[:, :, :slots].transpose(2, 1, 0)))
+        heads = np.less(words[:, :, -1].T, np.uint64(1 << 63), order="C")
         # the words go before the noise is drawn and the draws once it is: a chunk that holds
         # them peaks past the allocator's trim point, and every chunk faults them in anew
-        del words, u
+        del words
         mine, theirs = noise.race_noise(draws)
         del draws
         return cls(mine, theirs, heads)
 
-    def wins(self, k: int, gap) -> np.ndarray:
-        """Whether trader 1 wins chain ``k`` of each trial at ``gap`` (own minus
-        rival signal, a scalar or one per trial): ``(gap + a) - b > 0``, and on
-        an exact tie the coin."""
-        diff = gap + self.mine[k]
-        diff -= self.theirs[k]
-        won = diff > 0.0
-        tie = diff == 0.0
+    def wins(self, k, gap) -> np.ndarray:
+        """Whether trader 1 wins chains ``k`` (an index, array or slice) of each trial
+        at ``gap`` (own minus rival signal, a scalar or one per race): the sign
+        of ``(gap + a) - b``, which is ``gap + a > b``, and on a tie the coin."""
+        x, b = gap + self.mine[k], self.theirs[k]
+        won, tie = x > b, x == b
         if tie.any():
             won[tie] = self.heads[k][tie]
         return won
 
-    def thresholds(self, k: int, index: _GapIndex) -> np.ndarray:
-        """Per trial, the index of the first of ``index``'s gaps that wins
-        chain ``k`` (the number of gaps if none does).
+    def thresholds(self, chains, index: _GapIndex) -> np.ndarray:
+        """Per chain of ``chains`` (an index array or a slice) and trial, the
+        index of the first of ``index``'s gaps that wins (the number of gaps
+        if none does), in one pass over the block.
 
-        ``gap + a`` and then ``- b`` round monotonically, so the race is
-        monotone in the gap: where gap ``t``, the guess of the key's bucket,
-        wins and gap ``t - 1`` loses, ``t`` is the threshold exactly. The
-        few trials left (a gap shares the bucket, or rounding moved the win)
-        go to :meth:`search`.
+        ``gap + a`` rounds monotonically, so the race is monotone in the gap:
+        where gap ``t``, the guess of the key's bucket, wins and gap ``t - 1``
+        loses, ``t`` is the threshold exactly. The few trials left (a gap
+        shares the bucket, or rounding moved the win) go to one :meth:`search`.
         """
-        key = self.theirs[k] - self.mine[k]
-        t = index.first[index.bucket(key)]
-        del key  # before the races: a chunk whose peak passes the allocator's trim point faults anew
-        won, lower = self.wins(k, index.at[t]), self.wins(k, index.below[t])
+        t = index.first[index.bucket(self.theirs[chains] - self.mine[chains])]  # the key is freed before the races
+        won, lower = self.wins(chains, index.at[t]), self.wins(chains, index.below[t])
         open_ = np.flatnonzero(won == lower)  # the race is monotone: where gap t - 1 wins, gap t wins too
         if open_.size:
-            race = _Race([self.mine[k][open_]], [self.theirs[k][open_]], [self.heads[k][open_]])
-            t[open_] = race.search(0, index.padded)
+            race = _Race(*([np.reshape(rows[chains], -1)[open_]] for rows in (self.mine, self.theirs, self.heads)))
+            t.reshape(-1)[open_] = race.search(0, index.padded)
         return t
 
-    def search(self, k: int, gaps: np.ndarray) -> np.ndarray:
+    def search(self, k, gaps: np.ndarray) -> np.ndarray:
         """Per trial, the index of the first of the non-decreasing ``gaps``
         that wins chain ``k``, by a lockstep binary search that races each
         trial ``log2(len(gaps) + 1)`` times; ``gaps`` holds ``2**j - 1``
         entries, the real ones padded with ``+inf``, which always wins (an
-        axis of exactly ``2**j - 1`` values gets no pad). A trial that no
-        real gap wins ends at the number of real gaps: the first pad's
-        index, or ``len(gaps)``.
+        axis of exactly ``2**j - 1`` values gets no pad): a trial that no
+        real gap wins ends at the number of real gaps.
         """
-        lost = np.zeros(len(self.mine[k]), dtype=np.intp)
-        step = (len(gaps) + 1) // 2
+        lost, step = np.zeros(len(self.mine[k]), dtype=np.intp), (len(gaps) + 1) // 2
         while step:
-            won = self.wins(k, gaps[lost + (step - 1)])
-            lost += step * ~won
+            lost += step * ~self.wins(k, gaps[lost + (step - 1)])
             step //= 2
         return lost
 

@@ -531,27 +531,30 @@ def test_montecarlo_verify_certifies_a_market_whose_capture_no_trial_sees(seed):
 
 def test_montecarlo_verify_searches_each_chains_thresholds_once_per_chunk(monkeypatch):
     # every level row holds chain 0 at the grid, and rows 0..n-k-1 chain k: the rows share
-    # one search per chain, n per chunk, not n(n+1)/2
+    # one search per chain, n per chunk, not n(n+1)/2; and the chains, which all race the
+    # candidate, share one pass
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
-    searched = []
+    n, searched = 3, []
     thresholds = mc._Race.thresholds
-    monkeypatch.setattr(mc._Race, "thresholds", lambda race, k, gaps: searched.append(k) or thresholds(race, k, gaps))
-    n = 3
+    monkeypatch.setattr(mc._Race, "thresholds", lambda race, chains, index:
+                        searched.append(np.arange(n)[chains].tolist()) or thresholds(race, chains, index))
     market = MarketConfig(1.0, n)
     candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE)
     verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE, mode="montecarlo", trials=2_500)
-    assert searched == list(range(n)) * 3  # three chunks: 2,500 trials in chunks of 1,000
+    assert searched == [list(range(n))] * 3  # three chunks: 2,500 trials in chunks of 1,000
 
 
 def test_montecarlo_verify_races_no_chain_at_a_scalar_gap(monkeypatch):
     # a chain held at 0 wins where its threshold is at most 0's index among the values,
-    # which verify adds to a grid without it: the threshold searches race every chain
+    # which verify adds to a grid without it: the threshold searches race every chain,
+    # each race at a gap of its own chain and trial
     gaps, wins = [], mc._Race.wins
-    monkeypatch.setattr(mc._Race, "wins", lambda race, k, gap: gaps.append(np.ndim(gap)) or wins(race, k, gap))
+    monkeypatch.setattr(mc._Race, "wins", lambda race, k, gap:
+                        gaps.append(np.shape(gap) == np.shape(race.heads[k])) or wins(race, k, gap))
     market, spec = MarketConfig(1.0, 3), {"trials": 2_000, "seed": 1}
     check = verify_best_response(0.4, market, POWER_TWO, UNIT_NOISE, deviation_grid=[0.3], mode="montecarlo",
                                  **spec)
-    assert gaps and set(gaps) == {1}
+    assert gaps and all(gaps)
     monkeypatch.undo()
     # and every row of 0, the grid and the candidate scores as simulate does, from the all-chain row up
     profiles = [(x,) * j + (0.0,) * (3 - j) for j in (3, 2, 1) for x in (0.0, 0.3, 0.4)]
@@ -743,6 +746,33 @@ def test_tally_groups_chains_that_share_an_axis(noise):
     # raced against a distinct rival on each chain
     rival = np.array([0.4, 0.1, 0.6, 0.3])
     _assert_level_tally_equals_reference(np.array([0.5, 0.0, 0.7, 0.5]), rival, noise, 1_500, 19)
+
+
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_tally_equals_per_profile_race_at_mixed_rivals(noise, monkeypatch):
+    # chains 0 and 2 race one rival signal and share a pass; chain 1 races its own
+    monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
+    _assert_level_tally_equals_reference(np.array([0.0, 0.3, 0.4, 0.45, 0.9]), np.array([0.4, 0.45, 0.4]), noise,
+                                         2_500, 23)
+
+
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_tally_equals_per_profile_race_at_many_chains(noise):
+    # 24 chains that race one rival signal go through one pass per chunk
+    grid = np.append(default_deviation_grid(0.4, POWER_TWO, points=11), 0.4)
+    _assert_level_tally_equals_reference(grid, np.full(24, 0.4), noise, 400, 37)
+
+
+@pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
+def test_race_coin_is_the_tie_break_uniform_below_one_half(noise):
+    # heads exactly when the slot-2 word's uniform is below 1/2, at the words about 2**63
+    edge = [2**63 - 1, 2**63, 2**63 - 2**11, 2**63 + 2**11]
+    coins = np.concatenate([np.array(edge, dtype=np.uint64), mc._chunk_words(41, 0, 500, 1)[:, 0, 2]])
+    words = mc._chunk_words(43, 0, coins.size, 1)
+    words[:, 0, 2] = coins
+    heads = mc._Race.of(words, noise).heads[0]
+    assert np.array_equal(heads, to_uniform(coins.copy()) < 0.5)
+    assert heads[:4].tolist() == [True, False, True, False]
 
 
 # -- the decision tables of scalar chains ---------------------------------------
@@ -959,9 +989,8 @@ def _first_winning_gap(gaps, mine, theirs, heads):
 def _assert_thresholds_are_the_first_winning_gap(gaps, mine, theirs, heads):
     race, index = mc._Race(mine, theirs, heads), mc._GapIndex(gaps)
     with np.errstate(invalid="raise", over="ignore"):  # bucketing makes no NaN and casts no infinity
-        for k in range(len(mine)):
-            expected = _first_winning_gap(gaps, mine[k], theirs[k], heads[k])
-            assert np.array_equal(race.thresholds(k, index), expected)
+        expected = [_first_winning_gap(gaps, mine[k], theirs[k], heads[k]) for k in range(len(mine))]
+        assert np.array_equal(race.thresholds(slice(None), index), expected)
 
 
 FRAGILE_AXES = {
