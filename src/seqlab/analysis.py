@@ -44,31 +44,6 @@ class ComparisonReport:
     interpretation: str
     capture_probability_shared: float
     capture_probability_separate: float
-    displayed_thresholds: dict
-
-
-def _displayed_thresholds(cost: CostModel, noise: NoiseModel, v: float, n_sep: int) -> dict:
-    """Closed-form existence conditions as printed, reported verbatim.
-
-    These conditions do not always agree with the direct payoff test the
-    solvers apply (see the regime fields for the authoritative answer); both
-    views are emitted so the discrepancy is visible.
-    """
-    f0 = noise.density_at_zero()
-    if cost.family == "power":
-        beta = cost.beta
-        out = {"shared_displayed_min_value": 2.0 * (beta / (2.0 * f0)) ** beta}
-        if n_sep == 2:
-            out["separate_displayed_min_value"] = 8.0 * (beta / (4.0 * f0)) ** beta
-        return out
-    c, g = cost.c, cost.g
-    restriction = 1.0 + c / v + v / (4.0 * c)
-    return {
-        "shared_restriction_holds": restriction >= g * f0,
-        "separate_restriction_holds": restriction >= g * f0 / 2.0,
-        "shared_positive_signal_min_value": c / (g * f0),
-        "separate_positive_signal_min_value": n_sep * c / (g * f0),
-    }
 
 
 def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: float = 1.0, *,
@@ -91,7 +66,6 @@ def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: flo
         interpretation="revenue" if cost.family == "timeboost" else "waste",
         capture_probability_shared=1.0,
         capture_probability_separate=2.0 * 0.5**separate_chains,
-        displayed_thresholds=_displayed_thresholds(cost, noise, v, separate_chains),
     )
 
 

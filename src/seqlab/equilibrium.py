@@ -32,10 +32,10 @@ lockstep. Three regimes are distinguished:
                       first unit of signal too expensive) or would earn a
                       negative profit, so nobody invests.
 
-The participation test is evaluated directly as "expected equilibrium payoff
-is non-negative" rather than through any pre-derived threshold on ``v``; the
-analysis module also reports the closed-form thresholds so the two views can
-be compared side by side.
+The participation test is evaluated directly, as "the expected equilibrium
+payoff is non-negative", not through a pre-derived threshold on ``v``. The
+paper's closed-form existence conditions are not part of the package: they
+are test oracles in ``tests/closed_forms.py``, checked against the regime.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class MarketConfig:
 class EquilibriumResult:
     """A symmetric equilibrium point and its bookkeeping.
 
-    ``participation`` describes the reported profile, so it is true in every regime: a candidate
-    that fails the participation test shows as ``zero_investment``.
+    ``regime`` is the solver's verdict: a candidate that fails the participation test shows as
+    ``zero_investment``, the profile that invests nothing.
     """
 
     signal: float
@@ -96,7 +96,6 @@ class EquilibriumResult:
     capture_probability: float
     expected_profit: float
     regime: Regime
-    participation: bool
 
 
 #: Regimes by the integer code :class:`Equilibria` carries.
@@ -115,8 +114,7 @@ class Equilibria(NamedTuple):
     regime: np.ndarray  # indices into REGIMES
 
     def result(self, i: int) -> EquilibriumResult:
-        values = [float(field[i]) for field in self[:5]]
-        return EquilibriumResult(*values, REGIMES[self.regime[i]], values[4] >= 0.0)
+        return EquilibriumResult(*(float(field[i]) for field in self[:5]), REGIMES[self.regime[i]])
 
 
 def _stake(f0, v, n):

@@ -258,7 +258,7 @@ def test_criterion_7_best_response_verification(solved_grid):
     checked = 0
     worst = -math.inf
     for beta, v, sigma, n, via_solver, _ in rows:
-        if via_solver.regime is not Regime.INTERIOR or not via_solver.participation:
+        if via_solver.regime is not Regime.INTERIOR:
             continue
         market = MarketConfig(v, n)
         check = verify_best_response(

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import re
@@ -70,14 +71,47 @@ def test_interior_ratio_formula(beta):
         assert report.ratio >= 1.0
 
 
-def test_displayed_thresholds_reported():
-    report = compare_expenditure(1.0, CostModel.power(2.0), UNIT_NOISE)
-    assert report.displayed_thresholds["shared_displayed_min_value"] == pytest.approx(2.0 * (2.0 / 2.0) ** 2)
-    assert report.displayed_thresholds["separate_displayed_min_value"] == pytest.approx(8.0 * (2.0 / 4.0) ** 2)
-    tb = compare_expenditure(1.0, CostModel.timeboost(0.25, 1.0), UNIT_NOISE)
-    assert tb.interpretation == "revenue"
-    assert tb.displayed_thresholds["shared_restriction_holds"] is True
-    assert tb.displayed_thresholds["separate_positive_signal_min_value"] == pytest.approx(0.5)
+# the regime grid: four noise laws at four scales and six values, each compared shared (n = 1)
+# against separate (n = 2)
+GRID_LAWS = tuple(itertools.product(("normal", "logistic", "laplace", "uniform"), (0.1, 0.5, 1.0, 2.0)))
+GRID_VALUES = (0.05, 0.2, 1.0, 5.0, 20.0, 100.0)
+
+
+def _compared_sides(costs):
+    """``(v, n, cost, f0, regime)`` of both sides of every ``compare`` on the grid under ``costs``."""
+    sides = []
+    for (law, sigma), v, cost in itertools.product(GRID_LAWS, GRID_VALUES, costs):
+        report, f0 = compare_expenditure(v, cost, NoiseModel(law, sigma)), closed_forms.peak_density(law, sigma)
+        sides += [(v, 1, cost, f0, report.shared.regime), (v, 2, cost, f0, report.separate.regime)]
+    return sides
+
+
+def test_compare_regime_is_interior_exactly_below_the_power_participation_bound():
+    sides = _compared_sides([CostModel.power(beta) for beta in (1.1, 1.2, 1.5, 2.0, 3.0, 5.0)])
+    assert len(sides) == 1152
+    for v, n, cost, f0, _ in sides:  # the oracle's bound for any n is the paper's printed one at n = 1 and 2
+        printed = (2.0 * (cost.beta / (2.0 * f0)) ** cost.beta, 8.0 * (cost.beta / (4.0 * f0)) ** cost.beta)[n - 1]
+        assert closed_forms.power_participation_bound(n, cost.beta, f0) == pytest.approx(printed, rel=1e-13)
+
+    def flipped(scale):
+        return sum((v <= scale * closed_forms.power_participation_bound(n, cost.beta, f0))
+                   != (regime is Regime.INTERIOR) for v, n, cost, f0, regime in sides)
+
+    # the grid tells a bound off by a factor of 2 either way from the solver's
+    assert (flipped(1.0), flipped(2.0), flipped(0.5)) == (0, 58, 85)
+
+
+def test_boost_fee_existence_conditions_do_not_decide_the_compare_regime():
+    sides = _compared_sides([CostModel.timeboost(c, g) for c, g in itertools.product((0.05, 0.2, 1.0), (1.0, 4.0))])
+    assert len(sides) == 1152
+    predicted = [all(closed_forms.boost_fee_conditions(v, n, cost.c, cost.g, f0)) for v, n, cost, f0, _ in sides]
+    assert all(hold for hold, (*_, regime) in zip(predicted, sides) if regime is Regime.INTERIOR)
+    wrong = [n for hold, (_, n, *_, regime) in zip(predicted, sides) if hold and regime is not Regime.INTERIOR]
+    assert (len(wrong), wrong.count(1)) == (146, 24)
+    # one of them: both conditions hold on the separate side, and nobody invests
+    assert all(closed_forms.boost_fee_conditions(0.05, 2, 0.05, 1.0, closed_forms.peak_density("normal", 0.1)))
+    report = compare_expenditure(0.05, CostModel.timeboost(0.05, 1.0), NoiseModel("normal", 0.1))
+    assert report.separate.regime is Regime.ZERO_INVESTMENT
 
 
 def _capped(cap):

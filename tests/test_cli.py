@@ -43,19 +43,20 @@ def test_equilibrium_json_schema(capsys):
     result = payload["result"]
     assert set(result) == {
         "signal", "per_chain_cost", "total_cost", "capture_probability",
-        "expected_profit", "regime", "participation",
+        "expected_profit", "regime",
     }
     assert list(result) == _field_names(EquilibriumResult)  # the record, printed as it is
     assert result["signal"] == pytest.approx(0.5, abs=1e-6)
     assert result["regime"] == "interior"
-    assert result["participation"] is True
 
 
-def test_compare_prints_its_record_as_named(capsys):
-    code, out, _ = _run(capsys, ["compare", "--v", "1", "--cost", "power:2", "--noise", "normal:1", "--format", "json"])
+@pytest.mark.parametrize("cost", ["power:2", "timeboost:c=0.25,g=1"])
+def test_compare_prints_its_record_as_named(cost, capsys):
+    code, out, _ = _run(capsys, ["compare", "--v", "1", "--cost", cost, "--noise", "normal:1", "--format", "json"])
     assert code == 0
     result = json.loads(out)["result"]
     assert list(result) == _field_names(ComparisonReport)
+    assert "displayed_thresholds" not in result  # the sides' regimes alone say who invests
     assert list(result["shared"]) == list(result["separate"]) == _field_names(EquilibriumResult)
 
 

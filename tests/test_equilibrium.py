@@ -31,7 +31,6 @@ def test_shared_baseline_example():
     assert result.per_chain_cost == pytest.approx(0.25, abs=1e-12)
     assert result.expected_profit == pytest.approx(0.25, abs=1e-12)
     assert result.regime is Regime.INTERIOR
-    assert result.participation
     assert result.capture_probability == 0.5
 
 
@@ -54,9 +53,9 @@ def test_timeboost_corner_is_zero_investment():
 def test_failed_participation_is_zero_investment():
     # candidate signal 2 costs 4, more than the v/2 = 2 on offer
     result = solve_equilibrium(MarketConfig(4.0, 1), CostModel.power(2.0), UNIT_NOISE)
-    assert result.signal == 0.0
+    assert result.signal == 0.0 and result.total_cost == 0.0
     assert result.regime is Regime.ZERO_INVESTMENT
-    assert result.participation  # not investing is costless
+    assert result.expected_profit == 2.0  # not investing is costless
 
 
 def test_cap_binds():
@@ -332,7 +331,7 @@ def test_chain_counts_past_1024_solve_until_the_stake_or_capture_underflows():
         market = MarketConfig(1e10, n)
         result = solve_equilibrium(market, cost, UNIT_NOISE)
         oracle = closed_forms.power(1e10, n, 2.0, f0)
-        assert result == EquilibriumResult(*oracle[:5], Regime(oracle.regime), oracle.participation)
+        assert result == EquilibriumResult(*oracle[:5], Regime(oracle.regime))
         assert result.regime is Regime.INTERIOR and result.signal > 0.0 and result.capture_probability > 0.0
     stake = re.escape("the stake f0*v/2**(n-1) underflows to 0")
     with pytest.raises(ParameterError, match=rf"^{stake} at chains=1100, v=1$"):

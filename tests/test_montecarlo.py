@@ -368,8 +368,8 @@ def _product_mesh_gain(candidate, market, cost, noise):
 
 
 def test_level_family_keeps_the_product_meshs_verdicts():
-    # the interior candidates of power costs and normal noise whose participation holds,
-    # at n = 2 and 3 and full cost, and every candidate at n = 2 with refunds
+    # the interior candidates of power costs and normal noise at n = 2 and 3 and full cost,
+    # and every candidate at n = 2 with refunds
     refuted = set()
     for n, alpha, beta, sigma, v in itertools.product((2, 3), (1.0, 0.5, 0.0), (1.2, 1.5, 2.0, 3.0, 5.0),
                                                       (0.1, 0.5, 1.0, 2.0), (0.05, 0.2, 1.0, 5.0, 20.0)):
@@ -377,7 +377,7 @@ def test_level_family_keeps_the_product_meshs_verdicts():
             continue
         market, cost, noise = MarketConfig(v, n, alpha), CostModel.power(beta), NoiseModel("normal", sigma)
         candidate = solve_equilibrium(market, cost, noise)
-        if alpha == 1.0 and not (candidate.regime is Regime.INTERIOR and candidate.participation):
+        if alpha == 1.0 and candidate.regime is not Regime.INTERIOR:
             continue
         check = verify_best_response(candidate, market, cost, noise)
         gain = _product_mesh_gain(candidate.signal, market, cost, noise)
@@ -391,6 +391,8 @@ def test_analytic_verify_peak_memory_stays_small_at_many_chains():
     # the level family holds n * 301 scores: 64 chains peak well under 1 MB
     market = MarketConfig(2.0, 64)
     candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE).signal
+    # a process's first verify imports numpy.ma and inspect: warm up, so the bound holds in any test order
+    verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE)
     tracemalloc.start()
     try:
         check = verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE)
