@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from ._np import np
-from .cost import CostModel
+from .cost import CostModel, _finite
 from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
 from .errors import ConfigError, ParameterError, SolverError
 from .noise import NoiseModel
@@ -269,7 +269,7 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
     for name, values in axes.items():
         if name not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {name!r}; expected one of {SWEEP_AXES}")
-        if len(values) == 0 or any(not math.isfinite(x) for x in values):
+        if len(values) == 0 or any(not _finite(x) for x in values):
             raise ConfigError(f"sweep axis {name!r} needs a non-empty list of finite values")
         if name in {"power": ("c", "g"), "timeboost": ("beta",)}[cost.family]:
             raise ConfigError(f"sweep axis {name!r} does not apply to {cost.family} cost")
@@ -288,8 +288,8 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
     # the market checks, once per axis from its value types and extremes; only an axis
     # that fails is checked value by value, to raise MarketConfig's error for the first bad one
     counts, values, fractions = grid["chains"], grid["v"], grid["alpha"]
-    if not (min(counts) >= 1 and all(count == int(count) for count in counts) and _reals(values)
-            and 0.0 < min(values) and max(values) < math.inf and _reals(fractions)
+    if not (1 <= min(counts) and max(counts) <= MarketConfig.MAX_CHAINS and all(count == int(count) for count in counts)
+            and _reals(values) and 0.0 < min(values) and max(values) <= sys.float_info.max and _reals(fractions)
             and 0.0 <= min(fractions) and max(fractions) <= 1.0):
         for count in counts:
             if count != int(count):

@@ -13,6 +13,7 @@ the equilibrium module.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._np import np
@@ -24,6 +25,11 @@ FAMILIES = ("power", "timeboost")
 MIN_BETA = 1.0 + 1e-6
 #: Newton steps for a stationary-signal estimate; it converges in far fewer.
 _NEWTON_STEPS = 100
+
+
+def _finite(x) -> bool:
+    """``math.isfinite(x)``, but false, not an OverflowError, for an int past float range."""
+    return abs(x) <= sys.float_info.max if isinstance(x, int) else math.isfinite(x)
 
 
 @dataclass(frozen=True)
@@ -46,20 +52,20 @@ class CostModel:
 
     def __post_init__(self) -> None:
         if self.family == "power":
-            if self.beta is None or not math.isfinite(self.beta) or self.beta < MIN_BETA:
+            if self.beta is None or not _finite(self.beta) or self.beta < MIN_BETA:
                 raise ParameterError(f"power cost needs elasticity beta >= {MIN_BETA}, got {self.beta!r}")
             if self.c is not None or self.g is not None:
                 raise ParameterError("power cost takes only beta (and an optional cap)")
         elif self.family == "timeboost":
             for name, value in (("c", self.c), ("g", self.g)):
-                if value is None or not math.isfinite(value) or value <= 0:
+                if value is None or not _finite(value) or value <= 0:
                     raise ParameterError(f"timeboost cost needs positive finite {name}, got {value!r}")
             if self.beta is not None:
                 raise ParameterError("timeboost cost takes c and g, not beta")
         else:
             raise ParameterError(f"unknown cost family {self.family!r}; expected one of {FAMILIES}")
         if self.cap is not None:
-            if not math.isfinite(self.cap) or self.cap < 0:
+            if not _finite(self.cap) or self.cap < 0:
                 raise ParameterError(f"cap must be a non-negative finite real, got {self.cap!r}")
             if self.family == "timeboost" and self.cap >= self.g:
                 raise ParameterError(f"cap {self.cap} must lie below the boost bound g={self.g}")

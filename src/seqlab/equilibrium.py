@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._np import np
-from .cost import CostModel
+from .cost import CostModel, _finite
 from .errors import ParameterError, SolverError
 from .noise import NoiseModel
 from .numerics import settle_root
@@ -65,17 +65,20 @@ def _real(x, kinds=(int, float)) -> bool:
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """Game parameters: arbitrage value, chain count, refund fraction."""
+    """Game parameters: arbitrage value, chain count (at most int64's maximum, as NumPy holds it), refund fraction."""
 
+    MAX_CHAINS = 2**63 - 1  # unannotated, so a class constant and not a field
     v: float
     n_chains: int = 1
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (_real(self.v) and math.isfinite(self.v) and self.v > 0):
+        if not (_real(self.v) and _finite(self.v) and self.v > 0):
             raise ParameterError(f"trade value must be positive and finite, got {self.v!r}")
         if not (_real(self.n_chains, int) and self.n_chains >= 1):
             raise ParameterError(f"chain count must be an integer >= 1, got {self.n_chains!r}")
+        if self.n_chains > self.MAX_CHAINS:
+            raise ParameterError(f"chain count must be at most 2**63 - 1, got {self.n_chains}")
         if not (_real(self.alpha) and 0.0 <= self.alpha <= 1.0):
             raise ParameterError(f"refund fraction alpha must lie in [0, 1], got {self.alpha!r}")
         object.__setattr__(self, "v", float(self.v))

@@ -14,16 +14,19 @@ log-concave noise a best response's interior coordinates share one level,
 so ``chains * grid`` profiles stand in for the ``grid ** chains`` of a
 product mesh. Its values are the sorted grid with 0 and the candidate always
 among them, so the baseline, the candidate on every chain, is read off it.
+Both accumulate the rows down the chain axis, adding and multiplying in the
+order of a fold over one profile's chains, not folding each row anew.
 
 A race is monotone in trader 1's signal, so the Monte Carlo scan does not
 race each deviation profile: per (trial, chain) it finds the first value
 that wins, once for every level row, and every profile's counts come from
-histograms of those thresholds. The chains that race one rival signal share
-one array pass per chunk: a bucket index over the sorted gaps to the rival
-guesses each threshold from the race's ``b - a``, two exact races confirm the
-guesses, and the few trials they leave open are binary-searched together. A
-scan costs O(trials * chains) races plus O(chains**2) histogram entries per
-trial, not O(profiles * trials), and its counts are those of the per-profile race.
+histograms of those thresholds. The scan races one rival, the candidate on
+every chain, so all chains share one array pass per chunk: a bucket index over
+the sorted gaps to the rival guesses each threshold from the race's ``b - a``,
+two exact races confirm the guesses, and the few trials they leave open are
+binary-searched together. A scan costs O(trials * chains) races plus
+O(chains**2) histogram entries per trial, not O(profiles * trials), and its
+counts are those of the per-profile race.
 
 A simulation races each chain at one signal gap, and the sign of
 ``(gap + a) - b`` is all it needs, so it rarely computes the noise: the top
@@ -200,7 +203,7 @@ def _table_chunk(counts, gaps, group, tables: dict, noise: NoiseModel, seed: int
         mine = np.take(tables[gap], pairs)
         open_ = np.flatnonzero(mine == _OPEN)
         if open_.size:
-            mine[open_] = _Race.of(words[open_, k:k + 1], noise).wins(0, gap)
+            mine[open_] = _Race.of(words[open_, k:k + 1], noise).wins(gap)[0]
         wins[k] += np.count_nonzero(mine)
         won[group[k]] += mine
     total = won.sum(axis=0, dtype=won.dtype)
@@ -209,15 +212,15 @@ def _table_chunk(counts, gaps, group, tables: dict, noise: NoiseModel, seed: int
     co_wins += (won @ won.T).astype(np.int64)
 
 
-def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trials: int, seed: int):
-    """Exact race counts of trader 1's level rows against ``rival``'s ``n`` signals.
+def _level_tally(values: np.ndarray, rival: float, n: int, noise: NoiseModel, trials: int, seed: int):
+    """Exact race counts of trader 1's level rows against ``rival`` on each of ``n`` chains.
 
     Row ``j`` (``1 <= j <= n``) puts one of the sorted distinct ``values``,
     which hold 0, on chains ``0..j-1`` and 0 on the rest. A race is monotone
-    in trader 1's signal, so per chunk one pass per distinct rival signal
-    finds, per trial and chain that races it, the index of the first value
-    that wins, from a :class:`_GapIndex` of the gaps to that signal, built
-    once. Row ``j`` at value index ``i`` wins chain ``k < j``
+    in trader 1's signal, so per chunk one pass over every chain finds, per
+    trial and chain, the index of the first value that wins, from one
+    :class:`_GapIndex` of the gaps to the rival, built once. Row ``j`` at
+    value index ``i`` wins chain ``k < j``
     when the chain's threshold ``t_k`` is at most ``i``, and a chain held at
     0 when its threshold is at most 0's index. So it captures when
     ``max(t_0, ..., t_{j-1})`` is at most ``i`` and every chain from ``j`` on
@@ -234,32 +237,24 @@ def _level_tally(values: np.ndarray, rival: np.ndarray, noise: NoiseModel, trial
     the squared number of chains won, which is the sum of the row's win
     co-counts over its pairs of value chains.
     """
-    n, size = len(rival), len(values)
-    signals = dict.fromkeys(rival.tolist())  # one block of chains per distinct signal: all, or those that race it
-    blocks = [(slice(None) if len(signals) < 2 else np.flatnonzero(rival == s), _GapIndex(values - s)) for s in signals]
+    size, index = len(values), _GapIndex(values - rival)
     # per row: captures, its last chain's wins, and its last chain's pairs with the earlier ones
     hists = np.zeros((3, n, size + 1), dtype=np.int64)
     zero = int(np.searchsorted(values, 0.0))
     chunk = _chunk_trials(n)
     for start in range(0, trials, chunk):
-        _level_chunk(hists, blocks, zero, noise, seed, start, min(chunk, trials - start))
+        _level_chunk(hists, index, zero, noise, seed, start, min(chunk, trials - start))
     captures, wins, pairs = np.cumsum(hists, axis=2)[:, :, :size]
     return captures, wins, np.cumsum(wins, axis=0), np.cumsum(wins + 2 * pairs, axis=0)
 
 
-def _level_chunk(hists: np.ndarray, blocks: list, zero: int, noise: NoiseModel, seed: int, start: int,
+def _level_chunk(hists: np.ndarray, index: _GapIndex, zero: int, noise: NoiseModel, seed: int, start: int,
                  m: int) -> None:
-    """Add the histograms of trials ``[start, start + m)`` to ``hists``, each
-    block of ``(chains, index)`` searched in one pass. A function of its own
-    so the chunk's draws are freed before the next chunk draws its own."""
+    """Add the histograms of trials ``[start, start + m)`` to ``hists``, every
+    chain searched in one pass. A function of its own so the chunk's draws
+    are freed before the next chunk draws its own."""
     n, size = hists.shape[1:]
-    race = _Race.of(_chunk_words(seed, start, m, n), noise)
-    if len(blocks) == 1:  # the pass's own array: a copy lifts the chunk's peak past the allocator's trim point
-        thresholds = race.thresholds(*blocks[0])
-    else:
-        thresholds = np.empty((n, m), dtype=np.intp)
-        for chains, index in blocks:
-            thresholds[chains] = race.thresholds(chains, index)
+    thresholds = _Race.of(_chunk_words(seed, start, m, n), noise).thresholds(index)
     lost = np.zeros((n, m), dtype=bool)  # lost[j]: whether a chain after j lost at 0
     for k in range(n - 1, 0, -1):  # row by row: numpy's accumulate along this axis is many times slower
         np.logical_or(lost[k], thresholds[k] > zero, out=lost[k - 1])
@@ -315,7 +310,7 @@ class _GapIndex:
 
 
 class _Race:
-    """One chunk's exact draws per chain: the win test at any gap."""
+    """Exact draws of one chunk's races, per chain and trial: the win test at any gap."""
 
     def __init__(self, mine, theirs, heads):
         self.mine, self.theirs, self.heads = mine, theirs, heads
@@ -340,45 +335,44 @@ class _Race:
         del draws
         return cls(mine, theirs, heads)
 
-    def wins(self, k, gap) -> np.ndarray:
-        """Whether trader 1 wins chains ``k`` (an index, array or slice) of each trial
-        at ``gap`` (own minus rival signal, a scalar or one per race): the sign
-        of ``(gap + a) - b``, which is ``gap + a > b``, and on a tie the coin."""
-        x, b = gap + self.mine[k], self.theirs[k]
+    def wins(self, gap) -> np.ndarray:
+        """Whether trader 1 wins each race at ``gap`` (own minus rival signal,
+        a scalar or one per race): the sign of ``(gap + a) - b``, which is
+        ``gap + a > b``, and on a tie the coin."""
+        x, b = gap + self.mine, self.theirs
         won, tie = x > b, x == b
         if tie.any():
-            won[tie] = self.heads[k][tie]
+            won[tie] = self.heads[tie]
         return won
 
-    def thresholds(self, chains, index: _GapIndex) -> np.ndarray:
-        """Per chain of ``chains`` (an index array or a slice) and trial, the
-        index of the first of ``index``'s gaps that wins (the number of gaps
-        if none does), in one pass over the block.
+    def thresholds(self, index: _GapIndex) -> np.ndarray:
+        """Per race, the index of the first of ``index``'s gaps that wins (the
+        number of gaps if none does), in one pass over the races.
 
         ``gap + a`` rounds monotonically, so the race is monotone in the gap:
         where gap ``t``, the guess of the key's bucket, wins and gap ``t - 1``
         loses, ``t`` is the threshold exactly. The few trials left (a gap
         shares the bucket, or rounding moved the win) go to one :meth:`search`.
         """
-        t = index.first[index.bucket(self.theirs[chains] - self.mine[chains])]  # the key is freed before the races
-        won, lower = self.wins(chains, index.at[t]), self.wins(chains, index.below[t])
+        t = index.first[index.bucket(self.theirs - self.mine)]  # the key is freed before the races
+        won, lower = self.wins(index.at[t]), self.wins(index.below[t])
         open_ = np.flatnonzero(won == lower)  # the race is monotone: where gap t - 1 wins, gap t wins too
         if open_.size:
-            race = _Race(*([np.reshape(rows[chains], -1)[open_]] for rows in (self.mine, self.theirs, self.heads)))
-            t.reshape(-1)[open_] = race.search(0, index.padded)
+            race = _Race(*(rows.reshape(-1)[open_] for rows in (self.mine, self.theirs, self.heads)))
+            t.reshape(-1)[open_] = race.search(index.padded)
         return t
 
-    def search(self, k, gaps: np.ndarray) -> np.ndarray:
-        """Per trial, the index of the first of the non-decreasing ``gaps``
-        that wins chain ``k``, by a lockstep binary search that races each
-        trial ``log2(len(gaps) + 1)`` times; ``gaps`` holds ``2**j - 1``
-        entries, the real ones padded with ``+inf``, which always wins (an
-        axis of exactly ``2**j - 1`` values gets no pad): a trial that no
-        real gap wins ends at the number of real gaps.
+    def search(self, gaps: np.ndarray) -> np.ndarray:
+        """Per race, the index of the first of the non-decreasing ``gaps``
+        that wins, by a lockstep binary search that runs each race
+        ``log2(len(gaps) + 1)`` times; ``gaps`` holds ``2**j - 1`` entries,
+        the real ones padded with ``+inf``, which always wins (an axis of
+        exactly ``2**j - 1`` values gets no pad): a race that no real gap
+        wins ends at the number of real gaps.
         """
-        lost, step = np.zeros(len(self.mine[k]), dtype=np.intp), (len(gaps) + 1) // 2
+        lost, step = np.zeros(self.mine.shape, dtype=np.intp), (len(gaps) + 1) // 2
         while step:
-            lost += step * ~self.wins(k, gaps[lost + (step - 1)])
+            lost += step * ~self.wins(gaps[lost + (step - 1)])
             step //= 2
         return lost
 
@@ -423,27 +417,29 @@ def _decision_table(gap: float, bounds) -> np.ndarray:
     return np.where(win, 1, np.where(lose, 0, _OPEN)).astype(np.uint8).reshape(-1)
 
 
-def _payoff_statistics(trials: int, market: MarketConfig, captures, chains, groups, co_wins):
+def _spent(costs, wins, trials: int, alpha: float) -> np.ndarray:
+    """Per chain ``k``, the cost of chains ``0..k`` over the trials, added in chain order."""
+    return np.cumsum(costs * (wins + alpha * (trials - wins)), axis=0)
+
+
+def _payoff_statistics(trials: int, market: MarketConfig, captures, spent, groups, co_wins):
     """Mean payoffs and their 95% half-widths, from exact counts.
 
-    ``captures`` holds the capture counts, ``chains`` per chain its cost and
-    its wins, and ``groups`` per group of chains at one cost (see the module
-    docstring) that cost, the number of chains and their summed wins;
-    ``co_wins[g][h]`` sums the trials won on a chain of group ``g`` and one of
-    group ``h`` over their pairs of chains. Trailing axes index profiles or
-    traders, the same ones in every group's entries. A trial pays
-    ``v*capture - sum_k costs[k]*(alpha + (1 - alpha)*win_k)``, so the sample
-    mean and variance are functions of these counts; a chain that costs
-    nothing needs no group. The mean folds the chains in order. The variance
-    is a quadratic form in the integer co-moments ``T*N_xy - N_x*N_y`` of the
-    indicators, one per pair of groups with the counts summed over their
-    chains, rather than ``sum(x**2) - T*mean**2``, which cancels to nothing
-    when payoffs are large next to their spread.
+    ``captures`` holds the capture counts, ``spent`` the cost summed over the
+    chains and trials (see :func:`_spent`), and ``groups`` per group of chains
+    at one cost (see the module docstring) that cost, the number of chains and
+    their summed wins; ``co_wins[g][h]`` sums the trials won on a chain of
+    group ``g`` and one of group ``h`` over their pairs of chains. Trailing
+    axes index profiles or traders, the same ones in every group's entries. A
+    trial pays ``v*capture - sum_k costs[k]*(alpha + (1 - alpha)*win_k)``, so
+    the sample mean and variance are functions of these counts; a chain that
+    costs nothing needs no group. The variance is a quadratic form in the
+    integer co-moments ``T*N_xy - N_x*N_y`` of the indicators, one per pair of
+    groups with the counts summed over their chains, rather than
+    ``sum(x**2) - T*mean**2``, which cancels to nothing when payoffs are large
+    next to their spread.
     """
     v, alpha = market.v, market.alpha
-    spent = 0.0
-    for cost, won in chains:
-        spent = spent + cost * (won + alpha * (trials - won))
     mean = (v * captures - spent) / trials
     if trials == 1:
         return mean, np.full(mean.shape, math.inf)
@@ -490,8 +486,8 @@ def simulate(spec: SimulationSpec) -> SimulationStats:
     lost = trials * size - won
     co = np.stack([co_wins, co_wins + np.outer(size, lost) - np.outer(won, size)], axis=-1)
     groups = zip(costs[first], size[:, None], np.stack([won, lost], axis=-1))
-    chains = zip(costs, np.stack([wins, trials - wins], axis=-1))
-    mean, halfwidth = _payoff_statistics(trials, market, captures, chains, list(groups), co)
+    spent = _spent(costs, np.stack([wins, trials - wins], axis=-1), trials, market.alpha)[-1]
+    mean, halfwidth = _payoff_statistics(trials, market, captures, spent, list(groups), co)
 
     capture_counts = tuple(int(c) for c in captures)
     return SimulationStats(
@@ -517,7 +513,11 @@ def analytic_expected_payoff(signals, market: MarketConfig, cost: CostModel, noi
     fraction when lost.
     """
     own, rival = _per_chain_signals(signals, market.n_chains)
-    capture, expected_cost = _fold(_chain_terms(own, rival, market, cost, noise))
+    capture, expected_cost = 1.0, 0.0
+    for win, spent in _chain_terms(own, rival, market, cost, noise):
+        capture = capture * win
+        expected_cost = expected_cost + spent
+        del win, spent  # before the next chain's terms are formed
     # capture is a fresh float or full-shape array, so update it in place
     # rather than hold a third profile-sized array
     capture *= market.v
@@ -532,29 +532,19 @@ def _chain_terms(own, rival, market: MarketConfig, cost: CostModel, noise: Noise
         yield win, cost.cost(mine) * (win + market.alpha * (1.0 - win))
 
 
-def _fold(terms):
-    """The capture probability and the expected cost over the chains of ``terms``."""
-    capture, expected_cost = 1.0, 0.0
-    for win, spent in terms:
-        capture = capture * win
-        expected_cost = expected_cost + spent
-        del win, spent  # before the next chain's terms are formed
-    return capture, expected_cost
-
-
 def _level_scores(values: np.ndarray, candidate: float, market: MarketConfig, cost: CostModel, noise: NoiseModel):
     """Analytic payoffs against a rival at ``candidate``, laid out as
     :func:`_level_tally`'s counts: row ``j - 1``, column ``i`` puts
-    ``values[i]`` on chains ``0..j-1`` and 0 on the rest. The terms of the
-    values and of 0 serve every chain, folded in order as in
-    :func:`analytic_expected_payoff`, so each score has that function's bits."""
+    ``values[i]`` on chains ``0..j-1`` and 0 on the rest. The rows accumulate
+    down the chain axis in the order :func:`analytic_expected_payoff` folds a
+    profile's chains, so each score has its bits; a chain at 0 costs exactly 0."""
     n = market.n_chains
-    (win, spent), (win_zero, spent_zero) = _chain_terms((values, 0.0), (candidate, candidate), market, cost, noise)
-    level = np.arange(1, n + 1).reshape(-1, 1)  # per row, the chains at the value
-    capture, expected_cost = _fold((np.where(k < level, win, win_zero), np.where(k < level, spent, spent_zero))
-                                   for k in range(n))
+    (win, spent), (win_zero, _) = _chain_terms((values, 0.0), (candidate, candidate), market, cost, noise)
+    capture = np.cumprod(win[None].repeat(n, axis=0), axis=0)
+    for k in range(1, n):  # row j - 1 has n - j chains at 0
+        capture[:n - k] *= win_zero
     capture *= market.v
-    capture -= expected_cost
+    capture -= np.cumsum(spent[None].repeat(n, axis=0), axis=0)
     return capture
 
 
@@ -636,10 +626,10 @@ def verify_best_response(
         # would; cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
         costs = cost.cost(values)
-        captures, wins, s1, s2 = _level_tally(values, np.full(n, cand), noise, trials, seed)
+        captures, wins, s1, s2 = _level_tally(values, cand, n, noise, trials, seed)
         rows = np.arange(1, n + 1).reshape(-1, 1)  # per row, the chains at the value; the rest cost 0
-        chains = ((np.where(k < rows, costs, 0.0), wins[k]) for k in range(n))
-        scores, halfwidths = _payoff_statistics(trials, market, captures, chains, [(costs, rows, s1)], [[s2]])
+        spent = _spent(costs, wins, trials, market.alpha)  # row j - 1 sums chains 0..j-1
+        scores, halfwidths = _payoff_statistics(trials, market, captures, spent, [(costs, rows, s1)], [[s2]])
 
     # the first maximum from the all-chain row up, and in a row the least value
     zeros, i = divmod(int(np.argmax(scores[::-1])), values.size)

@@ -541,6 +541,8 @@ def test_sweep_rejects_bad_axes():
         sweep({"beta": [2.0]}, cost=CostModel.timeboost(0.25, 1.0), noise=UNIT_NOISE)
     with pytest.raises(ConfigError):
         sweep({"v": []}, cost=CostModel.power(2.0), noise=UNIT_NOISE)
+    with pytest.raises(ConfigError):  # an int past float range, once an OverflowError from math.isfinite
+        sweep({"v": [10**400]}, cost=CostModel.power(2.0), noise=UNIT_NOISE)
 
 
 @pytest.mark.parametrize(("axes", "baseline", "message"), [
@@ -549,7 +551,9 @@ def test_sweep_rejects_bad_axes():
     ({"v": [1.0, True]}, {}, "trade value must be positive and finite, got True"),
     ({"v": [1.0, np.float32(2.0)]}, {}, "trade value must be positive and finite, got np.float32(2.0)"),
     ({"v": [1.0, 2.0]}, {"alpha": True}, "refund fraction alpha must lie in [0, 1], got True"),
-], ids=["v-inf", "v-bool", "v-axis-bool", "v-axis-float32", "alpha-bool"])
+    ({"chains": [1, 2]}, {"v": 10**400}, f"trade value must be positive and finite, got {10**400}"),
+    ({"chains": [1, 2**63]}, {}, f"chain count must be at most 2**63 - 1, got {2**63}"),
+], ids=["v-inf", "v-bool", "v-axis-bool", "v-axis-float32", "alpha-bool", "v-past-float-range", "chains-past-int64"])
 def test_sweep_raises_market_configs_error_for_a_bad_market(axes, baseline, message):
     # the market checks look at each axis's value types and extremes, and value by value only
     # when those fail: what passes them passes MarketConfig, and what fails raises its error

@@ -394,6 +394,28 @@ def test_boolean_config_value_is_config_error(params, reason, capsys, tmp_path):
     assert _run(capsys, ["--config", str(path)]) == (2, "", f"seqlab: config error: {reason}\n")
 
 
+@pytest.mark.parametrize(("key", "message"), [("v", "trade value must be positive and finite"),
+                                              ("cap", "cap must be a non-negative finite real")])
+def test_config_integer_past_float_range_is_config_error(key, message, capsys, tmp_path):
+    # JSON reads 1 followed by 400 zeros as a Python int, once an OverflowError from math.isfinite
+    path = tmp_path / "run.json"
+    params = {"v": 1, "cost": "power:2", "noise": "normal:1", key: 10**400}
+    path.write_text(json.dumps({"command": "equilibrium", "params": params}))
+    assert _run(capsys, ["--config", str(path)]) == (2, "", f"seqlab: config error: {message}, got {10**400}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["equilibrium", "--v", "1", "--cost", "power:2", "--noise", "normal:1"],
+    ["verify", "--v", "1", "--cost", "power:2", "--noise", "normal:1"],
+    ["simulate", "--v", "1", "--signals", "0.1,0.1", "--trials", "1"],
+], ids=lambda argv: argv[0])
+def test_chain_count_past_int64_is_config_error(argv, capsys):
+    # once a TypeError from the solver's ldexp or an OverflowError sizing the per-chain
+    # signals; the market refuses it before anything is allocated
+    code, out, err = _run(capsys, [*argv, "--chains", str(10**30)])
+    assert (code, out, err) == (2, "", f"seqlab: config error: chain count must be at most 2**63 - 1, got {10**30}\n")
+
+
 @pytest.mark.parametrize("config", [
     {"command": "equilibrium", "params": {"v": 1, "cost": 2, "noise": "normal:1"}},
     {"command": "equilibrium", "params": {"v": 1, "cost": "power:2", "noise": ["normal:1"]}},
@@ -550,8 +572,11 @@ def test_oversized_sweep_exits_before_solving(capsys, monkeypatch):
         ("power:2", "chains=3", ["--alpha", "0.5"], "refund equilibria are available for 1 or 2 chains only"),
         ("timeboost:c=0.25,g=1", "c=0", [], "timeboost cost needs positive finite c, got 0.0"),
         ("timeboost:c=0.25,g=1", "cap=1.5", [], "cap 1.5 must lie below the boost bound g=1.0"),
+        # once cast to int64's least value by NumPy, with a RuntimeWarning
+        ("power:2", "chains=1e30", [], f"chain count must be at most 2**63 - 1, got {int(1e30)}"),
     ],
-    ids=["v", "alpha", "chains-fraction", "beta", "sigma", "refund-chains", "timeboost-c", "timeboost-cap"],
+    ids=["v", "alpha", "chains-fraction", "beta", "sigma", "refund-chains", "timeboost-c", "timeboost-cap",
+         "chains-past-int64"],
 )
 def test_malformed_sweep_grid_keeps_its_message(cost, grid, extra, message, capsys):
     code, out, err = _run(capsys, ["sweep", "--cost", cost, "--noise", "normal:1", "--grid", grid, *extra])

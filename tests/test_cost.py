@@ -123,6 +123,13 @@ def test_parameter_validation():
         CostModel.power(2.0, cap=-0.5)
     with pytest.raises(ParameterError):
         CostModel.power(2.0).inverse_marginal_cost(0.0)
+    # an int past float range, once an OverflowError from math.isfinite
+    for kwargs in ({"beta": 2.0, "cap": 10**400}, {"beta": 10**400}):
+        with pytest.raises(ParameterError, match="got 1000"):
+            CostModel("power", **kwargs)
+    for kwargs in ({"c": 10**400, "g": 1.0}, {"c": 0.25, "g": 10**400}):
+        with pytest.raises(ParameterError, match="got 1000"):
+            CostModel("timeboost", **kwargs)
 
 
 def test_admissible_max():

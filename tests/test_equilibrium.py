@@ -411,6 +411,14 @@ def test_market_config_validation():
         MarketConfig(1.0, 0)
     with pytest.raises(ParameterError):
         MarketConfig(1.0, 1, 1.5)
+    # math.isfinite raised OverflowError on 10**400; NumPy cannot hold 2**63 chains in int64
+    with pytest.raises(ParameterError, match=r"^trade value must be positive and finite, got 1000"):
+        MarketConfig(10**400)
+    assert MarketConfig(10**300).v == 1e300
+    assert MarketConfig(1.0, MarketConfig.MAX_CHAINS).n_chains == 2**63 - 1
+    for n in (2**63, 10**30):
+        with pytest.raises(ParameterError, match=rf"^chain count must be at most 2\*\*63 - 1, got {n}$"):
+            MarketConfig(1.0, n)
 
 
 @given(

@@ -326,11 +326,13 @@ def test_best_response_empty_grid_scores_zero_and_the_candidate(mode, scan, monk
     assert check.argmax_deviation in {(0.0, 0.0), (0.5, 0.0), (0.5, 0.5)} and check.max_gain >= 0.0
 
 
-@pytest.mark.parametrize("n, alpha", [(n, alpha) for n in range(1, 7) for alpha in ((1.0, 0.5) if n <= 2 else (1.0,))])
+@pytest.mark.parametrize("n, alpha", [(n, alpha) for n in (*range(1, 7), 12, 64)
+                                      for alpha in ((1.0, 0.5) if n <= 2 else (1.0,))])
 @pytest.mark.parametrize("cost", [POWER_TWO, CostModel.timeboost(0.25, 1.0)], ids=lambda c: c.spec)
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_level_rows_equal_the_payoff_of_their_profiles(n, alpha, cost, noise):
-    # row j - 1 puts each value on chains 0..j-1 and 0 on the rest; the first maximum from
+    # row j - 1 puts each value on chains 0..j-1 and 0 on the rest, the rows accumulated down
+    # the chain axis with the bits of the per-profile fold; the first maximum from
     # the all-chain row up, and in a row the least value, wins: at v = 0.01 the boost fee's
     # best response is 0, which every row holds at its first column
     values = np.unique(default_deviation_grid(0.25, cost, points=41))  # it holds 0 and the candidate
@@ -538,12 +540,12 @@ def test_montecarlo_verify_searches_each_chains_thresholds_once_per_chunk(monkey
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
     n, searched = 3, []
     thresholds = mc._Race.thresholds
-    monkeypatch.setattr(mc._Race, "thresholds", lambda race, chains, index:
-                        searched.append(np.arange(n)[chains].tolist()) or thresholds(race, chains, index))
+    monkeypatch.setattr(mc._Race, "thresholds", lambda race, index:
+                        searched.append(race.mine.shape) or thresholds(race, index))
     market = MarketConfig(1.0, n)
     candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE)
     verify_best_response(candidate, market, POWER_TWO, UNIT_NOISE, mode="montecarlo", trials=2_500)
-    assert searched == [list(range(n))] * 3  # three chunks: 2,500 trials in chunks of 1,000
+    assert searched == [(n, 1_000), (n, 1_000), (n, 500)]  # three chunks: 2,500 trials in chunks of 1,000
 
 
 def test_montecarlo_verify_races_no_chain_at_a_scalar_gap(monkeypatch):
@@ -551,8 +553,8 @@ def test_montecarlo_verify_races_no_chain_at_a_scalar_gap(monkeypatch):
     # which verify adds to a grid without it: the threshold searches race every chain,
     # each race at a gap of its own chain and trial
     gaps, wins = [], mc._Race.wins
-    monkeypatch.setattr(mc._Race, "wins", lambda race, k, gap:
-                        gaps.append(np.shape(gap) == np.shape(race.heads[k])) or wins(race, k, gap))
+    monkeypatch.setattr(mc._Race, "wins", lambda race, gap:
+                        gaps.append(np.shape(gap) == race.heads.shape) or wins(race, gap))
     market, spec = MarketConfig(1.0, 3), {"trials": 2_000, "seed": 1}
     check = verify_best_response(0.4, market, POWER_TWO, UNIT_NOISE, deviation_grid=[0.3], mode="montecarlo",
                                  **spec)
@@ -664,16 +666,17 @@ def _reference_tally(own, rival, noise, trials, seed, chunk=1 << 16, block=1 << 
     return captures, joint
 
 
-def _assert_level_tally_equals_reference(grid, rival, noise, trials, seed):
-    """The level tally's counts at the sorted distinct values of ``grid`` and 0, bit
-    for bit the sums of the per-profile race's counts of each row's profiles."""
-    n, values = len(rival), np.unique(np.append(grid, 0.0))
+def _assert_level_tally_equals_reference(grid, rival, n, noise, trials, seed):
+    """The level tally's counts at the sorted distinct values of ``grid`` and 0 against
+    ``rival`` on ``n`` chains, bit for bit the sums of the per-profile race's counts of
+    each row's profiles."""
+    values = np.unique(np.append(grid, 0.0))
     size = values.size
     # row j - 1 puts each value on chains 0..j-1 and 0 on the rest
     rows = [[values if k < j else np.zeros(size) for k in range(n)] for j in range(1, n + 1)]
-    captures, joint = _reference_tally(np.concatenate(rows, axis=1), rival, noise, trials, seed)
+    captures, joint = _reference_tally(np.concatenate(rows, axis=1), np.full(n, rival), noise, trials, seed)
     captures, joint = captures[0].reshape(n, size), joint.reshape(n, n, n, size)  # chain, chain, row, value
-    got_captures, wins, s1, s2 = mc._level_tally(values, rival, noise, trials, seed)
+    got_captures, wins, s1, s2 = mc._level_tally(values, rival, n, noise, trials, seed)
     assert np.array_equal(got_captures, captures)
     for j in range(1, n + 1):  # every row that holds chain k at the value has its wins
         for k in range(j):
@@ -706,17 +709,17 @@ GRIDS = {
 }
 
 
-@pytest.mark.parametrize("spread", [0.0, 0.05], ids=["rival-equal", "rival-per-chain"])
+@pytest.mark.parametrize("rival", [0.4, 0.43], ids=["rival-candidate", "rival-off-the-values"])
 @pytest.mark.parametrize("grid", GRIDS, ids=str)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
-def test_tally_equals_per_profile_race(noise, n, grid, spread, monkeypatch):
-    # 2,500 trials in chunks of 1,000: the last chunk is partial
+def test_tally_equals_per_profile_race(noise, n, grid, rival, monkeypatch):
+    # 2,500 trials in chunks of 1,000: the last chunk is partial; a rival off the values
+    # leaves no gap of exactly 0 on the index
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
     cand = 0.4
     full = default_deviation_grid(cand, POWER_TWO) if GRIDS[grid] is None else np.array(GRIDS[grid])
-    rival = cand + spread * np.arange(n)
-    _assert_level_tally_equals_reference(np.append(full, cand), rival, noise, 2_500, 7)
+    _assert_level_tally_equals_reference(np.append(full, cand), rival, n, noise, 2_500, 7)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
@@ -735,34 +738,33 @@ def test_tally_equals_per_profile_race_at_rounding_boundaries(noise, monkeypatch
                            np.nextafter(np.nextafter(edges, np.inf), np.inf)], axis=None)
     diff = (gaps[:, None, None] + mine) - theirs
     assert (diff == 0.0).any()  # the coin decides some races
-    rival = np.zeros(n)  # so each gap is exactly the profile's signal
-    _assert_level_tally_equals_reference(gaps, rival, noise, trials, seed)
-    _assert_level_tally_equals_reference(gaps[3::11], rival, noise, trials, seed)
+    # the rival at 0, so each gap is exactly the profile's signal
+    _assert_level_tally_equals_reference(gaps, 0.0, n, noise, trials, seed)
+    _assert_level_tally_equals_reference(gaps[3::11], 0.0, n, noise, trials, seed)
     assert sum(searched) > 0  # where rounding moves a win, the bucket's guess fails
-    _assert_table_tally_equals_reference(np.array([gaps[:8], gaps[8:16]]), rival, noise, trials, seed)
+    _assert_table_tally_equals_reference(np.array([gaps[:8], gaps[8:16]]), np.zeros(n), noise, trials, seed)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_tally_groups_chains_that_share_an_axis(noise):
     # the value chains of every row share one unsorted axis with a repeated value,
-    # raced against a distinct rival on each chain
-    rival = np.array([0.4, 0.1, 0.6, 0.3])
-    _assert_level_tally_equals_reference(np.array([0.5, 0.0, 0.7, 0.5]), rival, noise, 1_500, 19)
+    # raced against a rival off the axis
+    _assert_level_tally_equals_reference(np.array([0.5, 0.0, 0.7, 0.5]), 0.3, 4, noise, 1_500, 19)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
-def test_tally_equals_per_profile_race_at_mixed_rivals(noise, monkeypatch):
-    # chains 0 and 2 race one rival signal and share a pass; chain 1 races its own
+def test_tally_equals_per_profile_race_at_rivals_on_the_axis(noise, monkeypatch):
+    # one run per rival, each a value of the axis, in chunks of 1,000 trials
     monkeypatch.setattr(mc, "_CHUNK_TRIALS", 1_000)
-    _assert_level_tally_equals_reference(np.array([0.0, 0.3, 0.4, 0.45, 0.9]), np.array([0.4, 0.45, 0.4]), noise,
-                                         2_500, 23)
+    for rival in (0.4, 0.45):
+        _assert_level_tally_equals_reference(np.array([0.0, 0.3, 0.4, 0.45, 0.9]), rival, 3, noise, 2_500, 23)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
 def test_tally_equals_per_profile_race_at_many_chains(noise):
-    # 24 chains that race one rival signal go through one pass per chunk
+    # 24 chains go through one pass per chunk
     grid = np.append(default_deviation_grid(0.4, POWER_TWO, points=11), 0.4)
-    _assert_level_tally_equals_reference(grid, np.full(24, 0.4), noise, 400, 37)
+    _assert_level_tally_equals_reference(grid, 0.4, 24, noise, 400, 37)
 
 
 @pytest.mark.parametrize("noise", BROADCAST_NOISES, ids=lambda m: m.spec)
@@ -927,13 +929,22 @@ def _assert_same_bits(got, want):
 
 
 def test_payoff_statistics_keeps_the_bits_of_the_pair_loop(monkeypatch):
-    # 40 chains at 40 distinct signal pairs are 40 groups, plus a Monte Carlo verify's level row
-    calls, reduce = [], mc._payoff_statistics
+    # 40 chains at 40 distinct signal pairs are 40 groups, plus a Monte Carlo verify's level
+    # rows, whose row j - 1 costs the value on chains 0..j-1 and nothing on the rest; the
+    # reference folds the chains one at a time from the costs and wins that _spent sums
+    calls, reduce, spent = [], mc._payoff_statistics, mc._spent
+    monkeypatch.setattr(mc, "_spent", lambda costs, wins, *rest:
+                        calls.append((costs, wins)) or spent(costs, wins, *rest))
 
-    def both(trials, market, captures, chains, groups, co_wins):
-        chains = list(chains)
-        got = reduce(trials, market, captures, iter(chains), groups, co_wins)
-        _assert_same_bits(got, _pair_loop_payoff_statistics(trials, market, captures, iter(chains), groups, co_wins))
+    def both(trials, market, captures, summed, groups, co_wins):
+        got = reduce(trials, market, captures, summed, groups, co_wins)
+        costs, wins = calls.pop()
+        if costs.ndim == wins.ndim:  # simulate: per chain, both traders' costs and wins
+            chains = zip(costs, wins)
+        else:
+            rows = np.arange(1, len(wins) + 1).reshape(-1, 1)
+            chains = ((np.where(k < rows, costs, 0.0), won) for k, won in enumerate(wins))
+        _assert_same_bits(got, _pair_loop_payoff_statistics(trials, market, captures, chains, groups, co_wins))
         calls.append(len(groups))
         return got
 
@@ -954,7 +965,8 @@ def test_payoff_statistics_past_int64_keeps_the_bits_of_the_pair_loop():
     groups = [(costs[0], np.array([2]), wins[0] + wins[2]), (costs[1], np.array([1]), wins[1])]
     co_wins = np.array([[[2 * 10**10, 10**10], [9 * 10**9, 4 * 10**9]],
                         [[9 * 10**9, 4 * 10**9], [5_500_000_000, 4_500_000_000]]])
-    got = mc._payoff_statistics(trials, market, captures, zip(costs, wins), groups, co_wins)
+    spent = mc._spent(costs, wins, trials, market.alpha)[-1]
+    got = mc._payoff_statistics(trials, market, captures, spent, groups, co_wins)
     _assert_same_bits(got, _pair_loop_payoff_statistics(trials, market, captures, zip(costs, wins), groups, co_wins))
 
 
@@ -974,10 +986,10 @@ def test_simulate_from_tables_equals_per_profile_race(noise):
 # -- the gap index's guesses against the first winning gap ------------------------
 
 def _spy_on_search(monkeypatch):
-    """A list that gets the number of trials of every lockstep binary search."""
+    """A list that gets the number of races of every lockstep binary search."""
     searched, search = [], mc._Race.search
     monkeypatch.setattr(mc._Race, "search",
-                        lambda race, k, gaps: searched.append(len(race.heads[k])) or search(race, k, gaps))
+                        lambda race, gaps: searched.append(race.heads.size) or search(race, gaps))
     return searched
 
 
@@ -992,7 +1004,7 @@ def _assert_thresholds_are_the_first_winning_gap(gaps, mine, theirs, heads):
     race, index = mc._Race(mine, theirs, heads), mc._GapIndex(gaps)
     with np.errstate(invalid="raise", over="ignore"):  # bucketing makes no NaN and casts no infinity
         expected = [_first_winning_gap(gaps, mine[k], theirs[k], heads[k]) for k in range(len(mine))]
-        assert np.array_equal(race.thresholds(slice(None), index), expected)
+        assert np.array_equal(race.thresholds(index), expected)
 
 
 FRAGILE_AXES = {
@@ -1080,8 +1092,9 @@ FRAGILE_VALUES = {
 @pytest.mark.parametrize("values", FRAGILE_VALUES, ids=str)
 @pytest.mark.parametrize("noise", BROADCAST_NOISES + EXTREME_NOISES[::4], ids=lambda m: m.spec)
 def test_tally_equals_per_profile_race_on_fragile_axes(noise, values):
-    rival = np.array([0.4, 0.45])  # the candidate, and a second index with its own gaps on chain 1
-    _assert_level_tally_equals_reference(np.asarray(FRAGILE_VALUES[values], dtype=float), rival, noise, 1_200, 31)
+    for rival in (0.4, 0.45):  # the candidate, and a rival whose gaps sit elsewhere
+        _assert_level_tally_equals_reference(np.asarray(FRAGILE_VALUES[values], dtype=float), rival, 2, noise, 1_200,
+                                             31)
 
 
 def test_few_trials_reach_the_binary_search_on_the_default_grid(monkeypatch):
