@@ -22,9 +22,9 @@ import sys
 from dataclasses import dataclass, replace
 
 from ._np import np
-from .cost import CostModel, _finite
+from .cost import CostModel
 from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
-from .errors import ConfigError, ParameterError, SolverError
+from .errors import ConfigError, ParameterError, SolverError, _real
 from .noise import NoiseModel
 from .numerics import bisect_root
 
@@ -71,7 +71,7 @@ def compare_expenditure(v: float, cost: CostModel, noise: NoiseModel, alpha: flo
 
 @dataclass(frozen=True)
 class ValueDistribution:
-    """Law of the trade value used for ex-ante fee tuning."""
+    """Law of the trade value used for ex-ante fee tuning; its parameters checked by ``errors._real``."""
 
     family: str
     rate: float | None = None
@@ -93,12 +93,12 @@ class ValueDistribution:
 
     def __post_init__(self) -> None:
         if self.family == "exp":
-            if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0):
+            if not (_real(self.rate) and self.rate > 0):
                 raise ParameterError(f"exponential value law needs a positive rate, got {self.rate!r}")
         elif self.family == "lognormal":
-            if self.mu is None or not math.isfinite(self.mu):
+            if not _real(self.mu):
                 raise ParameterError(f"lognormal value law needs a finite mu, got {self.mu!r}")
-            if self.sigma_log is None or not (math.isfinite(self.sigma_log) and self.sigma_log > 0):
+            if not (_real(self.sigma_log) and self.sigma_log > 0):
                 raise ParameterError(f"lognormal value law needs a positive log-sigma, got {self.sigma_log!r}")
             try:
                 math.exp(0.5 * self.mu + self.sigma_log**2 / 8.0)  # E[sqrt(V)]
@@ -107,7 +107,7 @@ class ValueDistribution:
         elif self.family == "points":
             if not self.points:
                 raise ParameterError("point-mass value law needs at least one (value, weight) pair")
-            if any(not (math.isfinite(v) and v >= 0) or w < 0 for v, w in self.points):
+            if any(not (_real(v) and v >= 0) or w < 0 for v, w in self.points):
                 raise ParameterError("point-mass values must be finite, values and weights non-negative")
             total = math.fsum(w for _, w in self.points)
             if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-9):
@@ -202,7 +202,7 @@ def optimal_c(dist: ValueDistribution, g: float, f0: float, mode: str = "shared"
     if mode not in ("shared", "separate"):
         raise ParameterError(f"mode must be 'shared' or 'separate', got {mode!r}")
     for name, value in (("g", g), ("f0", f0)):
-        if not (math.isfinite(value) and value > 0.0):
+        if not (_real(value) and value > 0.0):
             raise ParameterError(f"{name} must be positive and finite, got {value!r}")
     if g * f0 > 4.0:
         raise ParameterError(f"equilibrium existence for every c needs g*f0 <= 4, got {g * f0}")
@@ -247,11 +247,6 @@ def _optimal_level(dist: ValueDistribution) -> float:
     return level
 
 
-def _reals(values) -> bool:
-    """Whether every value is an int or a float, as :class:`MarketConfig` requires, bools excluded."""
-    return all(issubclass(kind, (int, float)) and not issubclass(kind, bool) for kind in set(map(type, values)))
-
-
 #: Canonical sweep axis order; rows are emitted in product order over these.
 SWEEP_AXES = ("v", "beta", "c", "g", "sigma", "alpha", "chains", "cap")
 
@@ -269,7 +264,7 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
     for name, values in axes.items():
         if name not in SWEEP_AXES:
             raise ConfigError(f"unknown sweep axis {name!r}; expected one of {SWEEP_AXES}")
-        if len(values) == 0 or any(not _finite(x) for x in values):
+        if len(values) == 0 or not all(map(_real, values)):
             raise ConfigError(f"sweep axis {name!r} needs a non-empty list of finite values")
         if name in {"power": ("c", "g"), "timeboost": ("beta",)}[cost.family]:
             raise ConfigError(f"sweep axis {name!r} does not apply to {cost.family} cost")
@@ -285,14 +280,13 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
         for combo in itertools.product(*(grid[k] for k in cost_axes))
     ]
     densities = [replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]]
-    # the market checks, once per axis from its value types and extremes; only an axis
-    # that fails is checked value by value, to raise MarketConfig's error for the first bad one
+    # the market checks, from each axis's extremes and a baseline's type, then value by value for the first error
     counts, values, fractions = grid["chains"], grid["v"], grid["alpha"]
-    if not (1 <= min(counts) and max(counts) <= MarketConfig.MAX_CHAINS and all(count == int(count) for count in counts)
-            and _reals(values) and 0.0 < min(values) and max(values) <= sys.float_info.max and _reals(fractions)
-            and 0.0 <= min(fractions) and max(fractions) <= 1.0):
+    if not (_real(counts[0]) and _real(values[0]) and _real(fractions[0]) and 1 <= min(counts)
+            and max(counts) <= MarketConfig.MAX_CHAINS and all(count == int(count) for count in counts)
+            and 0.0 < min(values) and 0.0 <= min(fractions) and max(fractions) <= 1.0):
         for count in counts:
-            if count != int(count):
+            if not (_real(count) and count == int(count)):
                 raise ConfigError(f"chains axis values must be integers, got {count}")
             MarketConfig(1.0, int(count))
         for value in values:

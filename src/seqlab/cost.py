@@ -13,11 +13,10 @@ the equilibrium module.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from ._np import np
-from .errors import ConfigError, DomainError, ParameterError, SolverError
+from .errors import ConfigError, DomainError, ParameterError, SolverError, _real
 
 FAMILIES = ("power", "timeboost")
 
@@ -27,14 +26,9 @@ MIN_BETA = 1.0 + 1e-6
 _NEWTON_STEPS = 100
 
 
-def _finite(x) -> bool:
-    """``math.isfinite(x)``, but false, not an OverflowError, for an int past float range."""
-    return abs(x) <= sys.float_info.max if isinstance(x, int) else math.isfinite(x)
-
-
 @dataclass(frozen=True)
 class CostModel:
-    """Cost of producing a signal, one of the two supported families."""
+    """Cost of producing a signal, one of the two supported families; each number checked by ``errors._real``."""
 
     family: str
     beta: float | None = None
@@ -52,20 +46,20 @@ class CostModel:
 
     def __post_init__(self) -> None:
         if self.family == "power":
-            if self.beta is None or not _finite(self.beta) or self.beta < MIN_BETA:
+            if not (_real(self.beta) and self.beta >= MIN_BETA):
                 raise ParameterError(f"power cost needs elasticity beta >= {MIN_BETA}, got {self.beta!r}")
             if self.c is not None or self.g is not None:
                 raise ParameterError("power cost takes only beta (and an optional cap)")
         elif self.family == "timeboost":
             for name, value in (("c", self.c), ("g", self.g)):
-                if value is None or not _finite(value) or value <= 0:
+                if not (_real(value) and value > 0):
                     raise ParameterError(f"timeboost cost needs positive finite {name}, got {value!r}")
             if self.beta is not None:
                 raise ParameterError("timeboost cost takes c and g, not beta")
         else:
             raise ParameterError(f"unknown cost family {self.family!r}; expected one of {FAMILIES}")
         if self.cap is not None:
-            if not _finite(self.cap) or self.cap < 0:
+            if not (_real(self.cap) and self.cap >= 0):
                 raise ParameterError(f"cap must be a non-negative finite real, got {self.cap!r}")
             if self.family == "timeboost" and self.cap >= self.g:
                 raise ParameterError(f"cap {self.cap} must lie below the boost bound g={self.g}")
@@ -82,8 +76,8 @@ class CostModel:
         return text
 
     def admissible_max(self) -> float:
-        """Largest usable signal: the cap if set, else just below g, else inf."""
-        hi = math.inf if self.family == "power" else self.g * (1.0 - 1e-9)
+        """Largest usable signal: the cap if set, else just below g (a float below, if g is subnormal), else inf."""
+        hi = math.inf if self.family == "power" else min(self.g * (1.0 - 1e-9), math.nextafter(self.g, 0.0))
         return hi if self.cap is None else min(hi, self.cap)
 
     def _checked(self, formula, s):
@@ -97,7 +91,8 @@ class CostModel:
                 raise DomainError(f"timeboost signal must lie strictly below g={self.g}")
             if self.cap is not None and hi > self.cap:
                 raise DomainError(f"signal exceeds the cap {self.cap}")
-        out = formula(np.asarray(s_arr, dtype=float))
+        with np.errstate(over="ignore"):  # a value past float range is inf, for the caller to weigh
+            out = formula(np.asarray(s_arr, dtype=float))
         return float(out) if np.ndim(s) == 0 else out
 
     def cost(self, s):
@@ -153,8 +148,9 @@ class CostModel:
         if bad.any():
             raise ParameterError(f"marginal cost must be positive and finite, got {float(m_arr[bad][0])!r}")
         if self.family == "timeboost":
-            corner = m_arr < self.c / self.g
-            signal = np.where(corner, 0.0, np.maximum(self.g - np.sqrt(self.c * self.g / m_arr), 0.0))
+            corner = m_arr < self.c / self.g  # signal 0, so a tiny m there, which would overflow the root, is set to 1
+            root = np.sqrt(self.c * self.g / np.where(corner, 1.0, m_arr))
+            signal = np.where(corner, 0.0, np.maximum(self.g - root, 0.0))
         else:
             corner, exponent = np.zeros(m_arr.shape, dtype=bool), 1.0 / (self.beta - 1.0)
             try:  # Python's float power, point by point: numpy's can differ from it in the last bit

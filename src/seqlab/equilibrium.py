@@ -46,8 +46,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ._np import np
-from .cost import CostModel, _finite
-from .errors import ParameterError, SolverError
+from .cost import CostModel
+from .errors import ParameterError, SolverError, _real
 from .noise import NoiseModel
 from .numerics import settle_root
 
@@ -58,22 +58,17 @@ class Regime(enum.StrEnum):
     ZERO_INVESTMENT = "zero_investment"
 
 
-def _real(x, kinds=(int, float)) -> bool:
-    """Whether ``x`` is one of ``kinds``, bools excluded (``True`` is an int to Python)."""
-    return isinstance(x, kinds) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class MarketConfig:
-    """Game parameters: arbitrage value, chain count (at most int64's maximum, as NumPy holds it), refund fraction."""
+    """Game parameters, each checked by ``errors._real``: arbitrage value, chain count (an int), refund fraction."""
 
-    MAX_CHAINS = 2**63 - 1  # unannotated, so a class constant and not a field
+    MAX_CHAINS = 2**63 - 1  # int64's maximum, as NumPy holds a count; unannotated, so a class constant, not a field
     v: float
     n_chains: int = 1
     alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (_real(self.v) and _finite(self.v) and self.v > 0):
+        if not (_real(self.v) and self.v > 0):
             raise ParameterError(f"trade value must be positive and finite, got {self.v!r}")
         if not (_real(self.n_chains, int) and self.n_chains >= 1):
             raise ParameterError(f"chain count must be an integer >= 1, got {self.n_chains!r}")

@@ -60,14 +60,15 @@ from dataclasses import dataclass
 
 from ._np import np
 from .cost import CostModel
-from .equilibrium import EquilibriumResult, MarketConfig, _real
-from .errors import ConfigError
+from .equilibrium import EquilibriumResult, MarketConfig
+from .errors import ConfigError, DomainError, _real
 from .noise import NoiseModel
 from .rng import raw_words, to_uniform
 
 _SLOTS = 3  # per (trial, chain): trader 1 noise, trader 2 noise, tie-break
 _CHUNK_TRIALS = 1 << 16
 _CHUNK_WORDS = 3 * _SLOTS * (1 << 16)  # the words of a full chunk of 3 chains: the most a chunk draws
+MAX_CHAINS = _CHUNK_WORDS // _SLOTS  # the chains whose one trial fills a chunk
 _K = 8  # a word's top _K bits are its bin in the decision tables: one byte
 _Z95 = 1.96
 _BUCKETS = 1 << 14  # equal-width buckets of a gap index: most keys share theirs with no gap
@@ -95,7 +96,7 @@ def _per_chain_signals(signals, n_chains: int) -> tuple[tuple, tuple]:
 
 
 def check_draws(trials, seed) -> None:
-    """Refuse a trial count or a seed that no simulation can draw, with no NumPy."""
+    """Refuse a trial count or a seed that no simulation can draw, each an int by ``errors._real``, with no NumPy."""
     if not (_real(trials, int) and trials >= 1):
         raise ConfigError(f"trials must be a positive integer, got {trials!r}")
     if not (_real(seed, int) and 0 <= seed < 2**64):
@@ -104,7 +105,8 @@ def check_draws(trials, seed) -> None:
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """One reproducible simulation: who plays what, where, and for how long."""
+    """One reproducible simulation: who plays what, where, and for how long. At most :data:`MAX_CHAINS` chains,
+    refused before the signals are spread per chain: a chunk draws at least one trial, past them too many words."""
 
     signals: tuple
     market: MarketConfig
@@ -115,11 +117,13 @@ class SimulationSpec:
 
     def __post_init__(self) -> None:
         check_draws(self.trials, self.seed)
+        if self.market.n_chains > MAX_CHAINS:
+            raise ConfigError(f"a simulation races at most {MAX_CHAINS} chains, got {self.market.n_chains}")
         rows = _per_chain_signals(self.signals, self.market.n_chains)
         object.__setattr__(self, "signals", tuple(tuple(float(s) for s in row) for row in rows))
-        for trader in self.signals:
-            for s in trader:
-                self.cost.cost(s)  # raises DomainError outside the admissible range
+        for s in self.signals[0] + self.signals[1]:
+            if not self.cost.cost(s) < math.inf:  # cost raises DomainError outside the admissible range
+                raise DomainError(f"signal {s!r} has a cost beyond float range")
         # each law is monotone in its uniform, so the least and greatest uniforms bound
         # every draw; an infinite one would race inf against -inf
         with np.errstate(over="ignore"):
@@ -155,8 +159,8 @@ def _probability_halfwidth(count: int, trials: int) -> float:
 
 
 def _chunk_trials(n: int) -> int:
-    """Trials per chunk at ``n`` chains: many chains draw fewer trials at once."""
-    return max(1, min(_CHUNK_TRIALS, _CHUNK_WORDS // (_SLOTS * n)))
+    """Trials per chunk at ``n`` chains: many chains draw fewer trials at once, and at most :data:`MAX_CHAINS` one."""
+    return min(_CHUNK_TRIALS, _CHUNK_WORDS // (_SLOTS * n))
 
 
 def _chunk_words(seed: int, start: int, m: int, n: int) -> np.ndarray:
@@ -558,7 +562,7 @@ def default_deviation_grid(candidate: float, cost: CostModel, points: int = 301)
     if hi <= 0.0:
         return np.zeros(1)
     quarter = (points - 2) // 3
-    near_zero = np.geomspace(hi * 1e-8, hi, quarter)
+    near_zero = np.geomspace(max(hi * 1e-8, math.ulp(0.0)), hi, quarter)  # the least float where hi*1e-8 underflows
     offsets = hi * np.geomspace(1e-9, 1.0 / 3.0, (quarter + 1) // 2)
     near_candidate = np.clip(
         np.concatenate([candidate - offsets, candidate + offsets]), 0.0, hi

@@ -47,7 +47,7 @@ import math
 from dataclasses import dataclass
 
 from ._np import np
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, _real
 
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -172,8 +172,8 @@ def _logit(p: np.ndarray) -> np.ndarray:
 class NoiseModel:
     """Symmetric uni-modal law of the score-noise difference on one chain.
 
-    ``param`` is the single positive shape parameter of the family: the
-    standard deviation for ``normal``, the scale for ``logistic`` and
+    ``param``, checked by :func:`~seqlab.errors._real`, is the single positive shape parameter
+    of the family: the standard deviation for ``normal``, the scale for ``logistic`` and
     ``laplace``, and the half-width of the support for ``uniform``.
     """
 
@@ -183,7 +183,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.family not in FAMILIES:
             raise ParameterError(f"unknown noise family {self.family!r}; expected one of {FAMILIES}")
-        if not (isinstance(self.param, (int, float)) and math.isfinite(self.param) and self.param > 0):
+        if not (_real(self.param) and self.param > 0):
             raise ParameterError(f"{self.family} noise needs a positive finite parameter, got {self.param!r}")
         object.__setattr__(self, "param", float(self.param))
 

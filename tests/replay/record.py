@@ -298,6 +298,26 @@ def _cases() -> list[tuple]:
                                            "normal:0.3989422804", "--value-dist", "points:1e308@1",
                                            "--format", "json"], None),
     ]
+
+    # tiny, huge and out-of-range numbers: each run exits cleanly, with nothing but its line on stderr
+    cases += [
+        ("verify-tiny-cap", ["verify", "--v", "1", "--cost", "power:2,cap=1e-320", "--noise", "normal:1"], None),
+        ("verify-tiny-boost-bound", ["verify", "--v", "1", "--cost", "timeboost:c=1,g=1e-320", "--noise", "normal:1"],
+         None),
+        *((f"{command}-tiny-v-timeboost-corner", [command, "--v", "1e-320", "--cost", "timeboost:c=0.1,g=1",
+                                                   "--noise", "normal:1"], None)
+          for command in ("equilibrium", "compare", "verify")),
+        ("sweep-huge-c-timeboost-corner", ["sweep", "--cost", "timeboost:c=0.1,g=1", "--noise", "normal:1",
+                                           "--grid", "c=1e308"], None),
+        ("verify-huge-v-deviation-cost-overflow", ["verify", "--v", "1e308", "--alpha", "0", "--cost", "power:2",
+                                                   "--noise", "normal:1"], None),
+        ("verify-huge-boost-fee-cost-overflow", ["verify", "--v", "1", "--cost", "timeboost:c=1e300,g=1e-300",
+                                                 "--noise", "normal:1"], None),
+        ("error-simulate-infinite-cost", ["simulate", "--v", "1", "--signals", "1e300,1", "--trials", "100",
+                                          "--cost", "power:2"], None),
+        *((f"error-simulate-chains-{chains}", ["simulate", "--v", "1", "--chains", chains, "--signals", "0.1,0.1",
+                                               "--trials", "1"], None) for chains in ("196609", "1000000000000")),
+    ]
     return cases
 
 

@@ -34,6 +34,23 @@ def test_marginal_cost_examples():
     assert CostModel.power(2.0).marginal_cost(0.0) == 0.0
 
 
+def test_cost_past_float_range_is_inf_with_no_warning():
+    # pytest makes a RuntimeWarning an error
+    assert CostModel.power(2.0).cost(1e300) == math.inf
+    assert CostModel.timeboost(1e300, 1e-300).cost(np.nextafter(1e-300, 0.0)) == math.inf
+
+
+def test_timeboost_corner_of_a_tiny_marginal_cost_is_zero_with_no_warning():
+    signal, corner = CostModel.timeboost(0.1, 1.0).inverse_marginal_cost(np.array([1e-320, 1.0]))
+    assert corner.tolist() == [True, False] and signal[0] == 0.0
+    assert signal[1] == 1.0 - math.sqrt(0.1)
+
+
+def test_admissible_max_lies_below_a_subnormal_boost_bound():
+    assert CostModel.timeboost(1.0, 1.0).admissible_max() == 1.0 * (1.0 - 1e-9)
+    assert CostModel.timeboost(1.0, 1e-320).admissible_max() == np.nextafter(1e-320, 0.0)
+
+
 def test_inverse_marginal_cost_examples():
     assert CostModel.power(2.0).inverse_marginal_cost(1.0) == (0.5, False)
     signal, corner = CostModel.timeboost(0.25, 1.0).inverse_marginal_cost(1.0)

@@ -190,6 +190,20 @@ def test_spec_validation():
         _spec((0.5, 0.5), seed=-1)
     with pytest.raises(DomainError):
         SimulationSpec((1.5, 0.5), MarketConfig(1.0, 1), CostModel.timeboost(0.25, 1.0), UNIT_NOISE, trials=10)
+    # its cost of 1e600 is past float range: the payoff was once -inf and its half-width NaN
+    with pytest.raises(DomainError, match=r"^signal 1e\+300 has a cost beyond float range$"):
+        _spec((0.5, 1e300), trials=10)
+
+
+@pytest.mark.parametrize("n", [mc.MAX_CHAINS + 1, 10**12])
+def test_spec_refuses_more_chains_than_one_trial_of_a_chunk_holds(n):
+    # refused before the signals are spread per chain: at 10**12 chains that would be two 8 TB tuples
+    assert mc.MAX_CHAINS == 196_608 and mc._chunk_trials(mc.MAX_CHAINS) == 1
+    message = f"^a simulation races at most 196608 chains, got {n}$"
+    with pytest.raises(ConfigError, match=message):
+        _spec((0.1, 0.1), n=n, trials=1)
+    with pytest.raises(ConfigError, match=message):
+        verify_best_response(0.0, MarketConfig(1.0, n), POWER_TWO, UNIT_NOISE, mode="montecarlo", trials=1)
 
 
 @pytest.mark.parametrize(("noise", "rejected"), [
@@ -252,6 +266,35 @@ def test_default_deviation_grid_shape():
     assert np.all(np.diff(grid) >= 0.0)
     capped = default_deviation_grid(0.5, CostModel.timeboost(0.25, 1.0))
     assert capped[-1] <= 1.0
+
+
+@pytest.mark.parametrize("cost", [CostModel.power(2.0, cap=1e-320), CostModel.power(2.0, cap=5e-324),
+                                  CostModel.timeboost(1.0, 1e-320), CostModel.timeboost(1.0, 1e-316)],
+                         ids=lambda cost: cost.spec)
+def test_deviation_grid_and_verify_hold_at_a_subnormal_signal_bound(cost):
+    # hi * 1e-8 underflows to 0 below about 5e-316, where geomspace once raised
+    market = MarketConfig(1.0)
+    candidate = solve_equilibrium(market, cost, UNIT_NOISE)
+    grid = default_deviation_grid(candidate.signal, cost)
+    assert grid[0] == 0.0 and np.all(np.diff(grid) >= 0.0) and grid[-1] == cost.admissible_max()
+    cost.cost(grid)  # every deviation lies in the cost's domain
+    check = verify_best_response(candidate, market, cost, UNIT_NOISE)
+    assert check.max_gain == 0.0 and check.is_epsilon_equilibrium
+
+
+def test_deviation_grid_keeps_its_bits_where_its_lowest_point_is_positive():
+    for hi in (1.0, 1e-300, 1e-315):
+        cost = CostModel.power(2.0, cap=hi)
+        grid = default_deviation_grid(0.0, cost)
+        assert np.isin(np.geomspace(hi * 1e-8, hi, 99), grid).all()
+
+
+def test_analytic_verify_scores_a_deviation_whose_cost_overflows_as_minus_inf():
+    # a deviation of 1e+300 costs 1e+600, past float range; pytest makes an overflow warning an error
+    market, cost, noise = MarketConfig(1e308, 1, 0.0), POWER_TWO, NoiseModel("normal", 1.0)
+    candidate = solve_equilibrium(market, cost, noise)
+    assert np.isneginf(mc._level_scores(np.array([0.0, 1e300]), candidate.signal, market, cost, noise)[0, 1])
+    assert verify_best_response(candidate, market, cost, noise).is_epsilon_equilibrium
 
 
 def test_best_response_holds_at_equilibrium():
