@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 
 from ._np import np
 from .cost import CostModel
-from .equilibrium import REGIMES, Equilibria, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
+from .equilibrium import REGIMES, EquilibriumResult, MarketConfig, solve_equilibria, solve_equilibrium
 from .errors import ConfigError, ParameterError, SolverError, _real
 from .noise import NoiseModel
 from .numerics import bisect_root
@@ -258,8 +258,9 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
     non-axis parameters come from the keyword baseline. The ``chains`` axis
     sets the separate-side chain count. Rows appear in product order over the
     canonical axis order, each row carrying its axis values plus the result
-    columns of :func:`compare_expenditure`, equal to the last bit. The points
-    of each cost model are solved, both sides at once, in one lockstep call.
+    columns of :func:`compare_expenditure`, equal to the last bit. Every
+    point, both sides and any cost model, is solved in one lockstep call, so
+    a grid raises the first error of :func:`solve_equilibria`'s checks.
     """
     for name, values in axes.items():
         if name not in SWEEP_AXES:
@@ -273,12 +274,9 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
     size = math.prod(len(values) for values in grid.values())
 
     # the cost models, noise laws and markets are checked before NumPy loads, so a bad value needs none
-    cost_axes = ("beta", "c", "g", "cap")
-    models: dict = {}  # distinct cost model -> group number, in order of first use
-    groups = [
-        models.setdefault(replace(cost, **{k: x for k, x in zip(cost_axes, combo) if k in axes}), len(models))
-        for combo in itertools.product(*(grid[k] for k in cost_axes))
-    ]
+    cost_axes = [k for k in ("beta", "c", "g", "cap") if k in axes]
+    for combo in itertools.product(*map(axes.get, cost_axes)):
+        model = replace(cost, **dict(zip(cost_axes, combo)))  # each point's own model, checked
     densities = [replace(noise, param=sigma).density_at_zero() for sigma in grid["sigma"]]
     # the market checks, from each axis's extremes and a baseline's type, then value by value for the first error
     counts, values, fractions = grid["chains"], grid["v"], grid["alpha"]
@@ -293,23 +291,16 @@ def sweep(axes: dict, *, v: float = 1.0, cost: CostModel, noise: NoiseModel, alp
             MarketConfig(value)
         for fraction in fractions:
             MarketConfig(1.0, 1, fraction)
-    # each point's index along each axis, in product order
-    position = dict(zip(grid, np.unravel_index(np.arange(size), [len(values) for values in grid.values()])))
-    group = np.array(groups)[np.ravel_multi_index([position[k] for k in cost_axes], [len(grid[k]) for k in cost_axes])]
+    # each point's index on each axis, in product order, twice: the shared sides, then the separate ones
+    position = dict(zip(grid, np.unravel_index(np.arange(2 * size) % size, [len(values) for values in grid.values()])))
     f0 = np.array(densities)[position["sigma"]]
-    v_at, alpha_at = (np.asarray(grid[k], dtype=float)[position[k]] for k in ("v", "alpha"))
+    v_at, alpha_at, *params = (np.asarray(grid[k], dtype=float)[position[k]] for k in ("v", "alpha", *cost_axes))
     n_at = np.asarray(counts, dtype=float).astype(np.int64)[position["chains"]]
-
-    # column p of each field holds the shared side in row 0 and the separate side in row 1
-    signal, per_chain, total, capture, profit, regime = fields = [
-        np.empty((2, size), np.int64 if name == "regime" else float) for name in Equilibria._fields]
-    order = np.argsort(group, kind="stable")
-    for model, points in zip(models, np.split(order, np.flatnonzero(np.diff(group[order])) + 1)):
-        both = np.concatenate([points, points])
-        solved = solve_equilibria(model, f0[both], v_at[both], np.concatenate([np.ones_like(points), n_at[points]]),
-                                 alpha_at[both])
-        for field, values in zip(fields, solved):
-            field[:, points] = values.reshape(2, -1)
+    n_at[:size] = 1
+    # the last model holds each one-valued cost axis's value; the other cost axes ride along per point
+    model = model.at(**{k: x for k, x in zip(cost_axes, params) if len(axes[k]) > 1})
+    solved = solve_equilibria(model, f0, v_at, n_at, alpha_at)
+    signal, per_chain, total, capture, profit, regime = (field.reshape(2, size) for field in solved)
 
     regimes, interpretation = [r.value for r in REGIMES], "revenue" if cost.family == "timeboost" else "waste"
     columns = {}

@@ -64,6 +64,16 @@ class CostModel:
             if self.family == "timeboost" and self.cap >= self.g:
                 raise ParameterError(f"cap {self.cap} must lie below the boost bound g={self.g}")
 
+    def at(self, points=(), **columns) -> "CostModel":
+        """The model, unchecked, of the markets ``points`` selects, with parameters as per-point ``columns``."""
+        model = object.__new__(CostModel)
+        vars(model).update(vars(self), **{k: x[points] for k, x in vars(self).items() if isinstance(x, np.ndarray)})
+        vars(model).update(columns)
+        if isinstance(model.beta, np.ndarray):  # the points of each distinct beta, once per model, for _power
+            order = np.argsort(model.beta, kind="stable")
+            vars(model)["runs"] = np.split(order, np.flatnonzero(np.diff(model.beta[order])) + 1)
+        return model
+
     @property
     def spec(self) -> str:
         """Config-string form, e.g. ``power:2`` or ``timeboost:c=0.25,g=1``."""
@@ -101,13 +111,22 @@ class CostModel:
     def marginal_cost(self, s):
         return self._checked(self._marginal, s)
 
-    # unchecked, for arrays in the domain; Python-float parameters keep numpy's fast ``** 2``
+    # unchecked, for arrays in the domain; the parameters may be per-point arrays that broadcast against s
 
     def _cost(self, s: np.ndarray) -> np.ndarray:
-        return s**self.beta if self.family == "power" else self.c * s / (self.g - s)
+        return self._power(s, 0.0) if self.family == "power" else self.c * s / (self.g - s)
 
     def _marginal(self, s: np.ndarray) -> np.ndarray:
-        return self.beta * s ** (self.beta - 1.0) if self.family == "power" else self.c * self.g / (self.g - s) ** 2
+        return self.beta * self._power(s, 1.0) if self.family == "power" else self.c * self.g / (self.g - s) ** 2
+
+    def _power(self, s: np.ndarray, less: float) -> np.ndarray:
+        """``s ** (beta - less)`` by one ``s ** float`` per distinct beta, whose bits numpy's array power can miss."""
+        if not isinstance(self.beta, np.ndarray):
+            return s ** (self.beta - less)
+        out = np.empty(s.shape)
+        for run in self.runs:
+            out[..., run] = s[..., run] ** (float(self.beta[run[0]]) - less)
+        return out
 
     def stationary_signal(self, m, h, w, upper):
         """An estimate of the root of ``m - h*C'(s) - w*C(s)`` below ``upper``, where ``C'(upper) = m/h``.
@@ -152,11 +171,12 @@ class CostModel:
             root = np.sqrt(self.c * self.g / np.where(corner, 1.0, m_arr))
             signal = np.where(corner, 0.0, np.maximum(self.g - root, 0.0))
         else:
-            corner, exponent = np.zeros(m_arr.shape, dtype=bool), 1.0 / (self.beta - 1.0)
+            corner, exponents = np.zeros(m_arr.shape, dtype=bool), np.full(m_arr.size, 1 / (self.beta - 1.0)).tolist()
             try:  # Python's float power, point by point: numpy's can differ from it in the last bit
-                signal = np.reshape([x**exponent for x in np.ravel(m_arr / self.beta).tolist()], m_arr.shape)
-            except OverflowError:
-                raise SolverError(f"the {self.spec} signal with marginal cost {float(m_arr.max()):.6g} "
+                signal = np.reshape(list(map(pow, np.ravel(m_arr / self.beta).tolist(), exponents)), m_arr.shape)
+            except OverflowError:  # named at the market of the largest signal, by ln s = ln(m/beta)/(beta-1)
+                i = np.argmax(np.log(m_arr / self.beta) / (self.beta - 1.0))
+                raise SolverError(f"the {self.at(i).spec} signal with marginal cost {m_arr.flat[i]:.6g} "
                                   "lies beyond float range") from None
         return (float(signal), bool(corner)) if np.ndim(m) == 0 else (signal, corner)
 

@@ -137,10 +137,10 @@ def _stake(f0, v, n):
     return stake
 
 
-def _name_first(bad, what: str, n, v) -> None:
-    """Raise a ParameterError naming the first market where ``bad`` holds, if any."""
+def _name_first(bad, what: str, n, v, error=ParameterError) -> None:
+    """Raise ``error`` naming the first market where ``bad`` holds, if any."""
     if np.count_nonzero(bad):
-        raise ParameterError(f"{what} at chains={n[bad][0]}, v={v[bad][0]:.6g}")
+        raise error(f"{what} at chains={n[bad][0]}, v={v[bad][0]:.6g}")
 
 
 def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
@@ -162,7 +162,7 @@ def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
     root = np.where(below, 0.0, upper)
     if np.count_nonzero(inside):
         # the residual reads these names, so from here on it evaluates the inside points only
-        half, weight, marginal, upper = half[inside], weight[inside], marginal[inside], upper[inside]
+        cost, half, weight, marginal, upper = cost.at(inside), *(x[inside] for x in (half, weight, marginal, upper))
         guess = cost.stationary_signal(marginal, half, weight, upper)
         with np.errstate(over="ignore"):
             root[inside] = settle_root(residual, guess, zero[inside], upper)
@@ -170,36 +170,41 @@ def _refund_roots(cost: CostModel, f0, marginal, alpha, upper):
 
 
 def solve_equilibria(cost: CostModel, f0, v, n, alpha) -> Equilibria:
-    """Symmetric equilibria of many markets under one cost model, in lockstep.
+    """Symmetric equilibria of many markets, in lockstep.
 
     ``f0`` (the noise's peak density), ``v``, ``n`` (chains) and ``alpha``
     are floats or arrays that broadcast, each market valid as
-    :class:`MarketConfig` checks it. Each refund point stops searching on
-    its own at the float bisection of ``[0, upper]`` ends on, so every point
-    comes out as it would alone.
+    :class:`MarketConfig` checks it; ``cost`` may hold per-point parameters
+    (:meth:`CostModel.at`). Each refund point stops searching on its own at
+    the float bisection of ``[0, upper]`` ends on, so every point comes out
+    as it would alone. The first check that any market fails raises, whatever
+    its model, naming the market it singles out by that market's own model.
     """
     refused = (alpha != 1.0) & (n > 2)  # a bool for one market, which needs no NumPy to refuse
     if refused if isinstance(refused, bool) else refused.any():
         raise ParameterError("refund equilibria are available for 1 or 2 chains only")
     f0, v, n, alpha = np.broadcast_arrays(*map(np.atleast_1d, (f0, v, n, alpha)))
     marginal = _stake(f0, v, n)
-    upper, corner = cost.inverse_marginal_cost(2.0 * marginal / (1.0 + alpha))
+    with np.errstate(over="ignore"):  # 2M/(1+alpha), which halving (1+alpha) keeps from overflowing at alpha = 1
+        bound = marginal / (0.5 * (1.0 + alpha))
+    _name_first(np.isinf(bound), "the marginal cost 2M/(1+alpha) of the upper signal overflows", n, v, SolverError)
+    upper, corner = cost.inverse_marginal_cost(bound)
     refund = (alpha != 1.0) & ~corner
     # the refund residual is evaluated at upper, and so is an uncapped signal's cost
-    rounded = ~corner & (upper >= (cost.g or np.inf)) & (refund | (cost.cap is None))
-    if np.count_nonzero(rounded):
-        raise SolverError(f"the signal rounds to the boost bound g={cost.g} at v={float(v[rounded].max()):.6g}")
+    rounded = ~corner & (upper >= (np.inf if cost.g is None else cost.g)) & (refund | (cost.cap is None))
+    if np.count_nonzero(rounded):  # named at the largest such v
+        i = np.argmax(np.where(rounded, v, -np.inf))
+        raise SolverError(f"the signal rounds to the boost bound g={cost.at(i).g} at v={float(v[i]):.6g}")
     root = np.where(corner, 0.0, upper)
     if np.count_nonzero(refund):
-        root[refund] = _refund_roots(cost, f0[refund], marginal[refund], alpha[refund], upper[refund])
+        root[refund] = _refund_roots(cost.at(refund), f0[refund], marginal[refund], alpha[refund], upper[refund])
     cap = np.inf if cost.cap is None else cost.cap
     signal, regime = np.minimum(root, cap), np.where(root > cap, _CAP_BINDING, _INTERIOR)
     with np.errstate(over="ignore"):  # the signal lies in [0, min(upper, cap)], inside the cost's domain
         per_chain = cost._cost(signal)
-    if per_chain.max() == math.inf:
-        beyond = np.isinf(per_chain)
-        raise SolverError(f"the {cost.spec} cost of the signal {signal[beyond][0]:.6g} lies beyond float range "
-                          f"at chains={n[beyond][0]}, v={v[beyond][0]:.6g}")
+    if per_chain[i := np.argmax(per_chain)] == math.inf:  # named at the first such market
+        raise SolverError(f"the {cost.at(i).spec} cost of the signal {signal[i]:.6g} lies beyond float range "
+                          f"at chains={n[i]}, v={v[i]:.6g}")
     # Candidates that invest and earn a non-negative profit stand; the rest invest nothing. At
     # the symmetric point every race is a coin flip, and a lost race still costs an alpha
     # fraction of that chain's bid, so the profit is v*2**-n - n*(1+alpha)/2*C(s). With a

@@ -613,7 +613,8 @@ def verify_best_response(
     did, has a half-width of at least ``v`` times the far end of Wilson's
     score interval, so epsilon is never 0. A positive best gain beyond
     epsilon means the candidate is not a best response; it is reported,
-    never suppressed.
+    never suppressed. A deviation whose cost is past float range scores
+    -inf in analytic mode, and Monte Carlo mode leaves it out.
     """
     if mode not in ("analytic", "montecarlo"):
         raise ConfigError(f"mode must be 'analytic' or 'montecarlo', got {mode!r}")
@@ -630,10 +631,16 @@ def verify_best_response(
         # would; cost.cost rejects any deviation outside the cost's domain
         SimulationSpec((cand, cand), market, cost, noise, trials=trials, seed=seed)
         costs = cost.cost(values)
+        # a value whose cost is past float range cannot win (analytic mode scores it -inf): it is left out. The rest
+        # are scored in units of 2**e, which no finite bit feels, so that no sum or square over the trials overflows
+        values, costs = values[costs < math.inf], costs[costs < math.inf]
+        e = max(0, math.frexp(max(market.v, costs.max()))[1] + (trials * n).bit_length() - 500)
         captures, wins, s1, s2 = _level_tally(values, cand, n, noise, trials, seed)
         rows = np.arange(1, n + 1).reshape(-1, 1)  # per row, the chains at the value; the rest cost 0
+        unit, costs = MarketConfig(math.ldexp(market.v, -e), n, market.alpha), np.ldexp(costs, -e)
         spent = _spent(costs, wins, trials, market.alpha)  # row j - 1 sums chains 0..j-1
-        scores, halfwidths = _payoff_statistics(trials, market, captures, spent, [(costs, rows, s1)], [[s2]])
+        scores, halfwidths = _payoff_statistics(trials, unit, captures, spent, [(costs, rows, s1)], [[s2]])
+        scores, halfwidths = np.ldexp(scores, e), np.ldexp(halfwidths, e)
 
     # the first maximum from the all-chain row up, and in a row the least value
     zeros, i = divmod(int(np.argmax(scores[::-1])), values.size)

@@ -297,6 +297,7 @@ def _cases() -> list[tuple]:
         ("solver-optimal-c-points-1e308", ["optimal-c", "--cost", "timeboost:g=3.99", "--noise",
                                            "normal:0.3989422804", "--value-dist", "points:1e308@1",
                                            "--format", "json"], None),
+        ("solver-upper-marginal-cost-overflow", ["equilibrium", "--v", "1e308", "--alpha", "0", *EQ], None),
     ]
 
     # tiny, huge and out-of-range numbers: each run exits cleanly, with nothing but its line on stderr
@@ -313,6 +314,8 @@ def _cases() -> list[tuple]:
                                                    "--noise", "normal:1"], None),
         ("verify-huge-boost-fee-cost-overflow", ["verify", "--v", "1", "--cost", "timeboost:c=1e300,g=1e-300",
                                                  "--noise", "normal:1"], None),
+        ("verify-montecarlo-huge-v-deviation-cost-overflow", ["verify", "--v", "1e308", "--alpha", "0", *PN, "--mode",
+                                                              "montecarlo", "--trials", "1000"], None),
         ("error-simulate-infinite-cost", ["simulate", "--v", "1", "--signals", "1e300,1", "--trials", "100",
                                           "--cost", "power:2"], None),
         *((f"error-simulate-chains-{chains}", ["simulate", "--v", "1", "--chains", chains, "--signals", "0.1,0.1",

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import closed_forms
+from seqlab import analysis
 from seqlab.analysis import (
     _EXP_ROOT,
     ValueDistribution,
@@ -590,12 +591,15 @@ def _assert_row_equals_report(row, report):
           "sigma": [0.3, 1.0, 4.0], "alpha": [0.0, 0.6, 1.0]}, CostModel.timeboost(0.25, 1.0, cap=0.45), 1.0),
         ({"v": [0.1, 1.0, 10.0], "chains": [1, 2, 3, 4, 5]}, CostModel.timeboost(0.25, 1.0), 1.0),
         ({"v": [0.1, 1.0, 10.0], "chains": [1, 2, 3, 4, 5], "beta": [1.5, 2.0]}, CostModel.power(2.0), 1.0),
+        # C' = beta*s**(beta-1) meets numpy's scalar fast paths ** 0.5 and ** 2.0 here, and C meets ** 2.0
+        ({"v": [0.02, 0.3, 1.0, 7.0, 1e3], "beta": [1.5, 2.0, 3.0], "alpha": [0.35, 1.0], "chains": [1, 2]},
+         CostModel.power(2.0), 1.0),
     ],
-    ids=["power-cap-refund", "timeboost-refund", "timeboost-chains", "power-chains"],
+    ids=["power-cap-refund", "timeboost-refund", "timeboost-chains", "power-chains", "power-fast-path-betas"],
 )
 def test_sweep_rows_equal_compare_bit_for_bit(axes, cost, alpha):
-    # the lockstep solve groups rows by cost model; every row must still be
-    # its own compare_expenditure to the last bit
+    # the lockstep solve carries each row's cost parameters per point; every
+    # row must still be its own compare_expenditure to the last bit
     rows = sweep(axes, cost=cost, noise=UNIT_NOISE, alpha=alpha)
     assert len(rows) == math.prod(len(values) for values in axes.values())
     for row in rows:
@@ -622,6 +626,50 @@ def test_refund_sweep_bisects_in_lockstep(monkeypatch):
     assert len(rows) == 1000
     assert len(evaluations) <= 9
     assert sorted(set(evaluations)) == [2000, 4000]  # the ends are one call on both
+
+
+@pytest.mark.parametrize(
+    ("axes", "cost"),
+    [
+        ({"v": [0.5, 2.0], "beta": [1.5, 2.0, 3.0]}, CostModel.power(2.0)),
+        ({"v": [0.5, 2.0], "c": [0.05, 0.25], "g": [0.5, 1.0, 2.0]}, CostModel.timeboost(0.25, 1.0)),
+        ({"v": [0.5, 2.0], "cap": [0.0, 0.1, 1.0]}, CostModel.power(2.0)),
+        ({"v": [0.5, 2.0], "alpha": [0.0, 0.5, 1.0], "chains": [1, 2]}, CostModel.power(2.0)),
+    ],
+    ids=["beta", "c-g", "cap", "alpha-chains"],
+)
+def test_sweep_solves_every_point_in_one_call(monkeypatch, axes, cost):
+    # both sides of every point, whatever its cost model, go to one lockstep solve
+    calls = []
+    solve = analysis.solve_equilibria
+    monkeypatch.setattr(analysis, "solve_equilibria", lambda *args: calls.append(args) or solve(*args))
+    rows = sweep(axes, cost=cost, noise=UNIT_NOISE, alpha=0.5 if "alpha" not in axes else 1.0)
+    assert len(calls) == 1
+    assert np.size(calls[0][2]) == 2 * len(rows) == 2 * math.prod(map(len, axes.values()))
+
+
+@pytest.mark.parametrize(
+    ("axes", "cost", "message"),
+    [
+        # each message names the market it singles out by that market's own model, not the baseline's
+        ({"v": [1e16, 1e17], "beta": [2.0, 1.05]}, CostModel.power(2.0),
+         "the power:1.05 signal with marginal cost 3.98942e+16 lies beyond float range"),
+        ({"v": [1e200], "beta": [3.0, 2.0]}, CostModel.power(3.0),
+         "the power:2 cost of the signal 1.99471e+199 lies beyond float range at chains=1, v=1e+200"),
+        ({"v": [1e32, 1e33], "g": [4.0, 1.0]}, CostModel.timeboost(0.25, 1.0),
+         "the signal rounds to the boost bound g=4.0 at v=1e+33"),
+        # the first check any market fails raises: the power:2 points pass the inversion that
+        # the power:1.05 points fail, and only then would their costs fail. Solved model by model,
+        # in the axis's order, this grid raised the power:2 cost's error instead
+        ({"v": [1e300], "beta": [2.0, 1.05]}, CostModel.power(2.0),
+         "the power:1.05 signal with marginal cost 3.98942e+299 lies beyond float range"),
+    ],
+    ids=["inverse-largest-marginal-cost", "cost-first-market", "boost-bound-largest-v", "first-check-wins"],
+)
+def test_sweep_error_names_the_failing_market_by_its_own_model(axes, cost, message):
+    with pytest.raises(SolverError) as raised:
+        sweep(axes, cost=cost, noise=NoiseModel("normal", 1.0))
+    assert str(raised.value) == message
 
 
 POWER_COSTS = st.builds(

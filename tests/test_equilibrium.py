@@ -382,6 +382,30 @@ def test_stake_past_float_range_names_the_inputs():
     assert _stake(np.array([f0]), np.array([1e300]), np.array([40]))[0] == float(Fraction(f0) * 10**300 / 2**39)
 
 
+def test_an_upper_marginal_cost_past_float_range_is_a_solver_error_naming_the_market():
+    # at f0 = 1 the stake M = 1e308 is a float, but 2M/(1+alpha) at alpha = 0 is not; pytest makes
+    # an overflow warning an error
+    with pytest.raises(SolverError, match=re.escape(
+            "the marginal cost 2M/(1+alpha) of the upper signal overflows at chains=1, v=1e+308")):
+        solve_equilibrium(MarketConfig(1e308, 1, 0.0), CostModel.power(2.0), UNIT_NOISE)
+    # at alpha = 1 the bound is M itself, and the cost of the signal it buys is what overflows
+    with pytest.raises(SolverError, match=r"^the power:2 cost of the signal 5e\+307 lies beyond float range"):
+        solve_equilibrium(MarketConfig(1e308, 1), CostModel.power(2.0), UNIT_NOISE)
+
+
+def test_upper_marginal_cost_keeps_the_bits_of_2m_over_1_plus_alpha():
+    # M/((1+alpha)/2) is the same quotient as 2M/(1+alpha): halving 1+alpha and doubling M are exact
+    rng = np.random.default_rng(7)
+    marginal = np.ldexp(rng.uniform(0.5, 1.0, 200_000), rng.integers(-1070, 1023, 200_000))
+    alpha = np.concatenate([rng.uniform(0.0, 1.0, 199_998), [0.0, 1.0]])
+    with np.errstate(over="ignore"):
+        doubled = 2.0 * marginal / (1.0 + alpha)
+    finite = np.isfinite(doubled)
+    assert finite.mean() > 0.99
+    halved = marginal[finite] / (0.5 * (1.0 + alpha[finite]))
+    assert np.array_equal(halved.view(np.uint64), doubled[finite].view(np.uint64))
+
+
 def test_interior_foc_residual_is_tiny():
     for beta in (1.5, 2.0, 5.0):
         for v in (0.1, 1.0):

@@ -297,6 +297,21 @@ def test_analytic_verify_scores_a_deviation_whose_cost_overflows_as_minus_inf():
     assert verify_best_response(candidate, market, cost, noise).is_epsilon_equilibrium
 
 
+def test_montecarlo_verify_scores_past_float_range_as_minus_inf_and_the_rest_finite():
+    # at v = 1e308 the payoff sums over the trials overflow, and deviations past 1.34e154 cost more
+    # than float range holds; the scores are taken in units of a power of 2 and those deviations
+    # score -inf, so the run prints finite numbers; pytest makes an overflow or invalid-value warning an error
+    market, cost, noise = MarketConfig(1e308, 1, 0.0), POWER_TWO, NoiseModel("normal", 1.0)
+    candidate = solve_equilibrium(market, cost, noise)
+    check = verify_best_response(candidate, market, cost, noise, mode="montecarlo", trials=1000)
+    assert all(map(math.isfinite, (check.baseline_payoff, check.max_gain, check.epsilon)))
+    assert check.is_epsilon_equilibrium and check.argmax_deviation[0] < 1.34e154
+    # the grid's deviations past float range cannot win, even where they alone would be scored
+    beyond = verify_best_response(candidate, market, cost, noise, mode="montecarlo", trials=1000,
+                                  deviation_grid=[2e154, 3e154])
+    assert beyond.argmax_deviation[0] in (0.0, candidate.signal) and math.isfinite(beyond.max_gain)
+
+
 def test_best_response_holds_at_equilibrium():
     market = MarketConfig(1.0, 1)
     candidate = solve_equilibrium(market, POWER_TWO, UNIT_NOISE)
