@@ -639,7 +639,8 @@ def test_refund_sweep_bisects_in_lockstep(monkeypatch):
     ids=["beta", "c-g", "cap", "alpha-chains"],
 )
 def test_sweep_solves_every_point_in_one_call(monkeypatch, axes, cost):
-    # both sides of every point, whatever its cost model, go to one lockstep solve
+    # both sides of every point, whatever its cost model, go to one lockstep solve; off the alpha
+    # axis the baseline alpha = 0.5 takes the refund roots' narrowing along
     calls = []
     solve = analysis.solve_equilibria
     monkeypatch.setattr(analysis, "solve_equilibria", lambda *args: calls.append(args) or solve(*args))

@@ -297,10 +297,10 @@ def test_analytic_verify_scores_a_deviation_whose_cost_overflows_as_minus_inf():
     assert verify_best_response(candidate, market, cost, noise).is_epsilon_equilibrium
 
 
-def test_montecarlo_verify_scores_past_float_range_as_minus_inf_and_the_rest_finite():
+def test_montecarlo_verify_leaves_out_deviations_past_float_range_and_scores_the_rest_finite():
     # at v = 1e308 the payoff sums over the trials overflow, and deviations past 1.34e154 cost more
-    # than float range holds; the scores are taken in units of a power of 2 and those deviations
-    # score -inf, so the run prints finite numbers; pytest makes an overflow or invalid-value warning an error
+    # than float range holds; those deviations are left out and the rest are scored in units of a
+    # power of 2, so the run prints finite numbers; pytest makes an overflow or invalid-value warning an error
     market, cost, noise = MarketConfig(1e308, 1, 0.0), POWER_TWO, NoiseModel("normal", 1.0)
     candidate = solve_equilibrium(market, cost, noise)
     check = verify_best_response(candidate, market, cost, noise, mode="montecarlo", trials=1000)
