@@ -715,3 +715,33 @@ def test_one_row_sweep_equals_solve_equilibrium(log_v, cost, noise, alpha, chain
             assert row[f"{prefix}_{field}"].hex() == getattr(result, field).hex(), (prefix, field)
         assert row[f"{prefix}_regime"] == result.regime.value
         assert math.isfinite(result.signal) and math.isfinite(result.expected_profit)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # cost overflow to inf at the largest values
+@settings(max_examples=150, deadline=None)
+@given(
+    log_v=st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=3),
+    cost_axes=st.one_of(
+        st.fixed_dictionaries({"beta": st.lists(st.one_of(st.sampled_from([1.05, 1.5, 2.0, 3.0]),
+                                                          st.floats(1.01, 6.0)), min_size=2, max_size=3)}),
+        st.fixed_dictionaries({"c": st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=2),
+                               "g": st.lists(st.floats(0.1, 10.0), min_size=1, max_size=2)})),
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+def test_many_model_sweep_raises_exactly_when_some_point_does(log_v, cost_axes, alpha):
+    # one lockstep solve over every cost model raises when, and only when, some point's own
+    # compare_expenditure raises (the first check any market fails may name another market
+    # than a model-by-model solve would); otherwise each row is that point's compare
+    cost = CostModel.power(2.0) if "beta" in cost_axes else CostModel.timeboost(0.25, 1.0)
+    axes = {"v": [10.0**x for x in log_v], **cost_axes}
+    noise = NoiseModel("normal", 1.0)
+    rows = _outcome(lambda: sweep(axes, cost=cost, noise=noise, alpha=alpha))
+    names = [name for name in ("v", "beta", "c", "g") if name in axes]  # the rows' product order
+    points = [dict(zip(names, combo)) for combo in itertools.product(*map(axes.get, names))]
+    reports = [_outcome(lambda: compare_expenditure(p.pop("v"), CostModel(**{**vars(cost), **p}), noise, alpha))
+               for p in points]
+    if any(isinstance(report, type) for report in reports):
+        assert isinstance(rows, type)
+        return
+    for row, report in zip(rows, reports):
+        _assert_row_equals_report(row, report)
